@@ -3,15 +3,14 @@
 // diagnostics (or JSON with -json), and any finding fails the run.
 //
 //	detlint                      # determinism suite (syntactic)
-//	detlint -suite parlint       # parallel-kernel contract (interprocedural)
+//	detlint -suite parlint       # interprocedural determinism suite
 //	detlint -suite all -json     # everything, machine-readable
 //
 // Suites:
 //
 //	detlint  wallclock/globalrand/maporder, syntactic per-package pass
-//	parlint  stagedmut/exclusive-before/pinpair/globalmut plus the
-//	         interprocedural taint upgrades of the detlint analyzers
-//	         (see internal/lint/parlint)
+//	parlint  globalmut plus the interprocedural taint upgrades of the
+//	         detlint analyzers (see internal/lint/parlint)
 //	all      both suites plus the unusedallow meta-check, which reports
 //	         //detlint:allow directives that no longer suppress anything
 //

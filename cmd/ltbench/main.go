@@ -34,7 +34,6 @@ type File struct {
 	GOARCH      string              `json:"goarch"`
 	GOMAXPROCS  int                 `json:"gomaxprocs"`
 	NumCPU      int                 `json:"numcpu"`
-	KernelPar   int                 `json:"kernel_par"`
 	Reps        int                 `json:"reps"`
 	BenchtimeNs int64               `json:"benchtime_ns"`
 	Results     []bench.Measurement `json:"results"`
@@ -55,8 +54,6 @@ func main() {
 	baseline := flag.String("baseline", "", "embed this previously-written BENCH json as the baseline")
 	outDir := flag.String("o", ".", "directory for the BENCH_<label>.json output")
 	noJSON := flag.Bool("nojson", false, "print the table only, write no file")
-	kernelPar := flag.Int("kernel-par", 1,
-		"kernel worker goroutines for the study workloads (the KernelPar* workloads fix their own counts)")
 	flag.Parse()
 
 	if *quick {
@@ -70,7 +67,6 @@ func main() {
 		GOARCH:      runtime.GOARCH,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
-		KernelPar:   *kernelPar,
 		Reps:        *reps,
 		BenchtimeNs: benchtime.Nanoseconds(),
 	}
@@ -86,7 +82,7 @@ func main() {
 	}
 
 	fmt.Printf("%-22s %14s %12s %12s %14s\n", "workload", "ns/op", "B/op", "allocs/op", "events/sec")
-	for _, w := range bench.WorkloadsWith(bench.Options{KernelWorkers: *kernelPar}) {
+	for _, w := range bench.Workloads() {
 		if *filter != "" && !strings.Contains(w.Name, *filter) {
 			continue
 		}

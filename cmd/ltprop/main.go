@@ -45,8 +45,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "study seed")
 	quick := flag.Bool("quick", false, "shrink the problem")
 	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS)")
-	kernelPar := flag.Int("kernel-par", 1,
-		"kernel worker goroutines inside each simulation (1 = sequential; results are byte-identical)")
 	cacheDir := flag.String("cache", "", "serve repeated runs from this run-cache directory")
 	jsonOut := flag.String("json", "", "write the study as deterministic JSON here (- = stdout)")
 	faultSpec := flag.String("faults", "",
@@ -70,11 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := experiment.PropagationOptions{
-		Seed:          *seed,
-		Workers:       *jobs,
-		KernelWorkers: *kernelPar,
-	}
+	opts := experiment.PropagationOptions{Seed: *seed, Workers: *jobs}
 	if *mode != "all" {
 		for _, m := range strings.Split(*mode, ",") {
 			opts.Modes = append(opts.Modes, core.Mode(strings.TrimSpace(m)))

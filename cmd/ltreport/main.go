@@ -41,8 +41,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate only this table (1 or 2)")
 	fig := flag.Int("fig", 0, "regenerate only this figure (2-9)")
 	workers := flag.Int("j", 0, "parallel simulations (0 = all CPUs); results are identical for any value")
-	kernelPar := flag.Int("kernel-par", 1,
-		"kernel worker goroutines inside each simulation (1 = sequential; results are byte-identical)")
 	cacheDir := flag.String("cache", "", "serve repetitions from a run cache in this directory")
 	faultCfg := flag.String("fault-study", "", "run the fault-resilience study on this configuration and exit")
 	faultSpec := flag.String("faults", "", "fault plan for -fault-study (default: auto-sized one-off delay)")
@@ -55,7 +53,7 @@ func main() {
 	prof.Start()
 	defer prof.Stop()
 
-	opts := experiment.StudyOptions{Reps: *reps, BaseSeed: *seed, Workers: *workers, KernelWorkers: *kernelPar}
+	opts := experiment.StudyOptions{Reps: *reps, BaseSeed: *seed, Workers: *workers}
 	if *progress {
 		// Wall-clock time feeds only the stderr progress display, never
 		// the simulation itself.

@@ -40,8 +40,6 @@ func main() {
 	noNoise := flag.Bool("no-noise", false, "disable all noise sources")
 	faultSpec := flag.String("faults", "",
 		`deterministic fault plan, e.g. "oneoff:rank=2,at=0.01,delay=0.005;straggler:rank=0,factor=1.5"`)
-	kernelPar := flag.Int("kernel-par", 1,
-		"kernel worker goroutines for the conservative parallel event loop (1 = sequential; results are byte-identical)")
 	traceOut := flag.String("trace", "", "write the binary trace here (chunked compressed format)")
 	traceV1 := flag.Bool("trace-v1", false, "write the trace in the legacy monolithic version-1 format")
 	profOut := flag.String("profile", "", "write the analysis profile (JSON) here")
@@ -86,7 +84,7 @@ func main() {
 	}
 	opts := experiment.RunOptions{
 		Cfg: cfg, Seed: *seed, Noise: np, Faults: plan,
-		Analyze: *profOut != "" || !*quiet, KernelWorkers: *kernelPar,
+		Analyze: *profOut != "" || !*quiet,
 	}
 
 	// Live observatory: spill the trace to a sidecar file as it is
@@ -98,9 +96,6 @@ func main() {
 	if *liveAddr != "" {
 		if cfg == nil {
 			log.Fatal("-live requires an instrumented run (non-empty -mode)")
-		}
-		if *kernelPar > 1 {
-			log.Fatal("-live requires the sequential kernel (-kernel-par 1)")
 		}
 		spillPath := *traceOut + ".live"
 		if *traceOut == "" {

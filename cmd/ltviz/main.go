@@ -19,7 +19,7 @@
 // capacities as counter tracks — which no on-disk trace carries:
 //
 //	ltviz -spec MiniFE-1 -mode lt_stmt -o minife.json
-//	ltviz -spec MiniFE-1 -mode tsc -faults "membw:node=0,at=0.001,dur=0.005,factor=0.2" -o fault.json
+//	ltviz -spec MiniFE-1 -mode tsc -faults "membw:domain=0,at=0.001,dur=0.005,factor=0.2" -o fault.json
 //
 // With -front (requires -spec and -faults), ltviz additionally runs the
 // same configuration *without* the faults, feeds the pair through the

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/machine"
-	"repro/internal/measure"
 	"repro/internal/noise"
 	"repro/internal/scalasca"
 	"repro/internal/trace"
@@ -29,25 +27,12 @@ type Workload struct {
 // work quantum that keeps 16 streams contending on a NUMA domain.
 var contentionCost = work.Cost{Instr: 1e6, Flops: 1e6, Bytes: 1e6}
 
-// Options parameterises workload construction.
-type Options struct {
-	// KernelWorkers applies the conservative parallel kernel to the
-	// end-to-end study workloads (the KernelPar* workloads fix their own
-	// counts).  Results are byte-identical for any value.
-	KernelWorkers int
-}
-
 // Workloads returns the substrate and study benchmarks in reporting
-// order with default options.
-func Workloads() []Workload { return WorkloadsWith(Options{}) }
-
-// WorkloadsWith returns the substrate and study benchmarks in reporting
 // order.  The first five are the kernel-level micro-benchmarks whose
 // ns/op and allocs/op are the scoreboard for scheduler optimisations;
-// the KernelPar trio measures the parallel scheduler against its own
-// sequential baseline; the study pair measures the end-to-end pipeline
-// they multiply into.
-func WorkloadsWith(o Options) []Workload {
+// the TracePipe four measure the chunked trace pipeline; the study pair
+// measures the end-to-end pipeline they multiply into.
+func Workloads() []Workload {
 	return []Workload{
 		{
 			Name: "KernelSharedResource",
@@ -95,29 +80,14 @@ func WorkloadsWith(o Options) []Workload {
 			Make: tracePipeRangeStream,
 		},
 		{
-			Name: "KernelParSeq",
-			Desc: "wide-wave model-eval spec (8 ranks, lockstep), sequential kernel",
-			Make: func() (*Instance, error) { return kernelParallel(1) },
-		},
-		{
-			Name: "KernelPar2",
-			Desc: "wide-wave model-eval spec (8 ranks, lockstep), 2 kernel workers",
-			Make: func() (*Instance, error) { return kernelParallel(2) },
-		},
-		{
-			Name: "KernelPar4",
-			Desc: "wide-wave model-eval spec (8 ranks, lockstep), 4 kernel workers",
-			Make: func() (*Instance, error) { return kernelParallel(4) },
-		},
-		{
 			Name: "StudySequential",
 			Desc: "MiniFE-1 quick study (2 reps, all modes), 1 worker",
-			Make: func() (*Instance, error) { return studyRunner(1, o.KernelWorkers) },
+			Make: func() (*Instance, error) { return studyRunner(1) },
 		},
 		{
 			Name: "StudyPooled4",
 			Desc: "MiniFE-1 quick study (2 reps, all modes), 4 workers",
-			Make: func() (*Instance, error) { return studyRunner(4, o.KernelWorkers) },
+			Make: func() (*Instance, error) { return studyRunner(4) },
 		},
 	}
 }
@@ -437,63 +407,12 @@ func tracePipeRangeStream() (*Instance, error) {
 	}, nil
 }
 
-// kernelParIters/Points size the wide-wave spec: each quantum's cost is
-// derived by an expensive host-side model evaluation (the cost a
-// finer-grained mini-app pays per quantum), so the actor turns carry
-// real work for the parallel scheduler to overlap.
-const (
-	kernelParRanks  = 8
-	kernelParIters  = 40
-	kernelParPoints = 20000
-)
-
-// KernelParSpec is the conservative parallel scheduler's target regime
-// as a benchmark configuration: one rank per NUMA domain, no
-// communication, identical lockstep quanta (so every completion ties
-// and each wave carries one meaty turn per domain), and a deterministic
-// host-side model evaluation dominating every turn.  It is also part of
-// the differential battery — wide fully-staged waves are exactly the
-// schedule the narrow-wave paper apps rarely produce.
-func KernelParSpec() experiment.Spec {
-	return experiment.Spec{
-		Name: "WideWave-8", Ranks: kernelParRanks, Threads: 1, Nodes: 1, OnePerDomain: true,
-		App:         kernelParApp(kernelParIters, kernelParPoints),
-		Description: "lockstep host-side model evaluation, one rank per NUMA domain",
-	}
-}
-
-func kernelParApp(iters, points int) experiment.App {
-	return func(r *measure.Rank) experiment.AppResult {
-		acc := 0.0
-		for i := 0; i < iters; i++ {
-			model := 0.0
-			for p := 1; p <= points; p++ {
-				model += math.Sqrt(float64((p*31+i*7)%1009) + 1)
-			}
-			acc += model
-			r.Work(work.Cost{Flops: 1e8, Instr: 2e8, Bytes: 4e6})
-		}
-		return experiment.AppResult{Check: acc}
-	}
-}
-
-func kernelParallel(workers int) (*Instance, error) {
-	spec := KernelParSpec()
-	return &Instance{
-		Events: int64(spec.Ranks * kernelParIters),
-		Op: func() error {
-			_, err := experiment.RunWithOptions(spec, experiment.RunOptions{Seed: 1, KernelWorkers: workers})
-			return err
-		},
-	}, nil
-}
-
-func studyRunner(workers, kernelWorkers int) (*Instance, error) {
+func studyRunner(workers int) (*Instance, error) {
 	spec, err := experiment.SpecByName("MiniFE-1", experiment.Options{Quick: true})
 	if err != nil {
 		return nil, err
 	}
-	opts := experiment.StudyOptions{Reps: 2, BaseSeed: 1, Workers: workers, KernelWorkers: kernelWorkers}
+	opts := experiment.StudyOptions{Reps: 2, BaseSeed: 1, Workers: workers}
 	return &Instance{
 		Op: func() error {
 			_, err := experiment.RunStudy(spec, opts)

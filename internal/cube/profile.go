@@ -143,11 +143,14 @@ func (p *Profile) Value(m MetricID, path PathID, loc int) float64 {
 	return 0
 }
 
-// Total returns the metric's sum over all paths and locations.
+// Total returns the metric's sum over all paths and locations.  It sums
+// in path-id order, not map order: float addition is not associative, so
+// map order would change the low bits from call to call.
 func (p *Profile) Total(m MetricID) float64 {
+	byPath := p.sev[m]
 	var t float64
-	for _, vals := range p.sev[m] {
-		for _, v := range vals {
+	for path := range p.Paths {
+		for _, v := range byPath[PathID(path)] {
 			t += v
 		}
 	}

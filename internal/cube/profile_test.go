@@ -2,6 +2,7 @@ package cube
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -179,5 +180,28 @@ func TestZeroAddIsNoop(t *testing.T) {
 	p.Add(m, path, 0, 0)
 	if len(p.ByPath(m)) != 0 {
 		t.Fatal("zero add allocated severity storage")
+	}
+}
+
+// TestTotalIgnoresMapOrder: float addition is not associative, so with
+// severities of mixed magnitude only a fixed summation order gives one
+// answer.  Fifty calls must agree bit for bit.
+func TestTotalIgnoresMapOrder(t *testing.T) {
+	p := New("tsc", []string{"r0t0"})
+	m := p.AddMetric("time", "", NoParent)
+	root := p.Path(NoParent, "main")
+	for i, v := range []float64{1e16, 1, -1e16, 1, 1, 1e16, 1, 1} {
+		p.Add(m, p.Path(root, fmt.Sprintf("f%d", i)), 0, v)
+	}
+	want := p.Total(m)
+	for i := 0; i < 50; i++ {
+		if got := p.Total(m); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Total = %v, first call gave %v", i, got, want)
+		}
+	}
+	// Reports call Total many times per profile; the fixed order must
+	// not cost an allocation.
+	if a := testing.AllocsPerRun(20, func() { p.Total(m) }); a != 0 {
+		t.Fatalf("Total allocates %v times per call, want 0", a)
 	}
 }

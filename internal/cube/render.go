@@ -58,8 +58,9 @@ func (p *Profile) RenderLocations(w io.Writer, metric string) {
 		return
 	}
 	totals := make([]float64, p.NumLocs())
-	for _, vals := range p.sev[id] {
-		for l, v := range vals {
+	byPath := p.sev[id]
+	for path := range p.Paths { // path-id order, as in Total
+		for l, v := range byPath[PathID(path)] {
 			totals[l] += v
 		}
 	}

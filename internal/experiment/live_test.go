@@ -88,24 +88,14 @@ func TestLiveObservationDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestTraceSinkRejectsParallelKernel pins the sequential-only contract:
-// the sink is called from the measurement hot path, which the parallel
-// kernel runs concurrently.
-func TestTraceSinkRejectsParallelKernel(t *testing.T) {
+// TestTraceSinkRequiresInstrumentedRun: an uninstrumented run records
+// no trace, so there is nothing for a sink to mirror.
+func TestTraceSinkRequiresInstrumentedRun(t *testing.T) {
 	spec, err := SpecByName("MiniFE-1", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := measure.DefaultConfig(core.ModeStmt)
 	var buf bytes.Buffer
-	_, err = RunWithOptions(spec, RunOptions{
-		Cfg: &cfg, Seed: 1,
-		TraceSink:     trace.NewChunkWriter(&buf, string(core.ModeStmt)),
-		KernelWorkers: 4,
-	})
-	if err == nil {
-		t.Fatal("trace sink accepted with the parallel kernel")
-	}
 	_, err = RunWithOptions(spec, RunOptions{
 		Seed:      1,
 		TraceSink: trace.NewChunkWriter(&buf, string(core.ModeStmt)),

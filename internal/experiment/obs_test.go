@@ -93,7 +93,7 @@ func TestFaultObservabilityIsObserveOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := faults.ParseSpec("oneoff:rank=0,at=0.001,delay=0.0005;membw:node=0,at=0.002,dur=0.003,factor=0.5")
+	plan, err := faults.ParseSpec("oneoff:rank=0,at=0.001,delay=0.0005;membw:domain=0,at=0.002,dur=0.003,factor=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package experiment
 import (
 	"repro/internal/measure"
 	"repro/internal/miniapps/patterns"
-	"repro/internal/simmpi"
-	"repro/internal/vtime"
 )
 
 // PatternSpecs returns the communication-pattern configurations used by
@@ -30,31 +28,26 @@ func PatternSpecs(opt Options) []Spec {
 			Name: "Ring-16", Ranks: 16, Threads: 1, Nodes: 1,
 			App:         patternApp(func(r *measure.Rank) patterns.Result { return patterns.RunRing(r, ring) }),
 			Description: "lockstep halo ring — " + ring.Describe(),
-			Topology:    func(intra, _ float64) vtime.Topology { return simmpi.RingTopology(16, intra) },
 		},
 		{
 			Name: "RingSlack-16", Ranks: 16, Threads: 1, Nodes: 1,
 			App:         patternApp(func(r *measure.Rank) patterns.Result { return patterns.RunRing(r, ringSlack) }),
 			Description: "halo ring with absorption slack — " + ringSlack.Describe(),
-			Topology:    func(intra, _ float64) vtime.Topology { return simmpi.RingTopology(16, intra) },
 		},
 		{
 			Name: "Torus-16", Ranks: 16, Threads: 1, Nodes: 1,
 			App:         patternApp(func(r *measure.Rank) patterns.Result { return patterns.RunTorus(r, torus) }),
 			Description: "2-D periodic halo exchange — " + torus.Describe(),
-			Topology:    func(intra, _ float64) vtime.Topology { return simmpi.TorusTopology(torus.Py, torus.Px, intra) },
 		},
 		{
 			Name: "Pipeline-8", Ranks: 8, Threads: 1, Nodes: 1,
 			App:         patternApp(func(r *measure.Rank) patterns.Result { return patterns.RunPipeline(r, pipe) }),
 			Description: "linear pipeline with backpressure — " + pipe.Describe(),
-			Topology:    func(intra, _ float64) vtime.Topology { return simmpi.PipelineTopology(8, intra) },
 		},
 		{
 			Name: "MasterWorker-8", Ranks: 8, Threads: 1, Nodes: 1,
 			App:         patternApp(func(r *measure.Rank) patterns.Result { return patterns.RunMasterWorker(r, farm) }),
 			Description: "self-scheduling task farm — " + farm.Describe(),
-			Topology:    func(intra, _ float64) vtime.Topology { return simmpi.StarTopology(8, intra) },
 		},
 	}
 }

@@ -104,7 +104,7 @@ func studyJobs(spec Spec, opts StudyOptions) []Job {
 			Opts: RunOptions{
 				Seed: opts.BaseSeed + int64(rep), Noise: *opts.Noise,
 				Faults: opts.Faults, Watchdog: opts.Watchdog,
-				Metrics: opts.Metrics, KernelWorkers: opts.KernelWorkers,
+				Metrics: opts.Metrics,
 			},
 		})
 	}
@@ -117,7 +117,7 @@ func studyJobs(spec Spec, opts StudyOptions) []Job {
 				Opts: RunOptions{
 					Cfg: &cfg, Seed: opts.BaseSeed + int64(rep), Noise: *opts.Noise,
 					Faults: opts.Faults, Analyze: analyze, Watchdog: opts.Watchdog,
-					Metrics: opts.Metrics, KernelWorkers: opts.KernelWorkers,
+					Metrics: opts.Metrics,
 				},
 			})
 		}

@@ -462,41 +462,3 @@ func TestPoolWorkersResolution(t *testing.T) {
 		t.Fatalf("empty grid resolved to %d workers", w)
 	}
 }
-
-// The parallel kernel is an execution strategy, not a different
-// simulation: KernelWorkers must not enter the content address, and a
-// cache filled by sequential runs must fully serve a parallel-kernel
-// study (and vice versa) with identical results.
-func TestCacheHitsAcrossKernelWorkers(t *testing.T) {
-	seq, ok1 := cacheKey(tinySpec(), RunOptions{Seed: 3})
-	par, ok2 := cacheKey(tinySpec(), RunOptions{Seed: 3, KernelWorkers: 4})
-	if !ok1 || !ok2 || seq != par {
-		t.Fatalf("cache key depends on KernelWorkers:\n  seq %+v\n  par %+v", seq, par)
-	}
-	cache, err := runcache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := SpecByName("Ring-16", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := StudyOptions{
-		Reps: 2, BaseSeed: 5,
-		Modes: []core.Mode{core.ModeTSC, core.ModeLt1}, Cache: cache,
-	}
-	cold, err := RunStudy(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.KernelWorkers = 4
-	warm, err := RunStudy(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := int64(opts.Reps * (1 + len(opts.Modes)))
-	if hits, misses := cache.Stats(); hits != jobs || misses != jobs {
-		t.Fatalf("stats = %d hits, %d misses; want %d sequential entries to all hit under the parallel kernel", hits, misses, jobs)
-	}
-	assertStudiesEqual(t, cold, warm)
-}

@@ -41,9 +41,10 @@ type PropagationOptions struct {
 	// Metrics and Progress are the usual observe-only hooks.
 	Metrics  *obs.Registry
 	Progress *obs.Progress
-	// KernelWorkers > 1 runs each job on the kernel's conservative
-	// parallel scheduler (see RunOptions.KernelWorkers); byte-identical
-	// for every value.
+	// KernelWorkers is read by nothing: every simulation runs on the
+	// kernel's one sequential scheduler.
+	//
+	// Deprecated: parallelise a grid with Workers instead.
 	KernelWorkers int
 
 	modesDefaulted bool
@@ -193,7 +194,6 @@ func propagationJobs(spec Spec, opts PropagationOptions, plan faults.Plan) []Job
 			o := RunOptions{
 				Cfg: &cfg, Seed: opts.Seed, Noise: opts.Noise,
 				Watchdog: opts.Watchdog, Metrics: opts.Metrics,
-				KernelWorkers: opts.KernelWorkers,
 			}
 			if withFaults {
 				p := plan

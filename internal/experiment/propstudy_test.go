@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -182,26 +181,6 @@ func TestGoldenPropagationJSON(t *testing.T) {
 		t.Errorf("propagation study JSON drifted from %s (got %d bytes, want %d);\n"+
 			"regenerate with -update-golden only if the analyzer or simulation changed deliberately",
 			path, buf.Len(), len(want))
-	}
-	// The conservative parallel kernel must reproduce the same golden
-	// bytes for every worker count.
-	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-		if w <= 1 {
-			continue
-		}
-		popts := opts
-		popts.KernelWorkers = w
-		pst, err := RunPropagationStudy(spec, popts, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pbuf bytes.Buffer
-		if err := pst.WriteJSON(&pbuf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pbuf.Bytes(), want) {
-			t.Errorf("kernel-par %d: propagation study JSON diverged from %s", w, path)
-		}
 	}
 }
 

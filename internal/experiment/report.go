@@ -122,14 +122,19 @@ func pathBreakdown(w io.Writer, st *Study, metric string, groups map[string][]st
 			continue
 		}
 		pcts := p.PathPercents(metric)
+		paths := make([]string, 0, len(pcts))
+		for path := range pcts {
+			paths = append(paths, path)
+		}
+		sort.Strings(paths) // sum in a fixed order: float addition is not associative
 		fmt.Fprintf(tw, "%s", modeLabel(m))
 		var covered float64
 		for _, g := range names {
 			var v float64
-			for path, pct := range pcts {
+			for _, path := range paths {
 				for _, frag := range groups[g] {
 					if strings.Contains(path, frag) {
-						v += pct
+						v += pcts[path]
 						break
 					}
 				}

@@ -58,21 +58,11 @@ type RunOptions struct {
 	// Perfetto export: resource-capacity samples and fault-injection
 	// marks, all in virtual seconds.
 	Timeline *obs.Timeline
-	// KernelWorkers > 1 runs the job on the kernel's conservative
-	// parallel scheduler with that many worker goroutines, partitioned by
-	// the spec's topology (see buildPartition).  Committed results are
-	// byte-identical to the sequential kernel for every value, which is
-	// why it does not — and must not — enter the run-cache key.
-	KernelWorkers int
 	// TraceSink, when non-nil, mirrors every trace definition and event
 	// to the sink as it is recorded — the live-observatory spill that
 	// trace.Follow tails while the run executes.  The sink is observe-
-	// only (it cannot change the run's trace, profile or timings; the
-	// live identity test asserts byte-identical artifacts) but it is
-	// called from the measurement hot path, which under the parallel
-	// kernel runs turns concurrently: sinks are therefore restricted to
-	// sequential runs, and RunWithOptions rejects a sink combined with
-	// KernelWorkers > 1.
+	// only: it cannot change the run's trace, profile or timings (the
+	// live identity test asserts byte-identical artifacts).
 	TraceSink trace.Sink
 }
 
@@ -138,20 +128,6 @@ func RunWithOptions(spec Spec, o RunOptions) (*RunResult, error) {
 	}
 	w := simmpi.NewWorld(k, m, place, simmpi.DefaultConfig(), simomp.DefaultCosts(), nm)
 	w.SetMetrics(simmpi.NewMetrics(o.Metrics))
-	if o.KernelWorkers > 1 {
-		// Instrumented runs grow trace buffers mid-turn, mutating the
-		// shared per-NUMA-domain working set; co-located ranks must then
-		// be co-scheduled (see buildPartition).
-		sharedWS := o.Cfg != nil && o.Cfg.Overhead.WSUpdateEvery > 0 && o.Cfg.Overhead.BufferBytesPerEvent > 0
-		part, err := buildPartition(spec, m, place, sharedWS)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", spec.Name, err)
-		}
-		k.SetParallel(o.KernelWorkers, part.NumDomains)
-		if k.IsParallel() {
-			w.SetDomains(part.Domain)
-		}
-	}
 	var meas *measure.Measurement
 	var mode core.Mode
 	if o.Cfg != nil {
@@ -159,9 +135,6 @@ func RunWithOptions(spec Spec, o RunOptions) (*RunResult, error) {
 		meas = measure.New(*o.Cfg)
 	}
 	if o.TraceSink != nil {
-		if o.KernelWorkers > 1 {
-			return nil, fmt.Errorf("experiment %s: trace sink requires the sequential kernel (KernelWorkers <= 1)", spec.Name)
-		}
 		if meas == nil {
 			return nil, fmt.Errorf("experiment %s: trace sink requires an instrumented run", spec.Name)
 		}
@@ -178,9 +151,6 @@ func RunWithOptions(spec Spec, o RunOptions) (*RunResult, error) {
 		r.Begin()
 		res := spec.App(r)
 		r.End()
-		// The result accumulators are shared across ranks; under the
-		// parallel kernel they may only be touched from commit order.
-		p.Loc.Actor.Exclusive()
 		out.Checks[p.Rank] = res.Check
 		out.FoM += res.FoM
 		for name, v := range res.Phases {
@@ -253,10 +223,10 @@ type StudyOptions struct {
 	// (conventionally rendered to stderr by the cmd binaries, so stdout
 	// artifacts are never perturbed).
 	Progress *obs.Progress
-	// KernelWorkers > 1 runs every repetition on the kernel's
-	// conservative parallel scheduler (see RunOptions.KernelWorkers).
-	// Byte-identical results for every value; never part of cache keys,
-	// so cached sequential repetitions stay valid.
+	// KernelWorkers is read by nothing: every simulation runs on the
+	// kernel's one sequential scheduler.
+	//
+	// Deprecated: parallelise a grid with Workers instead.
 	KernelWorkers int
 
 	// modesDefaulted records that fill() installed the default mode

@@ -11,7 +11,6 @@ import (
 	"repro/internal/miniapps/lulesh"
 	"repro/internal/miniapps/minife"
 	"repro/internal/miniapps/tealeaf"
-	"repro/internal/vtime"
 )
 
 // AppResult normalises the mini-apps' outcomes for the harness.
@@ -41,13 +40,6 @@ type Spec struct {
 	OnePerDomain bool
 	App          App
 	Description  string
-	// Topology, when set, declares the app's communication structure for
-	// the kernel's conservative parallel scheduler, given the machine's
-	// intra- and inter-node latencies as candidate lookaheads.  Nil means
-	// unknown: the runner falls back to the conservative all-to-all
-	// topology.  Purely a scheduling hint — results are byte-identical
-	// with or without it, for every worker count.
-	Topology func(intraLat, interLat float64) vtime.Topology
 }
 
 // scaling for the harness: the paper's problem geometry with iteration

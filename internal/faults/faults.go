@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -310,14 +311,26 @@ func (f Fault) String() string {
 	return string(f.Kind) + ":" + strings.Join(kv, ",")
 }
 
+// kindKeys lists the ParseSpec keys each fault kind reads.  A key the
+// kind ignores is rejected rather than stored: it would have no effect,
+// and String, which renders only these keys, would silently drop it.
+var kindKeys = map[Kind][]string{
+	OneOffDelay: {"rank", "at", "delay"},
+	Straggler:   {"rank", "factor", "at", "dur"},
+	LinkDegrade: {"node", "at", "dur", "factor"},
+	MemDegrade:  {"domain", "at", "dur", "factor"},
+	CtrGlitch:   {"rank", "factor", "at", "dur"},
+}
+
 // ParseSpec parses the command-line fault grammar: semicolon-separated
 // faults, each "kind:key=value,key=value".  Example:
 //
 //	oneoff:rank=3,at=0.002,delay=0.001;straggler:rank=0,factor=1.5
 //
-// Recognised keys are rank, node, domain, at, dur, delay and factor.
-// The result is not validated against a job shape; call Plan.Validate
-// once ranks/nodes/domains are known.
+// Recognised keys are rank, node, domain, at, dur, delay and factor; a
+// key the fault's kind does not read is an error (see kindKeys).  The
+// result is not validated against a job shape; call Plan.Validate once
+// ranks/nodes/domains are known.
 func ParseSpec(spec string) (Plan, error) {
 	var p Plan
 	for _, part := range strings.Split(spec, ";") {
@@ -330,9 +343,8 @@ func ParseSpec(spec string) (Plan, error) {
 			return Plan{}, fmt.Errorf("faults: %q: want kind:key=value,...", part)
 		}
 		f := Fault{Kind: Kind(strings.TrimSpace(kind))}
-		switch f.Kind {
-		case OneOffDelay, Straggler, LinkDegrade, MemDegrade, CtrGlitch:
-		default:
+		keys, known := kindKeys[f.Kind]
+		if !known {
 			return Plan{}, fmt.Errorf("faults: unknown fault kind %q (want %s)", kind,
 				strings.Join([]string{string(OneOffDelay), string(Straggler), string(LinkDegrade), string(MemDegrade), string(CtrGlitch)}, ", "))
 		}
@@ -349,7 +361,11 @@ func ParseSpec(spec string) (Plan, error) {
 			if err != nil {
 				return Plan{}, fmt.Errorf("faults: %s: bad value %q", key, val)
 			}
-			switch strings.TrimSpace(key) {
+			key = strings.TrimSpace(key)
+			if !slices.Contains(keys, key) {
+				return Plan{}, fmt.Errorf("faults: unknown key %q for %s in %q (want %s)", key, f.Kind, part, strings.Join(keys, ", "))
+			}
+			switch key {
 			case "rank":
 				f.Rank = int(v)
 			case "node":
@@ -364,8 +380,6 @@ func ParseSpec(spec string) (Plan, error) {
 				f.Delay = v
 			case "factor":
 				f.Factor = v
-			default:
-				return Plan{}, fmt.Errorf("faults: unknown key %q in %q", key, part)
 			}
 		}
 		p.Faults = append(p.Faults, f)

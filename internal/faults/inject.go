@@ -12,11 +12,9 @@ import (
 
 // Injector is a Plan bound to one run.  It implements
 // machine.FaultInjector for the compute and counter faults and schedules
-// the bandwidth-collapse windows on the kernel.  The per-core fault state
-// needs no locking — a core's quanta execute from one actor at a time
-// even under the parallel kernel — but the applied log is shared across
-// cores, so appends take a mutex and Applied returns a totally-ordered
-// copy (append order is scheduling-dependent; the sorted view is not).
+// the bandwidth-collapse windows on the kernel.  The applied log is
+// shared across cores, so appends take a mutex and Applied returns a
+// totally-ordered copy that does not depend on append order.
 type Injector struct {
 	plan Plan
 
@@ -26,9 +24,8 @@ type Injector struct {
 
 	// applied is the log of fault events that actually took effect.  The
 	// fire conditions depend only on the armed plan and virtual time, so
-	// two identical runs apply identical fault sets; only the append
-	// order varies with the scheduler.  Reading the log is observe-only:
-	// nothing in the injection path consults it.
+	// two identical runs apply identical fault sets.  Reading the log is
+	// observe-only: nothing in the injection path consults it.
 	mu      sync.Mutex
 	applied []AppliedFault
 
@@ -96,9 +93,7 @@ func (in *Injector) Applied() []AppliedFault {
 	return out
 }
 
-// record appends one applied-fault event.  Concurrent-safe: compute
-// faults fire from actor turns, which the parallel kernel may run on
-// several worker goroutines at once.
+// record appends one applied-fault event.
 func (in *Injector) record(e AppliedFault) {
 	in.mu.Lock()
 	in.applied = append(in.applied, e)

@@ -8,24 +8,32 @@
 // The score is 1 for identical mappings, 0 for disjoint supports.
 package jaccard
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Score computes the generalized Jaccard score of two mappings.  Missing
 // keys count as zero.  Negative values are clamped to zero (severities
 // are non-negative by construction; tiny negatives can appear from
-// floating-point cancellation).
+// floating-point cancellation).  The sums run over the union of keys in
+// sorted order, so the score does not depend on map iteration order.
 func Score(a, b map[string]float64) float64 {
+	keys := make([]string, 0, len(a)+len(b))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, seen := a[k]; !seen {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
 	var num, den float64
-	for k, av := range a {
-		av = clamp(av)
-		bv := clamp(b[k])
+	for _, k := range keys {
+		av, bv := clamp(a[k]), clamp(b[k])
 		num += math.Min(av, bv)
 		den += math.Max(av, bv)
-	}
-	for k, bv := range b {
-		if _, seen := a[k]; !seen {
-			den += clamp(bv)
-		}
 	}
 	if den == 0 {
 		return 1 // two all-zero mappings are identical

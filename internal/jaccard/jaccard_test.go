@@ -105,3 +105,21 @@ func TestPropertyMonotoneDivergence(t *testing.T) {
 		prev = s
 	}
 }
+
+// TestScoreIgnoresMapOrder: with values of mixed magnitude the sums
+// round differently in different orders, so only a fixed key order
+// gives one score.  Fifty calls must agree bit for bit.
+func TestScoreIgnoresMapOrder(t *testing.T) {
+	a := map[string]float64{"big": 1e16}
+	b := map[string]float64{"big": 1e16, "only-b": 1}
+	for i := 0; i < 8; i++ {
+		k := string(rune('a' + i))
+		a[k], b[k] = 1, 2
+	}
+	want := Score(a, b)
+	for i := 0; i < 50; i++ {
+		if got := Score(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Score = %v, first call gave %v", i, got, want)
+		}
+	}
+}

@@ -1,46 +1,33 @@
-// Package parlint statically enforces the parallel-kernel staging
-// contract of internal/vtime (PR 7).  The conservative wave scheduler
-// is byte-identical to the sequential kernel only while every turn
-// body obeys rules that otherwise live in comments and runtime panics:
+// Package parlint holds the module-wide, interprocedural determinism
+// analyzers.  A study runs its grid on the -j job pool, so several
+// simulations execute at once in one process, and each must still be
+// byte-reproducible.  Code that runs under simulated time must therefore
+// obey rules that detlint's syntactic pass can only check one function
+// at a time:
 //
-//   - kernel mutations from a parallel turn must go through the
-//     staging API (Actor.Post, Cond.SignalFrom/BroadcastFrom, staged
-//     Execute/Wait) or run under Actor.Exclusive (stagedmut);
-//   - structural mutations (Kernel.Spawn, Resource.SetCapacity,
-//     attach/detach) must be dominated by Actor.Exclusive or be
-//     sequential-only (exclusive-before);
-//   - Kernel.PinDomain must pair with UnpinDomain on every path,
-//     including early returns and panics (pinpair);
-//   - package-level mutable state must not be written from parallel
-//     turn bodies (globalmut) — a static race pre-screen that
-//     complements -race;
+//   - package-level mutable state must not be written from simulation
+//     code (globalmut) — two concurrent jobs would race on it;
+//   - simulation code must not reach the wall clock, the process-global
+//     math/rand generator, or an ordered sink fed in map-iteration order
+//     (wallclock, globalrand, maporder), even through helpers: a helper
+//     that wraps time.Now three calls deep is reported at its
+//     simulation-context call site, which the syntactic pass cannot see.
 //
-// plus interprocedural upgrades of detlint's wallclock / globalrand /
-// maporder checks: a helper that wraps time.Now three calls deep is
-// reported at its simulation-context call site, which the syntactic
-// pass cannot see.
+// The analyzers reason over the module-wide call graph (internal/lint).
+// Simulation-reachable code is everything reachable from a function
+// value handed to the vtime kernel — Kernel.Spawn bodies and Post
+// completion callbacks alike.  The traversal is a deliberate
+// over-approximation — interface dispatch fans out to every implementing
+// type, function values to everything that flows there — so a clean run
+// is a guarantee, and a false positive is silenced with
+// "//detlint:allow <name>: why".
 //
-// The analyzers reason over the module-wide call graph (internal/lint):
-// turn entry points are the function values passed to Kernel.Spawn,
-// parallel reachability follows call edges while skipping everything
-// lexically after an Actor.Exclusive call in the same function (the
-// rest of such a turn runs on the sequential commit path), and
-// simulation reachability additionally includes every callback handed
-// to the vtime kernel (Post completions run in kernel context: staging
-// rules do not apply there, but determinism rules still do).  Both
-// traversals are deliberate over-approximations — interface dispatch
-// fans out to every implementing type, function values to everything
-// that flows there — so a clean run is a guarantee, and a false
-// positive is silenced with "//detlint:allow <name>: why".
-//
-// The vtime package itself is exempt: its internals hold the kernel
-// lock by construction and are proven equivalent by the pardiff
-// differential battery, not by this lint.
+// The vtime package itself is exempt: it owns the sanctioned boundaries
+// (the watchdog's injectable clock and the scheduling order).
 package parlint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -48,44 +35,20 @@ import (
 	"repro/internal/lint"
 )
 
-// Analyzers is the parallel-contract suite in reporting order.
+// Analyzers is the interprocedural determinism suite in reporting order.
 func Analyzers() []*lint.Analyzer {
-	return []*lint.Analyzer{
-		StagedMut, ExclusiveBefore, PinPair, GlobalMut,
-		WallclockTaint, GlobalRandTaint, MapOrderTaint,
-	}
-}
-
-// step is one predecessor edge of a reachability traversal.
-type step struct {
-	from *lint.FuncNode
-	site token.Pos
+	return []*lint.Analyzer{GlobalMut, WallclockTaint, GlobalRandTaint, MapOrderTaint}
 }
 
 // ctx is the shared context model computed once per call graph.
 type ctx struct {
 	g *lint.CallGraph
 
-	// entries are the turn bodies: function values passed to
-	// (*vtime.Kernel).Spawn anywhere in the module.
-	entries []*lint.FuncNode
-
-	// guards maps each function to the position of its first
-	// Actor.Exclusive call (token.NoPos when it has none).  Everything
-	// lexically after that call runs on the sequential commit path.
-	guards map[*lint.FuncNode]token.Pos
-
-	// parReach maps functions reachable from a turn entry through
-	// unguarded call edges to their predecessor edge (entries map to a
-	// zero step).  These run inside parallel waves.
-	parReach map[*lint.FuncNode]step
-
-	// simReach additionally starts from every callback handed to vtime
-	// (Post completions, Spawn bodies) and ignores Exclusive guards:
-	// everything here executes under simulated time, so determinism
-	// taints (wallclock, globalrand, maporder) apply even where staging
-	// rules do not.
-	simReach map[*lint.FuncNode]step
+	// simReach maps every function reachable from a callback handed to
+	// vtime (Spawn bodies, Post completions) to the caller it was first
+	// reached from (nil for the callbacks themselves).  Everything here
+	// executes under simulated time.
+	simReach map[*lint.FuncNode]*lint.FuncNode
 }
 
 // ctxCache memoises the context per call graph; the runner executes
@@ -96,14 +59,7 @@ func contextOf(g *lint.CallGraph) *ctx {
 	if c, ok := ctxCache[g]; ok {
 		return c
 	}
-	c := &ctx{
-		g:        g,
-		guards:   make(map[*lint.FuncNode]token.Pos),
-		parReach: make(map[*lint.FuncNode]step),
-		simReach: make(map[*lint.FuncNode]step),
-	}
-	c.computeGuards()
-	c.computeEntries()
+	c := &ctx{g: g, simReach: make(map[*lint.FuncNode]*lint.FuncNode)}
 	c.computeReach()
 	ctxCache[g] = c
 	return c
@@ -124,120 +80,45 @@ func isVtimeNode(n *lint.FuncNode) bool {
 	return n.Pkg.Types != nil && isVtimePkg(n.Pkg.Types)
 }
 
-// vtimeFunc matches a callee against the kernel API: it returns the
-// receiver type name ("Kernel", "Actor", "Cond", "Resource"; "" for
-// plain functions) and method name when fn belongs to a vtime package.
-func vtimeFunc(fn *types.Func) (recv, name string, ok bool) {
-	if fn == nil || !isVtimePkg(fn.Pkg()) {
-		return "", "", false
-	}
-	sig, sigOK := fn.Type().(*types.Signature)
-	if !sigOK {
-		return "", "", false
-	}
-	if r := sig.Recv(); r != nil {
-		t := r.Type()
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		named, isNamed := t.(*types.Named)
-		if !isNamed {
-			return "", "", false
-		}
-		return named.Obj().Name(), fn.Name(), true
-	}
-	return "", fn.Name(), true
-}
+// isVtimeFunc reports whether a callee belongs to the kernel API.
+func isVtimeFunc(fn *types.Func) bool { return fn != nil && isVtimePkg(fn.Pkg()) }
 
-// computeGuards records each function's first Actor.Exclusive call.
-func (c *ctx) computeGuards() {
-	for _, n := range c.g.Nodes {
-		guard := token.NoPos
-		for _, cs := range n.Calls {
-			if recv, name, ok := vtimeFunc(cs.Callee); ok && recv == "Actor" && name == "Exclusive" {
-				guard = cs.Site
-				break
-			}
-		}
-		c.guards[n] = guard
-	}
-}
-
-// guarded reports whether a call site in n runs after the function's
-// Actor.Exclusive call — on the sequential commit path.
-func (c *ctx) guarded(n *lint.FuncNode, site token.Pos) bool {
-	g := c.guards[n]
-	return g != token.NoPos && site > g
-}
-
-// computeEntries collects turn bodies: resolved function values of the
-// second Spawn argument at every Spawn call site outside vtime.
-func (c *ctx) computeEntries() {
-	seen := make(map[*lint.FuncNode]bool)
-	for _, n := range c.g.Nodes {
-		if isVtimeNode(n) {
-			continue
-		}
-		for _, cs := range n.Calls {
-			recv, name, ok := vtimeFunc(cs.Callee)
-			if !ok || recv != "Kernel" || name != "Spawn" || len(cs.Expr.Args) < 2 {
-				continue
-			}
-			for _, t := range c.g.FuncValues(n.Pkg, cs.Expr.Args[1]) {
-				if !seen[t] && !isVtimeNode(t) {
-					seen[t] = true
-					c.entries = append(c.entries, t)
-				}
-			}
-		}
-	}
-	sort.Slice(c.entries, func(i, j int) bool { return c.entries[i].Index < c.entries[j].Index })
-}
-
-// computeReach runs both reachability traversals.
+// computeReach walks call edges from the simulation roots: every
+// function value passed to any vtime API call outside vtime itself.
 func (c *ctx) computeReach() {
-	c.bfs(c.entries, c.parReach, true)
-
-	// Simulation roots: turn entries plus every function value passed
-	// to any vtime API call (Post completion callbacks and friends).
-	var simRoots []*lint.FuncNode
+	var roots []*lint.FuncNode
 	seen := make(map[*lint.FuncNode]bool)
-	add := func(t *lint.FuncNode) {
-		if !seen[t] && !isVtimeNode(t) {
-			seen[t] = true
-			simRoots = append(simRoots, t)
-		}
-	}
-	for _, e := range c.entries {
-		add(e)
-	}
 	for _, n := range c.g.Nodes {
 		if isVtimeNode(n) {
 			continue
 		}
 		for _, cs := range n.Calls {
-			if _, _, ok := vtimeFunc(cs.Callee); !ok {
+			if !isVtimeFunc(cs.Callee) {
 				continue
 			}
 			for _, arg := range cs.Expr.Args {
 				for _, t := range c.g.FuncValues(n.Pkg, arg) {
-					add(t)
+					if !seen[t] && !isVtimeNode(t) {
+						seen[t] = true
+						roots = append(roots, t)
+					}
 				}
 			}
 		}
 	}
-	sort.Slice(simRoots, func(i, j int) bool { return simRoots[i].Index < simRoots[j].Index })
-	c.bfs(simRoots, c.simReach, false)
+	sort.Slice(roots, func(i, j int) bool { return roots[i].Index < roots[j].Index })
+	c.bfs(roots)
 }
 
-// bfs walks call edges from the roots.  Edges into vtime are never
-// followed (the kernel's internals are exempt); with useGuards, edges
-// lexically after the caller's Actor.Exclusive are skipped.
-func (c *ctx) bfs(roots []*lint.FuncNode, reach map[*lint.FuncNode]step, useGuards bool) {
+// bfs walks call edges from the roots into simReach.  Edges into vtime
+// are never followed: the kernel's internals are exempt, and a callback
+// handed to it is a root of its own.
+func (c *ctx) bfs(roots []*lint.FuncNode) {
+	reach := c.simReach
 	queue := make([]*lint.FuncNode, 0, len(roots))
 	for _, r := range roots {
 		if _, ok := reach[r]; !ok {
-			reach[r] = step{}
+			reach[r] = nil
 			queue = append(queue, r)
 		}
 	}
@@ -245,18 +126,15 @@ func (c *ctx) bfs(roots []*lint.FuncNode, reach map[*lint.FuncNode]step, useGuar
 		n := queue[0]
 		queue = queue[1:]
 		for _, cs := range n.Calls {
-			if useGuards && c.guarded(n, cs.Site) {
+			if isVtimeFunc(cs.Callee) {
 				continue
-			}
-			if _, _, isVtime := vtimeFunc(cs.Callee); isVtime {
-				continue // staging/commit boundary: not a synchronous descent
 			}
 			for _, t := range cs.Targets {
 				if isVtimeNode(t) {
 					continue
 				}
 				if _, ok := reach[t]; !ok {
-					reach[t] = step{from: n, site: cs.Site}
+					reach[t] = n
 					queue = append(queue, t)
 				}
 			}
@@ -264,14 +142,13 @@ func (c *ctx) bfs(roots []*lint.FuncNode, reach map[*lint.FuncNode]step, useGuar
 	}
 }
 
-// chain renders the witness path from a traversal root to n, e.g.
-// "simmpi.Launch$1 → simmpi.NewTeam".  Cycles cannot occur: reach
-// holds the first (acyclic) predecessor edge of each node.
-func chain(reach map[*lint.FuncNode]step, n *lint.FuncNode) string {
+// chain renders the witness path from a simulation root to n, e.g.
+// "simmpi.Launch$1 → simmpi.NewTeam".  Cycles cannot occur: simReach
+// holds the first (acyclic) predecessor of each node.
+func (c *ctx) chain(n *lint.FuncNode) string {
 	var names []string
-	for cur := n; cur != nil; {
+	for cur := n; cur != nil; cur = c.simReach[cur] {
 		names = append(names, cur.Name)
-		cur = reach[cur].from
 	}
 	for i, j := 0, len(names)-1; i < j; i, j = i+1, j-1 {
 		names[i], names[j] = names[j], names[i]
@@ -279,12 +156,12 @@ func chain(reach map[*lint.FuncNode]step, n *lint.FuncNode) string {
 	return strings.Join(names, " → ")
 }
 
-// reachedNodes returns the reached nodes in deterministic index order,
-// excluding vtime internals.
-func reachedNodes(g *lint.CallGraph, reach map[*lint.FuncNode]step) []*lint.FuncNode {
+// reached returns the simulation-reachable nodes in deterministic index
+// order, excluding vtime internals.
+func (c *ctx) reached() []*lint.FuncNode {
 	var out []*lint.FuncNode
-	for _, n := range g.Nodes { // Nodes is already in index order
-		if _, ok := reach[n]; ok && !isVtimeNode(n) {
+	for _, n := range c.g.Nodes { // Nodes is already in index order
+		if _, ok := c.simReach[n]; ok && !isVtimeNode(n) {
 			out = append(out, n)
 		}
 	}

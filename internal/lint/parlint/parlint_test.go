@@ -18,11 +18,11 @@ func TestContractCorpus(t *testing.T) {
 }
 
 // TestSyntacticPassMissesHiddenMutation is the seeded acceptance case:
-// the kernel mutation in testdata/src/contract/hidden sits two helper
+// the map-order sink in testdata/src/contract/hidden sits two helper
 // calls below the turn body.  The interprocedural suite reports it
 // (asserted by the // want in the corpus via TestContractCorpus); here
-// we prove the PR 3 syntactic suite finds nothing in that package, so
-// the catch genuinely needs the call graph.
+// we prove the syntactic detlint suite finds nothing in that package,
+// so the catch genuinely needs the call graph.
 func TestSyntacticPassMissesHiddenMutation(t *testing.T) {
 	loader, err := lint.NewLoader("testdata/src/contract")
 	if err != nil {

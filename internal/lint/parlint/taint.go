@@ -152,7 +152,7 @@ func reportTaint(pass *lint.ModulePass, direct func(*lint.FuncNode) bool, format
 		return
 	}
 	seen := make(map[token.Pos]bool)
-	for _, n := range reachedNodes(c.g, c.simReach) {
+	for _, n := range c.reached() {
 		for _, cs := range n.Calls {
 			if seen[cs.Site] {
 				continue
@@ -212,7 +212,7 @@ var MapOrderTaint = &lint.Analyzer{
 		if len(emits) == 0 {
 			return nil
 		}
-		for _, n := range reachedNodes(c.g, c.simReach) {
+		for _, n := range c.reached() {
 			n := n
 			inspectOwn(n, func(nd ast.Node) bool {
 				rs, ok := nd.(*ast.RangeStmt)

@@ -1,29 +1,29 @@
 // Package iface exercises the interface-dispatch over-approximation:
 // a call through an interface inside a turn body reaches every
-// implementing type in the module, so a mutating implementation is
-// flagged even though the dynamic type at run time might be the clean
-// one — soundness over precision.
+// implementing type in the module, so an order-keeping implementation
+// is flagged even though the dynamic type at run time might be the
+// order-free one — soundness over precision.
 package iface
 
 import "contract.example/vtime"
 
-// Mutator is dispatched from inside a turn body.
-type Mutator interface{ Mutate() }
+// Visitor is dispatched from inside a turn body.
+type Visitor interface{ Visit(key string) }
 
-// Direct mutates the kernel without staging.
-type Direct struct{ K *vtime.Kernel }
+// Ordered keeps keys in call order.
+type Ordered struct{ keys []string }
 
-func (d *Direct) Mutate() {
-	d.K.Post(vtime.Action{}, func() {}) // want `\(\*vtime\.Kernel\)\.Post mutates kernel state directly from a parallel turn \(via iface\.Run\$1 → \(iface\.Direct\)\.Mutate\)`
-}
+func (o *Ordered) Visit(key string) { o.keys = append(o.keys, key) }
 
-// Clean touches nothing.
-type Clean struct{}
+// Counter only counts, which no visiting order can change.
+type Counter struct{ n int }
 
-func (Clean) Mutate() {}
+func (c *Counter) Visit(string) { c.n++ }
 
-func Run(k *vtime.Kernel, m Mutator) {
+func Run(k *vtime.Kernel, v Visitor, m map[string]int) {
 	k.Spawn("t", func(a *vtime.Actor) {
-		m.Mutate()
+		for key := range m {
+			v.Visit(key) // want `\(iface\.Ordered\)\.Visit emits to an ordered sink and is called inside a map-range loop`
+		}
 	})
 }

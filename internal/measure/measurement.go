@@ -66,11 +66,7 @@ type recorder struct {
 	names []string
 
 	// regions caches this location's view of the trace's global region
-	// intern table.  Under the parallel kernel the global table may only
-	// be touched from commit order (Actor.Exclusive), so enter consults
-	// the cache first and pays the exclusive turn only on first sight of
-	// a name — the interleaving of first-interns, and therefore every
-	// region id, stays the sequential one.
+	// intern table; enter consults it before interning a name.
 	regions map[string]trace.RegionID
 
 	pendingInstr  float64
@@ -142,9 +138,6 @@ func (r *recorder) enter(name string, role trace.Role) {
 	}
 	id, ok := r.regions[name]
 	if !ok {
-		if r.loc.Actor != nil {
-			r.loc.Actor.Exclusive() // first sight: intern in the global table
-		}
 		id = r.m.Trace.Region(name, role)
 		if r.regions == nil {
 			r.regions = make(map[string]trace.RegionID)

@@ -64,18 +64,7 @@ func (r *Rank) Now() float64 { return r.P.Loc.Now() }
 // evenly over the NUMA domains the rank's threads are pinned to — the
 // effect of first-touch allocation in a parallel initialisation.  It
 // returns a release function that unregisters the same amount.
-//
-// Under the parallel kernel, call it before the rank's first blocking
-// operation (apps allocate before they communicate, so this is the
-// natural shape): the first registration on a NUMA domain shared with
-// other lookahead domains permanently pins the sharers onto the commit
-// path, and a first-turn call guarantees no concurrently scheduled turn
-// has read the miss ratio the registration is about to change.
 func (r *Rank) SpreadWorkingSet(totalBytes float64) (release func()) {
-	if r.P.W.MemoryShared(r.P.Rank) {
-		r.P.Loc.Actor.Exclusive()
-		r.P.W.PinRankMemory(r.P.Rank)
-	}
 	locs := r.P.Team.Locations()
 	per := totalBytes / float64(len(locs))
 	for _, l := range locs {
@@ -307,9 +296,6 @@ func (r *Rank) collective(comm *simmpi.Comm, name string, bytes int64, call func
 	r.collSeq[comm] = seq + 1
 	id, ok := r.commIDs[comm]
 	if !ok {
-		// First collective on this communicator from this rank: the global
-		// id table may only be touched from commit order.
-		r.P.Loc.Actor.Exclusive()
 		id = r.m.commID(comm)
 		r.commIDs[comm] = id
 	}

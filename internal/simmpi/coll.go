@@ -46,9 +46,8 @@ type collSlot struct {
 	callers []int // world ranks that have called into the slot so far
 	cond    *vtime.Cond
 	arrived int
-	// exited is atomic: the post-release bump happens in each rank's
-	// wake-up turn, which the parallel kernel may run concurrently across
-	// domains.  It only gates slot GC, never timing.
+	// exited counts ranks that left the released slot.  It only gates
+	// slot GC, never timing.
 	exited    atomic.Int32
 	released  bool
 	releaseAt float64
@@ -77,9 +76,7 @@ func (c *Comm) Ranks() []int { return c.ranks }
 // Sub returns the sub-communicator containing the given world ranks.
 // Like MPI_Comm_split, Sub is logically collective: every member must call
 // it with the same rank list, and all calls return the same communicator
-// (memoised by member list).  Under the parallel kernel, call it before
-// Launch or from an exclusive turn (the collectives below establish one):
-// the memo table is world-shared state.
+// (memoised by member list).
 func (w *World) Sub(ranks []int) *Comm {
 	key := fmt.Sprint(ranks)
 	if w.subs == nil {
@@ -182,7 +179,6 @@ func (c *Comm) finish(p *Proc, s *collSlot, pb uint64) uint64 {
 // clock piggyback; the maximum over all participants is returned.
 func (c *Comm) Barrier(p *Proc, pb uint64) uint64 {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollBarrier)
 	return c.finish(p, s, pb)
 }
@@ -191,7 +187,6 @@ func (c *Comm) Barrier(p *Proc, pb uint64) uint64 {
 // the result (a fresh slice) to every rank, plus the piggyback maximum.
 func (c *Comm) Allreduce(p *Proc, data []float64, op Op, pb uint64) ([]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollAllreduce)
 	if s.reduce == nil {
 		s.reduce = append([]float64(nil), data...)
@@ -222,7 +217,6 @@ func (c *Comm) Allreduce(p *Proc, data []float64, op Op, pb uint64) ([]float64, 
 // Bcast distributes root's data to every rank.  Non-root ranks pass nil.
 func (c *Comm) Bcast(p *Proc, root int, data []float64, pb uint64) ([]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollBcast)
 	if p.Rank == root {
 		s.bcast = append([]float64(nil), data...)
@@ -236,7 +230,6 @@ func (c *Comm) Bcast(p *Proc, root int, data []float64, pb uint64) ([]float64, u
 // of the communicator's i-th rank.
 func (c *Comm) Allgather(p *Proc, data []float64, pb uint64) ([][]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollAllgather)
 	if s.gather == nil {
 		s.gather = make([][]float64, len(c.ranks))
@@ -258,7 +251,6 @@ func (c *Comm) Alltoall(p *Proc, data [][]float64, pb uint64) ([][]float64, uint
 		panic("simmpi: Alltoall needs one slice per rank")
 	}
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollAlltoall)
 	if s.gather == nil {
 		s.gather = make([][]float64, len(c.ranks)*len(c.ranks))

@@ -17,7 +17,6 @@ const (
 // result (others get nil).
 func (c *Comm) Reduce(p *Proc, root int, data []float64, op Op, pb uint64) ([]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollReduce)
 	if s.reduce == nil {
 		s.reduce = append([]float64(nil), data...)
@@ -51,7 +50,6 @@ func (c *Comm) Reduce(p *Proc, root int, data []float64, op Op, pb uint64) ([]fl
 // Gather concatenates contributions at root; non-root ranks get nil.
 func (c *Comm) Gather(p *Proc, root int, data []float64, pb uint64) ([][]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollGather)
 	if s.gather == nil {
 		s.gather = make([][]float64, len(c.ranks))
@@ -73,7 +71,6 @@ func (c *Comm) Gather(p *Proc, root int, data []float64, pb uint64) ([][]float64
 // Non-root callers pass nil data.
 func (c *Comm) Scatter(p *Proc, root int, data [][]float64, pb uint64) ([]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollScatter)
 	if p.Rank == root {
 		if len(data) != len(c.ranks) {
@@ -93,7 +90,6 @@ func (c *Comm) Scatter(p *Proc, root int, data [][]float64, pb uint64) ([]float6
 // combination of the contributions of communicator ranks 0..i.
 func (c *Comm) Scan(p *Proc, data []float64, op Op, pb uint64) ([]float64, uint64) {
 	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	p.Loc.Actor.Exclusive() // slot table and payload merge are communicator-shared
 	s := c.slotFor(p, CollScan)
 	if s.gather == nil {
 		s.gather = make([][]float64, len(c.ranks))

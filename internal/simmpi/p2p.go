@@ -58,7 +58,7 @@ func (p *Proc) Isend(dst, tag int, data []float64, bytes int, pb uint64) *Reques
 		// receiver after the transfer.
 		req.done = true
 		act := p.W.M.TransferAction(srcCore, dstCore, float64(bytes), p.Loc.Noise)
-		a.Post(act, func() {
+		p.W.K.Post(act, func() {
 			msg.transferred = true
 			dstProc.deliver(msg)
 		})
@@ -69,17 +69,8 @@ func (p *Proc) Isend(dst, tag int, data []float64, bytes int, pb uint64) *Reques
 	// send request complete.
 	p.W.metrics.Rendezvous.Inc()
 	msg.rendezvous = true
-	if !p.W.sameDomain(p.Rank, dst) {
-		// The receiver's match will restart the bulk transfer drawing from
-		// THIS rank's noise stream.  Across domains that draw cannot be
-		// ordered against our own draws from concurrent turns, so pin both
-		// endpoint domains onto the commit path until the match consumes
-		// the draws (the header cannot be delivered before the next wave,
-		// so the pin is in force in time).
-		p.W.pinRendezvous(p.Rank, dst)
-	}
 	hdr := p.W.M.TransferAction(srcCore, dstCore, 64, p.Loc.Noise)
-	a.Post(hdr, func() {
+	p.W.K.Post(hdr, func() {
 		dstProc.deliver(msg)
 	})
 	return req
@@ -181,23 +172,12 @@ func (p *Proc) match(req *Request, m *Message) {
 	if !m.rendezvous {
 		req.msg = m
 		req.done = true
-		// match may run inside this rank's own turn (Irecv finding a
-		// buffered message), so the wake must be staging-aware.
-		p.cond.BroadcastFrom(p.Loc.Actor)
+		p.cond.Broadcast()
 		return
 	}
-	// The restart draws from the sender's noise stream.  Reaching here
-	// from a staged parallel turn is impossible: a cross-domain
-	// rendezvous pinned both endpoint domains at Isend time, and a
-	// same-domain sender's draws are ordered by the in-domain queue
-	// order — either way the per-stream draw order is sequential.
 	src := p.W.procs[m.Src]
 	act := p.W.M.TransferAction(src.Loc.Core, p.Loc.Core, float64(m.Bytes), src.Loc.Noise)
-	if !p.W.sameDomain(m.Src, p.Rank) {
-		// The sender-stream draws are consumed; release the Isend pin.
-		p.W.unpinRendezvous(m.Src, p.Rank)
-	}
-	p.Loc.Actor.Post(act, func() {
+	p.W.K.Post(act, func() {
 		m.transferred = true
 		req.msg = m
 		req.done = true

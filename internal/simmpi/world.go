@@ -71,10 +71,7 @@ type World struct {
 	procs      []*Proc
 	world      *Comm
 	subs       map[string]*Comm
-	domains    []int         // per-rank lookahead domain (nil: all in domain 0)
-	numaDoms   map[int][]int // NUMA domain -> lookahead domains placed on it
-	numaPinned map[int]bool  // NUMA domains already pinned by PinRankMemory
-	metrics    Metrics       // observe-only counters (zero value: no-op)
+	metrics    Metrics // observe-only counters (zero value: no-op)
 }
 
 // Proc is one MPI rank.
@@ -122,100 +119,6 @@ func NewWorld(k *vtime.Kernel, m *machine.Machine, place machine.Placement, cfg 
 // CommWorld returns the communicator containing every rank.
 func (w *World) CommWorld() *Comm { return w.world }
 
-// SetDomains assigns each rank to a lookahead domain for the kernel's
-// conservative parallel scheduler (see vtime.PartitionTopology).  Call
-// before Launch with one entry per rank; a rank's OpenMP threads inherit
-// its domain.  Without a call every rank lands in domain 0.
-func (w *World) SetDomains(domains []int) {
-	if len(domains) != w.Place.Ranks {
-		panic(fmt.Sprintf("simmpi: SetDomains got %d entries for %d ranks", len(domains), w.Place.Ranks))
-	}
-	w.domains = append([]int(nil), domains...)
-	w.numaDoms = make(map[int][]int)
-	w.numaPinned = make(map[int]bool)
-	for r := 0; r < w.Place.Ranks; r++ {
-		for t := 0; t < w.Place.ThreadsPerRank; t++ {
-			numa := w.M.DomainOf(w.Place.Core(r, t))
-			if !containsInt(w.numaDoms[numa], domains[r]) {
-				w.numaDoms[numa] = append(w.numaDoms[numa], domains[r])
-			}
-		}
-	}
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// sameDomain reports whether two ranks share a lookahead domain (always
-// true without SetDomains — the sequential case).
-func (w *World) sameDomain(a, b int) bool {
-	return w.domains == nil || w.domains[a] == w.domains[b]
-}
-
-// pinRendezvous pins both endpoint domains of one cross-domain
-// rendezvous message for its announce-to-match span: the receiver's
-// match restarts the bulk transfer drawing from the sender's noise
-// stream, and only the commit path can order that draw against the
-// sender's own concurrent draws.  The header's network latency keeps
-// the match at least one wave behind the Isend, so the pin is always in
-// force when it matters.  Callers guard with sameDomain, which also
-// covers the sequential (nil domains) case.
-func (w *World) pinRendezvous(src, dst int) {
-	w.K.PinDomain(w.domains[src]) //detlint:allow pinpair: pair split across helpers; unpinRendezvous releases at match
-	w.K.PinDomain(w.domains[dst]) //detlint:allow pinpair: pair split across helpers; unpinRendezvous releases at match
-}
-
-// unpinRendezvous releases pinRendezvous once the match has consumed
-// the sender-stream draws.
-func (w *World) unpinRendezvous(src, dst int) {
-	w.K.UnpinDomain(w.domains[src])
-	w.K.UnpinDomain(w.domains[dst])
-}
-
-// MemoryShared reports whether rank r's NUMA domains host locations of
-// other lookahead domains — that is, whether a working-set registration
-// by this rank changes the miss ratio that concurrently scheduled ranks
-// read mid-turn.  Always false on the sequential kernel.
-func (w *World) MemoryShared(r int) bool {
-	if w.domains == nil {
-		return false
-	}
-	for t := 0; t < w.Place.ThreadsPerRank; t++ {
-		if len(w.numaDoms[w.M.DomainOf(w.Place.Core(r, t))]) > 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// PinRankMemory permanently pins every lookahead domain with a location
-// on one of rank r's shared NUMA domains, serializing all readers and
-// writers of those domains' working sets onto the commit path.  Call
-// from an inline turn (after Actor.Exclusive) before the registration
-// that makes the sharing observable.
-func (w *World) PinRankMemory(r int) {
-	if w.domains == nil {
-		return
-	}
-	for t := 0; t < w.Place.ThreadsPerRank; t++ {
-		numa := w.M.DomainOf(w.Place.Core(r, t))
-		doms := w.numaDoms[numa]
-		if len(doms) < 2 || w.numaPinned[numa] {
-			continue
-		}
-		w.numaPinned[numa] = true
-		for _, d := range doms {
-			w.K.PinDomain(d) //detlint:allow pinpair: deliberately permanent — shared-NUMA domains stay on the commit path for the whole run
-		}
-	}
-}
-
 // Proc returns rank r's process after Launch has created it.
 func (w *World) Proc(r int) *Proc { return w.procs[r] }
 
@@ -253,15 +156,12 @@ func (w *World) Launch(main func(p *Proc)) {
 			locs[t] = w.newLocation(r, t)
 		}
 		p.Loc = locs[0]
-		a := w.K.Spawn(fmt.Sprintf("rank%d", r), func(a *vtime.Actor) {
+		w.K.Spawn(fmt.Sprintf("rank%d", r), func(a *vtime.Actor) {
 			p.Loc.Actor = a
 			p.Team = simomp.NewTeam(w.K, locs, w.Omp)
 			main(p)
 			p.Team.Close()
 		})
-		if w.domains != nil {
-			a.SetDomain(w.domains[r])
-		}
 	}
 }
 

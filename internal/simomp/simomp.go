@@ -112,7 +112,6 @@ func NewTeam(k *vtime.Kernel, locs []*loc.Location, costs Costs) *Team {
 	for i := 1; i < t.size; i++ {
 		i := i
 		name := fmt.Sprintf("omp-worker-r%d-t%d", locs[i].Rank, i)
-		//detlint:allow exclusive-before: NewTeam runs in each rank's first turn, which the kernel executes inline (sequential) by policy
 		locs[i].Actor = k.Spawn(name, func(a *vtime.Actor) {
 			locs[i].Actor = a
 			t.workerLoop(a, i)
@@ -144,7 +143,7 @@ func (t *Team) workerLoop(a *vtime.Actor, tid int) {
 		t.job(&Thread{ID: tid, Team: t, Loc: t.locs[tid]})
 		t.joined++
 		if t.joined == t.size-1 {
-			t.joinCond.SignalFrom(a)
+			t.joinCond.Signal()
 		}
 	}
 }
@@ -171,7 +170,7 @@ func (t *Team) Parallel(fn func(*Thread)) {
 	t.job = fn
 	t.regionGen++
 	master.Compute(t.costs.forkCost(t.size))
-	t.workCond.BroadcastFrom(master)
+	t.workCond.Broadcast()
 	fn(&Thread{ID: 0, Team: t, Loc: t.locs[0]})
 	for t.joined < t.size-1 {
 		t.joinCond.Wait(master)
@@ -189,7 +188,7 @@ func (t *Team) Close() {
 		panic("simomp: Close inside parallel region")
 	}
 	t.quit = true
-	t.workCond.BroadcastFrom(t.locs[0].Actor)
+	t.workCond.Broadcast()
 }
 
 // StaticChunk partitions n iterations over the team statically (OpenMP
@@ -213,7 +212,7 @@ func (th *Thread) Barrier() (release float64) {
 	if t.barCount == t.size {
 		t.barCount = 0
 		t.barGen++
-		t.barCond.BroadcastFrom(a)
+		t.barCond.Broadcast()
 		return a.Now()
 	}
 	for t.barGen == gen {
@@ -232,7 +231,7 @@ func (th *Thread) Critical(fn func()) {
 	t.critBusy = true
 	fn()
 	t.critBusy = false
-	t.critCond.SignalFrom(a)
+	t.critCond.Signal()
 }
 
 // Single executes fn on the first thread that reaches this single

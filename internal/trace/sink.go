@@ -22,10 +22,7 @@ type Sink interface {
 // The sink is strictly observe-only: nothing it does can flow back into
 // the trace, so recorded bytes are identical with and without one (the
 // live-observation identity test pins this).  Sinks are invoked
-// synchronously from Record — the measurement hot path — which under
-// the parallel kernel runs in concurrent turns; install sinks only on
-// sequential runs (KernelWorkers <= 1), as the experiment runner
-// enforces.
+// synchronously from Record — the measurement hot path.
 func (t *Trace) SetSink(s Sink) {
 	t.sink = nil // mute the tee while replaying
 	if s != nil {

@@ -337,76 +337,6 @@ func TestTailSnapshotImmutable(t *testing.T) {
 	}
 }
 
-// TestRotatingRecorder seals run after run into sequence-numbered
-// files, prunes past the keep bound, and resumes numbering across a
-// restart.
-func TestRotatingRecorder(t *testing.T) {
-	dir := t.TempDir()
-	rr, err := NewRotatingRecorder(dir, "svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr.SetKeep(2)
-	tr := bigSample(1, 50)
-	var paths []string
-	for run := 0; run < 3; run++ {
-		cw, path, err := rr.Begin("lt_stmt")
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
-		for _, r := range tr.Regions {
-			cw.Region(r.Name, r.Role)
-		}
-		cw.AddLocation(0, 0)
-		for _, e := range tr.Locs[0].Events {
-			cw.Record(0, e)
-		}
-		if err := rr.End(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := filepath.Base(paths[2]), "svc-000002.ltrc"; got != want {
-		t.Fatalf("third run file = %s, want %s", got, want)
-	}
-	sealed := rr.Sealed()
-	if len(sealed) != 2 {
-		t.Fatalf("sealed = %v, want 2 files (keep bound)", sealed)
-	}
-	if _, err := os.Stat(paths[0]); !os.IsNotExist(err) {
-		t.Fatalf("oldest run not pruned: %v", err)
-	}
-	// Every surviving file is a complete, readable trace.
-	for _, p := range sealed {
-		got, err := ReadFile(p)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if got.NumEvents() != len(tr.Locs[0].Events) {
-			t.Fatalf("%s: %d events, want %d", p, got.NumEvents(), len(tr.Locs[0].Events))
-		}
-	}
-	if err := rr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart: numbering resumes after the highest existing file.
-	rr2, err := NewRotatingRecorder(dir, "svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, path, err := rr2.Begin("lt_stmt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := filepath.Base(path), "svc-000003.ltrc"; got != want {
-		t.Fatalf("post-restart run file = %s, want %s", got, want)
-	}
-	if err := rr2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestChunkWriterFlush asserts Flush pushes sealed records through the
 // buffer without sealing the partial per-location chunks.
 func TestChunkWriterFlush(t *testing.T) {

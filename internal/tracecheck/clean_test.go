@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/measure"
 	"repro/internal/noise"
 	"repro/internal/tracecheck"
 )
@@ -77,43 +76,6 @@ func TestCleanPatterns(t *testing.T) {
 					var sb strings.Builder
 					r.Render(&sb, 10)
 					t.Fatalf("invariant violations:\n%s", sb.String())
-				}
-				if r.Edges == 0 {
-					t.Fatalf("no synchronisation edges reconstructed for %s", spec.Name)
-				}
-			})
-		}
-	}
-}
-
-// TestCleanParallelKernel repeats the invariant suite over traces the
-// conservative parallel kernel produced.  The differential battery in
-// internal/vtime already proves those traces byte-identical to the
-// sequential ones; this is the independent, first-principles check — if
-// the staging/commit machinery ever broke and the battery's oracle broke
-// with it, a causality violation (a receive before its send, a clock
-// regression) would still surface here.
-func TestCleanParallelKernel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full quick simulations")
-	}
-	np := noise.Cluster()
-	modes := []core.Mode{core.ModeTSC, core.ModeLt1, core.ModeHwctr}
-	for _, spec := range experiment.PatternSpecs(experiment.Options{Quick: true}) {
-		for _, mode := range modes {
-			t.Run(fmt.Sprintf("%s/%s", spec.Name, mode), func(t *testing.T) {
-				cfg := measure.DefaultConfig(mode)
-				res, err := experiment.RunWithOptions(spec, experiment.RunOptions{
-					Seed: 1, Noise: np, Cfg: &cfg, KernelWorkers: 4,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := tracecheck.Verify(res.Trace, tracecheck.Options{})
-				if !r.OK() {
-					var sb strings.Builder
-					r.Render(&sb, 10)
-					t.Fatalf("parallel-kernel invariant violations:\n%s", sb.String())
 				}
 				if r.Edges == 0 {
 					t.Fatalf("no synchronisation edges reconstructed for %s", spec.Name)

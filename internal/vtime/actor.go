@@ -20,28 +20,13 @@ const (
 // called from the actor's own goroutine (that is, from within the function
 // passed to Spawn), with the exception of the read-only accessors.
 type Actor struct {
-	k          *Kernel
-	id         int
-	name       string
-	resume     chan struct{}
-	yieldCh    chan struct{} // actor -> scheduler handshake (one per actor)
-	done       bool
-	state      actorState
-	panicMsg   string // set only on the statePanicked path
-	panicStack []byte // stack captured at the recover site
-
-	// Parallel-scheduler state (see parallel.go).  domain is the actor's
-	// lookahead domain; staging marks a turn running in a wave's parallel
-	// phase, during which kernel mutations are recorded in staged instead
-	// of applied; wantExcl asks the wave commit to resume the turn inline;
-	// firstTurn forces the actor's first turn inline (spawn-time setup —
-	// registrations, interning — touches cross-domain state).
-	domain    int
-	staging   bool
-	wantExcl  bool
-	firstTurn bool
-	turn      turnKind
-	staged    []stagedOp
+	k        *Kernel
+	id       int
+	name     string
+	resume   chan struct{}
+	done     bool
+	state    actorState
+	panicMsg string // set only on the statePanicked path
 
 	// act is the reusable submission slot for Execute.  An actor runs at
 	// most one action at a time and the kernel drops every reference to
@@ -90,12 +75,11 @@ func (a *Actor) statusString() string {
 	return fmt.Sprintf("state(%d)", uint8(a.state))
 }
 
-// yield blocks the actor and hands control back to its scheduler — the
-// sequential loop, a wave worker, or the wave commit, whichever resumed
-// it.  The actor resumes when it is next granted the execution slot.
+// yield blocks the actor and hands control back to the kernel.  The actor
+// resumes when the kernel marks it runnable again.
 func (a *Actor) yield() {
 	a.checkContext()
-	a.yieldCh <- struct{}{}
+	a.k.yielded <- struct{}{}
 	<-a.resume
 	a.state = stateRunning
 }
@@ -103,10 +87,9 @@ func (a *Actor) yield() {
 // checkContext panics if a blocking primitive is invoked on this actor
 // from a goroutine that does not hold the execution slot for it.  Running
 // work "on behalf of" a parked actor from another goroutine corrupts the
-// resume handshake, so it must fail fast.  A staging actor holds its own
-// slot by definition: its domain's worker resumed it and is waiting.
+// resume handshake, so it must fail fast.
 func (a *Actor) checkContext() {
-	if a.k.running && a.k.current != a && !a.staging {
+	if a.k.running && a.k.current != a {
 		cur := "<kernel>"
 		if a.k.current != nil {
 			cur = a.k.current.name
@@ -117,9 +100,7 @@ func (a *Actor) checkContext() {
 
 // Execute performs the given action and blocks the actor until it
 // completes in virtual time.  Zero-cost actions return immediately without
-// a scheduling round-trip.  From a parallel turn the submission is staged:
-// the wave commit submits it at the actor's queue position, so it draws
-// the same sequence number the sequential loop would have assigned.
+// a scheduling round-trip.
 func (a *Actor) Execute(act Action) {
 	if act.Delay == 0 && act.Work == 0 {
 		return
@@ -127,11 +108,6 @@ func (a *Actor) Execute(act Action) {
 	act.actor = a
 	a.act = act
 	a.state = stateExecuting
-	if a.staging {
-		a.staged = append(a.staged, stagedOp{kind: opExecute})
-		a.yield()
-		return
-	}
 	a.k.submit(&a.act)
 	a.yield()
 }

@@ -54,24 +54,16 @@ func TestPostRecyclesActionShells(t *testing.T) {
 	}
 }
 
-// TestParallelWaveAllocBudget is the same gate for the conservative
-// parallel scheduler's safe-window hot path: wave formation (group by
-// domain, pin split), staged turns, the barrier and the commit replay
-// must all run out of reused per-domain and per-actor buffers.  Eight
-// single-actor domains × 250 actions under four workers may allocate
-// only setup (kernel, resources, actors, workers, grown-once staging
-// slices) — a regression to per-turn or per-wave allocation costs
-// thousands here and fails loudly.
-func TestParallelWaveAllocBudget(t *testing.T) {
-	avg := testing.AllocsPerRun(5, func() {
+// spawnRunAllocs is the average allocation count of a simulation with n
+// actors, each executing a few actions on one shared resource.
+func spawnRunAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(20, func() {
 		k := NewKernel()
-		k.SetParallel(4, 8)
-		for i := 0; i < 8; i++ {
-			bw := k.NewResource("bw", 100)
-			d := i
+		bw := k.NewResource("bw", 100)
+		for i := 0; i < n; i++ {
 			k.Spawn("w", func(a *Actor) {
-				a.SetDomain(d)
-				for j := 0; j < 250; j++ {
+				for j := 0; j < 4; j++ {
 					a.Execute(Action{Work: 1, RateCap: 2, Res: bw, ResPerUnit: 1})
 				}
 			})
@@ -80,7 +72,17 @@ func TestParallelWaveAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 500 {
-		t.Errorf("2000-action parallel simulation allocated %.0f objects on average; wave scheduling must stay allocation-free (setup budget 500)", avg)
+}
+
+// TestPerActorSpawnAllocBudget gates what one more actor costs: the
+// Actor, its resume channel, its goroutine and its body's closure, plus
+// amortised queue growth — about 4.3 allocations.  The difference
+// between a 32- and a 16-actor run isolates that cost from the fixed
+// setup, which the loose budget of TestSchedulingStepAllocBudget cannot
+// see; a second per-actor channel reads about 5.3 here.
+func TestPerActorSpawnAllocBudget(t *testing.T) {
+	perActor := (spawnRunAllocs(t, 32) - spawnRunAllocs(t, 16)) / 16
+	if perActor > 4.5 {
+		t.Errorf("each spawned actor costs %.2f allocations, budget 4.5", perActor)
 	}
 }

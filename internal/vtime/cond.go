@@ -21,19 +21,12 @@ func (k *Kernel) NewCond(name string) *Cond {
 }
 
 // Wait blocks the calling actor until another party signals the condition.
-// Wakeups are strictly FIFO.  From a parallel turn the enqueue is staged:
-// the wave commit appends the waiter at the actor's queue position, which
-// reproduces the sequential FIFO order even when waiters arrive from
-// several domains in one wave.
+// Wakeups are strictly FIFO.
 func (c *Cond) Wait(a *Actor) {
+	c.waiters = append(c.waiters, a)
 	a.state = stateWaiting
 	a.waitingOn = c
 	a.blockedAt = c.k.now
-	if a.staging {
-		a.staged = append(a.staged, stagedOp{kind: opWait, cond: c})
-	} else {
-		c.waiters = append(c.waiters, a)
-	}
 	a.yield()
 	a.waitingOn = nil
 }
@@ -59,30 +52,6 @@ func (c *Cond) Broadcast() int {
 	}
 	c.waiters = c.waiters[:0]
 	return n
-}
-
-// SignalFrom is Signal for call sites that may run inside an actor's
-// turn: from a parallel turn of `from` the wake is staged and applied at
-// the actor's commit position; otherwise (sequential kernel, inline turn,
-// completion callback) it signals immediately.  Every call site that an
-// actor can reach must use the From variant — a direct Signal from a
-// parallel turn would append to the runnable queue concurrently with
-// other domains.
-func (c *Cond) SignalFrom(from *Actor) {
-	if from != nil && from.staging {
-		from.staged = append(from.staged, stagedOp{kind: opSignal, cond: c})
-		return
-	}
-	c.Signal()
-}
-
-// BroadcastFrom is Broadcast with the staging behaviour of SignalFrom.
-func (c *Cond) BroadcastFrom(from *Actor) {
-	if from != nil && from.staging {
-		from.staged = append(from.staged, stagedOp{kind: opBroadcast, cond: c})
-		return
-	}
-	c.Broadcast()
 }
 
 // Waiters returns the number of actors currently blocked on the condition.

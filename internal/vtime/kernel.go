@@ -26,6 +26,7 @@ type Kernel struct {
 	heap      finishHeap
 	runnable  []*Actor
 	runHead   int // index of the next runnable actor (avoids reslicing)
+	yielded   chan struct{}
 	alive     int
 	running   bool
 	current   *Actor // actor currently holding the execution slot
@@ -54,11 +55,6 @@ type Kernel struct {
 	// capObserver, when set, is told about every resource registration
 	// and capacity change.  Observe-only; see SetCapacityObserver.
 	capObserver func(now float64, resource string, capacity float64)
-
-	// par, when non-nil, replaces the sequential drain with the
-	// conservative parallel wave scheduler (see parallel.go and
-	// SetParallel).  Committed results are byte-identical either way.
-	par *parKernel
 }
 
 // Watchdog bounds a simulation run.  A zero field disables that limit;
@@ -113,7 +109,7 @@ func (e *DeadlockError) Error() string {
 
 // NewKernel creates an empty simulation kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	return &Kernel{yielded: make(chan struct{})}
 }
 
 // Now returns the current virtual time in seconds.
@@ -133,57 +129,37 @@ func (k *Kernel) nextSeq() uint64 {
 }
 
 // Spawn registers a new actor executing fn.  It may be called before Run or
-// from actor context while the simulation is in progress (on a parallel
-// kernel: only from an inline turn — setup and spawning touch kernel state,
-// so parallel turns must reach it through Actor.Exclusive first).  The
-// actor starts at the current virtual time and inherits the lookahead
-// domain of the actor that spawned it.
+// from actor context while the simulation is in progress.  The actor starts
+// at the current virtual time.
 func (k *Kernel) Spawn(name string, fn func(*Actor)) *Actor {
-	if p := k.par; p != nil && p.inWave.Load() {
-		panic("vtime: Spawn from a parallel actor turn; call Actor.Exclusive first")
-	}
 	a := &Actor{
-		k:         k,
-		id:        len(k.actors),
-		name:      name,
-		resume:    make(chan struct{}),
-		yieldCh:   make(chan struct{}),
-		firstTurn: true,
-	}
-	if k.current != nil {
-		a.domain = k.current.domain
+		k:      k,
+		id:     len(k.actors),
+		name:   name,
+		resume: make(chan struct{}),
 	}
 	k.actors = append(k.actors, a)
 	k.alive++
 	go func() {
 		<-a.resume
-		// Exit accounting (alive, failure) belongs to the scheduler side of
-		// the handshake — see noteExit — so that actor goroutines never
-		// touch kernel state, whichever scheduler resumed them.
 		defer func() {
 			if r := recover(); r != nil {
+				if k.failure == nil {
+					k.failure = fmt.Errorf("vtime: actor %d %q panicked: %v\n%s",
+						a.id, a.name, r, debug.Stack())
+				}
 				a.panicMsg = fmt.Sprint(r)
-				a.panicStack = debug.Stack()
 				a.state = statePanicked
 			}
 			a.done = true
-			a.yieldCh <- struct{}{}
+			k.alive--
+			k.yielded <- struct{}{}
 		}()
 		fn(a)
 		a.state = stateDone
 	}()
 	k.runnable = append(k.runnable, a)
 	return a
-}
-
-// noteExit records a finished actor's turn on the scheduler side: the
-// alive count drops, and a panic becomes the run's failure.
-func (k *Kernel) noteExit(a *Actor) {
-	k.alive--
-	if a.state == statePanicked && k.failure == nil {
-		k.failure = fmt.Errorf("vtime: actor %d %q panicked: %v\n%s",
-			a.id, a.name, a.panicMsg, a.panicStack)
-	}
 }
 
 // Run executes the simulation until every actor has finished.  It returns
@@ -196,32 +172,25 @@ func (k *Kernel) Run() error {
 	}
 	k.running = true
 	k.wallStart = nowFunc()
-	if k.par != nil {
-		defer k.par.stop()
-	}
 	for {
 		// Phase 1: let every runnable actor run until it blocks.  The
 		// queue is drained by index so the backing array is reused across
-		// instants instead of being resliced away.  The parallel scheduler
-		// drains the same queue in the same order, in waves (parallel.go).
-		if k.par != nil {
-			if err := k.drainParallel(); err != nil {
+		// instants instead of being resliced away.
+		for k.runHead < len(k.runnable) {
+			a := k.runnable[k.runHead]
+			k.runnable[k.runHead] = nil
+			k.runHead++
+			if a.done {
+				continue
+			}
+			k.current = a
+			a.resume <- struct{}{}
+			<-k.yielded
+			k.current = nil
+			if k.failure != nil {
 				// An actor panicked.  Remaining actors stay parked on
 				// their resume channels; the simulation is abandoned.
-				return err
-			}
-		} else {
-			for k.runHead < len(k.runnable) {
-				a := k.runnable[k.runHead]
-				k.runnable[k.runHead] = nil
-				k.runHead++
-				if a.done {
-					continue
-				}
-				k.runTurnInline(a)
-				if k.failure != nil {
-					return k.failure
-				}
+				return k.failure
 			}
 		}
 		k.runnable = k.runnable[:0]
@@ -359,10 +328,6 @@ func (k *Kernel) flushDirty() bool {
 	}
 	k.metrics.DirtyFlushes.Inc()
 	k.metrics.Resettles.Add(uint64(len(k.dirty)))
-	if k.par != nil && len(k.dirty) >= parFlushMin {
-		k.flushDirtyParallel()
-		return true
-	}
 	for i, r := range k.dirty {
 		r.dirty = false
 		k.dirty[i] = nil
@@ -441,12 +406,8 @@ func (k *Kernel) ready(a *Actor) {
 // Post schedules a detached action that is not tied to a blocked actor.
 // When the action completes, fn runs in kernel context; it must not block
 // but may signal conditions to wake actors.  Post may be called from actor
-// context or from a completion callback — on a parallel kernel, actor
-// context must route through Actor.Post so the submission is staged.
+// context or from a completion callback.
 func (k *Kernel) Post(a Action, fn func()) {
-	if p := k.par; p != nil && p.inWave.Load() {
-		panic("vtime: Kernel.Post from a parallel actor turn; use Actor.Post")
-	}
 	var act *Action
 	if n := len(k.freeActions); n > 0 {
 		act = k.freeActions[n-1]

@@ -25,28 +25,6 @@ type Metrics struct {
 	// HeapSize tracks the pending-action heap's size per step; its
 	// high-water mark bounds the kernel's working set.
 	HeapSize *obs.Gauge
-
-	// Parallel-scheduler counters (all zero on a sequential kernel).
-	// Waves counts safe windows granted — each wave grants every domain
-	// one window bounded by the wave edge.
-	Waves *obs.Counter
-	// NullWindows counts windows granted to domains with nothing runnable
-	// in them: the null-message traffic of the conservative protocol.
-	NullWindows *obs.Counter
-	// ParTurns counts actor turns completed in a wave's parallel phase.
-	ParTurns *obs.Counter
-	// ExclTurns counts turns that paused on Actor.Exclusive.
-	ExclTurns *obs.Counter
-	// InlineTurns counts turns executed inline by the commit (exclusive
-	// resumes, deferred in-domain successors, single-domain waves).
-	InlineTurns *obs.Counter
-	// SafeWindowStalls counts turns a domain could not run in parallel —
-	// deferred behind an exclusive pause — the protocol's conservatism.
-	SafeWindowStalls *obs.Counter
-	// DomainPins counts PinDomain calls: cross-domain interactions
-	// (rendezvous transfers, shared working-set registrations) that
-	// serialized their domains onto the commit path for a while.
-	DomainPins *obs.Counter
 }
 
 // NewMetrics interns the kernel's metric names in r.  A nil registry
@@ -59,14 +37,6 @@ func NewMetrics(r *obs.Registry) Metrics {
 		Resettles:    r.Counter("vtime_resettles"),
 		DirtyFlushes: r.Counter("vtime_dirty_flushes"),
 		HeapSize:     r.Gauge("vtime_heap_size"),
-
-		Waves:            r.Counter("vtime_par_waves"),
-		NullWindows:      r.Counter("vtime_par_null_windows"),
-		ParTurns:         r.Counter("vtime_par_turns"),
-		ExclTurns:        r.Counter("vtime_par_exclusive_turns"),
-		InlineTurns:      r.Counter("vtime_par_inline_turns"),
-		SafeWindowStalls: r.Counter("vtime_par_safe_window_stalls"),
-		DomainPins:       r.Counter("vtime_par_domain_pins"),
 	}
 }
 
