@@ -41,7 +41,6 @@ func main() {
 	faultSpec := flag.String("faults", "",
 		`deterministic fault plan, e.g. "oneoff:rank=2,at=0.01,delay=0.005;straggler:rank=0,factor=1.5"`)
 	traceOut := flag.String("trace", "", "write the binary trace here (chunked compressed format)")
-	traceV1 := flag.Bool("trace-v1", false, "write the trace in the legacy monolithic version-1 format")
 	profOut := flag.String("profile", "", "write the analysis profile (JSON) here")
 	liveAddr := flag.String("live", "",
 		"serve the run observatory on this address (host:port) while the run executes")
@@ -158,14 +157,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		werr := error(nil)
-		if *traceV1 {
-			werr = res.Trace.Write(f)
-		} else {
-			werr = trace.WriteChunked(f, res.Trace)
-		}
-		if werr != nil {
-			log.Fatal(werr)
+		if err := trace.WriteChunked(f, res.Trace); err != nil {
+			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)

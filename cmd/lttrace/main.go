@@ -150,11 +150,10 @@ func main() {
 	}
 }
 
-// statFile prints the storage-level anatomy of a trace file.  Chunked
-// (version-2) files report per-location chunk counts, compressed versus
-// raw bytes and the virtual-time span straight from the chunk index —
-// without decompressing a single event.  Monolithic version-1 files are
-// materialized and reported with the fields that apply.
+// statFile prints the storage-level anatomy of a trace file: per-location
+// chunk counts, compressed versus raw bytes and the virtual-time span
+// straight from the chunk index — without decompressing a single event.
+// It reads leniently, so a damaged file reports what survives.
 func statFile(path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -162,24 +161,7 @@ func statFile(path string) error {
 	}
 	cf, err := trace.OpenChunkFile(path)
 	if err != nil {
-		// Not a chunked file (or unreadable as one): fall back to the
-		// monolithic reader.
-		tr, rerr := trace.ReadFile(path)
-		if rerr != nil {
-			return fmt.Errorf("%v (chunked read also failed: %v)", rerr, err)
-		}
-		fmt.Printf("%s: monolithic v1, %d bytes on disk\n", path, fi.Size())
-		fmt.Printf("clock %s, %d locations, %d regions, %d events\n",
-			tr.Clock, len(tr.Locs), len(tr.Regions), tr.NumEvents())
-		for li, l := range tr.Locs {
-			var lo, hi uint64
-			if len(l.Events) > 0 {
-				lo, hi = l.Events[0].Time, l.Events[len(l.Events)-1].Time
-			}
-			fmt.Printf("  loc %-4d r%dt%d %10d events  vtime [%d, %d]\n",
-				li, l.Rank, l.Thread, len(l.Events), lo, hi)
-		}
-		return nil
+		return err
 	}
 	defer cf.Close()
 

@@ -7,11 +7,9 @@
 //	ltviz -o run.json run.ltrc         # JSON to a file
 //	ltviz -range 1000:2000 run.ltrc    # only events with vtime in [1000, 2000]
 //
-// -range answers virtual-time window queries.  On chunked (version-2)
-// trace files it consults the trailing chunk index and decompresses
-// only the chunks overlapping the window — an O(log n) seek rather than
-// a full-file read; monolithic version-1 files are filtered after a
-// full read.
+// -range answers virtual-time window queries: it consults the trailing
+// chunk index and decompresses only the chunks overlapping the window —
+// an O(log n) seek rather than a full-file read.
 //
 // Given -spec, it runs the configuration in-process and exports the
 // resulting trace together with the run's machine timeline — fault
@@ -139,32 +137,16 @@ func parseRange(s string) (minT, maxT uint64, ok bool, err error) {
 }
 
 // openStream opens a trace file as a stream, restricted to the vtime
-// window when one was given.  Chunked files serve the window from the
-// chunk index; version-1 files fall back to a filtered full read.
+// window when one was given; the window is served from the chunk index.
 func openStream(path string, minT, maxT uint64, bounded bool) (*trace.Stream, error) {
-	cf, cerr := trace.OpenChunkFile(path)
-	if cerr == nil {
-		if bounded {
-			return cf.Range(minT, maxT), nil
-		}
-		return cf.Stream(), nil
-	}
-	tr, err := trace.ReadFile(path)
+	cf, err := trace.OpenChunkFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if bounded {
-		for li := range tr.Locs {
-			kept := tr.Locs[li].Events[:0]
-			for _, e := range tr.Locs[li].Events {
-				if e.Time >= minT && e.Time <= maxT {
-					kept = append(kept, e)
-				}
-			}
-			tr.Locs[li].Events = kept
-		}
+		return cf.Range(minT, maxT), nil
 	}
-	return trace.StreamTrace(tr), nil
+	return cf.Stream(), nil
 }
 
 // runSpec executes one configuration in-process with a timeline

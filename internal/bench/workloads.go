@@ -56,7 +56,7 @@ func Workloads() []Workload {
 		},
 		{
 			Name: "TraceRoundTrip",
-			Desc: "binary serialise + parse of a MiniFE-1 quick trace",
+			Desc: "chunked encode + strict decode of a MiniFE-1 quick trace",
 			Make: traceRoundTrip,
 		},
 		{
@@ -191,7 +191,7 @@ func traceRoundTrip() (*Instance, error) {
 		Events: int64(res.Trace.NumEvents()),
 		Op: func() error {
 			var buf bytes.Buffer
-			if err := res.Trace.Write(&buf); err != nil {
+			if err := trace.WriteChunked(&buf, res.Trace); err != nil {
 				return err
 			}
 			_, err := trace.Read(&buf)

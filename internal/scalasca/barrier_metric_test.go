@@ -14,14 +14,14 @@ func TestMPIBarrierWaitsClassifiedSeparately(t *testing.T) {
 	bar := tr.Region("MPI_Barrier", trace.RoleMPIColl)
 	ar := tr.Region("MPI_Allreduce", trace.RoleMPIColl)
 	build := func(l int, barEnter, arEnter uint64) {
-		tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
-		tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: barEnter, Region: bar})
-		tr.Append(l, trace.Event{Kind: trace.EvCollEnd, Time: 200, A: 0, B: 0, C: 0})
-		tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 205, Region: bar})
-		tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: arEnter, Region: ar})
-		tr.Append(l, trace.Event{Kind: trace.EvCollEnd, Time: 500, A: 0, B: 1, C: 8})
-		tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 505, Region: ar})
-		tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 600, Region: main})
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: barEnter, Region: bar})
+		tr.Record(l, trace.Event{Kind: trace.EvCollEnd, Time: 200, A: 0, B: 0, C: 0})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 205, Region: bar})
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: arEnter, Region: ar})
+		tr.Record(l, trace.Event{Kind: trace.EvCollEnd, Time: 500, A: 0, B: 1, C: 8})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 505, Region: ar})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 600, Region: main})
 	}
 	build(locs[0], 100, 300) // waits 50 at barrier, 100 at allreduce
 	build(locs[1], 150, 400)

@@ -25,19 +25,19 @@ func TestCriticalPathFollowsTheLateSender(t *testing.T) {
 	send := tr.Region("MPI_Send", trace.RoleMPIP2P)
 
 	// Rank 0: enters recv at t=10, message arrives at t=1005.
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 10, Region: recv})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvRecv, Time: 1005, A: 1, B: 0, C: 8})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 1006, Region: recv})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 1100, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 10, Region: recv})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvRecv, Time: 1005, A: 1, B: 0, C: 8})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 1006, Region: recv})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 1100, Region: main})
 	// Rank 1: 990 ticks of heavy compute, then send.
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 5, Region: heavy})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 995, Region: heavy})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 996, Region: send})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvSend, Time: 1000, A: 0, B: 0, C: 8})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 1002, Region: send})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 1050, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 5, Region: heavy})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 995, Region: heavy})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 996, Region: send})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvSend, Time: 1000, A: 0, B: 0, C: 8})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 1002, Region: send})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 1050, Region: main})
 
 	cp, err := CriticalPathAnalysis(tr)
 	if err != nil {
@@ -65,17 +65,17 @@ func TestCriticalPathStaysLocalWithoutWaiting(t *testing.T) {
 	recv := tr.Region("MPI_Recv", trace.RoleMPIP2P)
 	send := tr.Region("MPI_Send", trace.RoleMPIP2P)
 	// Rank 1 sends early.
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 2, Region: send})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvSend, Time: 3, A: 0, B: 0, C: 8})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 4, Region: send})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 10, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 2, Region: send})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvSend, Time: 3, A: 0, B: 0, C: 8})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 4, Region: send})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 10, Region: main})
 	// Rank 0 computes for long, then receives instantly.
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 900, Region: recv})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvRecv, Time: 905, A: 1, B: 0, C: 8})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 910, Region: recv})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 1000, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 900, Region: recv})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvRecv, Time: 905, A: 1, B: 0, C: 8})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 910, Region: recv})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 1000, Region: main})
 
 	cp, err := CriticalPathAnalysis(tr)
 	if err != nil {

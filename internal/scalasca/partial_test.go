@@ -15,9 +15,9 @@ func TestAnalyzeStreamPartialToleratesOpenRegions(t *testing.T) {
 	tr, locs := newTrace(1)
 	main := tr.Region("main", trace.RoleUser)
 	comp := tr.Region("solve", trace.RoleUser)
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 10, Region: comp})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvSend, Time: 25, A: 1, B: 7})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 10, Region: comp})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvSend, Time: 25, A: 1, B: 7})
 	// ...and the trace stops here, mid-region, as a live tail would.
 
 	if _, err := AnalyzeStream(trace.StreamTrace(tr)); err == nil {
@@ -43,16 +43,16 @@ func TestAnalyzeStreamPartialEqualsFullOnComplete(t *testing.T) {
 	main := tr.Region("main", trace.RoleUser)
 	send := tr.Region("MPI_Send", trace.RoleMPIP2P)
 	recv := tr.Region("MPI_Recv", trace.RoleMPIP2P)
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 100, Region: send})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvSend, Time: 110, A: 1, B: 1})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 120, Region: send})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 10, Region: recv})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvRecv, Time: 115, A: 0, B: 1})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 120, Region: recv})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 100, Region: send})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvSend, Time: 110, A: 1, B: 1})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 120, Region: send})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 10, Region: recv})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvRecv, Time: 115, A: 0, B: 1})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 120, Region: recv})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
 
 	full, err := AnalyzeStream(trace.StreamTrace(tr))
 	if err != nil {

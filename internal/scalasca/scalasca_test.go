@@ -31,17 +31,17 @@ func TestLateSenderDetected(t *testing.T) {
 	send := tr.Region("MPI_Send", trace.RoleMPIP2P)
 
 	// Rank 0: receiver enters early and waits.
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 10, Region: recv})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvRecv, Time: 110, A: 1, B: 0, C: 8})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 115, Region: recv})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 10, Region: recv})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvRecv, Time: 110, A: 1, B: 0, C: 8})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 115, Region: recv})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
 	// Rank 1: sender computes first (late send).
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 100, Region: send})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvSend, Time: 105, A: 0, B: 0, C: 8})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 110, Region: send})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 100, Region: send})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvSend, Time: 105, A: 0, B: 0, C: 8})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 110, Region: send})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
 
 	p, err := Analyze(tr)
 	if err != nil {
@@ -71,17 +71,17 @@ func TestLateReceiverDetected(t *testing.T) {
 	send := tr.Region("MPI_Send", trace.RoleMPIP2P)
 
 	// Rank 0: rendezvous sender blocks from t=10 to t=110.
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvEnter, Time: 10, Region: send})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvSend, Time: 11, A: 1, B: 0, C: 1 << 20})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 110, Region: send})
-	tr.Append(locs[0], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvEnter, Time: 10, Region: send})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvSend, Time: 11, A: 1, B: 0, C: 1 << 20})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 110, Region: send})
+	tr.Record(locs[0], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
 	// Rank 1: receiver arrives late.
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvEnter, Time: 100, Region: recv})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvRecv, Time: 110, A: 0, B: 0, C: 1 << 20})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 112, Region: recv})
-	tr.Append(locs[1], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvEnter, Time: 100, Region: recv})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvRecv, Time: 110, A: 0, B: 0, C: 1 << 20})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 112, Region: recv})
+	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
 
 	p, err := Analyze(tr)
 	if err != nil {
@@ -103,11 +103,11 @@ func TestWaitNxNAndDelayCost(t *testing.T) {
 	ar := tr.Region("MPI_Allreduce", trace.RoleMPIColl)
 	enters := []uint64{10, 50, 100}
 	for r, e := range enters {
-		tr.Append(locs[r], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-		tr.Append(locs[r], trace.Event{Kind: trace.EvEnter, Time: e, Region: ar})
-		tr.Append(locs[r], trace.Event{Kind: trace.EvCollEnd, Time: 105, A: 0, B: 0, C: 8})
-		tr.Append(locs[r], trace.Event{Kind: trace.EvExit, Time: 110, Region: ar})
-		tr.Append(locs[r], trace.Event{Kind: trace.EvExit, Time: 150, Region: main})
+		tr.Record(locs[r], trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+		tr.Record(locs[r], trace.Event{Kind: trace.EvEnter, Time: e, Region: ar})
+		tr.Record(locs[r], trace.Event{Kind: trace.EvCollEnd, Time: 105, A: 0, B: 0, C: 8})
+		tr.Record(locs[r], trace.Event{Kind: trace.EvExit, Time: 110, Region: ar})
+		tr.Record(locs[r], trace.Event{Kind: trace.EvExit, Time: 150, Region: main})
 	}
 	p, err := Analyze(tr)
 	if err != nil {
@@ -130,14 +130,14 @@ func TestConsecutiveCollectivesUseWindows(t *testing.T) {
 	main := tr.Region("main", trace.RoleUser)
 	ar := tr.Region("MPI_Allreduce", trace.RoleMPIColl)
 	add := func(l int, enter1, enter2 uint64) {
-		tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-		tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: enter1, Region: ar})
-		tr.Append(l, trace.Event{Kind: trace.EvCollEnd, Time: enter1 + 100, A: 0, B: 0, C: 8})
-		tr.Append(l, trace.Event{Kind: trace.EvExit, Time: enter1 + 101, Region: ar})
-		tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: enter2, Region: ar})
-		tr.Append(l, trace.Event{Kind: trace.EvCollEnd, Time: enter2 + 100, A: 0, B: 1, C: 8})
-		tr.Append(l, trace.Event{Kind: trace.EvExit, Time: enter2 + 101, Region: ar})
-		tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 1000, Region: main})
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: enter1, Region: ar})
+		tr.Record(l, trace.Event{Kind: trace.EvCollEnd, Time: enter1 + 100, A: 0, B: 0, C: 8})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: enter1 + 101, Region: ar})
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: enter2, Region: ar})
+		tr.Record(l, trace.Event{Kind: trace.EvCollEnd, Time: enter2 + 100, A: 0, B: 1, C: 8})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: enter2 + 101, Region: ar})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 1000, Region: main})
 	}
 	add(locs[0], 10, 300)
 	add(locs[1], 100, 400)
@@ -157,11 +157,11 @@ func TestOmpBarrierWaitSplit(t *testing.T) {
 	par := tr.Region("!$omp parallel x", trace.RoleOmpParallel)
 	bar := tr.Region("!$omp ibarrier", trace.RoleOmpBarrier)
 	build := func(l int, barEnter uint64) {
-		tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: 10, Region: par})
-		tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: barEnter, Region: bar})
-		tr.Append(l, trace.Event{Kind: trace.EvBarrier, Time: barEnter + 1, A: 2, B: 0})
-		tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 170, Region: bar})
-		tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 175, Region: par})
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 10, Region: par})
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: barEnter, Region: bar})
+		tr.Record(l, trace.Event{Kind: trace.EvBarrier, Time: barEnter + 1, A: 2, B: 0})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 170, Region: bar})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 175, Region: par})
 	}
 	build(l0, 100)
 	build(l1, 160)
@@ -179,12 +179,12 @@ func TestIdleThreadsFromSequentialMaster(t *testing.T) {
 	_ = tr.AddLocation(0, 1) // worker with no events; defines team size 2
 	main := tr.Region("main", trace.RoleUser)
 	serial := tr.Region("assemble_serial", trace.RoleUser)
-	tr.Append(master, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(master, trace.Event{Kind: trace.EvEnter, Time: 50, Region: serial})
-	tr.Append(master, trace.Event{Kind: trace.EvExit, Time: 150, Region: serial})
-	tr.Append(master, trace.Event{Kind: trace.EvFork, Time: 160, A: 2, B: 0})
-	tr.Append(master, trace.Event{Kind: trace.EvJoin, Time: 260, B: 0})
-	tr.Append(master, trace.Event{Kind: trace.EvExit, Time: 300, Region: main})
+	tr.Record(master, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(master, trace.Event{Kind: trace.EvEnter, Time: 50, Region: serial})
+	tr.Record(master, trace.Event{Kind: trace.EvExit, Time: 150, Region: serial})
+	tr.Record(master, trace.Event{Kind: trace.EvFork, Time: 160, A: 2, B: 0})
+	tr.Record(master, trace.Event{Kind: trace.EvJoin, Time: 260, B: 0})
+	tr.Record(master, trace.Event{Kind: trace.EvExit, Time: 300, Region: main})
 	p, err := Analyze(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -203,12 +203,12 @@ func TestCompClassification(t *testing.T) {
 	main := tr.Region("main", trace.RoleUser)
 	loop := tr.Region("!$omp for x", trace.RoleOmpLoop)
 	mgmt := tr.Region("!$omp parallel x", trace.RoleOmpParallel)
-	tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: 10, Region: mgmt})
-	tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: 15, Region: loop})
-	tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 115, Region: loop})
-	tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 120, Region: mgmt})
-	tr.Append(l, trace.Event{Kind: trace.EvExit, Time: 150, Region: main})
+	tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 10, Region: mgmt})
+	tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 15, Region: loop})
+	tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 115, Region: loop})
+	tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 120, Region: mgmt})
+	tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 150, Region: main})
 	p, err := Analyze(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -224,13 +224,13 @@ func TestUnbalancedTraceRejected(t *testing.T) {
 	tr := trace.New("lt_1")
 	l := tr.AddLocation(0, 0)
 	main := tr.Region("main", trace.RoleUser)
-	tr.Append(l, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
 	if _, err := Analyze(tr); err == nil {
 		t.Fatal("expected error for unclosed region")
 	}
 	tr2 := trace.New("lt_1")
 	l2 := tr2.AddLocation(0, 0)
-	tr2.Append(l2, trace.Event{Kind: trace.EvExit, Time: 0, Region: main})
+	tr2.Record(l2, trace.Event{Kind: trace.EvExit, Time: 0, Region: main})
 	if _, err := Analyze(tr2); err == nil {
 		t.Fatal("expected error for exit without enter")
 	}

@@ -10,10 +10,10 @@ import (
 	"io"
 )
 
-// Chunked trace format (version 2).  Unlike the monolithic version-1
-// stream, a chunked trace is an append-only sequence of self-contained
-// records, so a recorder holds only the active chunk per location in
-// memory and a reader can decode any chunk independently:
+// Trace file format (version 2, the only one).  A trace is an
+// append-only sequence of self-contained records, so a recorder holds
+// only the active chunk per location in memory and a reader can decode
+// any chunk independently (all integers are uvarints unless noted):
 //
 //	magic "LTRC" (4 bytes), version uvarint (= 2)
 //	clock name: uvarint length + bytes
@@ -27,9 +27,9 @@ import (
 //	    0x02 chunk: location, event count, first vtime, last vtime,
 //	         raw (uncompressed) byte length, compressed byte length,
 //	         CRC-32 (IEEE, 4 bytes little-endian) of the compressed
-//	         payload, then the flate-compressed payload.  The payload is
-//	         the v1 per-event encoding (kind byte, time delta, region,
-//	         A/B/C zigzag) with the time delta restarting from zero, so
+//	         payload, then the flate-compressed payload.  The payload
+//	         holds the chunk's events — kind byte, time delta, region,
+//	         A/B/C zigzag — with the time delta restarting from zero, so
 //	         every chunk decodes without context from its predecessors.
 //	    0x03 index: uvarint body length, body, CRC-32 of the body.  The
 //	         body repeats the full region and location tables (with
@@ -39,10 +39,11 @@ import (
 //	trailer: 8-byte little-endian file offset of the index record's tag
 //	byte, then the magic "LTIX".  Readers that find a valid trailer seek
 //	straight to the index; readers that don't (truncated file) fall back
-//	to a sequential scan of the records, keeping every chunk that
-//	decodes cleanly.
+//	to the sequential record scan the live tail also runs, keeping every
+//	chunk that decodes cleanly.
 const (
-	chunkFormatVersion = 2
+	magic        = "LTRC"
+	traceVersion = 2
 
 	tagDefs  = 0x01
 	tagChunk = 0x02
@@ -128,7 +129,7 @@ func NewChunkWriter(w io.Writer, clock string) *ChunkWriter {
 		ChunkEvents: DefaultChunkEvents,
 	}
 	cw.writeString(magic)
-	cw.putU(chunkFormatVersion)
+	cw.putU(traceVersion)
 	cw.putS(clock)
 	return cw
 }
@@ -386,8 +387,7 @@ func (cw *ChunkWriter) Close() error {
 	return cw.bw.Flush()
 }
 
-// WriteChunked serialises a fully materialized trace in the chunked
-// format — the streaming counterpart of (*Trace).Write.  Region and
+// WriteChunked serialises a fully materialized trace.  Region and
 // location indices are preserved, so a round trip through
 // WriteChunked + Read reproduces the trace exactly.
 func WriteChunked(w io.Writer, t *Trace) error {

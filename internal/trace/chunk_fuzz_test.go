@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
-// FuzzChunkReader feeds arbitrary bytes to every chunked-trace entry
-// point: both must either decode cleanly or return a structured error —
-// never panic, hang, or over-allocate on a corrupted varint.
+// FuzzChunkReader feeds arbitrary bytes to both trace readers: each
+// must either decode cleanly or return a structured error — never
+// panic, hang, or over-allocate on a corrupted varint — and whenever
+// the strict Read succeeds, its trace is exactly what the lenient
+// reader materializes from the same bytes.
 func FuzzChunkReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
@@ -27,13 +30,29 @@ func FuzzChunkReader(f *testing.F) {
 		f.Add(c)
 	}
 
+	f.Add([]byte(magic + "\x01\x00\x00\x00")) // a version-1 header
+	f.Add(valid[:len(valid)/3])
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if tr, err := Read(bytes.NewReader(data)); err == nil && tr == nil {
+		tr, rerr := Read(bytes.NewReader(data))
+		if rerr == nil && tr == nil {
 			t.Fatal("Read returned nil trace and nil error")
 		}
 		cf, err := NewChunkFile(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
+			if rerr == nil {
+				t.Fatalf("Read accepted bytes NewChunkFile rejects: %v", err)
+			}
 			return
+		}
+		if rerr == nil {
+			mat, err := cf.Stream().Materialize()
+			if err != nil {
+				t.Fatalf("Read succeeded but Materialize failed: %v", err)
+			}
+			if !reflect.DeepEqual(tr, mat) {
+				t.Fatal("Read and NewChunkFile+Materialize disagree")
+			}
 		}
 		// Whatever survived must iterate to completion (clean or with a
 		// structured error) without panicking.
@@ -55,8 +74,8 @@ func bigSampleFuzz() *Trace {
 	l0 := tr.AddLocation(0, 0)
 	l1 := tr.AddLocation(1, 0)
 	for i := 0; i < 80; i++ {
-		tr.Append(l0, Event{Kind: EvKind(i % 8), Time: uint64(i * 2), Region: reg, A: int32(i), C: int64(i)})
-		tr.Append(l1, Event{Kind: EvKind(i % 3), Time: uint64(i*2 + 1), Region: reg, B: int32(i)})
+		tr.Record(l0, Event{Kind: EvKind(i % 8), Time: uint64(i * 2), Region: reg, A: int32(i), C: int64(i)})
+		tr.Record(l1, Event{Kind: EvKind(i % 3), Time: uint64(i*2 + 1), Region: reg, B: int32(i)})
 	}
 	return tr
 }

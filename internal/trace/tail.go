@@ -1,57 +1,37 @@
 package trace
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 )
 
-// TailCursor follows a chunked (version-2) trace file that is still
-// being written by a ChunkWriter, discovering each sealed record as it
-// lands on disk.  It is the storage half of live observation: the
-// writer appends self-contained records and never rewrites earlier
-// bytes, so a reader that remembers the offset of the first byte it has
-// not yet parsed can poll the growing file, parse any newly completed
-// records, and stop cleanly at a torn tail — a record whose trailing
-// bytes have not reached the disk yet.
+// TailCursor follows a trace file that is still being written by a
+// ChunkWriter, discovering each sealed record as it lands on disk.  It
+// is the storage half of live observation: the writer appends
+// self-contained records and never rewrites earlier bytes, so a reader
+// that remembers the offset of the first byte it has not yet parsed can
+// poll the growing file, parse any newly completed records, and stop
+// cleanly at a torn tail — a record whose trailing bytes have not
+// reached the disk yet.
 //
-// The protocol is pull-based and cheap: Poll stats the file, scans
-// forward from the last-good offset parsing record headers only (chunk
-// payloads are skipped, not decoded), and classifies whatever ends the
-// scan:
-//
-//   - a clean record boundary at end-of-file: nothing torn, poll again
-//     later;
-//   - a record cut off by end-of-file: a torn tail, described by Torn()
-//     as a structured *RecordError (location, chunk ordinal, file
-//     offset) and re-parsed from the same offset on the next Poll, so
-//     the tail resumes exactly where it stopped once the writer
-//     completes the record;
-//   - the index record: the writer has closed the file; Done() becomes
-//     true and the sealed view is the complete trace;
-//   - anything structurally impossible (bad magic, unknown tag,
-//     implausible header): sticky damage reported by Err().  Bytes
-//     already written are immutable, so a complete-but-implausible
-//     header can never become valid by waiting.
+// Poll stats the file and runs the same record scanner NewChunkFile
+// falls back to on an index-less file (see ChunkFile.scanSealed) from
+// the last-good offset.  A torn tail is reported by Torn() and
+// re-parsed from the same offset on the next Poll; the index record
+// makes Done() true; structurally impossible bytes become sticky damage
+// reported by Err().
 //
 // Snapshot returns a point-in-time *ChunkFile over the sealed prefix;
 // analyses stream it exactly like a finished file.  All methods are
 // safe for concurrent use.
 type TailCursor struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu sync.Mutex
+	f  *os.File
 
 	cf         *ChunkFile // accumulated sealed view; cf.size tracks the last stat
 	headerDone bool
-	resume     int64 // offset of the first byte not covered by a sealed record
-
-	done   bool
-	damage error
-	torn   *RecordError
+	recordScan
 
 	ds decodeState // persistent scratch for ChunkEvents
 }
@@ -64,7 +44,7 @@ func Follow(path string) (*TailCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TailCursor{f: f, path: path, cf: &ChunkFile{ra: f}}, nil
+	return &TailCursor{f: f, cf: &ChunkFile{ra: f, path: path}}, nil
 }
 
 // Close releases the underlying file.
@@ -72,12 +52,6 @@ func (tc *TailCursor) Close() error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	return tc.f.Close()
-}
-
-// tailTruncated reports whether err means "the bytes are not there yet"
-// rather than "the bytes are wrong".
-func tailTruncated(err error) bool {
-	return errors.Is(err, ErrTruncated) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // Poll advances the tail over any records sealed since the last call.
@@ -100,7 +74,7 @@ func (tc *TailCursor) Poll() (newChunks int, done bool, err error) {
 	if !tc.headerDone {
 		p := tc.cf.section(0)
 		if err := tc.cf.readHeader(p); err != nil {
-			if tailTruncated(err) {
+			if truncation(err) {
 				return 0, false, nil // header still being written
 			}
 			tc.damage = err
@@ -109,158 +83,8 @@ func (tc *TailCursor) Poll() (newChunks int, done bool, err error) {
 		tc.headerDone = true
 		tc.resume = p.off
 	}
-	return tc.scanSealed()
-}
-
-// scanSealed parses records from the resume offset to the current file
-// size, with tc.mu held.
-func (tc *TailCursor) scanSealed() (newChunks int, done bool, err error) {
-	p := tc.cf.section(tc.resume)
-	for {
-		tagOff := p.off
-		tag, err := p.ReadByte()
-		if err == io.EOF {
-			tc.torn = nil // clean record boundary
-			return newChunks, false, nil
-		}
-		if err != nil {
-			tc.damage = fail("record tag", err)
-			return newChunks, false, tc.damage
-		}
-		switch tag {
-		case tagDefs:
-			if ok := tc.scanDefs(p, tagOff); !ok {
-				return newChunks, false, tc.damage
-			}
-		case tagChunk:
-			sealed, ok := tc.scanChunk(p, tagOff)
-			if !ok {
-				return newChunks, false, tc.damage
-			}
-			if !sealed {
-				return newChunks, false, nil // torn; retry from tagOff next Poll
-			}
-			newChunks++
-		case tagIndex:
-			// The writer only emits the index from Close, after sealing
-			// every chunk: the recording is complete.  The index repeats
-			// what the records already said, so it is not parsed.
-			tc.done = true
-			tc.torn = nil
-			return newChunks, true, nil
-		default:
-			tc.damage = fmt.Errorf("trace: unknown record tag 0x%02x at offset %d", tag, tagOff)
-			return newChunks, false, tc.damage
-		}
-	}
-}
-
-// scanDefs parses one defs record.  New definitions are staged and only
-// merged into the sealed view when the whole record parsed, so a defs
-// record cut mid-way is never half-applied (it would double-apply on
-// the re-parse).  ok is false on sticky damage.
-func (tc *TailCursor) scanDefs(p *posReader, tagOff int64) bool {
-	var regions []RegionDef
-	var locs []LocInfo
-	err := readDefs(p,
-		func(name string, role Role) error {
-			regions = append(regions, RegionDef{Name: name, Role: role})
-			return nil
-		},
-		func(rank, thread int) {
-			locs = append(locs, LocInfo{Rank: rank, Thread: thread})
-		},
-		len(tc.cf.Regions), len(tc.cf.locs))
-	if err != nil {
-		if tailTruncated(err) {
-			tc.torn = &RecordError{
-				Path: tc.path, Loc: -1, Offset: tagOff,
-				Err: fmt.Errorf("%w while reading defs record", ErrTruncated),
-			}
-			return true // wait for the writer to finish the record
-		}
-		tc.damage = err
-		return false
-	}
-	tc.cf.Regions = append(tc.cf.Regions, regions...)
-	tc.cf.locs = append(tc.cf.locs, locs...)
-	for len(tc.cf.locChunks) < len(tc.cf.locs) {
-		tc.cf.locChunks = append(tc.cf.locChunks, nil)
-	}
-	tc.torn = nil
-	tc.resume = p.off
-	return true
-}
-
-// scanChunk parses one chunk record's header and accounts the chunk if
-// its payload is fully on disk.  sealed is false at a torn tail (header
-// or payload incomplete); ok is false on sticky damage.
-func (tc *TailCursor) scanChunk(p *posReader, tagOff int64) (sealed, ok bool) {
-	h, err := readChunkHeader(p, tagOff)
-	if err != nil {
-		if tailTruncated(err) {
-			tc.torn = tc.tornChunk(tagOff, tc.peekLoc(tagOff), 0,
-				fmt.Errorf("%w while reading chunk header", ErrTruncated))
-			return false, true
-		}
-		tc.damage = fail("chunk header", err)
-		return false, false
-	}
-	if h.info.Loc >= len(tc.cf.locs) {
-		tc.damage = fmt.Errorf("trace: chunk references undefined location %d (have %d)",
-			h.info.Loc, len(tc.cf.locs))
-		return false, false
-	}
-	if p.off+int64(h.info.CompLen) > tc.cf.size {
-		tc.torn = tc.tornChunk(tagOff, h.info.Loc, h.info.Events,
-			fmt.Errorf("%w while reading chunk payload", ErrTruncated))
-		return false, true
-	}
-	if _, err := io.CopyN(io.Discard, p, int64(h.info.CompLen)); err != nil {
-		tc.damage = fail("chunk payload", err)
-		return false, false
-	}
-	ci := len(tc.cf.chunks)
-	tc.cf.chunks = append(tc.cf.chunks, h.info)
-	tc.cf.locChunks[h.info.Loc] = append(tc.cf.locChunks[h.info.Loc], ci)
-	tc.cf.locs[h.info.Loc].Events += h.info.Events
-	tc.torn = nil
-	tc.resume = p.off
-	return true, true
-}
-
-// tornChunk builds the structured description of a chunk record cut off
-// at the current end of file.
-func (tc *TailCursor) tornChunk(tagOff int64, loc, events int, err error) *RecordError {
-	re := &RecordError{Path: tc.path, Loc: loc, Offset: tagOff, Err: err}
-	if loc >= 0 && loc < len(tc.cf.locs) {
-		li := tc.cf.locs[loc]
-		re.Rank, re.Thread = li.Rank, li.Thread
-		re.Event = li.Events
-		re.Events = li.Events + events
-		re.Chunk = len(tc.cf.locChunks[loc]) + 1
-	}
-	return re
-}
-
-// peekLoc best-effort decodes the location field of a chunk record cut
-// off mid-header, so even a torn header names its location when the
-// first varint made it to disk.  Returns -1 if it did not.
-func (tc *TailCursor) peekLoc(tagOff int64) int {
-	var buf [binary.MaxVarintLen64]byte
-	need := tc.cf.size - (tagOff + 1)
-	if need <= 0 {
-		return -1
-	}
-	if need > int64(len(buf)) {
-		need = int64(len(buf))
-	}
-	n, _ := tc.f.ReadAt(buf[:need], tagOff+1)
-	loc, k := binary.Uvarint(buf[:n])
-	if k <= 0 || loc > maxLocations {
-		return -1
-	}
-	return int(loc)
+	n := tc.cf.scanSealed(&tc.recordScan)
+	return n, tc.done, tc.damage
 }
 
 // Done reports whether the writer has finished the file (its index
@@ -339,13 +163,6 @@ func (tc *TailCursor) ChunkEvents(ci int, dst []Event) ([]Event, error) {
 	return tc.cf.readChunk(&tc.ds, ci, dst)
 }
 
-// Chunk returns sealed chunk ci's index entry.
-func (tc *TailCursor) Chunk(ci int) ChunkInfo {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.cf.chunks[ci]
-}
-
 // Snapshot returns a point-in-time random-access view over the sealed
 // prefix.  The snapshot shares the tail's file handle but owns its
 // slice headers, so later Polls growing the tail never disturb it —
@@ -358,6 +175,7 @@ func (tc *TailCursor) Snapshot() *ChunkFile {
 	cf := &ChunkFile{
 		ra:      tc.cf.ra,
 		size:    tc.cf.size,
+		path:    tc.cf.path,
 		Clock:   tc.cf.Clock,
 		Regions: tc.cf.Regions,
 		locs:    append([]LocInfo(nil), tc.cf.locs...),

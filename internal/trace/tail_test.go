@@ -41,7 +41,7 @@ func parseRecords(t *testing.T, full []byte) (hdrEnd int64, recs []tailRecord) {
 		switch tag {
 		case tagDefs:
 			err := readDefs(p,
-				func(string, Role) error { nRegions++; return nil },
+				func(string, Role) { nRegions++ },
 				func(int, int) { nLocs++ },
 				nRegions, nLocs)
 			if err != nil {
@@ -49,12 +49,12 @@ func parseRecords(t *testing.T, full []byte) (hdrEnd int64, recs []tailRecord) {
 			}
 			recs = append(recs, tailRecord{tag: tag, off: off, end: p.off})
 		case tagChunk:
-			h, err := readChunkHeader(p, off)
+			h, err := p.chunkHeader(off)
 			if err != nil {
 				t.Fatal(err)
 			}
 			payloadOff := p.off
-			if _, err := io.CopyN(io.Discard, p, int64(h.info.CompLen)); err != nil {
+			if err := p.skip(h.info.CompLen); err != nil {
 				t.Fatal(err)
 			}
 			recs = append(recs, tailRecord{

@@ -12,10 +12,10 @@ func timelineTrace() *Trace {
 	mpi := tr.Region("MPI_Recv", RoleMPIP2P)
 	l := tr.AddLocation(0, 0)
 	// 0..500 compute, 500..1000 MPI.
-	tr.Append(l, Event{Kind: EvEnter, Time: 0, Region: main})
-	tr.Append(l, Event{Kind: EvEnter, Time: 500, Region: mpi})
-	tr.Append(l, Event{Kind: EvExit, Time: 1000, Region: mpi})
-	tr.Append(l, Event{Kind: EvExit, Time: 1000, Region: main})
+	tr.Record(l, Event{Kind: EvEnter, Time: 0, Region: main})
+	tr.Record(l, Event{Kind: EvEnter, Time: 500, Region: mpi})
+	tr.Record(l, Event{Kind: EvExit, Time: 1000, Region: mpi})
+	tr.Record(l, Event{Kind: EvExit, Time: 1000, Region: main})
 	return tr
 }
 
@@ -61,8 +61,8 @@ func TestRenderTimelineCapsRows(t *testing.T) {
 	main, _ := tr.regionIDs["main"]
 	for i := 1; i < 5; i++ {
 		l := tr.AddLocation(i, 0)
-		tr.Append(l, Event{Kind: EvEnter, Time: 0, Region: main})
-		tr.Append(l, Event{Kind: EvExit, Time: 1000, Region: main})
+		tr.Record(l, Event{Kind: EvEnter, Time: 0, Region: main})
+		tr.Record(l, Event{Kind: EvExit, Time: 1000, Region: main})
 	}
 	var buf bytes.Buffer
 	RenderTimeline(&buf, tr, 20, 2)

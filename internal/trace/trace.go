@@ -183,12 +183,6 @@ func (t *Trace) Record(l int, e Event) {
 	}
 }
 
-// Append adds an event to location stream l.
-//
-// Deprecated: Append is the old name of Record, kept for callers
-// outside the measurement hot path.
-func (t *Trace) Append(l int, e Event) { t.Record(l, e) }
-
 // ResetEvents empties every location's event stream while keeping the
 // allocated capacity, so a trace shell can be refilled without
 // reallocating its buffers (benchmark and replay harnesses).

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -77,24 +79,30 @@ func sample() *Trace {
 	send := tr.Region("MPI_Send", RoleMPIP2P)
 	l0 := tr.AddLocation(0, 0)
 	l1 := tr.AddLocation(1, 0)
-	tr.Append(l0, Event{Kind: EvEnter, Time: 1, Region: main})
-	tr.Append(l0, Event{Kind: EvEnter, Time: 5, Region: send})
-	tr.Append(l0, Event{Kind: EvSend, Time: 6, A: 1, B: 9, C: 4096})
-	tr.Append(l0, Event{Kind: EvExit, Time: 8, Region: send})
-	tr.Append(l0, Event{Kind: EvExit, Time: 100, Region: main})
-	tr.Append(l1, Event{Kind: EvEnter, Time: 2, Region: main})
-	tr.Append(l1, Event{Kind: EvRecv, Time: 9, A: 0, B: 9, C: 4096})
-	tr.Append(l1, Event{Kind: EvExit, Time: 90, Region: main})
+	tr.Record(l0, Event{Kind: EvEnter, Time: 1, Region: main})
+	tr.Record(l0, Event{Kind: EvEnter, Time: 5, Region: send})
+	tr.Record(l0, Event{Kind: EvSend, Time: 6, A: 1, B: 9, C: 4096})
+	tr.Record(l0, Event{Kind: EvExit, Time: 8, Region: send})
+	tr.Record(l0, Event{Kind: EvExit, Time: 100, Region: main})
+	tr.Record(l1, Event{Kind: EvEnter, Time: 2, Region: main})
+	tr.Record(l1, Event{Kind: EvRecv, Time: 9, A: 0, B: 9, C: 4096})
+	tr.Record(l1, Event{Kind: EvExit, Time: 90, Region: main})
 	return tr
 }
 
+// TestRoundTrip writes a trace file and reads it back through ReadFile,
+// the path the CLIs take.
 func TestRoundTrip(t *testing.T) {
 	tr := sample()
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := WriteChunked(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	path := filepath.Join(t.TempDir(), "rt.ltrc")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +147,7 @@ func TestReadRejectsBadMagic(t *testing.T) {
 func TestReadRejectsTruncated(t *testing.T) {
 	tr := sample()
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := WriteChunked(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
@@ -148,7 +156,8 @@ func TestReadRejectsTruncated(t *testing.T) {
 	}
 }
 
-// Property: random traces survive a round trip intact.
+// Property: random traces survive a WriteChunked + Read round trip
+// intact.
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(rawEvents []uint32, rank, thread uint8) bool {
 		tr := New("lt_1")
@@ -157,7 +166,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 		var tm uint64
 		for _, raw := range rawEvents {
 			tm += uint64(raw % 1000)
-			tr.Append(l, Event{
+			tr.Record(l, Event{
 				Kind:   EvKind(raw % 8),
 				Time:   tm,
 				Region: reg,
@@ -167,7 +176,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := WriteChunked(&buf, tr); err != nil {
 			return false
 		}
 		got, err := Read(&buf)

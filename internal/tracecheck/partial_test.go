@@ -25,14 +25,14 @@ func TestPartialSuppressesEndDependentChecks(t *testing.T) {
 	l1 := tr.AddLocation(1, 0)
 	main := tr.Region("main", trace.RoleUser)
 	send := tr.Region("MPI_Send", trace.RoleMPIP2P)
-	tr.Append(l0, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
-	tr.Append(l0, trace.Event{Kind: trace.EvEnter, Time: 10, Region: send})
-	tr.Append(l0, trace.Event{Kind: trace.EvSend, Time: 15, A: 1, B: 3, C: 8})
-	tr.Append(l0, trace.Event{Kind: trace.EvExit, Time: 20, Region: send})
-	tr.Append(l0, trace.Event{Kind: trace.EvExit, Time: 100, Region: main})
+	tr.Record(l0, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(l0, trace.Event{Kind: trace.EvEnter, Time: 10, Region: send})
+	tr.Record(l0, trace.Event{Kind: trace.EvSend, Time: 15, A: 1, B: 3, C: 8})
+	tr.Record(l0, trace.Event{Kind: trace.EvExit, Time: 20, Region: send})
+	tr.Record(l0, trace.Event{Kind: trace.EvExit, Time: 100, Region: main})
 	// Location 1 is sealed less far along: still inside main, its
 	// matching Recv not yet on disk.
-	tr.Append(l1, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
+	tr.Record(l1, trace.Event{Kind: trace.EvEnter, Time: 0, Region: main})
 
 	strict := tracecheck.Verify(tr, tracecheck.Options{})
 	if strict.OK() {

@@ -74,8 +74,8 @@ func TestVerifyStreamReadErrors(t *testing.T) {
 	reg := tr.Region("main", trace.RoleUser)
 	l0 := tr.AddLocation(0, 0)
 	for i := 0; i < 64; i++ {
-		tr.Append(l0, trace.Event{Kind: trace.EvEnter, Time: uint64(2*i + 1), Region: reg})
-		tr.Append(l0, trace.Event{Kind: trace.EvExit, Time: uint64(2*i + 2), Region: reg})
+		tr.Record(l0, trace.Event{Kind: trace.EvEnter, Time: uint64(2*i + 1), Region: reg})
+		tr.Record(l0, trace.Event{Kind: trace.EvExit, Time: uint64(2*i + 2), Region: reg})
 	}
 	var buf bytes.Buffer
 	cw := trace.NewChunkWriter(&buf, tr.Clock)

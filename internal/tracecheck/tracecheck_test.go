@@ -27,7 +27,7 @@ func (b *builder) ev(loc int, kind trace.EvKind, t uint64, region string, role t
 	if region != "" {
 		reg = b.tr.Region(region, role)
 	}
-	b.tr.Append(loc, trace.Event{Kind: kind, Time: t, Region: reg, A: a, B: bb, C: cc})
+	b.tr.Record(loc, trace.Event{Kind: kind, Time: t, Region: reg, A: a, B: bb, C: cc})
 }
 
 // messageTrace builds a minimal clean two-rank logical trace: rank 0

@@ -22,16 +22,16 @@ func handTrace() *trace.Trace {
 	recv := tr.Region("MPI_Recv", trace.RoleMPIP2P)
 	l0 := tr.AddLocation(0, 0)
 	l1 := tr.AddLocation(1, 0)
-	tr.Append(l0, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
-	tr.Append(l0, trace.Event{Kind: trace.EvEnter, Time: 2, Region: send})
-	tr.Append(l0, trace.Event{Kind: trace.EvSend, Time: 3, A: 1, B: 0, C: 8})
-	tr.Append(l0, trace.Event{Kind: trace.EvExit, Time: 4, Region: send})
-	tr.Append(l0, trace.Event{Kind: trace.EvExit, Time: 5, Region: main})
-	tr.Append(l1, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
-	tr.Append(l1, trace.Event{Kind: trace.EvEnter, Time: 2, Region: recv})
-	tr.Append(l1, trace.Event{Kind: trace.EvRecv, Time: 4, A: 0, B: 0, C: 8})
-	tr.Append(l1, trace.Event{Kind: trace.EvExit, Time: 5, Region: recv})
-	tr.Append(l1, trace.Event{Kind: trace.EvExit, Time: 6, Region: main})
+	tr.Record(l0, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+	tr.Record(l0, trace.Event{Kind: trace.EvEnter, Time: 2, Region: send})
+	tr.Record(l0, trace.Event{Kind: trace.EvSend, Time: 3, A: 1, B: 0, C: 8})
+	tr.Record(l0, trace.Event{Kind: trace.EvExit, Time: 4, Region: send})
+	tr.Record(l0, trace.Event{Kind: trace.EvExit, Time: 5, Region: main})
+	tr.Record(l1, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+	tr.Record(l1, trace.Event{Kind: trace.EvEnter, Time: 2, Region: recv})
+	tr.Record(l1, trace.Event{Kind: trace.EvRecv, Time: 4, A: 0, B: 0, C: 8})
+	tr.Record(l1, trace.Event{Kind: trace.EvExit, Time: 5, Region: recv})
+	tr.Record(l1, trace.Event{Kind: trace.EvExit, Time: 6, Region: main})
 	return tr
 }
 
@@ -111,9 +111,9 @@ func TestUnmatchedReceiveRejected(t *testing.T) {
 	tr := trace.New("lt_1")
 	main := tr.Region("main", trace.RoleUser)
 	l0 := tr.AddLocation(0, 0)
-	tr.Append(l0, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
-	tr.Append(l0, trace.Event{Kind: trace.EvRecv, Time: 2, A: 5, B: 0, C: 8})
-	tr.Append(l0, trace.Event{Kind: trace.EvExit, Time: 3, Region: main})
+	tr.Record(l0, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+	tr.Record(l0, trace.Event{Kind: trace.EvRecv, Time: 2, A: 5, B: 0, C: 8})
+	tr.Record(l0, trace.Event{Kind: trace.EvExit, Time: 3, Region: main})
 	if _, err := Compute(tr); err == nil {
 		t.Fatal("expected error for unmatched receive")
 	}
