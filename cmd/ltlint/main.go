@@ -95,20 +95,35 @@ func runSpec(name, modeFlag string, quick bool, seed int64, withNoise, jsonOut b
 	return failed
 }
 
+// checkFile verifies one trace file as a stream, so its memory follows
+// the trace's synchronisation skeleton rather than its event count.  It
+// is as strict as trace.ReadFile: a file that does not prove itself
+// complete, or has a chunk that does not decode, fails.
 func checkFile(path string, jsonOut bool, limit int) bool {
-	tr, err := trace.ReadFile(path)
+	cf, err := trace.OpenChunkFile(path)
 	if err != nil {
-		// ReadFile stamps the path onto the error (RecordError
-		// coordinates included), so it prints without re-prefixing.
+		log.Printf("%v", err) // OpenChunkFile names the file
+		return false
+	}
+	defer cf.Close()
+	if err := cf.Damage; err != nil {
+		// A damaged record's RecordError carries the path and its
+		// coordinates; any other damage is named here.
 		var rerr *trace.RecordError
 		if errors.As(err, &rerr) {
 			log.Printf("corrupt trace at %s", rerr)
 		} else {
-			log.Printf("%v", err)
+			log.Printf("%s: %v", path, err)
 		}
 		return false
 	}
-	rep := tracecheck.Verify(tr, tracecheck.Options{})
+	rep := tracecheck.VerifyStream(cf.Stream(), tracecheck.Options{})
+	if len(rep.ReadErrors) > 0 {
+		for _, e := range rep.ReadErrors {
+			log.Printf("corrupt trace at %s", e)
+		}
+		return false
+	}
 	emit(path, rep, jsonOut, limit)
 	return rep.OK()
 }

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	ltverify            # all claims (~2 minutes)
+//	ltverify            # all claims (~5 s on 2 CPUs)
 //	ltverify -reps 5
 //	ltverify -j 4 -cache ~/.ltcache   # parallel, cached repetitions
 //	ltverify -progress -metrics       # live ETA and a metrics dump, on stderr

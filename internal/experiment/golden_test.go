@@ -11,23 +11,26 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/noise"
+	"repro/internal/tracecheck"
 )
 
 // updateGolden rewrites testdata/golden_sha256.json from the current
 // simulation output.  Run it ONLY when a PR deliberately changes
 // simulation semantics (and bump pool.go's cacheCodeVersion in the same
-// commit):
+// commit) or the verifier's report:
 //
 //	go test ./internal/experiment -run TestGoldenChecksums -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trace/profile checksums")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trace/profile/tracecheck checksums")
 
 const goldenPath = "testdata/golden_sha256.json"
 
 // goldenSums is the committed fingerprint of one (app, mode) run: the
-// sha256 of the trace (traceSum) and of the serialised analysis profile.
+// sha256 of the trace (traceSum), of the serialised analysis profile and
+// of the trace verifier's JSON report.
 type goldenSums struct {
-	Trace   string `json:"trace"`
-	Profile string `json:"profile"`
+	Trace      string `json:"trace"`
+	Profile    string `json:"profile"`
+	Tracecheck string `json:"tracecheck"`
 }
 
 // TestGoldenChecksums replays one quick configuration per mini-app with
@@ -37,7 +40,9 @@ type goldenSums struct {
 // dirty-set resettling, the index-based detach and every future perf
 // pass must be exact, not approximately right — any drift in event
 // timestamps, completion order or analysis severities fails here instead
-// of silently skewing the paper's tables.
+// of silently skewing the paper's tables.  The tracecheck hash pins the
+// verifier the same way: its report (edge count, sampled pairs, every
+// recorded violation) must not move when the verifier gets faster.
 func TestGoldenChecksums(t *testing.T) {
 	apps := []string{
 		"MiniFE-1", "LULESH-1", "TeaLeaf-1",
@@ -61,9 +66,15 @@ func TestGoldenChecksums(t *testing.T) {
 			if err := res.Profile.Write(ph); err != nil {
 				t.Fatalf("%s/%s: serialising profile: %v", app, mode, err)
 			}
+			rep, err := json.Marshal(tracecheck.Verify(res.Trace, tracecheck.Options{}))
+			if err != nil {
+				t.Fatalf("%s/%s: serialising tracecheck report: %v", app, mode, err)
+			}
+			rh := sha256.Sum256(rep)
 			got[app+"/"+string(mode)] = goldenSums{
-				Trace:   traceSum(res.Trace),
-				Profile: hex.EncodeToString(ph.Sum(nil)),
+				Trace:      traceSum(res.Trace),
+				Profile:    hex.EncodeToString(ph.Sum(nil)),
+				Tracecheck: hex.EncodeToString(rh[:]),
 			}
 		}
 	}
@@ -109,6 +120,10 @@ func TestGoldenChecksums(t *testing.T) {
 		if g.Profile != want[k].Profile {
 			t.Errorf("%s: profile bytes drifted from the golden kernel output\n  got  %s\n  want %s",
 				k, g.Profile, want[k].Profile)
+		}
+		if g.Tracecheck != want[k].Tracecheck {
+			t.Errorf("%s: tracecheck report drifted from the golden verifier output\n  got  %s\n  want %s",
+				k, g.Tracecheck, want[k].Tracecheck)
 		}
 	}
 	if len(got) != len(want) {

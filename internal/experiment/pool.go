@@ -29,6 +29,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/runcache"
+	"repro/internal/tracecheck"
 )
 
 // cacheCodeVersion salts every cache key with the simulation semantics
@@ -147,14 +148,23 @@ func poolWorkers(requested, jobs int) int {
 // dropped) and the dropped-repetition records (nil where it succeeded).
 // Each worker writes only its own jobs' slots, so placement needs no
 // lock, and slot indexing keeps the output independent of scheduling;
-// flattenDrops turns the drop slots into the report form.
-func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks) ([]*RunResult, []*DroppedRep) {
+// flattenDrops turns the drop slots into the report form.  When checks
+// is non-nil (one slot per job), the worker also verifies the trace of
+// every instrumented job, fresh or served from the cache, right after
+// its result is decided, and stores the report in the job's slot.
+func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks, checks []*tracecheck.Report) ([]*RunResult, []*DroppedRep) {
 	results := make([]*RunResult, len(jobs))
 	drops := make([]*DroppedRep, len(jobs))
+	run := func(i int) {
+		results[i], drops[i] = runJob(jobs[i], cache, hooks)
+		if res := results[i]; checks != nil && res != nil && res.Trace != nil {
+			checks[i] = tracecheck.Verify(res.Trace, tracecheck.Options{})
+		}
+	}
 	workers = poolWorkers(workers, len(jobs))
 	if workers == 1 {
 		for i := range jobs {
-			results[i], drops[i] = runJob(jobs[i], cache, hooks)
+			run(i)
 		}
 	} else {
 		idx := make(chan int)
@@ -164,7 +174,7 @@ func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks) ([
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					results[i], drops[i] = runJob(jobs[i], cache, hooks)
+					run(i)
 				}
 			}()
 		}

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -60,7 +61,7 @@ func assertRunsEqual(t *testing.T, label string, want, got []*RunResult) {
 }
 
 // assertStudiesEqual requires everything RunStudy computed — references,
-// per-mode runs, dropped records — to match.
+// per-mode runs, dropped records, trace verification reports — to match.
 func assertStudiesEqual(t *testing.T, want, got *Study) {
 	t.Helper()
 	assertRunsEqual(t, "reference", want.Refs, got.Refs)
@@ -73,21 +74,52 @@ func assertStudiesEqual(t *testing.T, want, got *Study) {
 	if !reflect.DeepEqual(want.Dropped, got.Dropped) {
 		t.Errorf("dropped records differ:\nwant %+v\ngot  %+v", want.Dropped, got.Dropped)
 	}
+	if !reflect.DeepEqual(want.TraceChecks, got.TraceChecks) {
+		t.Errorf("trace checks differ:\nwant %+v\ngot  %+v", want.TraceChecks, got.TraceChecks)
+	}
+}
+
+// assertVerified requires one clean trace check per instrumented
+// repetition, in mode-list then repetition order.
+func assertVerified(t *testing.T, st *Study) {
+	t.Helper()
+	i := 0
+	for _, mode := range st.Opts.Modes {
+		for rep := 0; rep < st.Opts.Reps; rep++ {
+			if i >= len(st.TraceChecks) {
+				t.Fatalf("%d trace checks, want one per instrumented repetition", len(st.TraceChecks))
+			}
+			tc := st.TraceChecks[i]
+			if tc.Mode != mode || tc.Rep != rep {
+				t.Fatalf("trace check %d is %s rep %d, want %s rep %d", i, tc.Mode, tc.Rep, mode, rep)
+			}
+			if !tc.Report.OK() || tc.Report.Events == 0 {
+				t.Fatalf("%s rep %d: report %+v", mode, rep, tc.Report)
+			}
+			i++
+		}
+	}
+	if i != len(st.TraceChecks) {
+		t.Fatalf("%d trace checks, want %d", len(st.TraceChecks), i)
+	}
 }
 
 // Tentpole acceptance: the same study, run with 1, 2 and GOMAXPROCS
-// workers, is deep-equal including trace bytes and profile metrics.
+// workers, is deep-equal including trace bytes, profile metrics and the
+// trace verification reports the pool workers produce.
 func TestStudyIdenticalAcrossWorkerCounts(t *testing.T) {
 	spec := tinySpec()
 	opts := StudyOptions{
 		Reps: 2, BaseSeed: 3,
-		Modes: []core.Mode{core.ModeTSC, core.ModeLt1, core.ModeStmt, core.ModeHwctr},
+		Modes:        []core.Mode{core.ModeTSC, core.ModeLt1, core.ModeStmt, core.ModeHwctr},
+		VerifyTraces: true,
 	}
 	opts.Workers = 1
 	want, err := RunStudy(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertVerified(t, want)
 	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
 		opts.Workers = workers
 		got, err := RunStudy(spec, opts)
@@ -243,7 +275,7 @@ func TestDroppedOrderIsEnumerationOrder(t *testing.T) {
 	spec := tinySpec()
 	spec.App = func(r *measure.Rank) AppResult { panic("always fails") }
 	jobs := studyJobs(spec, (StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeLt1, core.ModeTSC}}).fill())
-	_, drops := runPool(jobs, 4, nil, poolHooks{})
+	_, drops := runPool(jobs, 4, nil, poolHooks{}, nil)
 	dropped := flattenDrops(drops)
 	if len(dropped) != len(jobs) {
 		t.Fatalf("%d drops for %d jobs", len(dropped), len(jobs))
@@ -266,11 +298,13 @@ func TestCacheHitMatchesFreshRun(t *testing.T) {
 	opts := StudyOptions{
 		Reps: 2, BaseSeed: 9,
 		Modes: []core.Mode{core.ModeTSC, core.ModeStmt}, Workers: 2, Cache: cache,
+		VerifyTraces: true,
 	}
 	cold, err := RunStudy(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertVerified(t, cold)
 	if hits, _ := cache.Stats(); hits != 0 {
 		t.Fatalf("cold study hit the cache %d times", hits)
 	}
@@ -292,6 +326,40 @@ func TestCacheHitMatchesFreshRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStudiesEqual(t, fresh, warm)
+}
+
+// A trace check names its job's repetition number, as a dropped-rep
+// record does: with rep 0 of the first mode dropped, the surviving
+// rep 1 is reported as rep 1, not renumbered to rep 0.
+func TestTraceCheckRepNamesJobRepetition(t *testing.T) {
+	spec := tinySpec()
+	app := spec.App
+	var measured atomic.Int32
+	spec.App = func(r *measure.Rank) AppResult {
+		// With one worker the jobs run in enumeration order: the first
+		// two instrumented jobs are lt_1 rep 0 and its retry.
+		if r.Measured() && r.Rank() == 0 && measured.Add(1) <= 2 {
+			panic("lt_1 rep 0 fails twice")
+		}
+		return app(r)
+	}
+	st, err := RunStudy(spec, StudyOptions{
+		Reps: 2, BaseSeed: 3, Workers: 1, VerifyTraces: true,
+		Modes: []core.Mode{core.ModeLt1, core.ModeStmt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Dropped) != 1 || st.Dropped[0].Mode != core.ModeLt1 || st.Dropped[0].Rep != 0 {
+		t.Fatalf("dropped = %+v, want lt_1 rep 0", st.Dropped)
+	}
+	var got []string
+	for _, tc := range st.TraceChecks {
+		got = append(got, fmt.Sprintf("%s/%d", tc.Mode, tc.Rep))
+	}
+	if want := []string{"lt_1/1", "lt_stmt/0", "lt_stmt/1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace checks %v, want %v", got, want)
+	}
 }
 
 // Filtered measurements cannot be content-addressed (a Filter is an

@@ -117,7 +117,7 @@ func RunPropagationStudy(spec Spec, opts PropagationOptions, plan faults.Plan) (
 	}
 	jobs := propagationJobs(spec, opts, plan)
 	opts.Progress.Start(len(jobs), spec.Name)
-	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress))
+	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress), nil)
 	opts.Progress.Finish()
 	st.Dropped = flattenDrops(drops)
 

@@ -209,10 +209,10 @@ type StudyOptions struct {
 	// results into it.
 	Cache *runcache.Cache
 	// VerifyTraces runs every completed repetition's trace through the
-	// invariant checker (internal/tracecheck) after the pool drains,
-	// recording one report per (mode, rep) in Study.TraceChecks — the
-	// opt-in hook ltverify uses to assert clock-condition compliance
-	// across a whole study grid.
+	// invariant checker (internal/tracecheck) on the pool worker that
+	// produced or served it, recording one report per (mode, rep) in
+	// Study.TraceChecks — the opt-in hook ltverify uses to assert
+	// clock-condition compliance across a whole study grid.
 	VerifyTraces bool
 	// Metrics, when non-nil, aggregates observe-only counters across the
 	// whole grid: pool accounting (jobs, retries, drops, cache traffic)
@@ -267,7 +267,9 @@ type Study struct {
 
 // TraceCheckResult is one repetition's trace-invariant verification.
 type TraceCheckResult struct {
-	Mode   core.Mode
+	Mode core.Mode
+	// Rep is the job's repetition number, as in DroppedRep; a dropped
+	// repetition leaves a gap rather than renumbering the rest.
 	Rep    int
 	Report *tracecheck.Report
 }
@@ -325,8 +327,12 @@ func RunStudy(spec Spec, opts StudyOptions) (*Study, error) {
 	opts = opts.fill()
 	st := &Study{Spec: spec, Opts: opts, Runs: make(map[core.Mode][]*RunResult)}
 	jobs := studyJobs(spec, opts)
+	var checks []*tracecheck.Report
+	if opts.VerifyTraces {
+		checks = make([]*tracecheck.Report, len(jobs))
+	}
 	opts.Progress.Start(len(jobs), spec.Name)
-	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress))
+	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress), checks)
 	opts.Progress.Finish()
 	st.Dropped = flattenDrops(drops)
 	for i, job := range jobs {
@@ -344,19 +350,11 @@ func RunStudy(spec Spec, opts StudyOptions) (*Study, error) {
 		return nil, fmt.Errorf("experiment %s: every repetition failed; first: %s",
 			spec.Name, st.Dropped[0].Err)
 	}
-	if opts.VerifyTraces {
-		// Deterministic order — modes as listed, repetitions in order —
-		// so verification output never depends on pool scheduling.
-		for _, mode := range opts.Modes {
-			for rep, res := range st.Runs[mode] {
-				if res.Trace == nil {
-					continue
-				}
-				st.TraceChecks = append(st.TraceChecks, TraceCheckResult{
-					Mode: mode, Rep: rep,
-					Report: tracecheck.Verify(res.Trace, tracecheck.Options{}),
-				})
-			}
+	// Slots follow the mode list, then repetition order, so the
+	// reports never depend on pool scheduling.
+	for i, rpt := range checks {
+		if rpt != nil {
+			st.TraceChecks = append(st.TraceChecks, TraceCheckResult{Mode: jobs[i].Mode, Rep: jobs[i].Rep, Report: rpt})
 		}
 	}
 	return st, nil

@@ -123,9 +123,8 @@ func StreamTrace(t *Trace) *Stream {
 const maxPresize = 1 << 16
 
 // Materialize reads the whole stream back into a *Trace.  It is the
-// bridge for analyses that genuinely need random access (vector-clock
-// audits, critical-path search); everything else should iterate
-// cursors.
+// bridge for analyses that genuinely need random access (critical-path
+// search); everything else should iterate cursors.
 func (s *Stream) Materialize() (*Trace, error) {
 	t := New(s.Clock)
 	for _, r := range s.Regions {

@@ -97,8 +97,7 @@ func withPath(path string, err error) error {
 
 // ReadFile reads a complete trace from a file.  It is Read plus
 // provenance: every failure names the file, so multi-file tools
-// (ltlint, lttrace) report the offending file without extra
-// bookkeeping.
+// (lttrace) report the offending file without extra bookkeeping.
 func ReadFile(path string) (*Trace, error) {
 	cf, err := OpenChunkFile(path)
 	if err != nil {

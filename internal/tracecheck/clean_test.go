@@ -2,6 +2,7 @@ package tracecheck_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -108,5 +109,39 @@ func TestCleanWithNoise(t *testing.T) {
 			r.Render(&sb, 10)
 			t.Fatalf("%s with noise: invariant violations:\n%s", mode, sb.String())
 		}
+	}
+}
+
+// TestVerifyAllocBudget bounds the verifier's heap traffic per trace
+// event on a real hybrid trace.  The vector-clock audit keeps a vector
+// only while a later event still needs it, and collective and barrier
+// instances keep their members rather than their all-to-all release
+// edges, so verification allocates in proportion to the
+// synchronisation skeleton; tabulating events x locations or expanding
+// every instance into pairwise edges costs several KiB per event and
+// fails here.
+func TestVerifyAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full quick simulation")
+	}
+	spec, err := experiment.SpecByName("TeaLeaf-2", experiment.Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiment.Run(spec, core.ModeStmt, 1, noise.Cluster(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := tracecheck.Verify(res.Trace, tracecheck.Options{})
+	runtime.ReadMemStats(&after)
+	if !r.OK() {
+		t.Fatalf("TeaLeaf-2 lt_stmt trace not clean: %v", r.Counts)
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Events)
+	t.Logf("%d events, %d edges, %d sampled pairs: %.0f B/event", r.Events, r.Edges, r.SampledPairs, perEvent)
+	if perEvent > 1024 {
+		t.Fatalf("Verify allocated %.0f B/event, budget 1024", perEvent)
 	}
 }

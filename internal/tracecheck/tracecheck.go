@@ -174,19 +174,22 @@ func (r *Report) Render(w io.Writer, limit int) {
 	}
 }
 
+// samplesPerLoc is the number of evenly spaced events sampled per
+// location for the transitive clock-condition audit.
+const samplesPerLoc = 4
+
+// maxFrontierCells bounds the vectors the audit's replay holds — one
+// running vector per location with events plus one per sampled event,
+// each of one cell per location — so that a trace claiming thousands of
+// near-empty locations cannot size a huge allocation.  Real traces stay
+// far below it: 256 locations need 327,680 cells.
+const maxFrontierCells = 50 << 20
+
 // Options tunes a verification run.  The zero value is the default.
 type Options struct {
 	// MaxPerKind caps the violations recorded per kind; the totals in
 	// Report.Counts keep counting past it.  0 means 100.
 	MaxPerKind int
-	// MaxVectorCells bounds the vector-clock audit: when events ×
-	// locations exceeds it the transitive sampling pass is skipped
-	// (edge-wise and monotonicity checks still imply the clock
-	// condition).  0 means 50 million cells.
-	MaxVectorCells int
-	// SamplesPerLoc is the number of evenly spaced events sampled per
-	// location for the transitive clock-condition audit.  0 means 4.
-	SamplesPerLoc int
 	// Partial verifies a still-growing prefix of a trace (the sealed
 	// view of a live tail, trace.Follow): only prefix-closed invariants
 	// are checked, so a clean run never reports violations mid-stream
@@ -207,12 +210,6 @@ func (o Options) fill() Options {
 	if o.MaxPerKind == 0 {
 		o.MaxPerKind = 100
 	}
-	if o.MaxVectorCells == 0 {
-		o.MaxVectorCells = 50 << 20
-	}
-	if o.SamplesPerLoc == 0 {
-		o.SamplesPerLoc = 4
-	}
 	return o
 }
 
@@ -224,29 +221,23 @@ func Logical(clock string) bool { return strings.HasPrefix(clock, "lt_") }
 // report.  It never fails: structural problems (unmatched receives,
 // broken nesting, causality cycles) become violations, so a partially
 // corrupted trace still yields a maximally informative report.  Verify
-// is VerifyStream over the in-memory trace — both paths run the same
-// single-pass checker, so their reports are identical.
+// is VerifyStream over the in-memory trace, so their reports are
+// identical.
 func Verify(tr *trace.Trace, opt Options) *Report {
-	return verify(trace.StreamTrace(tr), tr, opt)
+	return VerifyStream(trace.StreamTrace(tr), opt)
 }
 
 // VerifyStream runs the invariant checks against a trace stream.  The
 // per-location pass consumes one cursor at a time and keeps only the
 // synchronisation skeleton (sends, receives, collective/barrier/fork
-// records and the reconstructed edges) in memory, so verifying a
-// chunked on-disk trace is bounded by its communication volume, not its
-// event count.  The vector-clock audit still materializes the trace,
-// but only below Options.MaxVectorCells — exactly the regime where the
-// materialized trace fits comfortably.
+// records, the reconstructed edges and the sampled events) in memory,
+// and the vector-clock audit replays that skeleton alone, so verifying
+// a chunked on-disk trace is bounded by its communication volume, not
+// its event count.
 func VerifyStream(st *trace.Stream, opt Options) *Report {
-	return verify(st, nil, opt)
-}
-
-func verify(st *trace.Stream, mat *trace.Trace, opt Options) *Report {
 	opt = opt.fill()
 	c := &checker{
 		st:  st,
-		mat: mat,
 		opt: opt,
 		rep: &Report{
 			Clock:   st.Clock,
@@ -261,7 +252,6 @@ func verify(st *trace.Stream, mat *trace.Trace, opt Options) *Report {
 	c.checkCollectives()
 	c.checkBarriers()
 	c.checkForkJoin()
-	c.rep.Edges = len(c.edges)
 	c.checkEdges()
 	c.vectorAudit()
 	sort.SliceStable(c.rep.Violations, func(i, j int) bool {
@@ -294,16 +284,21 @@ type exitRef struct {
 	provisional bool
 }
 
-// collPart is one location's participation in a collective, barrier,
-// fork or join instance, with every event attribute the later passes
-// need captured as the scan streamed past it.
+// collPart is one location's participation in a collective or barrier
+// instance, with every event attribute the later passes need captured
+// as the scan streamed past it.
 type collPart struct {
-	pos      EventPos // the Coll/Barrier/Fork/Join record itself
+	pos      EventPos // the Coll/Barrier record itself
 	enterPos EventPos // enclosing Enter (edge source for collectives)
 	exit     *exitRef // exit closing the enclosing region (edge target)
 	name     string   // operation (enclosing region) name
-	seq      int32    // Fork/Join sequence number
 	team     int32    // Barrier team size
+}
+
+// forkRec is one Fork or Join record with its sequence number.
+type forkRec struct {
+	seq int32
+	pos EventPos
 }
 
 type recvRec struct {
@@ -323,13 +318,13 @@ type collSeqRec struct {
 // fork/join worker-cursor reconstruction used on the whole trace.
 type segment struct{ start, end EventPos }
 
-// edgeRec is a reconstructed synchronisation edge with both endpoint
-// positions (and thus timestamps) captured.
-type edgeRec struct{ from, to EventPos }
+// edgeRec is a reconstructed synchronisation edge.  Its endpoints point
+// at positions (and thus timestamps) the scan captured, which stay put
+// once the scan is done.
+type edgeRec struct{ from, to *EventPos }
 
 type checker struct {
 	st  *trace.Stream
-	mat *trace.Trace // set when the caller already holds the trace
 	opt Options
 	rep *Report
 
@@ -337,12 +332,20 @@ type checker struct {
 	recvs    []recvRec               // global stream order (locations ascending)
 	colls    map[[2]int32][]collPart // (comm, seq)
 	bars     map[[2]int32][]collPart // (rank, seq)
-	forks    map[int32][]collPart    // rank -> forks in stream order
-	joins    map[int32][]collPart    // rank -> joins in stream order
+	forks    map[int32][]forkRec     // rank -> forks in stream order
+	joins    map[int32][]forkRec     // rank -> joins in stream order
 	collSeqs [][]collSeqRec          // per location, stream order
 	segs     [][]segment             // per worker location
+	samples  [][]EventPos            // per location, the audit's sampled events
 
-	edges []edgeRec
+	// The reconstructed synchronisation edges, in enumeration order:
+	// messages, collective instances by (comm, seq), barrier instances
+	// by (rank, seq), then fork/join.  An instance keeps its members;
+	// its all-to-all release edges are enumerated on demand.
+	msgEdges []edgeRec
+	collInst [][]collPart
+	barInst  [][]collPart
+	fjEdges  []edgeRec
 }
 
 // violate records a violation, honouring the per-kind cap.
@@ -371,10 +374,12 @@ func (c *checker) scan() {
 	c.sends = make(map[chanKey][]EventPos)
 	c.colls = make(map[[2]int32][]collPart)
 	c.bars = make(map[[2]int32][]collPart)
-	c.forks = make(map[int32][]collPart)
-	c.joins = make(map[int32][]collPart)
+	c.forks = make(map[int32][]forkRec)
+	c.joins = make(map[int32][]forkRec)
 	c.collSeqs = make([][]collSeqRec, nloc)
 	c.segs = make([][]segment, nloc)
+	c.samples = make([][]EventPos, nloc)
+	audit := c.rep.Logical && !c.opt.Partial
 
 	var stack []scanFrame
 	var pending [][]*exitRef // by stack depth at attach time
@@ -404,6 +409,10 @@ func (c *checker) scan() {
 		segOpen := false
 		var segStart EventPos
 
+		var sampleAt []int
+		if audit {
+			sampleAt = sampleIndices(l.Events)
+		}
 		cur := c.st.Cursor(li)
 		ei := 0
 		for e, ok := cur.Next(); ok; e, ok = cur.Next() {
@@ -415,6 +424,10 @@ func (c *checker) scan() {
 				if reg := stack[n-1].region; reg >= 0 && int(reg) < len(c.st.Regions) {
 					p.Region = c.st.Regions[reg].Name
 				}
+			}
+			if len(sampleAt) > 0 && sampleAt[0] == ei {
+				c.samples[li] = append(c.samples[li], p)
+				sampleAt = sampleAt[1:]
 			}
 			if havePrev {
 				if c.rep.Logical && e.Time <= prev.Time {
@@ -470,19 +483,24 @@ func (c *checker) scan() {
 				}
 				er := &exitRef{}
 				attach(er)
-				c.bars[[2]int32{int32(l.Rank), e.B}] = append(c.bars[[2]int32{int32(l.Rank), e.B}], collPart{
+				key := [2]int32{int32(l.Rank), e.B}
+				parts := c.bars[key]
+				if parts == nil {
+					parts = make([]collPart, 0, min(max(int(e.A), 1), nloc)) // the team size
+				}
+				c.bars[key] = append(parts, collPart{
 					pos: p, enterPos: p, exit: er, name: p.Region, team: e.A,
 				})
 			case trace.EvFork:
 				if l.Thread != 0 {
 					c.violate(KindForkJoin, p, nil, "fork recorded on worker thread")
 				}
-				c.forks[int32(l.Rank)] = append(c.forks[int32(l.Rank)], collPart{pos: p, seq: e.B})
+				c.forks[int32(l.Rank)] = append(c.forks[int32(l.Rank)], forkRec{seq: e.B, pos: p})
 			case trace.EvJoin:
 				if l.Thread != 0 {
 					c.violate(KindForkJoin, p, nil, "join recorded on worker thread")
 				}
-				c.joins[int32(l.Rank)] = append(c.joins[int32(l.Rank)], collPart{pos: p, seq: e.B})
+				c.joins[int32(l.Rank)] = append(c.joins[int32(l.Rank)], forkRec{seq: e.B, pos: p})
 			}
 
 			if worker {
@@ -536,7 +554,8 @@ func (c *checker) matchMessages() {
 	for k, v := range c.sends {
 		pending[k] = v
 	}
-	for _, r := range c.recvs {
+	for i := range c.recvs {
+		r := &c.recvs[i]
 		q := pending[r.key]
 		if len(q) == 0 {
 			// On a prefix, the sender's location may simply be sealed
@@ -547,7 +566,7 @@ func (c *checker) matchMessages() {
 			}
 			continue
 		}
-		c.edges = append(c.edges, edgeRec{from: q[0], to: r.pos})
+		c.msgEdges = append(c.msgEdges, edgeRec{from: &q[0], to: &r.pos})
 		pending[r.key] = q[1:]
 	}
 	keys := make([]chanKey, 0, len(pending))
@@ -579,7 +598,7 @@ func (c *checker) matchMessages() {
 
 // checkCollectives verifies per-location sequence ordering, full and
 // exactly-once participation, and operation-name agreement for every
-// collective instance, then emits the all-to-all release edges.
+// collective instance, then records the instance for its release edges.
 func (c *checker) checkCollectives() {
 	keys := sortedKeys2(c.colls)
 	// Communicator membership: every location that ever participates.
@@ -651,7 +670,7 @@ func (c *checker) checkCollectives() {
 					p.name, first.name, comm, seq)
 			}
 		}
-		c.allToAll(parts)
+		c.collInst = append(c.collInst, parts)
 	}
 }
 
@@ -667,26 +686,27 @@ func (c *checker) findColl(li int, comm, seq int32) EventPos {
 	return EventPos{Loc: li, Rank: l.Rank, Thread: l.Thread}
 }
 
-// allToAll emits the release edges of one collective or barrier
-// instance: every participant's exit happens after every participant's
-// contribution.
-func (c *checker) allToAll(parts []collPart) {
-	for _, a := range parts {
-		for _, b := range parts {
+// releaseEdges enumerates the release edges of one collective or
+// barrier instance: every participant's exit happens after every other
+// location's contribution.
+func (c *checker) releaseEdges(parts []collPart, fn func(from, to *EventPos)) {
+	for i := range parts {
+		for j := range parts {
+			a, b := &parts[i], &parts[j]
 			if a.pos.Loc == b.pos.Loc {
 				continue
 			}
 			if c.opt.Partial && b.exit.provisional {
 				continue // the releasing Exit is not on disk yet
 			}
-			c.edges = append(c.edges, edgeRec{from: a.enterPos, to: b.exit.pos})
+			fn(&a.enterPos, &b.exit.pos)
 		}
 	}
 }
 
 // checkBarriers verifies that each OpenMP barrier instance is reached by
 // the full team (the per-thread sequence order was checked in-stream by
-// the scan), then emits its edges.
+// the scan), then records the instance for its release edges.
 func (c *checker) checkBarriers() {
 	teamSize := make(map[int32]int) // rank -> location count
 	for i := 0; i < c.st.NumLocs(); i++ {
@@ -710,7 +730,7 @@ func (c *checker) checkBarriers() {
 			c.violate(KindBarrier, parts[0].pos, nil,
 				"%d of %d threads reached barrier seq %d on rank %d", len(parts), want, seq, rank)
 		}
-		c.allToAll(parts)
+		c.barInst = append(c.barInst, parts)
 	}
 }
 
@@ -733,7 +753,13 @@ func (c *checker) checkForkJoin() {
 	}
 	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
 
-	segIdx := make(map[int]int)
+	workers := make(map[int32][]int) // rank -> worker locations
+	for li := 0; li < c.st.NumLocs(); li++ {
+		if l := c.st.Loc(li); l.Thread != 0 {
+			workers[int32(l.Rank)] = append(workers[int32(l.Rank)], li)
+		}
+	}
+	segIdx := make([]int, c.st.NumLocs())
 	for _, rank := range ranks {
 		forks, joins := c.forks[rank], c.joins[rank]
 		// Alternation and sequence checks on the master stream.
@@ -767,26 +793,17 @@ func (c *checker) checkForkJoin() {
 			}
 		}
 		// Edges, processing forks in sequence order.
-		for i, f := range forks {
-			for li := 0; li < c.st.NumLocs(); li++ {
-				l := c.st.Loc(li)
-				if int32(l.Rank) != rank || l.Thread == 0 {
-					continue
-				}
+		for i := range forks {
+			for _, li := range workers[rank] {
 				if segIdx[li] < len(c.segs[li]) {
-					c.edges = append(c.edges, edgeRec{from: f.pos, to: c.segs[li][segIdx[li]].start})
+					c.fjEdges = append(c.fjEdges, edgeRec{from: &forks[i].pos, to: &c.segs[li][segIdx[li]].start})
 					segIdx[li]++
 				}
 			}
 			if i < len(joins) {
-				j := joins[i]
-				for li := 0; li < c.st.NumLocs(); li++ {
-					l := c.st.Loc(li)
-					if int32(l.Rank) != rank || l.Thread == 0 {
-						continue
-					}
+				for _, li := range workers[rank] {
 					if n := segIdx[li]; n > 0 {
-						c.edges = append(c.edges, edgeRec{from: c.segs[li][n-1].end, to: j.pos})
+						c.fjEdges = append(c.fjEdges, edgeRec{from: &c.segs[li][n-1].end, to: &joins[i].pos})
 					}
 				}
 			}
@@ -794,60 +811,104 @@ func (c *checker) checkForkJoin() {
 	}
 }
 
-// checkEdges verifies the Lamport clock condition (and the piggyback
-// gain) on every reconstructed synchronisation edge of a logical trace.
+// checkEdges counts the reconstructed synchronisation edges and, on a
+// logical trace, verifies the Lamport clock condition (and the piggyback
+// gain) on every one of them, in the order that decides which
+// violations are recorded: messages, collective instances, barrier
+// instances, fork/join.
 func (c *checker) checkEdges() {
-	if !c.rep.Logical {
-		return
-	}
-	for _, e := range c.edges {
-		from, to := e.from.Time, e.to.Time
-		switch {
-		case to <= from:
-			fp := e.from
-			c.violate(KindClockCondition, e.to, &fp,
-				"edge target stamp %d does not exceed source stamp %d", to, from)
-		case to == from+1:
-			fp := e.from
-			c.violate(KindPiggyback, e.to, &fp,
-				"synchronisation gained only one tick (%d -> %d); piggyback apparently not folded in", from, to)
+	check := func(from, to *EventPos) {
+		c.rep.Edges++
+		if !c.rep.Logical {
+			return
 		}
+		switch {
+		case to.Time <= from.Time:
+			fp := *from
+			c.violate(KindClockCondition, *to, &fp,
+				"edge target stamp %d does not exceed source stamp %d", to.Time, from.Time)
+		case to.Time == from.Time+1:
+			fp := *from
+			c.violate(KindPiggyback, *to, &fp,
+				"synchronisation gained only one tick (%d -> %d); piggyback apparently not folded in", from.Time, to.Time)
+		}
+	}
+	for _, e := range c.msgEdges {
+		check(e.from, e.to)
+	}
+	for _, parts := range c.collInst {
+		c.releaseEdges(parts, check)
+	}
+	for _, parts := range c.barInst {
+		c.releaseEdges(parts, check)
+	}
+	for _, e := range c.fjEdges {
+		check(e.from, e.to)
 	}
 }
 
-// vectorAudit computes full vector clocks from the reconstructed edges
-// and checks the clock condition transitively on sampled event pairs —
-// the belt-and-braces pass that would catch an edge set too weak to
-// imply the full happens-before relation.  It is the one pass that
-// needs the whole trace; below MaxVectorCells it materializes the
-// stream (Verify hands the trace over directly, costing nothing).
+// sampleIndices returns the audit's evenly spaced sample positions on a
+// location of n events.
+func sampleIndices(n int) []int {
+	k := min(samplesPerLoc, n)
+	step := max(k-1, 1)
+	out := make([]int, k)
+	for i := range out {
+		out[i] = i * (n - 1) / step
+	}
+	return out
+}
+
+func ref(p *EventPos) vclock.EventRef { return vclock.EventRef{Loc: p.Loc, Index: p.Index} }
+
+// vectorAudit replays the synchronisation skeleton through vector
+// clocks (which also exposes causality cycles) and checks the clock
+// condition transitively on sampled event pairs — the belt-and-braces
+// pass that would catch an edge set too weak to imply the full
+// happens-before relation.  The replay visits only the skeleton and
+// keeps only the sampled events' vectors, so the audit never needs the
+// trace itself; the scan captured the samples' positions.
 func (c *checker) vectorAudit() {
 	if c.opt.Partial {
 		return // the transitive audit needs the complete trace
 	}
-	if c.rep.Events*c.st.NumLocs() > c.opt.MaxVectorCells {
+	if len(c.rep.ReadErrors) > 0 {
+		return // the damaged stream's skeleton is incomplete
+	}
+	counts := make([]int, c.st.NumLocs())
+	vectors := 0
+	for li := range counts {
+		counts[li] = c.st.Loc(li).Events
+		if counts[li] > 0 {
+			vectors += 1 + len(c.samples[li])
+		}
+	}
+	if vectors*len(counts) > maxFrontierCells {
 		return
 	}
-	tr := c.mat
-	if tr == nil {
-		if len(c.rep.ReadErrors) > 0 {
-			return // the damaged stream cannot materialize either
-		}
-		var err error
-		tr, err = c.st.Materialize()
-		if err != nil {
-			c.rep.ReadErrors = append(c.rep.ReadErrors, fmt.Sprintf("vector audit: %v", err))
-			return
+	edges := make([]vclock.Edge, 0, len(c.msgEdges)+len(c.fjEdges))
+	for _, es := range [][]edgeRec{c.msgEdges, c.fjEdges} {
+		for _, e := range es {
+			edges = append(edges, vclock.Edge{From: ref(e.from), To: ref(e.to)})
 		}
 	}
-	edges := make([]vclock.Edge, len(c.edges))
-	for i, e := range c.edges {
-		edges[i] = vclock.Edge{
-			From: vclock.EventRef{Loc: e.from.Loc, Index: e.from.Index},
-			To:   vclock.EventRef{Loc: e.to.Loc, Index: e.to.Index},
+	groups := make([][]vclock.Member, 0, len(c.collInst)+len(c.barInst))
+	for _, insts := range [][][]collPart{c.collInst, c.barInst} {
+		for _, parts := range insts {
+			g := make([]vclock.Member, len(parts))
+			for i := range parts {
+				g[i] = vclock.Member{Enter: ref(&parts[i].enterPos), Exit: ref(&parts[i].exit.pos)}
+			}
+			groups = append(groups, g)
 		}
 	}
-	clocks, err := vclock.ComputeFromEdges(tr, edges)
+	var keep []vclock.EventRef
+	for _, ps := range c.samples {
+		for i := range ps {
+			keep = append(keep, ref(&ps[i]))
+		}
+	}
+	clocks, err := vclock.ComputeFromEdges(counts, edges, groups, keep)
 	if err != nil {
 		c.violate(KindCycle, EventPos{Loc: -1, Index: -1}, nil,
 			"vector-clock replay failed: %v", err)
@@ -856,89 +917,24 @@ func (c *checker) vectorAudit() {
 	if !c.rep.Logical {
 		return
 	}
-	ctx := regionContexts(tr)
-	samples := make([][]int, len(tr.Locs))
-	for li, l := range tr.Locs {
-		n := len(l.Events)
-		if n == 0 {
-			continue
-		}
-		k := c.opt.SamplesPerLoc
-		if k > n {
-			k = n
-		}
-		step := 1
-		if k > 1 {
-			step = k - 1
-		}
-		for i := 0; i < k; i++ {
-			samples[li] = append(samples[li], i*(n-1)/step)
-		}
-	}
-	for la := range tr.Locs {
-		for lb := range tr.Locs {
+	for la, as := range c.samples {
+		for lb, bs := range c.samples {
 			if la == lb {
 				continue
 			}
-			for _, ia := range samples[la] {
-				for _, ib := range samples[lb] {
-					a := vclock.EventRef{Loc: la, Index: ia}
-					b := vclock.EventRef{Loc: lb, Index: ib}
+			for i := range as {
+				for j := range bs {
+					a, b := &as[i], &bs[j]
 					c.rep.SampledPairs++
-					if clocks.HappensBefore(a, b) {
-						ta := tr.Locs[la].Events[ia].Time
-						tb := tr.Locs[lb].Events[ib].Time
-						if ta >= tb {
-							pb := posIn(tr, ctx, la, ia)
-							c.violate(KindClockCondition, posIn(tr, ctx, lb, ib), &pb,
-								"transitively ordered pair has stamps %d -> %d", ta, tb)
-						}
+					if a.Time >= b.Time && clocks.HappensBefore(ref(a), ref(b)) {
+						pa := *a
+						c.violate(KindClockCondition, *b, &pa,
+							"transitively ordered pair has stamps %d -> %d", a.Time, b.Time)
 					}
 				}
 			}
 		}
 	}
-}
-
-// regionContexts rebuilds the innermost-enclosing-region map of a
-// materialized trace (the audit needs positions of arbitrary sampled
-// events; everything else captured positions during the scan).
-func regionContexts(tr *trace.Trace) [][]trace.RegionID {
-	out := make([][]trace.RegionID, len(tr.Locs))
-	for li, l := range tr.Locs {
-		out[li] = make([]trace.RegionID, len(l.Events))
-		var stack []int
-		for ei, e := range l.Events {
-			if len(stack) > 0 {
-				out[li][ei] = l.Events[stack[len(stack)-1]].Region
-			} else {
-				out[li][ei] = -1
-			}
-			switch e.Kind {
-			case trace.EvEnter:
-				stack = append(stack, ei)
-			case trace.EvExit:
-				if len(stack) > 0 {
-					stack = stack[:len(stack)-1]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// posIn builds the EventPos of one record of a materialized trace.
-func posIn(tr *trace.Trace, ctx [][]trace.RegionID, loc, idx int) EventPos {
-	l := tr.Locs[loc]
-	e := l.Events[idx]
-	p := EventPos{
-		Loc: loc, Index: idx, Rank: l.Rank, Thread: l.Thread,
-		Kind: e.Kind.String(), Time: e.Time,
-	}
-	if reg := ctx[loc][idx]; reg >= 0 && int(reg) < len(tr.Regions) {
-		p.Region = tr.Regions[reg].Name
-	}
-	return p
 }
 
 func sortedKeys2(m map[[2]int32][]collPart) [][2]int32 {

@@ -2,6 +2,7 @@ package tracecheck
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -384,5 +385,104 @@ func TestRenderSummary(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "OK") || !strings.Contains(out, "lt_stmt") {
 		t.Fatalf("render output missing summary: %q", out)
+	}
+}
+
+// barrierTailTrace is a master and a worker meeting at one barrier, the
+// worker's BARRIER record being its last event: the release edge into
+// the worker has no closing Exit and falls back to the record itself,
+// so that member's entry does not precede its exit.  The worker's
+// barrier stamp equals the master's, one clock-condition breach on the
+// edge and one on the transitively sampled pair.
+func barrierTailTrace() *trace.Trace {
+	b := newBuilder("lt_bb")
+	m := b.loc(0, 0)
+	w := b.loc(0, 1)
+	b.ev(m, trace.EvEnter, 1, "main", trace.RoleUser, 0, 0, 0)
+	b.ev(m, trace.EvEnter, 2, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	b.ev(m, trace.EvBarrier, 3, "!$omp ibarrier", trace.RoleOmpBarrier, 2, 0, 0)
+	b.ev(m, trace.EvExit, 9, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	b.ev(m, trace.EvExit, 10, "main", trace.RoleUser, 0, 0, 0)
+	b.ev(w, trace.EvEnter, 1, "main", trace.RoleUser, 0, 0, 0)
+	b.ev(w, trace.EvEnter, 2, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	b.ev(w, trace.EvBarrier, 3, "!$omp ibarrier", trace.RoleOmpBarrier, 2, 0, 0)
+	return b.tr
+}
+
+// doubleBarrierTrace is a master and a worker where the worker reaches
+// barrier seq 0 twice, so one instance has two members on the same
+// location; the second visit's stamp runs past the master's release.
+func doubleBarrierTrace() *trace.Trace {
+	b := newBuilder("lt_bb")
+	m := b.loc(0, 0)
+	w := b.loc(0, 1)
+	b.ev(m, trace.EvEnter, 1, "main", trace.RoleUser, 0, 0, 0)
+	b.ev(m, trace.EvEnter, 2, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	b.ev(m, trace.EvBarrier, 3, "!$omp ibarrier", trace.RoleOmpBarrier, 2, 0, 0)
+	b.ev(m, trace.EvExit, 9, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	b.ev(m, trace.EvExit, 20, "main", trace.RoleUser, 0, 0, 0)
+	b.ev(w, trace.EvEnter, 1, "main", trace.RoleUser, 0, 0, 0)
+	b.ev(w, trace.EvEnter, 2, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	b.ev(w, trace.EvBarrier, 5, "!$omp ibarrier", trace.RoleOmpBarrier, 2, 0, 0)
+	b.ev(w, trace.EvExit, 10, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	b.ev(w, trace.EvEnter, 11, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	b.ev(w, trace.EvBarrier, 12, "!$omp ibarrier", trace.RoleOmpBarrier, 2, 0, 0)
+	b.ev(w, trace.EvExit, 13, "!$omp ibarrier", trace.RoleOmpBarrier, 0, 0, 0)
+	return b.tr
+}
+
+// TestDegenerateBarrierGroups pins the exact reports on two barrier
+// instances whose release edges cannot be replayed through one shared
+// vector: a member whose entry does not precede its exit, and two
+// members on the same location.  Both paths must report exactly what
+// the pairwise release edges imply.
+func TestDegenerateBarrierGroups(t *testing.T) {
+	cases := []struct {
+		name string
+		tr   *trace.Trace
+		want string
+	}{
+		{"barrier-is-last-event", barrierTailTrace(), `{"clock":"lt_bb","logical":true,"locations":2,"events":8,"edges":2,"sampled_pairs":24,"counts":{"clock-condition":2,"unbalanced-region":1},"violations":[{"kind":"clock-condition","event":{"loc":1,"index":2,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"peer":{"loc":0,"index":2,"rank":0,"thread":0,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"detail":"edge target stamp 3 does not exceed source stamp 3"},{"kind":"clock-condition","event":{"loc":1,"index":2,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"peer":{"loc":0,"index":2,"rank":0,"thread":0,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"detail":"transitively ordered pair has stamps 3 -\u003e 3"},{"kind":"unbalanced-region","event":{"loc":1,"index":1,"rank":0,"thread":1,"kind":"ENTER","region":"main","time":2},"detail":"2 region(s) never exited before end of stream"}]}`},
+		{"barrier-seq-reached-twice", doubleBarrierTrace(), `{"clock":"lt_bb","logical":true,"locations":2,"events":12,"edges":4,"sampled_pairs":32,"counts":{"barrier-mismatch":2,"clock-condition":1,"unbalanced-region":1},"violations":[{"kind":"barrier-mismatch","event":{"loc":0,"index":2,"rank":0,"thread":0,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"detail":"3 of 2 threads reached barrier seq 0 on rank 0"},{"kind":"barrier-mismatch","event":{"loc":1,"index":5,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":12},"detail":"barrier seq 0 observed where seq 1 was expected"},{"kind":"clock-condition","event":{"loc":0,"index":3,"rank":0,"thread":0,"kind":"EXIT","region":"!$omp ibarrier","time":9},"peer":{"loc":1,"index":5,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":12},"detail":"edge target stamp 9 does not exceed source stamp 12"},{"kind":"unbalanced-region","event":{"loc":1,"index":0,"rank":0,"thread":1,"kind":"ENTER","time":1},"detail":"1 region(s) never exited before end of stream"}]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for path, r := range map[string]*Report{
+				"Verify":       Verify(tc.tr, Options{}),
+				"VerifyStream": VerifyStream(chunkStream(t, tc.tr), Options{}),
+			} {
+				got, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != tc.want {
+					t.Errorf("%s report:\n got  %s\n want %s", path, got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestAuditSkipsAbsurdLocationCounts feeds a trace of thousands of
+// two-event locations, whose audit would hold three vectors of one cell
+// per location for every location: the audit must be skipped (no
+// sampled pairs) rather than size that allocation.
+func TestAuditSkipsAbsurdLocationCounts(t *testing.T) {
+	b := newBuilder("lt_1")
+	const locs = 4200 // 3 × locs² cells, just above maxFrontierCells
+	for i := 0; i < locs; i++ {
+		l := b.loc(i, 0)
+		b.ev(l, trace.EvEnter, 1, "main", trace.RoleUser, 0, 0, 0)
+		b.ev(l, trace.EvExit, 2, "main", trace.RoleUser, 0, 0, 0)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := Verify(b.tr, Options{})
+	runtime.ReadMemStats(&after)
+	if !r.OK() || r.SampledPairs != 0 {
+		t.Fatalf("report %v, %d sampled pairs; want a clean report with the audit skipped", r.Counts, r.SampledPairs)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("Verify allocated %d bytes", alloc)
 	}
 }

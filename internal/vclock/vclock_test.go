@@ -1,6 +1,10 @@
 package vclock
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -61,13 +65,14 @@ func TestHappensBeforeAcrossMessage(t *testing.T) {
 }
 
 func TestVectorComponentsMonotone(t *testing.T) {
-	c, err := Compute(handTrace())
+	tr := handTrace()
+	c, err := Compute(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for li := range c.vecs {
-		for ei := 1; ei < len(c.vecs[li]); ei++ {
-			prev, cur := c.vecs[li][ei-1], c.vecs[li][ei]
+	for li, l := range tr.Locs {
+		for ei := 1; ei < len(l.Events); ei++ {
+			prev, cur := c.Vector(EventRef{li, ei - 1}), c.Vector(EventRef{li, ei})
 			for i := range prev {
 				if cur[i] < prev[i] {
 					t.Fatalf("loc %d event %d: vector went backwards", li, ei)
@@ -197,5 +202,186 @@ func TestTscWithSkewedClocksViolatesCondition(t *testing.T) {
 	}
 	if len(v) == 0 {
 		t.Fatal("expected clock-condition violations with 5 ms clock offsets")
+	}
+}
+
+// referenceClocks is the textbook replay the frontier engine must agree
+// with: every event gets a full vector, computed by repeatedly advancing
+// each location past events whose incoming edges are satisfied.  It
+// returns the vectors and the number of events left unreachable.
+func referenceClocks(counts []int, edges []Edge) ([][][]uint32, int) {
+	incoming := make(map[EventRef][]EventRef)
+	for _, e := range edges {
+		incoming[e.To] = append(incoming[e.To], e.From)
+	}
+	n := len(counts)
+	vecs := make([][][]uint32, n)
+	remaining := 0
+	for l, c := range counts {
+		vecs[l] = make([][]uint32, c)
+		remaining += c
+	}
+	done := make([]int, n)
+	for progressed := true; progressed; {
+		progressed = false
+		for l := range counts {
+		next:
+			for done[l] < counts[l] {
+				ref := EventRef{l, done[l]}
+				for _, dep := range incoming[ref] {
+					if done[dep.Loc] <= dep.Index {
+						break next
+					}
+				}
+				vec := make([]uint32, n)
+				if done[l] > 0 {
+					copy(vec, vecs[l][done[l]-1])
+				}
+				vec[l]++
+				for _, dep := range incoming[ref] {
+					maxInto(vec, vecs[dep.Loc][dep.Index])
+				}
+				vecs[l][done[l]] = vec
+				done[l]++
+				remaining--
+				progressed = true
+			}
+		}
+	}
+	return vecs, remaining
+}
+
+// TestReplayMatchesReference drives the frontier replay with random
+// skeletons — message edges, collective groups (hub-safe and not:
+// repeated locations, members whose entry does not precede their exit),
+// cycles and edges from events past a location's end — and requires
+// exactly the reference's vectors, or the reference's stuck count, with
+// each group expanded into its pairwise release edges for the reference.
+func TestReplayMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	hubs, degenerate, cycles := 0, 0, 0
+	for iter := 0; iter < 2000; iter++ {
+		n := 2 + rng.Intn(5)
+		counts := make([]int, n)
+		for l := range counts {
+			counts[l] = 1 + rng.Intn(12)
+		}
+		ev := func(l int) EventRef { return EventRef{l, rng.Intn(counts[l] + 1)} } // may lie past the end
+		var edges []Edge
+		for i := rng.Intn(6); i > 0; i-- {
+			a, b := rng.Intn(n), rng.Intn(n)
+			edges = append(edges, Edge{From: ev(a), To: ev(b)})
+		}
+		var groups [][]Member
+		safe := 0
+		pairs := append([]Edge(nil), edges...)
+		for i := rng.Intn(4); i > 0; i-- {
+			var g []Member
+			for _, l := range rng.Perm(n)[:1+rng.Intn(n)] {
+				if rng.Intn(8) == 0 {
+					l = rng.Intn(n) // occasionally a second member on one location
+				}
+				enter := rng.Intn(counts[l])
+				exit := enter + rng.Intn(counts[l]-enter)
+				if rng.Intn(6) > 0 && exit+1 < counts[l] {
+					exit++
+				}
+				g = append(g, Member{Enter: EventRef{l, enter}, Exit: EventRef{l, exit}})
+			}
+			if hubSafe(g, make([]int, n), 1) {
+				safe++
+			}
+			for _, a := range g {
+				for _, b := range g {
+					if a.Enter.Loc != b.Exit.Loc {
+						pairs = append(pairs, Edge{From: a.Enter, To: b.Exit})
+					}
+				}
+			}
+			groups = append(groups, g)
+		}
+		// The reference drops edges into events past the end, like the
+		// replay; edges out of them stay and block their targets.
+		var refEdges []Edge
+		for _, e := range pairs {
+			if e.To.Index < counts[e.To.Loc] {
+				refEdges = append(refEdges, e)
+			}
+		}
+		want, stuck := referenceClocks(counts, refEdges)
+		var all []EventRef
+		for l, c := range counts {
+			for i := 0; i < c; i++ {
+				all = append(all, EventRef{l, i})
+			}
+		}
+		c, err := ComputeFromEdges(counts, edges, groups, all)
+		if stuck > 0 {
+			cycles++
+			wantErr := fmt.Sprintf("(%d events stuck)", stuck)
+			if err == nil || !strings.Contains(err.Error(), wantErr) {
+				t.Fatalf("iter %d: err %v, want %s", iter, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		hubs += safe
+		degenerate += len(groups) - safe
+		for l := range counts {
+			for i := 0; i < counts[l]; i++ {
+				if got := c.Vector(EventRef{l, i}); !slices.Equal(got, want[l][i]) {
+					t.Fatalf("iter %d: loc %d event %d: vector %v, want %v\ncounts %v\nedges %v\ngroups %v",
+						iter, l, i, got, want[l][i], counts, edges, groups)
+				}
+			}
+		}
+	}
+	t.Logf("completed replays: %d hub-safe groups, %d degenerate; %d stuck skeletons", hubs, degenerate, cycles)
+	if hubs == 0 || degenerate == 0 || cycles == 0 {
+		t.Fatal("generator missed a case")
+	}
+}
+
+// TestHappensBeforeMatchesComponentwise checks the frontier
+// happens-before test against the component-wise vector order on every
+// event pair of a measured trace.
+func TestHappensBeforeMatchesComponentwise(t *testing.T) {
+	tr := measuredTrace(t, core.ModeLt1, noise.Params{})
+	c, err := Compute(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	less := func(va, vb []uint32) bool {
+		strict := false
+		for i := range va {
+			if va[i] > vb[i] {
+				return false
+			}
+			strict = strict || va[i] < vb[i]
+		}
+		return strict
+	}
+	ordered, pairs := 0, 0
+	for la, a := range tr.Locs {
+		for lb, b := range tr.Locs {
+			for ia := range a.Events {
+				for ib := range b.Events {
+					ea, eb := EventRef{la, ia}, EventRef{lb, ib}
+					got, want := c.HappensBefore(ea, eb), less(c.Vector(ea), c.Vector(eb))
+					if got != want {
+						t.Fatalf("%v -> %v: HappensBefore %v, component-wise %v", ea, eb, got, want)
+					}
+					pairs++
+					if got && la != lb {
+						ordered++
+					}
+				}
+			}
+		}
+	}
+	if ordered == 0 {
+		t.Fatalf("no cross-location pair ordered among %d pairs", pairs)
 	}
 }
