@@ -1,6 +1,9 @@
 package vtime
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // actorState tracks what an actor is doing as a plain enum.  The wait-graph
 // diagnostic renders it to a string on demand; keeping the hot-path
@@ -75,13 +78,58 @@ func (a *Actor) statusString() string {
 	return fmt.Sprintf("state(%d)", uint8(a.state))
 }
 
-// yield blocks the actor and hands control back to the kernel.  The actor
-// resumes when the kernel marks it runnable again.
+// yield blocks the actor and gives up the execution slot: the actor runs
+// the scheduler itself and resumes the next runnable actor directly — one
+// goroutine handoff per actor switch, none when the next runnable actor
+// is this one.  The actor resumes when the kernel marks it runnable
+// again.  Once a failed run is unwinding, a blocking call unwinds the
+// actor instead.
 func (a *Actor) yield() {
+	k := a.k
+	if k.unwinding {
+		panic(unwound{})
+	}
 	a.checkContext()
-	a.k.yielded <- struct{}{}
+	next := k.handoff()
+	if next == a {
+		a.state = stateRunning
+		return
+	}
+	k.pass(next)
 	<-a.resume
+	if k.unwinding {
+		panic(unwound{})
+	}
 	a.state = stateRunning
+}
+
+// unwound is the panic value that unwinds a parked actor's stack after
+// its run failed, running the actor's deferred code.
+type unwound struct{}
+
+// exit is the deferred epilogue of every actor goroutine, on normal
+// return or panic.  The finished actor gives up the execution slot as a
+// blocking one would, but never parks again.  While a failed run
+// unwinds, it only reports that the goroutine is gone: it touches
+// neither the failure, the live count nor the slot.
+func (a *Actor) exit() {
+	r := recover()
+	k := a.k
+	if k.unwinding {
+		k.over <- struct{}{}
+		return
+	}
+	if r != nil {
+		if k.failure == nil {
+			k.failure = fmt.Errorf("vtime: actor %d %q panicked: %v\n%s",
+				a.id, a.name, r, debug.Stack())
+		}
+		a.panicMsg = fmt.Sprint(r)
+		a.state = statePanicked
+	}
+	a.done = true
+	k.alive--
+	k.pass(k.handoff())
 }
 
 // checkContext panics if a blocking primitive is invoked on this actor

@@ -3,11 +3,14 @@
 //
 // The kernel hosts a set of actors, each a goroutine representing one
 // simulated thread of execution (for example, one OpenMP thread of one MPI
-// rank).  Although actors are goroutines, the kernel guarantees that at most
-// one of them runs at any real-time instant: an actor runs until it calls a
-// blocking primitive (Execute, Sleep, Cond.Wait, ...), at which point control
-// returns to the kernel.  All scheduling queues are strictly ordered, so a
-// simulation is bit-for-bit reproducible regardless of GOMAXPROCS.
+// rank).  Although actors are goroutines, exactly one goroutine at a time
+// holds the execution slot, the right to touch kernel state: an actor runs
+// until it calls a blocking primitive (Execute, Sleep, Cond.Wait, ...) or
+// returns, at which point it runs the scheduler itself and passes the slot
+// straight to the next runnable actor with one channel send.  Kernel.Run
+// only starts the run and waits for its outcome.  All scheduling queues are
+// strictly ordered, so a simulation is bit-for-bit reproducible regardless
+// of GOMAXPROCS.
 //
 // Work is modelled as fluid actions.  An Action has an optional latency
 // phase (Delay seconds that always progress at rate one) followed by a work

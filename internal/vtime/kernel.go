@@ -2,7 +2,6 @@ package vtime
 
 import (
 	"fmt"
-	"runtime/debug"
 	"strings"
 	"time"
 )
@@ -26,15 +25,23 @@ type Kernel struct {
 	heap      finishHeap
 	runnable  []*Actor
 	runHead   int // index of the next runnable actor (avoids reslicing)
-	yielded   chan struct{}
 	alive     int
 	running   bool
 	current   *Actor // actor currently holding the execution slot
 	steps     uint64
 	completed uint64
-	failure   error
 	watchdog  Watchdog
 	wallStart time.Time
+
+	// The run's outcome, fixed by the actor that panicked or by the
+	// goroutine whose handoff found the run over: the error Run
+	// returns, or the value of a panic raised while the scheduler ran,
+	// which Run re-raises.  over wakes Run once the outcome is fixed and
+	// once per actor that exits while unwinding.
+	failure   error
+	panicked  any
+	over      chan struct{}
+	unwinding bool
 
 	// dirty is the set of resources whose membership or capacity changed
 	// since the last flush.  Each is settled, re-shared and re-keyed once
@@ -109,7 +116,7 @@ func (e *DeadlockError) Error() string {
 
 // NewKernel creates an empty simulation kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yielded: make(chan struct{})}
+	return &Kernel{over: make(chan struct{})}
 }
 
 // Now returns the current virtual time in seconds.
@@ -141,22 +148,12 @@ func (k *Kernel) Spawn(name string, fn func(*Actor)) *Actor {
 	k.actors = append(k.actors, a)
 	k.alive++
 	go func() {
+		defer a.exit()
 		<-a.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if k.failure == nil {
-					k.failure = fmt.Errorf("vtime: actor %d %q panicked: %v\n%s",
-						a.id, a.name, r, debug.Stack())
-				}
-				a.panicMsg = fmt.Sprint(r)
-				a.state = statePanicked
-			}
-			a.done = true
-			k.alive--
-			k.yielded <- struct{}{}
-		}()
-		fn(a)
-		a.state = stateDone
+		if !k.unwinding {
+			fn(a)
+			a.state = stateDone
+		}
 	}()
 	k.runnable = append(k.runnable, a)
 	return a
@@ -166,14 +163,58 @@ func (k *Kernel) Spawn(name string, fn func(*Actor)) *Actor {
 // an error describing the blocked actors if the simulation deadlocks.
 // Run must be called exactly once, from the goroutine that created the
 // kernel, and never from actor context.
+//
+// Run only starts the run and waits for its outcome: the execution slot
+// passes from actor to actor, each running the scheduler as it blocks or
+// exits, and the goroutine whose handoff finds the run over wakes Run.
+// Before returning, Run unwinds every actor that has not finished, so a
+// failed run leaves no goroutine behind.  A panic raised while the
+// scheduler ran (a Post callback, a capacity observer, a kernel
+// invariant) escapes Run with its original value, after the unwinding.
 func (k *Kernel) Run() error {
 	if k.running {
 		panic("vtime: Kernel.Run called twice")
 	}
 	k.running = true
 	k.wallStart = nowFunc()
+	if next := k.handoff(); next != nil {
+		next.resume <- struct{}{}
+		<-k.over
+	}
+	k.unwind()
+	if k.panicked != nil {
+		panic(k.panicked)
+	}
+	return k.failure
+}
+
+// handoff gives up the execution slot and runs the scheduler on the
+// calling goroutine.  It returns the next actor to run, already made
+// current, or nil once the run's outcome is fixed.  An actor caller
+// then passes the slot on with pass.
+func (k *Kernel) handoff() (next *Actor) {
+	k.current = nil
+	if k.failure != nil {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			k.panicked = r
+			next = nil
+		}
+	}()
+	next, k.failure = k.schedule()
+	k.current = next
+	return next
+}
+
+// schedule pops the runnable queue.  When the queue is empty it flushes,
+// advances virtual time and fires completions until an actor is
+// runnable or the run ends: it then returns a nil actor and the run's
+// error, nil when every actor finished.
+func (k *Kernel) schedule() (*Actor, error) {
 	for {
-		// Phase 1: let every runnable actor run until it blocks.  The
+		// Phase 1: the next runnable actor runs until it blocks.  The
 		// queue is drained by index so the backing array is reused across
 		// instants instead of being resliced away.
 		for k.runHead < len(k.runnable) {
@@ -183,15 +224,7 @@ func (k *Kernel) Run() error {
 			if a.done {
 				continue
 			}
-			k.current = a
-			a.resume <- struct{}{}
-			<-k.yielded
-			k.current = nil
-			if k.failure != nil {
-				// An actor panicked.  Remaining actors stay parked on
-				// their resume channels; the simulation is abandoned.
-				return k.failure
-			}
+			return a, nil
 		}
 		k.runnable = k.runnable[:0]
 		k.runHead = 0
@@ -202,22 +235,22 @@ func (k *Kernel) Run() error {
 		// Phase 2: advance virtual time to the next completion.
 		if k.heap.Len() == 0 {
 			if k.alive == 0 {
-				return nil
+				return nil, nil
 			}
-			return k.deadlockError()
+			return nil, k.deadlockError()
 		}
 		k.steps++
 		k.metrics.Steps.Inc()
 		k.metrics.HeapSize.Set(int64(k.heap.Len()))
 		if err := k.checkWatchdog(); err != nil {
-			return err
+			return nil, err
 		}
 		t := k.heap.peek().finishAt
 		if t < k.now {
 			t = k.now // defensive: never move backwards
 		}
 		if max := k.watchdog.MaxVirtual; max > 0 && t > max {
-			return k.watchdogError(fmt.Sprintf("virtual-time budget %g s exceeded (next completion at t=%g)", max, t))
+			return nil, k.watchdogError(fmt.Sprintf("virtual-time budget %g s exceeded (next completion at t=%g)", max, t))
 		}
 		k.now = t
 		// Fire everything due at t, then flush the membership changes the
@@ -234,6 +267,32 @@ func (k *Kernel) Run() error {
 			if !k.flushDirty() {
 				break
 			}
+		}
+	}
+}
+
+// pass hands the execution slot to next, or wakes Run when the run is
+// over (next == nil).
+func (k *Kernel) pass(next *Actor) {
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		k.over <- struct{}{}
+	}
+}
+
+// unwind releases every actor that has not finished, one at a time in
+// id order (including any that deferred actor code spawns), and waits
+// for each goroutine to exit before releasing the next, so the actors'
+// deferred code never runs concurrently.  A parked
+// actor panics with unwound{} out of its blocking call; one that never
+// started exits without running its body.
+func (k *Kernel) unwind() {
+	k.unwinding = true
+	for i := 0; i < len(k.actors); i++ {
+		if a := k.actors[i]; !a.done {
+			a.resume <- struct{}{}
+			<-k.over
 		}
 	}
 }
