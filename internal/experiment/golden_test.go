@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/noise"
+	"repro/internal/scalasca"
 	"repro/internal/tracecheck"
 )
 
@@ -20,14 +21,16 @@ import (
 // commit) or the verifier's report:
 //
 //	go test ./internal/experiment -run TestGoldenChecksums -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trace/profile/tracecheck checksums")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden critpath/trace/profile/tracecheck checksums")
 
 const goldenPath = "testdata/golden_sha256.json"
 
 // goldenSums is the committed fingerprint of one (app, mode) run: the
-// sha256 of the trace (traceSum), of the serialised analysis profile and
-// of the trace verifier's JSON report.
+// sha256 of the critical-path analysis as JSON, of the trace (traceSum),
+// of the serialised analysis profile and of the trace verifier's JSON
+// report.
 type goldenSums struct {
+	Critpath   string `json:"critpath"`
 	Trace      string `json:"trace"`
 	Profile    string `json:"profile"`
 	Tracecheck string `json:"tracecheck"`
@@ -42,7 +45,9 @@ type goldenSums struct {
 // timestamps, completion order or analysis severities fails here instead
 // of silently skewing the paper's tables.  The tracecheck hash pins the
 // verifier the same way: its report (edge count, sampled pairs, every
-// recorded violation) must not move when the verifier gets faster.
+// recorded violation) must not move when the verifier gets faster, and
+// the critpath hash pins the critical-path walk (total, per-path shares
+// and segment count) the same way.
 func TestGoldenChecksums(t *testing.T) {
 	apps := []string{
 		"MiniFE-1", "LULESH-1", "TeaLeaf-1",
@@ -71,7 +76,17 @@ func TestGoldenChecksums(t *testing.T) {
 				t.Fatalf("%s/%s: serialising tracecheck report: %v", app, mode, err)
 			}
 			rh := sha256.Sum256(rep)
+			cp, err := scalasca.CriticalPathAnalysis(res.Trace)
+			if err != nil {
+				t.Fatalf("%s/%s: critical path: %v", app, mode, err)
+			}
+			cj, err := json.Marshal(cp)
+			if err != nil {
+				t.Fatalf("%s/%s: serialising critical path: %v", app, mode, err)
+			}
+			ch := sha256.Sum256(cj)
 			got[app+"/"+string(mode)] = goldenSums{
+				Critpath:   hex.EncodeToString(ch[:]),
 				Trace:      traceSum(res.Trace),
 				Profile:    hex.EncodeToString(ph.Sum(nil)),
 				Tracecheck: hex.EncodeToString(rh[:]),
@@ -112,6 +127,10 @@ func TestGoldenChecksums(t *testing.T) {
 		if !ok {
 			t.Errorf("%s: committed checksum has no counterpart in this run (mode list changed?)", k)
 			continue
+		}
+		if g.Critpath != want[k].Critpath {
+			t.Errorf("%s: critical path drifted from the golden analysis output\n  got  %s\n  want %s",
+				k, g.Critpath, want[k].Critpath)
 		}
 		if g.Trace != want[k].Trace {
 			t.Errorf("%s: trace bytes drifted from the golden kernel output\n  got  %s\n  want %s",

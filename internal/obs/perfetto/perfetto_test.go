@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -151,5 +152,64 @@ func TestExportDeterministic(t *testing.T) {
 	st := trace.StreamTrace(miniTrace(t))
 	if a, b := export(t, st), export(t, st); !bytes.Equal(a, b) {
 		t.Fatal("two exports of one trace differ")
+	}
+}
+
+// TestFlowIDsAcrossUnmatchedMessages pins the flow numbering on a hand
+// trace with one send nobody receives and one receive nobody sent:
+// sends are numbered from 1 in (location, record) order, the unconsumed
+// send keeps its id, a receive adopts the id of the oldest unconsumed
+// send on its (src, dst, tag) channel, and the unmatched receive renders
+// as an instant without an id.
+func TestFlowIDsAcrossUnmatchedMessages(t *testing.T) {
+	tr := trace.New("tsc")
+	main := tr.Region("main", trace.RoleUser)
+	l0 := tr.AddLocation(0, 0)
+	l1 := tr.AddLocation(1, 0)
+	ev := func(l int, kind trace.EvKind, ts uint64, a, b int32) {
+		tr.Record(l, trace.Event{Kind: kind, Time: ts, Region: main, A: a, B: b, C: 8})
+	}
+	ev(l0, trace.EvEnter, 1, 0, 0)
+	ev(l0, trace.EvSend, 2, 1, 0)
+	ev(l0, trace.EvSend, 3, 1, 5) // never received
+	ev(l0, trace.EvSend, 4, 1, 0)
+	ev(l0, trace.EvRecv, 9, 1, 0)
+	ev(l0, trace.EvExit, 10, 0, 0)
+	ev(l1, trace.EvEnter, 1, 0, 0)
+	ev(l1, trace.EvRecv, 2, 0, 7) // never sent
+	ev(l1, trace.EvRecv, 5, 0, 0)
+	ev(l1, trace.EvSend, 6, 0, 0)
+	ev(l1, trace.EvRecv, 7, 0, 0)
+	ev(l1, trace.EvExit, 8, 0, 0)
+
+	var doc struct {
+		TraceEvents []struct {
+			ID   int    `json:"id"`
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Pid  int    `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(export(t, trace.StreamTrace(tr)), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "s" || e.Ph == "f" || e.Ph == "i" {
+			got = append(got, fmt.Sprintf("%d %s %d %s", e.Pid, e.Ph, e.ID, e.Name))
+		}
+	}
+	want := []string{
+		"0 s 1 msg to 1 tag 0",
+		"0 s 2 msg to 1 tag 5",
+		"0 s 3 msg to 1 tag 0",
+		"0 f 4 msg from 1 tag 0",
+		"1 i 0 unmatched recv from 0 tag 7",
+		"1 f 1 msg from 0 tag 0",
+		"1 s 4 msg to 0 tag 0",
+		"1 f 3 msg from 0 tag 0",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flow events:\n got  %q\n want %q", got, want)
 	}
 }
