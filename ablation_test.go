@@ -8,7 +8,7 @@ import (
 	"repro/internal/jaccard"
 	"repro/internal/measure"
 	"repro/internal/noise"
-	"repro/internal/vclock"
+	"repro/internal/tracecheck"
 )
 
 // Ablation benchmarks for the design choices DESIGN.md calls out.  Each
@@ -30,11 +30,7 @@ func BenchmarkAblationPiggyback(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		v, err := vclock.Validate(res.Trace)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return len(v)
+		return tracecheck.Verify(res.Trace, tracecheck.Options{}).Counts[tracecheck.KindClockCondition]
 	}
 	var with, without int
 	for i := 0; i < b.N; i++ {

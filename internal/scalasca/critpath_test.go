@@ -138,3 +138,31 @@ func TestCriticalPathLengthApproximatesRunTime(t *testing.T) {
 		t.Fatalf("TopPaths empty: %v", got)
 	}
 }
+
+// TestCriticalPathRejectsBrokenSkeletons: a receive no send matches and
+// an exit with no open region leave the walk without a sound cause
+// graph, so the analysis fails and names the offending location.
+func TestCriticalPathRejectsBrokenSkeletons(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  trace.Event
+		want string
+	}{
+		{"unmatched-recv", trace.Event{Kind: trace.EvRecv, Time: 3, A: 0, B: 9, C: 8}, "loc 1 event 2: receive without matching send"},
+		{"unbalanced-exit", trace.Event{Kind: trace.EvExit, Time: 3}, "loc 1: unbalanced exit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, locs := newTrace(2)
+			main := tr.Region("main", trace.RoleUser)
+			for _, l := range locs {
+				tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+				tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 2, Region: main})
+			}
+			tr.Record(locs[1], tc.bad)
+			_, err := CriticalPathAnalysis(tr)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -1,8 +1,17 @@
-// Package vclock computes vector clocks for recorded traces in a
-// post-processing step — the approach Ravel [19] takes, and the "improved
-// clock algorithm" the paper points to for programs whose Lamport stamps
-// are insufficient (§II: wildcard receives can make message matching, and
-// therefore scalar logical stamps, timing-dependent).
+// Package vclock extracts a trace's synchronisation skeleton and computes
+// vector clocks over it in a post-processing step — the approach Ravel
+// [19] takes, and the "improved clock algorithm" the paper points to for
+// programs whose Lamport stamps are insufficient (§II: wildcard receives
+// can make message matching, and therefore scalar logical stamps,
+// timing-dependent).
+//
+// The skeleton (Extractor, Skeleton) is collected in one pass per
+// location: FIFO-matched messages, collective and barrier instances as
+// member groups, fork/join edges and structural anomalies.  It is the
+// one matcher every analysis derives its relations from — tracecheck's
+// invariants, Scalasca's wait states, the critical path and the Perfetto
+// flows — after Sulzmann & Stadtmüller's two-phase analysis: collect the
+// synchronisation events once, then derive happens-before from them.
 //
 // A vector clock V assigns each event a vector with one component per
 // location; a happened-before b iff V(a) < V(b) component-wise.  Unlike
@@ -16,8 +25,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/trace"
 )
 
 // EventRef identifies one event in a trace.
@@ -77,35 +84,8 @@ type Member struct {
 	Exit  EventRef
 }
 
-// Edges reconstructs the cross-location synchronisation edges of a trace
-// (messages, collectives, forks, joins, barriers).  Exposed for analyses
-// that need the happens-before structure directly, such as the critical
-// path.
-func Edges(tr *trace.Trace) ([]Edge, error) { return matchEdges(tr) }
-
-// Compute replays the trace's messages, collectives, forks, joins and
-// barriers and assigns every event a vector timestamp.
-func Compute(tr *trace.Trace) (*Clocks, error) {
-	edges, err := matchEdges(tr)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(tr.Locs))
-	var all []EventRef
-	for li, l := range tr.Locs {
-		counts[li] = len(l.Events)
-		for ei := range l.Events {
-			all = append(all, EventRef{li, ei})
-		}
-	}
-	return ComputeFromEdges(counts, edges, nil, all)
-}
-
-// ComputeFromEdges replays a synchronisation skeleton and returns the
-// vector timestamps of the events listed in keep — the hook for
-// analyses (internal/tracecheck) that reconstruct edges tolerantly from
-// partially broken traces instead of failing on the first unmatched
-// receive the way matchEdges does.
+// ComputeFromEdges replays a synchronisation skeleton (Skeleton.Graph)
+// and returns the vector timestamps of the events listed in keep.
 //
 // counts[l] is the number of events on location l.  Each edge orders
 // its From before its To.  Each group is one collective or barrier
@@ -468,222 +448,4 @@ func maxInto(dst, src []uint32) {
 			dst[i] = x
 		}
 	}
-}
-
-// matchEdges reconstructs the cross-location synchronisation edges of a
-// trace: point-to-point messages (FIFO per channel), collective instances
-// (all-to-all release edges), OpenMP forks, joins and barriers.
-func matchEdges(tr *trace.Trace) ([]Edge, error) {
-	var edges []Edge
-	type chanKey struct{ src, dst, tag int32 }
-	sends := make(map[chanKey][]EventRef)
-	type collEv struct {
-		ref  EventRef
-		exit EventRef
-	}
-	colls := make(map[[2]int32][]collEv)
-	bars := make(map[[3]int32][]collEv) // rank, seq -> threads
-	forks := make(map[[2]int32]EventRef)
-	joins := make(map[[2]int32][]EventRef)
-	masters := make(map[int]int) // rank -> master loc
-
-	for li, l := range tr.Locs {
-		if l.Thread == 0 {
-			masters[l.Rank] = li
-		}
-	}
-	// First pass: collect sends and instance participants.
-	for li, l := range tr.Locs {
-		var stack []int // enter indices
-		for ei, e := range l.Events {
-			switch e.Kind {
-			case trace.EvEnter:
-				stack = append(stack, ei)
-			case trace.EvExit:
-				if len(stack) == 0 {
-					return nil, fmt.Errorf("vclock: loc %d: unbalanced exit", li)
-				}
-				stack = stack[:len(stack)-1]
-			case trace.EvSend:
-				k := chanKey{int32(l.Rank), e.A, e.B}
-				sends[k] = append(sends[k], EventRef{li, ei})
-			case trace.EvCollEnd:
-				// The causal contribution of a collective is made when
-				// the rank enters the call (that is the stamp carried by
-				// its piggyback); the CollEnd record itself is stamped
-				// after any spin-wait effort.  Use the enclosing Enter as
-				// the edge source.
-				enter := ei
-				if len(stack) > 0 {
-					enter = stack[len(stack)-1]
-				}
-				exit := exitAfter(l.Events, ei)
-				colls[[2]int32{e.A, e.B}] = append(colls[[2]int32{e.A, e.B}],
-					collEv{EventRef{li, enter}, EventRef{li, exit}})
-			case trace.EvBarrier:
-				exit := exitAfter(l.Events, ei)
-				key := [3]int32{int32(l.Rank), e.B, 0}
-				bars[key] = append(bars[key], collEv{EventRef{li, ei}, EventRef{li, exit}})
-			case trace.EvFork:
-				forks[[2]int32{int32(l.Rank), e.B}] = EventRef{li, ei}
-			case trace.EvJoin:
-				joins[[2]int32{int32(l.Rank), e.B}] = append(joins[[2]int32{int32(l.Rank), e.B}], EventRef{li, ei})
-			}
-		}
-	}
-	// Receives match sends FIFO per channel.
-	for li, l := range tr.Locs {
-		for ei, e := range l.Events {
-			if e.Kind != trace.EvRecv {
-				continue
-			}
-			k := chanKey{e.A, int32(l.Rank), e.B}
-			q := sends[k]
-			if len(q) == 0 {
-				return nil, fmt.Errorf("vclock: loc %d event %d: receive without matching send", li, ei)
-			}
-			edges = append(edges, Edge{From: q[0], To: EventRef{li, ei}})
-			sends[k] = q[1:]
-		}
-	}
-	// Collectives: every participant's exit happens after every
-	// participant's CollEnd contribution.
-	for _, parts := range colls {
-		for _, a := range parts {
-			for _, b := range parts {
-				if a.ref.Loc != b.exit.Loc {
-					edges = append(edges, Edge{From: a.ref, To: b.exit})
-				}
-			}
-		}
-	}
-	// OpenMP barriers: same all-to-all shape within the team.
-	for _, parts := range bars {
-		for _, a := range parts {
-			for _, b := range parts {
-				if a.ref.Loc != b.exit.Loc {
-					edges = append(edges, Edge{From: a.ref, To: b.exit})
-				}
-			}
-		}
-	}
-	// Forks: the team's first in-region event on each worker follows the
-	// master's fork.  We approximate "first in-region event" as the
-	// worker's next event after the previous join (workers only have
-	// events inside regions, so their next unclaimed event is correct).
-	workerCursor := make(map[int]int)
-	// The cursor reconstruction consumes worker regions in fork order, so
-	// forks MUST be processed sorted by (rank, seq) — map iteration order
-	// would match workers' regions to the wrong instances, and differently
-	// on every run.
-	forkKeys := make([][2]int32, 0, len(forks))
-	for key := range forks {
-		forkKeys = append(forkKeys, key)
-	}
-	sort.Slice(forkKeys, func(i, j int) bool {
-		if forkKeys[i][0] != forkKeys[j][0] {
-			return forkKeys[i][0] < forkKeys[j][0]
-		}
-		return forkKeys[i][1] < forkKeys[j][1]
-	})
-	for _, key := range forkKeys {
-		f := forks[key]
-		rank := int(key[0])
-		for li, l := range tr.Locs {
-			if l.Rank != rank || l.Thread == 0 {
-				continue
-			}
-			cur := workerCursor[li]
-			if cur < len(l.Events) {
-				edges = append(edges, Edge{From: f, To: EventRef{li, cur}})
-				// Advance the cursor past this region: find the exit
-				// that balances the first enter.
-				workerCursor[li] = regionEnd(l.Events, cur) + 1
-			}
-		}
-		// Joins: the master's join event follows every worker's last
-		// in-region event of the instance.
-		for _, j := range joins[key] {
-			for li, l := range tr.Locs {
-				if l.Rank != rank || l.Thread == 0 {
-					continue
-				}
-				if end := workerCursor[li] - 1; end >= 0 && end < len(l.Events) {
-					edges = append(edges, Edge{From: EventRef{li, end}, To: j})
-				}
-			}
-		}
-	}
-	return edges, nil
-}
-
-// exitAfter finds the index of the Exit event closing the region that
-// contains index i.
-func exitAfter(events []trace.Event, i int) int {
-	depth := 0
-	for j := i + 1; j < len(events); j++ {
-		switch events[j].Kind {
-		case trace.EvEnter:
-			depth++
-		case trace.EvExit:
-			if depth == 0 {
-				return j
-			}
-			depth--
-		}
-	}
-	return len(events) - 1
-}
-
-// regionEnd returns the index of the Exit balancing the Enter at start
-// (start must be an Enter).
-func regionEnd(events []trace.Event, start int) int {
-	depth := 0
-	for j := start; j < len(events); j++ {
-		switch events[j].Kind {
-		case trace.EvEnter:
-			depth++
-		case trace.EvExit:
-			depth--
-			if depth == 0 {
-				return j
-			}
-		}
-	}
-	return len(events) - 1
-}
-
-// Violation is one clock-condition breach: a causally ordered event pair
-// whose recorded scalar stamps are not strictly increasing.
-type Violation struct {
-	From, To EventRef
-	FromTS   uint64
-	ToTS     uint64
-}
-
-// Validate checks the clock condition of the trace's recorded scalar
-// timestamps against the exact causality computed by the vector clock:
-// for every direct synchronisation edge a → b, C(a) < C(b) must hold.
-// It returns all violations, worst first.  Logical traces must come back
-// empty; physical (tsc) traces with unsynchronised node clocks may not —
-// which is one of the paper's arguments for logical timers (§II).
-func Validate(tr *trace.Trace) ([]Violation, error) {
-	edges, err := matchEdges(tr)
-	if err != nil {
-		return nil, err
-	}
-	var out []Violation
-	for _, e := range edges {
-		fromTS := tr.Locs[e.From.Loc].Events[e.From.Index].Time
-		toTS := tr.Locs[e.To.Loc].Events[e.To.Index].Time
-		if fromTS >= toTS {
-			out = append(out, Violation{From: e.From, To: e.To, FromTS: fromTS, ToTS: toTS})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		di := int64(out[i].FromTS) - int64(out[i].ToTS)
-		dj := int64(out[j].FromTS) - int64(out[j].ToTS)
-		return di > dj
-	})
-	return out, nil
 }
