@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ErrTruncated reports a trace file that ends mid-stream.  Errors from
@@ -133,10 +134,40 @@ func Read(r io.Reader) (*Trace, error) {
 }
 
 // complete applies the strict rule: the file must have been proven
-// complete (no Damage) and every chunk must decode.
+// complete (no Damage), its records must tile it, and every chunk must
+// decode.
 func (cf *ChunkFile) complete() (*Trace, error) {
 	if cf.Damage != nil {
 		return nil, cf.Damage
 	}
+	if cf.IndexOK {
+		if err := cf.checkRecords(); err != nil {
+			return nil, err
+		}
+	}
 	return cf.Stream().Materialize()
+}
+
+// checkRecords proves that an indexed file's records tile it: the
+// sequential scan a live tail makes must reach the index record cleanly
+// and find exactly the definitions and chunks the index lists.  Without
+// it, strict Read would accept bytes between records that the tail
+// rejects, or records the index contradicts.
+func (cf *ChunkFile) checkRecords() error {
+	seq := &ChunkFile{ra: cf.ra, size: cf.size, path: cf.path}
+	hdr := seq.section(0)
+	if err := seq.readHeader(hdr); err != nil {
+		return err
+	}
+	s := recordScan{resume: hdr.off}
+	seq.scanSealed(&s)
+	switch {
+	case s.damage != nil:
+		return s.damage
+	case s.torn != nil:
+		return s.torn
+	case !s.done || !slices.Equal(seq.Regions, cf.Regions) || !slices.Equal(seq.locs, cf.locs) || !slices.Equal(seq.chunks, cf.chunks):
+		return fmt.Errorf("trace: the index disagrees with the records before offset %d", s.resume)
+	}
+	return nil
 }
