@@ -101,7 +101,8 @@ type Config struct {
 	// DisablePiggyback turns off the logical-clock synchronisation
 	// messages (step 2 of the paper's Algorithm 1).  Ablation only: the
 	// resulting traces violate the clock condition across messages,
-	// which internal/vclock.Validate demonstrates.
+	// which internal/tracecheck's clock-condition check demonstrates
+	// (BenchmarkAblationPiggyback).
 	DisablePiggyback bool
 }
 
