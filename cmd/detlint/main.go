@@ -1,26 +1,23 @@
-// Command detlint runs the repo's static-analysis suites over the
-// whole module, multichecker-style: findings print as file:line:col
-// diagnostics (or JSON with -json), and any finding fails the run.
+// Command detlint runs the determinism lint (internal/lint/detlint)
+// over the whole module, multichecker-style: findings print as
+// file:line:col diagnostics (or JSON with -json), and any finding fails
+// the run.
 //
-//	detlint                      # determinism suite (syntactic)
-//	detlint -suite parlint       # interprocedural determinism suite
-//	detlint -suite all -json     # everything, machine-readable
+//	detlint          # the whole suite, from anywhere inside the module
+//	detlint -json    # the same, machine-readable
+//	detlint -quick   # the same under a wall-clock budget (CI)
 //
-// Suites:
+// The suite is wallclock, globalrand, maporder and globalmut, each
+// reporting the construct anywhere in the module and, where it hides in
+// a helper, the call from simulation code; plus unusedallow, which
+// reports //detlint:allow directive names that suppress nothing, stale
+// or misspelt.  Suppress a deliberate exception with a
+// "//detlint:allow <analyzer>: why" comment on the offending line or
+// the line above.
 //
-//	detlint  wallclock/globalrand/maporder, syntactic per-package pass
-//	parlint  globalmut plus the interprocedural taint upgrades of the
-//	         detlint analyzers (see internal/lint/parlint)
-//	all      both suites plus the unusedallow meta-check, which reports
-//	         //detlint:allow directives that no longer suppress anything
-//
-// Suppress a deliberate exception with a "//detlint:allow <analyzer>:
-// why" comment on the offending line or the line above.
-//
-// -quick runs the full "all" suite under a wall-clock budget
-// (-budget, default 60s) and fails if analysis alone exceeds it — the
-// CI smoke that keeps the module-wide loader from silently blowing up
-// CI time.
+// -quick prints the run's timing on stderr and fails if analysis alone
+// exceeds -budget (default 60s) — the CI smoke that keeps the
+// module-wide loader from silently blowing up CI time.
 package main
 
 import (
@@ -33,17 +30,15 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/detlint"
-	"repro/internal/lint/parlint"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("detlint: ")
 	var (
-		suite   = flag.String("suite", "detlint", "analyzer suite: detlint, parlint, or all")
 		jsonOut = flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 		verbose = flag.Bool("v", false, "report module and analyzer progress on stderr")
-		quick   = flag.Bool("quick", false, "run the full suite under a wall-clock budget (implies -suite all)")
+		quick   = flag.Bool("quick", false, "report the run's timing and fail if it exceeds -budget")
 		budget  = flag.Duration("budget", 60*time.Second, "wall-clock budget for -quick")
 	)
 	flag.Parse()
@@ -52,23 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *quick {
-		*suite = "all"
-	}
-
-	var analyzers []*lint.Analyzer
-	switch *suite {
-	case "detlint":
-		analyzers = detlint.Analyzers()
-	case "parlint":
-		analyzers = parlint.Analyzers()
-	case "all":
-		analyzers = append(analyzers, detlint.Analyzers()...)
-		analyzers = append(analyzers, parlint.Analyzers()...)
-		analyzers = append(analyzers, lint.UnusedAllow)
-	default:
-		log.Fatalf("unknown suite %q (want detlint, parlint, or all)", *suite)
-	}
+	analyzers := append(detlint.Analyzers(), lint.UnusedAllow)
 
 	start := time.Now() //detlint:allow wallclock: -quick budget measurement
 	if *verbose {
@@ -100,7 +79,7 @@ func main() {
 		}
 	}
 	if *quick {
-		fmt.Fprintf(os.Stderr, "detlint: suite all over %d packages in %v (budget %v)\n",
+		fmt.Fprintf(os.Stderr, "detlint: %d packages in %v (budget %v)\n",
 			len(m.Packages), elapsed.Round(time.Millisecond), *budget)
 		if elapsed > *budget {
 			log.Fatalf("-quick budget exceeded: %v > %v", elapsed, *budget)

@@ -9,9 +9,9 @@ import (
 	"strings"
 )
 
-// This file builds a module-wide call graph on top of go/types, the
-// substrate of every interprocedural analyzer.  Three kinds of call are
-// resolved:
+// This file builds a module-wide call graph on top of go/types, which
+// the analyzers use to find simulation-reachable code and to summarise
+// helpers bottom-up.  Three kinds of call are resolved:
 //
 //   - static calls: plain functions, methods on concrete receivers, and
 //     immediately-invoked function literals resolve to exactly one node.
@@ -124,19 +124,6 @@ type flowEntry struct {
 	vars    []types.Object // variable-to-variable assignments
 	escaped bool           // received a value the builder cannot track
 }
-
-// NodeOf returns the node of a declared function or method (resolved
-// through Origin, so generic instantiations collapse onto their
-// definition), or nil for functions outside the module.
-func (g *CallGraph) NodeOf(fn *types.Func) *FuncNode {
-	if fn == nil {
-		return nil
-	}
-	return g.byObj[fn.Origin()]
-}
-
-// LitNode returns the node of a function literal.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 
 // BuildCallGraph constructs the call graph for a loaded module.
 func BuildCallGraph(m *Module) *CallGraph {
@@ -925,4 +912,3 @@ func fieldByName(st *types.Struct, name string) *types.Var {
 	}
 	return nil
 }
-

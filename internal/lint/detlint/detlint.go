@@ -1,28 +1,50 @@
 // Package detlint enforces the repo's determinism contract in source:
 // simulation results must be a pure function of (spec, mode, seed,
-// noise, faults, config) — that is what makes PR 2's content-addressed
-// run cache sound and lets studies reproduce bit-for-bit.  Three
-// analyzers guard the ways Go code usually breaks that property:
+// noise, faults, config) — that is what makes the content-addressed run
+// cache sound and lets studies reproduce bit-for-bit, even while the -j
+// job pool runs several simulations in one process.  Four analyzers
+// guard the ways Go code usually breaks that property:
 //
-//   - wallclock: any reference to time.Now or time.Since.  Real time
-//     must never influence simulation state; the single sanctioned
-//     exception is the vtime kernel's injectable nowFunc (watchdog
-//     wall-clock budget), which carries a "//detlint:allow wallclock"
-//     directive.
+//   - wallclock: references to time.Now or time.Since.  Real time must
+//     never influence simulation state; the vtime kernel's injectable
+//     nowFunc (watchdog wall-clock budget) is the one sanctioned
+//     exception outside the cmd binaries, and carries a
+//     "//detlint:allow wallclock" directive.
 //   - globalrand: calls through the process-global math/rand generator
 //     (rand.Intn, rand.Float64, rand.Shuffle, …).  The global generator
 //     is shared, unseeded (or racily reseeded) state; deterministic code
 //     threads an explicit rand.New(rand.NewSource(seed)).
 //   - maporder: map-range loops whose iteration order leaks into an
-//     ordered sink — appending to a slice declared outside the loop, or
-//     serialising inside the loop (Fprintf, Write…, Encode…, Add…) —
-//     without a subsequent sort.  Go randomises map iteration order per
-//     run, so such loops produce run-dependent bytes; the fix is to
-//     iterate a sorted key slice (or sort the collected results, which
-//     the analyzer recognises and accepts).
+//     ordered sink — appending to storage declared outside the loop
+//     without a later sort, or serialising inside the loop (Fprintf,
+//     Write…, Encode…, Add…).  Go randomises map iteration order per
+//     run; the fix is to iterate a sorted key slice.
+//   - globalmut: writes to package-level variables from simulation code,
+//     which concurrent jobs would share.
 //
-// Suppress a deliberate exception with "//detlint:allow <name>" on the
-// offending line or the line above.
+// Each of the first three finds its construct through one predicate
+// and reports at two scopes:
+//
+//	scope   where                            what is reported
+//	direct  anywhere in the module           the construct itself
+//	helper  simulation-reachable code only   a call into a helper whose
+//	                                         bottom-up summary reaches it
+//
+// The helper scope sees what no single function shows: a helper that
+// wraps time.Now three calls deep is reported at its simulation-context
+// call site.  A construct written directly in simulation code is
+// reported once, by the direct scope.
+//
+// Simulation-reachable code is everything the module-wide call graph
+// (internal/lint) reaches from a function value handed to the vtime
+// kernel — Kernel.Spawn bodies and Post completion callbacks alike.
+// The traversal is a deliberate over-approximation (interface dispatch
+// fans out to every implementing type), so a clean run is a guarantee.
+// The vtime package is exempt from the helper scope and from globalmut:
+// it owns the sanctioned boundaries.
+//
+// Suppress a deliberate exception with "//detlint:allow <name>: why" on
+// the offending line or the line above.
 package detlint
 
 import (
@@ -33,33 +55,63 @@ import (
 	"repro/internal/lint"
 )
 
-// Analyzers is the determinism-lint suite in reporting order.
+// Analyzers is the determinism suite in reporting order.
 func Analyzers() []*lint.Analyzer {
-	return []*lint.Analyzer{Wallclock, GlobalRand, MapOrder}
+	return []*lint.Analyzer{Wallclock, GlobalRand, MapOrder, GlobalMut}
 }
 
 // Wallclock flags references to time.Now and time.Since.
 var Wallclock = &lint.Analyzer{
 	Name: "wallclock",
 	Doc:  "flags time.Now/time.Since: real time must not influence simulation state",
-	Run: func(pass *lint.Pass) error {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if pkgPathOf(pass, f, sel) != "time" {
-					return true
-				}
-				if sel.Sel.Name == "Now" || sel.Sel.Name == "Since" {
-					pass.Report(sel.Pos(),
-						"time.%s reads the wall clock; inject a nowFunc (see internal/vtime) so simulation stays deterministic",
-						sel.Sel.Name)
-				}
+	RunModule: func(pass *lint.ModulePass) error {
+		reportDirect(pass, wallclockRef,
+			"time.%s reads the wall clock; inject a nowFunc (see internal/vtime) so simulation stays deterministic")
+		reportHelperCalls(pass, reachesWallclock,
+			"reaches the wall clock (%s); simulation code must take virtual time from the kernel")
+		return nil
+	},
+}
+
+// isWallclock is wallclock's predicate: whether the function name of
+// package path reads the host clock.
+func isWallclock(path, name string) bool {
+	return path == "time" && (name == "Now" || name == "Since")
+}
+
+func wallclockRef(pkg *lint.Package, f *ast.File, nd ast.Node) string {
+	if sel, ok := nd.(*ast.SelectorExpr); ok && isWallclock(pkgPathOf(pkg, f, sel), sel.Sel.Name) {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
+// reachesWallclock summarises one function: its own body references the
+// wall clock, or calls a function value that resolves to it (a clock
+// injected as time.Now).
+func reachesWallclock(n *lint.FuncNode) bool {
+	if ownHas(n, wallclockRef) {
+		return true
+	}
+	for _, cs := range n.Calls {
+		for _, ext := range cs.Ext {
+			if ext.Pkg() != nil && isWallclock(ext.Pkg().Path(), ext.Name()) {
 				return true
-			})
+			}
 		}
+	}
+	return false
+}
+
+// GlobalRand flags calls through the process-global math/rand generator.
+var GlobalRand = &lint.Analyzer{
+	Name: "globalrand",
+	Doc:  "flags global math/rand calls: thread an explicit rand.New(rand.NewSource(seed))",
+	RunModule: func(pass *lint.ModulePass) error {
+		reportDirect(pass, globalRandCall,
+			"rand.%s uses the process-global generator; use rand.New(rand.NewSource(seed)) for reproducible runs")
+		reportHelperCalls(pass, func(n *lint.FuncNode) bool { return ownHas(n, globalRandCall) },
+			"reaches the process-global math/rand generator (%s); thread an explicit seeded *rand.Rand instead")
 		return nil
 	},
 }
@@ -73,35 +125,105 @@ var globalRandOK = map[string]bool{
 	"PCG": true, "ChaCha8": true,
 }
 
-// GlobalRand flags calls through the process-global math/rand generator.
-var GlobalRand = &lint.Analyzer{
-	Name: "globalrand",
-	Doc:  "flags global math/rand calls: thread an explicit rand.New(rand.NewSource(seed))",
-	Run: func(pass *lint.Pass) error {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				p := pkgPathOf(pass, f, sel)
-				if p != "math/rand" && p != "math/rand/v2" {
-					return true
-				}
-				if !globalRandOK[sel.Sel.Name] {
-					pass.Report(sel.Pos(),
-						"rand.%s uses the process-global generator; use rand.New(rand.NewSource(seed)) for reproducible runs",
-						sel.Sel.Name)
+// globalRandCall is globalrand's predicate: it names the function a
+// call through the process-global generator calls.
+func globalRandCall(pkg *lint.Package, f *ast.File, nd ast.Node) string {
+	call, ok := nd.(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	switch pkgPathOf(pkg, f, sel) {
+	case "math/rand", "math/rand/v2":
+		if !globalRandOK[sel.Sel.Name] {
+			return sel.Sel.Name
+		}
+	}
+	return ""
+}
+
+// MapOrder flags map-range loops whose iteration order escapes into an
+// ordered sink: directly in the loop body, or — in simulation code —
+// through a helper the loop calls.  The collect-then-sort idiom (a
+// sort.* or slices.* call after the loop) is honoured.
+var MapOrder = &lint.Analyzer{
+	Name: "maporder",
+	Doc:  "flags map iteration flowing into appends/serialisation without an intervening sort",
+	RunModule: func(pass *lint.ModulePass) error {
+		sim := simulationCode(pass.Graph)
+		emits := propagate(pass.Graph, func(n *lint.FuncNode) bool {
+			return ownHas(n, func(pkg *lint.Package, f *ast.File, nd ast.Node) string {
+				return emission(pkg, f, nd, n.Body())
+			})
+		})
+		for _, n := range pass.Graph.Nodes {
+			inspectOwn(n, func(nd ast.Node) bool {
+				if rs, ok := nd.(*ast.RangeStmt); ok && rangesOverMap(n.Pkg, rs) {
+					checkMapRange(pass, n, rs, sim.has(n), emits)
 				}
 				return true
 			})
 		}
 		return nil
 	},
+}
+
+func checkMapRange(pass *lint.ModulePass, n *lint.FuncNode, rs *ast.RangeStmt, simulated bool, emits map[*lint.FuncNode]bool) {
+	sorted := sortFollows(n, rs)
+	ast.Inspect(rs.Body, func(nd ast.Node) bool {
+		switch what := emission(n.Pkg, n.File, nd, rs); what {
+		case "":
+		case "append":
+			if !sorted {
+				pass.Report(nd.Pos(),
+					"append inside map-range loop collects keys/values in random order; sort the result or iterate sorted keys")
+			}
+		default:
+			pass.Report(nd.Pos(),
+				"%s called inside map-range loop emits in random order; iterate sorted keys instead", what)
+		}
+		return true
+	})
+	if !simulated || sorted {
+		return
+	}
+	for _, cs := range n.Calls {
+		if cs.Site < rs.Body.Pos() || cs.Site > rs.Body.End() {
+			continue
+		}
+		if t := targetIn(cs, emits); t != nil {
+			pass.Report(cs.Site,
+				"%s emits to an ordered sink and is called inside a map-range loop; iterate sorted keys or sort afterwards",
+				t.Name)
+		}
+	}
+}
+
+// emission is maporder's predicate.  It names what nd emits in call
+// order: "append" for an append assigned to storage declared outside
+// scope, the callee ("fmt.Fprintf", "sb.WriteString") for an fmt print
+// or a method whose name carries an order-sensitive prefix, and ""
+// for anything else.
+func emission(pkg *lint.Package, f *ast.File, nd ast.Node, scope ast.Node) string {
+	switch nd := nd.(type) {
+	case *ast.AssignStmt:
+		for i, rhs := range nd.Rhs {
+			if call, ok := rhs.(*ast.CallExpr); ok && isAppend(pkg, call) && i < len(nd.Lhs) && declaredOutside(pkg, nd.Lhs[i], scope) {
+				return "append"
+			}
+		}
+	case *ast.CallExpr:
+		if sel, ok := nd.Fun.(*ast.SelectorExpr); ok && isSinkCall(pkg, f, sel) {
+			if id, ok := sel.X.(*ast.Ident); ok {
+				return id.Name + "." + sel.Sel.Name
+			}
+			return "(...)." + sel.Sel.Name
+		}
+	}
+	return ""
 }
 
 // sinkPrefixes are method-name prefixes treated as order-sensitive:
@@ -111,71 +233,55 @@ var sinkPrefixes = []string{
 	"Push", "Record", "Intern", "Marshal",
 }
 
-// IsSinkName reports whether a method name carries an order-sensitive
-// prefix (AddMetric, WriteString, EncodeEntry, …).  Shared with the
-// interprocedural maporder upgrade in internal/lint/parlint, so both
-// passes agree on what counts as an ordered sink.
-func IsSinkName(name string) bool {
-	for _, p := range sinkPrefixes {
-		if strings.HasPrefix(name, p) {
-			return true
+// isSinkCall reports whether a selector call serialises or accumulates
+// in argument order: an fmt print, or a method whose name carries an
+// order-sensitive prefix (AddMetric, WriteString, EncodeEntry, …).
+// Functions of other packages are not sinks (json.Marshal sorts map
+// keys itself).
+func isSinkCall(pkg *lint.Package, f *ast.File, sel *ast.SelectorExpr) bool {
+	name := sel.Sel.Name
+	switch p := pkgPathOf(pkg, f, sel); p {
+	case "fmt":
+		return strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")
+	case "":
+		for _, prefix := range sinkPrefixes {
+			if strings.HasPrefix(name, prefix) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// GlobalRandSafe reports whether a math/rand selector avoids the
-// process-global generator (constructors and types).  Shared with the
-// interprocedural globalrand upgrade in internal/lint/parlint.
-func GlobalRandSafe(name string) bool { return globalRandOK[name] }
-
-// MapOrder flags map-range loops whose iteration order escapes into an
-// ordered sink without a subsequent sort.
-var MapOrder = &lint.Analyzer{
-	Name: "maporder",
-	Doc:  "flags map iteration flowing into appends/serialisation without an intervening sort",
-	Run: func(pass *lint.Pass) error {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok || !rangesOverMap(pass, rs) {
-					return true
-				}
-				checkMapRange(pass, f, rs, enclosingFunc(f, rs))
-				return true
-			})
-		}
-		return nil
-	},
+func isAppend(pkg *lint.Package, call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "append" {
+		return false
+	}
+	_, builtin := pkg.Info.Uses[id].(*types.Builtin)
+	return builtin
 }
 
-// enclosingFunc finds the innermost function declaration or literal
-// containing the range statement — the scope the sorted-afterwards
-// exemption scans.
-func enclosingFunc(f *ast.File, rs *ast.RangeStmt) ast.Node {
-	var best ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			if n.Pos() <= rs.Pos() && rs.End() <= n.End() {
-				if best == nil || (n.Pos() >= best.Pos() && n.End() <= best.End()) {
-					best = n
-				}
-			}
-		}
+// declaredOutside reports whether an assignment target's storage is
+// declared outside scope, so what is written survives it.  Selector and
+// index targets always qualify.
+func declaredOutside(pkg *lint.Package, lhs ast.Expr, scope ast.Node) bool {
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
+	if !ok {
 		return true
-	})
-	return best
+	}
+	obj := pkg.Info.Uses[id]
+	if obj == nil {
+		obj = pkg.Info.Defs[id]
+	}
+	return obj == nil || obj.Pos() < scope.Pos() || obj.Pos() > scope.End()
 }
 
 // rangesOverMap reports whether the range statement iterates a map.
 // Unknown types (incomplete type-check) do NOT count: a lint pass must
 // not punish code it cannot resolve.
-func rangesOverMap(pass *lint.Pass, rs *ast.RangeStmt) bool {
-	if pass.Info == nil {
-		return false
-	}
-	t := pass.Info.TypeOf(rs.X)
+func rangesOverMap(pkg *lint.Package, rs *ast.RangeStmt) bool {
+	t := pkg.Info.TypeOf(rs.X)
 	if t == nil {
 		return false
 	}
@@ -183,152 +289,20 @@ func rangesOverMap(pass *lint.Pass, rs *ast.RangeStmt) bool {
 	return ok
 }
 
-func checkMapRange(pass *lint.Pass, f *ast.File, rs *ast.RangeStmt, enclosing ast.Node) {
-	sorted := sortFollows(pass, f, rs, enclosing)
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			// A nested map range reports on its own visit.
-			return true
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok || !isBuiltinAppend(pass, call) {
-					continue
-				}
-				if i < len(n.Lhs) && declaredOutside(pass, n.Lhs[i], rs) && !sorted {
-					pass.Report(n.Pos(),
-						"append inside map-range loop collects keys/values in random order; sort the result or iterate sorted keys")
-				}
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && isSinkCall(pass, f, sel) {
-				pass.Report(n.Pos(),
-					"%s called inside map-range loop emits in random order; iterate sorted keys instead",
-					selString(sel))
-			}
-		}
-		return true
-	})
-}
-
-// sortFollows reports whether a sort.* / slices.Sort* call appears after
-// the range statement inside the same enclosing function — the standard
-// collect-then-sort idiom.
-func sortFollows(pass *lint.Pass, f *ast.File, rs *ast.RangeStmt, enclosing ast.Node) bool {
-	if enclosing == nil {
-		enclosing = f
-	}
+// sortFollows reports whether a sort.* or slices.* call follows the
+// range statement inside the enclosing function n.
+func sortFollows(n *lint.FuncNode, rs *ast.RangeStmt) bool {
 	found := false
-	ast.Inspect(enclosing, func(n ast.Node) bool {
-		if found {
-			return false
+	ast.Inspect(n.Body(), func(nd ast.Node) bool {
+		if call, ok := nd.(*ast.CallExpr); ok && call.Pos() > rs.End() {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				switch pkgPathOf(n.Pkg, n.File, sel) {
+				case "sort", "slices":
+					found = true
+				}
+			}
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() <= rs.End() {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch pkgPathOf(pass, f, sel) {
-		case "sort", "slices":
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
-}
-
-func isBuiltinAppend(pass *lint.Pass, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	if pass.Info != nil {
-		if obj := pass.Info.Uses[id]; obj != nil {
-			_, builtin := obj.(*types.Builtin)
-			return builtin
-		}
-	}
-	return true
-}
-
-// declaredOutside reports whether the assignment target refers to
-// storage declared outside the range statement (so loop-order survives
-// the loop).  Selector and index targets always qualify.
-func declaredOutside(pass *lint.Pass, lhs ast.Expr, rs *ast.RangeStmt) bool {
-	id, ok := lhs.(*ast.Ident)
-	if !ok {
-		return true
-	}
-	if pass.Info == nil {
-		return true
-	}
-	obj := pass.Info.Uses[id]
-	if obj == nil {
-		obj = pass.Info.Defs[id]
-	}
-	if obj == nil {
-		return true
-	}
-	return obj.Pos() < rs.Pos() || obj.Pos() > rs.End()
-}
-
-// isSinkCall reports whether a selector call serialises or accumulates
-// in argument order: stdlib output/encoding functions, or a method whose
-// name carries an order-sensitive prefix.
-func isSinkCall(pass *lint.Pass, f *ast.File, sel *ast.SelectorExpr) bool {
-	name := sel.Sel.Name
-	switch p := pkgPathOf(pass, f, sel); {
-	case p == "fmt":
-		return strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")
-	case p != "":
-		// A function of some other package — package-level calls are
-		// not treated as sinks (json.Marshal sorts map keys itself).
-		return false
-	}
-	// A method call on a value: sink iff the name carries an
-	// order-sensitive prefix (AddMetric, WriteString, EncodeEntry, …).
-	return IsSinkName(name)
-}
-
-func selString(sel *ast.SelectorExpr) string {
-	if id, ok := sel.X.(*ast.Ident); ok {
-		return id.Name + "." + sel.Sel.Name
-	}
-	return "(...)." + sel.Sel.Name
-}
-
-// pkgPathOf resolves the package a selector's base identifier refers to,
-// returning "" when it is not a package reference (method call, field
-// access) or cannot be resolved.  Falls back to the file's import table
-// when type information is incomplete.
-func pkgPathOf(pass *lint.Pass, f *ast.File, sel *ast.SelectorExpr) string {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if pass.Info != nil {
-		if obj, ok := pass.Info.Uses[id]; ok {
-			if pn, ok := obj.(*types.PkgName); ok {
-				return pn.Imported().Path()
-			}
-			return "" // a variable, field or local — not a package
-		}
-	}
-	// Unresolved identifier: consult the import table by name.
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		name := path[strings.LastIndexByte(path, '/')+1:]
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		if name == id.Name {
-			return path
-		}
-	}
-	return ""
 }

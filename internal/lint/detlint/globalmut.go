@@ -1,4 +1,4 @@
-package parlint
+package detlint
 
 import (
 	"go/ast"
@@ -17,14 +17,16 @@ var GlobalMut = &lint.Analyzer{
 	Name: "globalmut",
 	Doc:  "flags writes to package-level state from simulation-reachable code",
 	RunModule: func(pass *lint.ModulePass) error {
-		c := contextOf(pass.Graph)
+		sim := simulationCode(pass.Graph)
 		report := func(n *lint.FuncNode, pos token.Pos, v *types.Var) {
 			pass.Report(pos,
 				"write to package-level %s.%s from simulation code (via %s); concurrent jobs share it, so move the state into the run",
-				v.Pkg().Name(), v.Name(), c.chain(n))
+				v.Pkg().Name(), v.Name(), sim.chain(n))
 		}
-		for _, n := range c.reached() {
-			n := n
+		for _, n := range pass.Graph.Nodes {
+			if !sim.has(n) {
+				continue
+			}
 			inspectOwn(n, func(nd ast.Node) bool {
 				switch nd := nd.(type) {
 				case *ast.AssignStmt:

@@ -1,10 +1,10 @@
 // Package hidden is the seeded acceptance case: a map-range loop that
 // feeds an ordered sink, two helper calls below a turn body.  The
-// interprocedural suite follows turn → level1 → level2 and reports the
-// sink call; the syntactic suite finds nothing here (asserted in
-// parlint_test.go), because the loop calls a method whose name carries
-// no sink prefix and the append that makes it a sink sits in another
-// function.
+// helper scope follows turn → level1 → level2 and reports the sink
+// call; the direct scope finds nothing here (the corpus test fails on
+// any diagnostic without a // want), because the loop calls a method
+// whose name carries no sink prefix and the append that makes it a
+// sink sits in another function.
 package hidden
 
 import "contract.example/vtime"

@@ -1,7 +1,9 @@
-// Package taint exercises the interprocedural wallclock / globalrand /
-// maporder upgrades: the offending construct sits in a helper (two
-// levels deep for the wall clock), and the report lands on the call
-// edge in simulation-reachable code.
+// Package taint exercises the helper scope of wallclock, globalrand and
+// maporder: the offending construct sits in a helper (two levels deep
+// for the wall clock), and the report lands on the call edge in
+// simulation-reachable code.  The direct scope reports each construct
+// where it is written, and a construct written in simulation code
+// itself is reported there once, never again as a helper call.
 package taint
 
 import (
@@ -14,8 +16,9 @@ import "contract.example/vtime"
 
 func Run(k *vtime.Kernel, m map[string]int) {
 	k.Spawn("t", func(a *vtime.Actor) {
-		stamp() // want `call to taint\.stamp reaches the wall clock \(taint\.stamp → taint\.wrap\)`
-		pick()  // want `call to taint\.pick reaches the process-global math/rand generator`
+		_ = time.Now() // want `time\.Now reads the wall clock`
+		stamp()        // want `call to taint\.stamp reaches the wall clock \(taint\.stamp → taint\.wrap\)`
+		pick()         // want `call to taint\.pick reaches the process-global math/rand generator`
 		s := &sink{}
 		collect(s, m)
 		collectSorted(s, m)
@@ -26,10 +29,10 @@ func Run(k *vtime.Kernel, m map[string]int) {
 // actual reference.  Taint flows bottom-up through both.
 func stamp() float64 { return wrap() } // want `call to taint\.wrap reaches the wall clock \(taint\.wrap\)`
 
-func wrap() float64 { return float64(time.Now().UnixNano()) }
+func wrap() float64 { return float64(time.Now().UnixNano()) } // want `time\.Now reads the wall clock`
 
 // pick draws from the process-global generator.
-func pick() int { return rand.Intn(3) }
+func pick() int { return rand.Intn(3) } // want `rand\.Intn uses the process-global generator`
 
 // sink accumulates keys in call order.
 type sink struct{ keys []string }
@@ -37,7 +40,7 @@ type sink struct{ keys []string }
 func (s *sink) add(k string) { s.keys = append(s.keys, k) }
 
 // collect hides the ordered sink one call below the map range: the
-// syntactic maporder pass sees only an innocent method call here.
+// direct maporder scope sees only an innocent method call here.
 func collect(s *sink, m map[string]int) {
 	for k := range m {
 		s.add(k) // want `\(taint\.sink\)\.add emits to an ordered sink and is called inside a map-range loop`

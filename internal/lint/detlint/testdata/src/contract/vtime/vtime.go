@@ -1,5 +1,5 @@
 // Package vtime is a stub of the real kernel API (internal/vtime) for
-// the parlint corpus: parlint matches the API by package-name suffix,
+// the contract corpus: detlint matches the API by package-path suffix,
 // so the corpus exercises the analyzers without depending on the repo's
 // packages.
 package vtime

@@ -1,61 +1,47 @@
-// Package lint is a minimal static-analysis framework in the shape of
-// golang.org/x/tools/go/analysis, built on the standard library's go/ast
-// and go/types only — the x/tools module is deliberately not a
-// dependency of this repo (zero external modules), so the framework
-// mirrors the Analyzer/Pass/Diagnostic surface the vet ecosystem uses
-// without importing it.  Analyzers written against it (internal/lint/
-// detlint) port to the real go/analysis API mechanically.
+// Package lint is a small static-analysis framework built on the
+// standard library's go/ast and go/types only, so the repo keeps zero
+// external modules.  LoadModule parses and type-checks every package of
+// one module, BuildCallGraph builds the module-wide call graph, and
+// RunModuleAnalyzers applies a suite of analyzers to both at once,
+// honouring //detlint:allow directives.  The determinism suite lives in
+// internal/lint/detlint; internal/lint/linttest checks analyzers against
+// `// want` comments in small corpus modules.
 package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
-	"sort"
 	"strings"
 )
 
-// Analyzer is one static check.  A syntactic analyzer sets Run and is
-// applied package by package; an interprocedural analyzer sets
-// RunModule and is applied once to the whole module with the call
-// graph available.  Setting both is allowed (RunModule wins under the
-// module runner).
+// Analyzer is one static check, applied once to a whole module with
+// the call graph built.
 type Analyzer struct {
 	// Name identifies the analyzer in output and in suppression
 	// directives ("//detlint:allow <name>").
 	Name string
 	// Doc is a one-paragraph description.
 	Doc string
-	// Run applies the check to one package, reporting findings through
-	// pass.Report.  May be nil for module-only analyzers.
-	Run func(pass *Pass) error
-	// RunModule applies the check to a whole module at once, with the
-	// call graph built.  May be nil for package-local analyzers.
+	// RunModule applies the check, reporting findings through
+	// pass.Report.  Nil only for UnusedAllow, which the runner handles.
 	RunModule func(pass *ModulePass) error
 }
 
-// Pass carries one package's parsed and type-checked representation
+// ModulePass carries the whole loaded module and its call graph
 // through an analyzer.
-type Pass struct {
+type ModulePass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
-	// TypeErrors holds any (tolerated) type-check failures; analyzers
-	// should degrade gracefully rather than assume complete type
-	// information when this is non-empty.
-	TypeErrors []error
+	Module   *Module
+	Graph    *CallGraph
 
 	diags *[]Diagnostic
 }
 
 // Report records a finding.
-func (p *Pass) Report(pos token.Pos, format string, args ...any) {
+func (p *ModulePass) Report(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
+		Pos:      p.Module.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -89,73 +75,4 @@ func parseDirective(text string) []string {
 		rest = rest[:i]
 	}
 	return strings.Fields(rest)
-}
-
-// Run applies the analyzers to a loaded package and returns the
-// surviving diagnostics sorted by position, with suppression directives
-// already applied.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue // module-only analyzer; see RunModuleAnalyzers
-		}
-		pass := &Pass{
-			Analyzer:   a,
-			Fset:       pkg.Fset,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			Info:       pkg.Info,
-			TypeErrors: pkg.TypeErrors,
-			diags:      &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-	}
-	diags = suppress(pkg, diags)
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
-	})
-	return diags, nil
-}
-
-// suppress drops diagnostics covered by an allow directive on the same
-// line or the line immediately above.
-func suppress(pkg *Package, diags []Diagnostic) []Diagnostic {
-	type key struct {
-		file string
-		line int
-		name string
-	}
-	allowed := make(map[key]bool)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				names := parseDirective(c.Text)
-				pos := pkg.Fset.Position(c.Pos())
-				for _, name := range names {
-					allowed[key{pos.Filename, pos.Line, name}] = true
-					allowed[key{pos.Filename, pos.Line + 1, name}] = true
-				}
-			}
-		}
-	}
-	if len(allowed) == 0 {
-		return diags
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		if !allowed[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}] {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }

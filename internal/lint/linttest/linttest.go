@@ -1,5 +1,5 @@
 // Package linttest is an analysistest-style harness for the in-repo
-// lint framework: it loads a testdata package, runs analyzers over it,
+// lint framework: it loads a testdata module, runs analyzers over it,
 // and compares the diagnostics against `// want "regexp"` comments on
 // the expecting lines — the exact convention of
 // golang.org/x/tools/go/analysis/analysistest, which this repo cannot
@@ -28,40 +28,11 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads the package in dir and checks the analyzers' diagnostics
-// against the package's // want comments.
-func Run(t *testing.T, dir string, analyzers ...*lint.Analyzer) {
-	t.Helper()
-	loader, err := lint.NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.Run(pkg, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expects := collectWants(t, pkg)
-	for _, d := range diags {
-		if !claim(expects, d.Pos, d.Message) {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for _, e := range expects {
-		if !e.matched {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", e.file, e.line, e.pattern)
-		}
-	}
-}
-
-// RunModule loads the module rooted at dir (a testdata mini-module
-// with its own go.mod, typically containing a stub vtime subpackage),
-// runs the analyzers through the module-wide interprocedural runner,
-// and checks the merged diagnostics against // want comments collected
-// from every package of the module.
+// RunModule loads the module rooted at dir (a testdata mini-module,
+// with or without a go.mod), runs the analyzers over it, and checks the
+// merged diagnostics against // want comments collected from every
+// package of the module.  Any diagnostic no // want claims fails the
+// test, as does any // want no diagnostic matches.
 func RunModule(t *testing.T, dir string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	m, err := lint.LoadModule(dir)

@@ -8,9 +8,9 @@ import (
 
 // Module is every package of one Go module, parsed and type-checked
 // through a single Loader (so cross-package type identities agree).  It
-// is the unit the interprocedural analyzers operate on: a module-wide
-// call graph only makes sense when the whole dependency closure inside
-// the module is loaded.
+// is the unit every analyzer operates on: a module-wide call graph only
+// makes sense when the whole dependency closure inside the module is
+// loaded.
 type Module struct {
 	Dir  string
 	Path string // module path from go.mod ("" for go.mod-less corpora)
@@ -19,8 +19,6 @@ type Module struct {
 	// Packages is sorted by import path, so every module-wide walk that
 	// iterates it is deterministic by construction.
 	Packages []*Package
-
-	byPath map[string]*Package
 }
 
 // LoadModule parses and type-checks every package under dir (the
@@ -41,25 +39,14 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{
-		Dir:    abs,
-		Path:   loader.ModPath,
-		Fset:   loader.Fset,
-		byPath: make(map[string]*Package),
-	}
+	m := &Module{Dir: abs, Path: loader.ModPath, Fset: loader.Fset}
 	for _, d := range dirs {
 		pkg, err := loader.LoadDir(d)
 		if err != nil {
 			return nil, err
 		}
-		if m.byPath[pkg.Path] == nil {
-			m.byPath[pkg.Path] = pkg
-			m.Packages = append(m.Packages, pkg)
-		}
+		m.Packages = append(m.Packages, pkg)
 	}
 	sort.Slice(m.Packages, func(i, j int) bool { return m.Packages[i].Path < m.Packages[j].Path })
 	return m, nil
 }
-
-// Package returns the loaded package with the given import path, or nil.
-func (m *Module) Package(path string) *Package { return m.byPath[path] }

@@ -9,38 +9,14 @@ import (
 	"sort"
 )
 
-// ModulePass carries the whole loaded module and its call graph
-// through an interprocedural analyzer.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Module   *Module
-	Graph    *CallGraph
-
-	diags *[]Diagnostic
-}
-
-// Fset returns the module's shared file set.
-func (p *ModulePass) Fset() *token.FileSet { return p.Module.Fset }
-
-// Report records a finding.
-func (p *ModulePass) Report(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Module.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // UnusedAllow is the meta-analyzer that reports //detlint:allow
-// directives suppressing nothing, so the allowlist cannot go stale.
-// It has no Run/RunModule of its own: the module runner special-cases
-// it, because it needs the suppression machinery's usage accounting.
-// Only directive names that belong to an analyzer in the active suite
-// count — running a sub-suite does not flag allows that belong to
-// analyzers the sub-suite did not execute.
+// directive names suppressing nothing — stale ones and misspelt ones
+// alike — so the allowlist cannot rot.  It has no RunModule of its own:
+// the runner special-cases it, because it needs the suppression
+// machinery's usage accounting.
 var UnusedAllow = &Analyzer{
 	Name: "unusedallow",
-	Doc:  "report //detlint:allow directives that suppress no diagnostic of the active suite",
+	Doc:  "report //detlint:allow directives that suppress no diagnostic",
 }
 
 // directiveSite is one parsed allow directive in the module.
@@ -50,59 +26,32 @@ type directiveSite struct {
 	used  []bool // parallel to names
 }
 
-// RunModuleAnalyzers applies a suite to a loaded module: package-local
-// analyzers (Run) visit every package, interprocedural analyzers
-// (RunModule) get the call graph, suppression is applied module-wide
-// with usage accounting, and — if UnusedAllow is in the suite — stale
-// directives are reported.  The merged diagnostic stream is sorted by
-// (analyzer, file, line, column, message) so output is byte-stable
-// across runs and suitable for golden tests.
+// RunModuleAnalyzers applies a suite to a loaded module: every
+// analyzer gets the call graph, suppression is applied module-wide with
+// usage accounting, and — if UnusedAllow is in the suite — directive
+// names that suppressed nothing are reported.  The merged diagnostic
+// stream is sorted by (analyzer, file, line, column, message) so output
+// is byte-stable across runs and suitable for golden tests.
 func RunModuleAnalyzers(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	var graph *CallGraph
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			graph = BuildCallGraph(m)
-			break
-		}
-	}
+	graph := BuildCallGraph(m)
 	checkUnused := false
 	for _, a := range analyzers {
-		switch {
-		case a.Name == UnusedAllow.Name:
+		if a.Name == UnusedAllow.Name {
 			checkUnused = true
-		case a.RunModule != nil:
-			mp := &ModulePass{Analyzer: a, Module: m, Graph: graph, diags: &diags}
-			if err := a.RunModule(mp); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
-		case a.Run != nil:
-			for _, pkg := range m.Packages {
-				pass := &Pass{
-					Analyzer:   a,
-					Fset:       pkg.Fset,
-					Files:      pkg.Files,
-					Pkg:        pkg.Types,
-					Info:       pkg.Info,
-					TypeErrors: pkg.TypeErrors,
-					diags:      &diags,
-				}
-				if err := a.Run(pass); err != nil {
-					return nil, fmt.Errorf("%s: %w", a.Name, err)
-				}
-			}
+			continue
+		}
+		mp := &ModulePass{Analyzer: a, Module: m, Graph: graph, diags: &diags}
+		if err := a.RunModule(mp); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	sites := collectDirectives(m)
-	diags = suppressTracked(sites, diags)
+	diags = suppress(sites, diags)
 	if checkUnused {
-		active := make(map[string]bool, len(analyzers))
-		for _, a := range analyzers {
-			active[a.Name] = true
-		}
 		for _, s := range sites {
 			for i, name := range s.names {
-				if active[name] && !s.used[i] {
+				if !s.used[i] {
 					diags = append(diags, Diagnostic{
 						Analyzer: UnusedAllow.Name,
 						Pos:      s.pos,
@@ -140,9 +89,9 @@ func collectDirectives(m *Module) []*directiveSite {
 	return sites
 }
 
-// suppressTracked drops diagnostics covered by a directive on the same
-// line or the line above, marking each directive name that fired.
-func suppressTracked(sites []*directiveSite, diags []Diagnostic) []Diagnostic {
+// suppress drops diagnostics covered by a directive on the same line
+// or the line above, marking each directive name that fired.
+func suppress(sites []*directiveSite, diags []Diagnostic) []Diagnostic {
 	type key struct {
 		file string
 		line int

@@ -2,7 +2,9 @@ package lint_test
 
 import (
 	"bytes"
+	"fmt"
 	"go/token"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -32,20 +34,28 @@ func TestUnusedAllow(t *testing.T) {
 	}
 }
 
-// TestUnusedAllowScopedToSuite: running a sub-suite must not flag
-// directives that belong to analyzers outside it — here the stale
-// maporder directive with a suite that lacks maporder entirely.
-func TestUnusedAllowScopedToSuite(t *testing.T) {
-	m, err := lint.LoadModule("testdata/stale")
+// TestUnusedAllowReportsTypo: a directive naming no analyzer suppresses
+// nothing, so it is reported like a stale one, and the finding it was
+// meant to cover still fires.
+func TestUnusedAllowReportsTypo(t *testing.T) {
+	m, err := lint.LoadModule("testdata/typo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.RunModuleAnalyzers(m, []*lint.Analyzer{detlint.Wallclock, lint.UnusedAllow})
+	diags, err := lint.RunModuleAnalyzers(m, append(detlint.Analyzers(), lint.UnusedAllow))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 0 {
-		t.Fatalf("sub-suite run must not flag out-of-suite directives, got %v", diags)
+	var got []string
+	for _, d := range diags {
+		got = append(got, fmt.Sprintf("%d %s %s", d.Pos.Line, d.Analyzer, d.Message))
+	}
+	want := []string{
+		"8 unusedallow //detlint:allow wallclok suppresses no diagnostic; remove the stale directive",
+		"8 wallclock time.Now reads the wall clock; inject a nowFunc (see internal/vtime) so simulation stays deterministic",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

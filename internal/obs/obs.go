@@ -1,10 +1,10 @@
 // Package obs is the simulator's self-observability layer: typed
-// metrics with atomic hot-path updates, a leveled structured logger, a
-// study progress reporter and a timeline annotation collector.  The
-// paper's whole argument rests on measuring the measurement system —
-// Score-P's dilation, per-mode overhead, wait-state attribution — and
-// this package gives the reproduction the same property: every run can
-// self-report what its kernel, runtime and study harness did.
+// metrics with atomic hot-path updates, a study progress reporter and a
+// timeline annotation collector.  The paper's whole argument rests on
+// measuring the measurement system — Score-P's dilation, per-mode
+// overhead, wait-state attribution — and this package gives the
+// reproduction the same property: every run can self-report what its
+// kernel, runtime and study harness did.
 //
 // The package is stdlib-only and imports nothing from the repository,
 // so every subsystem (vtime, simmpi, faults, experiment, runcache) can
@@ -12,7 +12,7 @@
 //
 // # The observe-only invariant
 //
-// Metrics, logs, progress lines and timeline annotations must NEVER
+// Metrics, progress lines and timeline annotations must NEVER
 // feed back into simulation state.  Instrumented code may increment a
 // counter or emit a sample, but no simulation decision — a scheduling
 // choice, a timestamp, a trace byte — may read one.  The invariant is

@@ -35,9 +35,6 @@ func TestNilSafety(t *testing.T) {
 	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot is not empty")
 	}
-	var l *Logger
-	l.Info("dropped", F("k", 1))
-	l.With(F("a", 1)).Error("dropped")
 	var p *Progress
 	p.Start(10, "jobs")
 	p.JobDone(1)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -116,5 +117,37 @@ func TestProgressState(t *testing.T) {
 	p.Finish()
 	if s := p.State(); !s.Finished || s.Percent != 100 {
 		t.Fatalf("post-finish state = %+v", s)
+	}
+}
+
+// TestProgressReporting drives the reporter with a fake clock and
+// checks the cadence, the counts and the virtual-cost ETA.
+func TestProgressReporting(t *testing.T) {
+	var buf bytes.Buffer
+	now := time.Date(2026, 8, 6, 9, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return now }
+	p := NewProgress(&buf, "study", clock)
+	p.Start(4, "MiniFE-1 grid")
+	p.CacheHit()
+	p.JobDone(1.0)
+	now = now.Add(2 * time.Second) // past the 1s cadence
+	p.JobDone(1.0)
+	p.JobRetried()
+	p.JobDropped()
+	now = now.Add(time.Second)
+	p.JobDone(1.0)
+	p.Finish()
+	out := buf.String()
+	for _, want := range []string{
+		"study: MiniFE-1 grid: 4 jobs queued",
+		"study: 2/4 jobs (50%)",
+		"1 cache hits",
+		"eta 2s", // 2s elapsed for 2.0 virtual s done, 2 jobs left at mean 1.0 virtual s
+		"study: done: 4/4 jobs",
+		"1 retried, 1 dropped",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("progress output missing %q:\n%s", want, out)
+		}
 	}
 }

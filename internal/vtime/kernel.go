@@ -11,8 +11,8 @@ import (
 // on it.  It is a variable so tests can substitute a fake clock and
 // exercise the watchdog without real elapsed time.  Wall-clock reads
 // are otherwise sanctioned only in cmd binaries that inject time.Now
-// into observe-only reporting (obs.Progress, obs.Logger); everything
-// else must fail the determinism lint (cmd/detlint).
+// into observe-only reporting (obs.Progress); everything else must fail
+// the determinism lint (cmd/detlint).
 var nowFunc = time.Now //detlint:allow wallclock
 
 // Kernel is the central scheduler of a virtual-time simulation.  Create one
