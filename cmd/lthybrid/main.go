@@ -34,6 +34,9 @@ func main() {
 	flag.Parse()
 
 	mode := core.Mode(*logical)
+	if err := core.CheckMode(mode); err != nil {
+		log.Fatal(err)
+	}
 	if mode == core.ModeTSC {
 		log.Fatal("-logical must be a logical mode")
 	}

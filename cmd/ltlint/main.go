@@ -73,7 +73,11 @@ func runSpec(name, modeFlag string, quick bool, seed int64, withNoise, jsonOut b
 		modes = core.AllModes()
 	} else {
 		for _, m := range strings.Split(modeFlag, ",") {
-			modes = append(modes, core.Mode(strings.TrimSpace(m)))
+			mode := core.Mode(strings.TrimSpace(m))
+			if err := core.CheckMode(mode); err != nil {
+				log.Fatal(err)
+			}
+			modes = append(modes, mode)
 		}
 	}
 	np := noise.Params{}

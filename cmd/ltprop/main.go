@@ -71,7 +71,11 @@ func main() {
 	opts := experiment.PropagationOptions{Seed: *seed, Workers: *jobs}
 	if *mode != "all" {
 		for _, m := range strings.Split(*mode, ",") {
-			opts.Modes = append(opts.Modes, core.Mode(strings.TrimSpace(m)))
+			mode := core.Mode(strings.TrimSpace(m))
+			if err := core.CheckMode(mode); err != nil {
+				log.Fatal(err)
+			}
+			opts.Modes = append(opts.Modes, mode)
 		}
 	}
 	if *cacheDir != "" {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/experiment"
@@ -66,11 +67,20 @@ func main() {
 		{"LULESH (rank cubes)", "LULESH-1", [][2]int{{1, 4}, {8, 4}, {27, 4}, {64, 4}}},
 		{"TeaLeaf (one-node splits)", "TeaLeaf-2", [][2]int{{1, 128}, {2, 64}, {4, 32}, {8, 16}, {16, 8}, {32, 4}, {64, 2}, {128, 1}}},
 	}
+	if *app != "" {
+		kept := sweeps[:0]
+		for _, s := range sweeps {
+			if strings.HasPrefix(s.base, *app) {
+				kept = append(kept, s)
+			}
+		}
+		if len(kept) == 0 {
+			log.Fatalf("-app %q matches no mini-app; want MiniFE, LULESH or TeaLeaf", *app)
+		}
+		sweeps = kept
+	}
 	np := noise.Cluster()
 	for _, s := range sweeps {
-		if *app != "" && s.base[:len(*app)] != *app {
-			continue
-		}
 		spec, err := experiment.SpecByName(s.base, experiment.Options{Quick: *quick})
 		if err != nil {
 			log.Fatal(err)

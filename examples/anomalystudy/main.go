@@ -1,13 +1,14 @@
-// Anomaly study: inject an HPAS-style memory-bandwidth antagonist under
-// one rank of a perfectly balanced job (the paper cites Ates et al. [7]
-// for exactly this methodology) and watch the three-way comparison:
+// Anomaly study: collapse the memory bandwidth under one rank of a
+// perfectly balanced job with a faults.MemDegrade window (the paper cites
+// Ates et al. [7] for this kind of memory antagonist) and watch the
+// three-way comparison:
 //
 //   - the physical analysis reports wait states at the reduction,
 //   - the logical analysis reports (almost) none,
 //   - the hybrid classifier concludes the waits are extrinsic — caused by
 //     the environment, not the algorithm.
 //
-// Swap the antagonist for a genuine 2x work imbalance and the verdict
+// Swap the bandwidth collapse for a genuine 2x work imbalance and the verdict
 // flips to intrinsic.
 //
 //	go run ./examples/anomalystudy
@@ -18,9 +19,9 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/anomaly"
 	"repro/internal/core"
 	"repro/internal/cube"
+	"repro/internal/faults"
 	"repro/internal/hybrid"
 	"repro/internal/machine"
 	"repro/internal/measure"
@@ -56,11 +57,10 @@ func run(mode core.Mode, inject, imbalance bool) *cube.Profile {
 		m.AddWorkingSet(machine.CoreID(d*m.Cfg.CoresPerDomain), 100*m.Cfg.L3PerDomain)
 	}
 	if inject {
-		// Hammer rank 0's memory domain for the whole run.
-		if err := anomaly.Inject(k, m, anomaly.Anomaly{
-			Kind: anomaly.MemBW, Target: 0,
-			Duration: 300, Period: 0.001, Duty: 1, Intensity: 0.95,
-		}); err != nil {
+		// Halve rank 0's memory bandwidth for the whole run.
+		if _, err := faults.Arm(k, m, place, faults.Plan{Faults: []faults.Fault{
+			{Kind: faults.MemDegrade, Domain: 0, Duration: 300, Factor: 0.5},
+		}}); err != nil {
 			log.Fatal(err)
 		}
 	}

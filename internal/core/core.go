@@ -26,6 +26,8 @@ package core
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/loc"
 	"repro/internal/noise"
@@ -82,38 +84,67 @@ type Clock interface {
 	RecvPB(pb uint64)
 }
 
-// New builds the clock of the given mode for a location.  src may be nil
-// (noise-free); it is consulted only by tsc (clock offset/drift) and
-// lt_hwctr (counter read-out noise).
-func New(mode Mode, l *loc.Location, src *noise.Source) Clock {
-	switch mode {
-	case ModeTSC:
+// clocks maps every mode New can build to its constructor.  It is the one
+// list of known modes: New and CheckMode both read it.
+var clocks = map[Mode]func(l *loc.Location, src *noise.Source) Clock{
+	ModeTSC: func(l *loc.Location, src *noise.Source) Clock {
 		return &tscClock{loc: l, src: src}
-	case ModeLt1:
-		// One tick per event.  Stamp already adds one per trace record;
-		// the effort model adds the instrumented function calls the work
-		// quanta stand for, which the real lt_1 would each see as an
-		// event of their own.
-		return newLamport(mode, l, func(d work.Counts) float64 { return d.Calls })
-	case ModeLoop:
-		return newLamport(mode, l, func(d work.Counts) float64 { return d.LoopIters })
-	case ModeBB:
-		return newLamport(mode, l, func(d work.Counts) float64 { return d.BB })
-	case ModeStmt:
-		return newLamport(mode, l, func(d work.Counts) float64 { return d.Stmt })
-	case ModeHwctr:
-		return newLamport(mode, l, func(d work.Counts) float64 {
+	},
+	// One tick per event.  Stamp already adds one per trace record; the
+	// effort model adds the instrumented function calls the work quanta
+	// stand for, which the real lt_1 would each see as an event of their
+	// own.
+	ModeLt1: func(l *loc.Location, _ *noise.Source) Clock {
+		return newLamport(ModeLt1, l, func(d work.Counts) float64 { return d.Calls })
+	},
+	ModeLoop: func(l *loc.Location, _ *noise.Source) Clock {
+		return newLamport(ModeLoop, l, func(d work.Counts) float64 { return d.LoopIters })
+	},
+	ModeBB: func(l *loc.Location, _ *noise.Source) Clock {
+		return newLamport(ModeBB, l, func(d work.Counts) float64 { return d.BB })
+	},
+	ModeStmt: func(l *loc.Location, _ *noise.Source) Clock {
+		return newLamport(ModeStmt, l, func(d work.Counts) float64 { return d.Stmt })
+	},
+	ModeHwctr: func(l *loc.Location, src *noise.Source) Clock {
+		return newLamport(ModeHwctr, l, func(d work.Counts) float64 {
 			if src != nil {
 				return src.HWCtr(d.Instr)
 			}
 			return d.Instr
 		})
-	case ModeWStmt:
+	},
+	ModeWStmt: func(l *loc.Location, src *noise.Source) Clock {
 		return NewWeighted(l, DefaultWeights(), src)
-	case ModeHwComb:
-		return NewCombined(l, src)
+	},
+	ModeHwComb: NewCombined,
+}
+
+// CheckMode returns an error naming mode, and the modes New knows, unless
+// New can build it.  Entry points call it before anything runs, so a
+// typo fails once and up front rather than inside the first actor.
+func CheckMode(mode Mode) error {
+	if _, ok := clocks[mode]; ok {
+		return nil
 	}
-	panic(fmt.Sprintf("core: unknown clock mode %q", mode))
+	known := make([]string, 0, len(clocks))
+	for m := range clocks {
+		known = append(known, string(m))
+	}
+	sort.Strings(known)
+	return fmt.Errorf("core: unknown clock mode %q (known: %s)", mode, strings.Join(known, ", "))
+}
+
+// New builds the clock of the given mode for a location.  src may be nil
+// (noise-free); it is consulted only by tsc (clock offset/drift) and
+// lt_hwctr (counter read-out noise).  It panics on a mode CheckMode
+// rejects.
+func New(mode Mode, l *loc.Location, src *noise.Source) Clock {
+	build, ok := clocks[mode]
+	if !ok {
+		panic(CheckMode(mode))
+	}
+	return build(l, src)
 }
 
 // tscClock is the physical timer: the x86 time-stamp counter with

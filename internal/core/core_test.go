@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/loc"
@@ -269,4 +271,28 @@ func TestUnknownModePanics(t *testing.T) {
 		}
 	}()
 	New(Mode("bogus"), &loc.Location{}, nil)
+}
+
+// TestCheckModeMatchesNew: CheckMode accepts exactly the modes New
+// builds, and its error names the rejected mode.
+func TestCheckModeMatchesNew(t *testing.T) {
+	for mode := range clocks {
+		if err := CheckMode(mode); err != nil {
+			t.Errorf("CheckMode(%q) = %v", mode, err)
+		}
+		if got := New(mode, &loc.Location{}, nil).Name(); got != mode {
+			t.Errorf("New(%q) built a %q clock", mode, got)
+		}
+	}
+	for _, mode := range AllModes() {
+		if err := CheckMode(mode); err != nil {
+			t.Errorf("paper mode %q rejected: %v", mode, err)
+		}
+	}
+	for _, mode := range []Mode{"bogus", ""} {
+		err := CheckMode(mode)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", mode)) {
+			t.Errorf("CheckMode(%q) = %v, want an error naming the mode", mode, err)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/measure"
 	"repro/internal/noise"
+	"repro/internal/obs"
 	"repro/internal/work"
 )
 
@@ -157,5 +158,32 @@ func TestReportRenderers(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestUnknownModeRejectedUpFront: every entry point rejects a mode
+// core.New cannot build with one error naming it, before any job runs,
+// and accepts the modes beyond the paper's six.
+func TestUnknownModeRejectedUpFront(t *testing.T) {
+	spec := tinySpec()
+	bogus := core.Mode("bogus")
+	reg := obs.NewRegistry()
+	cfg := measure.DefaultConfig(bogus)
+	_, runErr := RunWithOptions(spec, RunOptions{Cfg: &cfg, Metrics: reg})
+	_, studyErr := RunStudy(spec, StudyOptions{Reps: 1, Modes: []core.Mode{core.ModeStmt, bogus}, Metrics: reg})
+	_, propErr := RunPropagationStudy(spec, PropagationOptions{Modes: []core.Mode{core.ModeTSC, bogus}, Metrics: reg}, oneOffPlan(spec))
+	for _, c := range []struct {
+		entry string
+		err   error
+	}{{"RunWithOptions", runErr}, {"RunStudy", studyErr}, {"RunPropagationStudy", propErr}} {
+		if c.err == nil || !strings.Contains(c.err.Error(), `unknown clock mode "bogus"`) {
+			t.Errorf("%s: err = %v, want one naming the mode", c.entry, c.err)
+		}
+	}
+	if n := reg.Counter("experiment_jobs").Value(); n != 0 {
+		t.Errorf("%d jobs ran before the unknown mode was rejected", n)
+	}
+	if _, err := RunStudy(spec, StudyOptions{Reps: 1, Modes: []core.Mode{core.ModeWStmt, core.ModeHwComb}}); err != nil {
+		t.Errorf("RunStudy rejected a known mode: %v", err)
 	}
 }

@@ -43,10 +43,27 @@ func TestFaultedRunsAreDeterministic(t *testing.T) {
 
 // A pure logical clock must filter extrinsic faults entirely: its trace
 // with the fault plan is bit-identical to its trace without it, while a
-// physical clock's trace must differ (the fault is physically real).
+// physical clock's trace must differ (the fault is physically real).  Two
+// plans stand in for the two kinds of extrinsic fault: a one-off delay on
+// one rank and a memory-bandwidth collapse under rank 0's NUMA domain.
 func TestLogicalTraceUnchangedByFaults(t *testing.T) {
 	spec := tinySpec()
-	plan := oneOffPlan(spec)
+	// tinySpec's working set fits in L3, where a bandwidth collapse does
+	// not bite; spilling it to DRAM makes the membw window slow the job.
+	app := spec.App
+	spec.App = func(r *measure.Rank) AppResult {
+		defer r.SpreadWorkingSet(1e9)()
+		return app(r)
+	}
+	plans := []struct {
+		name string
+		plan faults.Plan
+	}{
+		{"oneoff", oneOffPlan(spec)},
+		{"membw", faults.Plan{Faults: []faults.Fault{
+			{Kind: faults.MemDegrade, Domain: 0, Duration: 300, Factor: 0.5},
+		}}},
+	}
 	serialize := func(mode core.Mode, p *faults.Plan) string {
 		cfg := measure.DefaultConfig(mode)
 		res, err := RunWithOptions(spec, RunOptions{
@@ -57,11 +74,14 @@ func TestLogicalTraceUnchangedByFaults(t *testing.T) {
 		}
 		return traceSum(res.Trace)
 	}
-	if serialize(core.ModeStmt, nil) != serialize(core.ModeStmt, &plan) {
-		t.Fatal("lt_stmt trace changed under a one-off delay (logical clocks must filter extrinsic faults)")
-	}
-	if serialize(core.ModeTSC, nil) == serialize(core.ModeTSC, &plan) {
-		t.Fatal("tsc trace identical with and without the injected delay (the fault did not bite)")
+	stmtClean, tscClean := serialize(core.ModeStmt, nil), serialize(core.ModeTSC, nil)
+	for _, tc := range plans {
+		if serialize(core.ModeStmt, &tc.plan) != stmtClean {
+			t.Errorf("%s: lt_stmt trace changed under the fault (logical clocks must filter extrinsic faults)", tc.name)
+		}
+		if serialize(core.ModeTSC, &tc.plan) == tscClean {
+			t.Errorf("%s: tsc trace identical with and without the fault (the fault did not bite)", tc.name)
+		}
 	}
 }
 

@@ -95,19 +95,23 @@ type PropagationStudy struct {
 // cache-aware, then aligns each pair through propagation.Analyze.  The
 // study degrades per mode — a dropped run or failed alignment marks that
 // mode's Err and the rest proceed.  It fails outright only when every
-// mode failed or the plan is empty.
+// mode failed, a mode is unknown, or the plan is empty or invalid.
 func RunPropagationStudy(spec Spec, opts PropagationOptions, plan faults.Plan) (*PropagationStudy, error) {
 	if plan.Empty() {
 		return nil, fmt.Errorf("experiment %s: propagation study needs a non-empty plan", spec.Name)
 	}
-	// Validate against the spec's machine up-front: an invalid plan fails
-	// every job identically, and the pool's retry-then-drop degradation
-	// would bury the structured PlanError under "run dropped" noise.
+	// Validate the plan against the spec's machine, and the modes, up
+	// front: either fails every job identically, and the pool's
+	// retry-then-drop degradation would bury the cause under "run
+	// dropped" noise.
 	mc := machine.Jureca(spec.Nodes)
 	if err := plan.Validate(spec.Ranks, mc.Nodes, mc.TotalDomains()); err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", spec.Name, err)
 	}
 	opts = opts.fill()
+	if err := checkModes(spec, opts.Modes...); err != nil {
+		return nil, err
+	}
 	if plan.Seed == 0 {
 		plan.Seed = opts.Seed
 	}

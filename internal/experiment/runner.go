@@ -86,8 +86,14 @@ func RunWithConfig(spec Spec, cfg *measure.Config, seed int64, np noise.Params, 
 
 // RunWithOptions is the fully general single-run entry point: an
 // explicit measurement configuration, an optional fault plan, and an
-// optional kernel watchdog.
+// optional kernel watchdog.  A timer mode core.New cannot build is
+// rejected before the run starts.
 func RunWithOptions(spec Spec, o RunOptions) (*RunResult, error) {
+	if o.Cfg != nil {
+		if err := checkModes(spec, o.Cfg.Mode); err != nil {
+			return nil, err
+		}
+	}
 	k := vtime.NewKernel()
 	k.SetWatchdog(o.Watchdog)
 	k.SetMetrics(vtime.NewMetrics(o.Metrics))
@@ -297,6 +303,18 @@ type DroppedRep struct {
 // seed of the study (BaseSeed .. BaseSeed+Reps).
 const retrySeedOffset = 1_000_003
 
+// checkModes rejects a timer mode core.New cannot build.  The studies
+// call it before queueing jobs, so the pool never retries a job that
+// cannot succeed.
+func checkModes(spec Spec, modes ...core.Mode) error {
+	for _, m := range modes {
+		if err := core.CheckMode(m); err != nil {
+			return fmt.Errorf("experiment %s: %w", spec.Name, err)
+		}
+	}
+	return nil
+}
+
 // runIsolated executes one repetition and converts any panic escaping
 // the runner — bad specs, analyzer bugs, kernel misuse outside actor
 // context — into an error, so a single broken repetition cannot kill a
@@ -322,9 +340,12 @@ func runIsolated(spec Spec, o RunOptions) (res *RunResult, err error) {
 // index, the Study is byte-identical for every worker count.  Failing
 // repetitions are isolated: each is retried once with a fresh seed, then
 // dropped and reported in Study.Dropped.  RunStudy returns an error only
-// when every single repetition failed.
+// when a mode is unknown or every single repetition failed.
 func RunStudy(spec Spec, opts StudyOptions) (*Study, error) {
 	opts = opts.fill()
+	if err := checkModes(spec, opts.Modes...); err != nil {
+		return nil, err
+	}
 	st := &Study{Spec: spec, Opts: opts, Runs: make(map[core.Mode][]*RunResult)}
 	jobs := studyJobs(spec, opts)
 	var checks []*tracecheck.Report

@@ -89,7 +89,7 @@ func (m *Machine) SocketOf(c CoreID) int {
 }
 
 // Domain returns the DRAM bandwidth resource of a global domain index
-// (exposed for tests, diagnostics and anomaly injection).
+// (exposed for tests, diagnostics and fault injection).
 func (m *Machine) Domain(d int) *vtime.Resource { return m.domains[d] }
 
 // NIC returns the network adapter resource of a node.

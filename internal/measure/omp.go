@@ -8,11 +8,10 @@ import (
 
 // teamWrap is the Opari2-analogue per-team instrumentation state: the
 // piggyback rendezvous slots through which the logical clocks synchronise
-// across threads at forks, barriers, critical sections and joins.
+// across threads at forks, barriers and joins.
 type teamWrap struct {
 	rank    *Rank
 	barPB   map[int32]uint64
-	critPB  uint64
 	forkSeq int32
 	forkPB  uint64
 	joinPB  uint64
@@ -83,44 +82,6 @@ func (t *Thread) Barrier() {
 	t.th.Barrier()
 	rec.clock.RecvPB(tw.barPB[seq])
 	rec.exit()
-}
-
-// Critical runs fn inside the measured critical section; the logical
-// clock is handed from the previous owner to the next.
-func (t *Thread) Critical(fn func()) {
-	if t.rec == nil {
-		t.th.Critical(fn)
-		return
-	}
-	rec := t.rec
-	tw := t.rank.tw
-	rec.ompCallCounts()
-	rec.flush(false)
-	rec.enter("!$omp critical", trace.RoleOmpCritical)
-	t.th.Critical(func() {
-		rec.clock.RecvPB(tw.critPB)
-		fn()
-		if pb := rec.clock.SendPB(); pb > tw.critPB {
-			tw.critPB = pb
-		}
-	})
-	rec.exit()
-}
-
-// Single runs fn on the first arriving thread only, recording the
-// executing thread's region.  It reports whether this thread ran fn.
-func (t *Thread) Single(fn func()) bool {
-	if t.rec == nil {
-		return t.th.Single(fn)
-	}
-	rec := t.rec
-	ran := t.th.Single(func() {
-		rec.ompCallCounts()
-		rec.enter("!$omp single", trace.RoleOmpMgmt)
-		fn()
-		rec.exit()
-	})
-	return ran
 }
 
 // Parallel runs body on every thread of the rank's team with an implicit

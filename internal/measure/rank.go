@@ -278,6 +278,27 @@ func (r *Rank) Waitany(reqs []*simmpi.Request) int {
 	return i
 }
 
+// Sendrecv is the measured paired exchange: a send event for the outgoing
+// message and a receive event for the incoming one, inside one region.
+func (r *Rank) Sendrecv(dst, sendTag int, data []float64, bytes int, src, recvTag int) *simmpi.Message {
+	if r.m == nil {
+		msg, _ := r.P.Sendrecv(dst, sendTag, data, bytes, src, recvTag, 0)
+		return msg
+	}
+	rec := r.rec
+	rec.flush(false)
+	rec.enter("MPI_Sendrecv", trace.RoleMPIP2P)
+	rec.event(trace.EvSend, 0, int32(dst), int32(sendTag), int64(bytes))
+	pb := rec.clock.SendPB()
+	t0 := rec.loc.Now()
+	msg, _ := r.P.Sendrecv(dst, sendTag, data, bytes, src, recvTag, pb)
+	r.spin(rec, t0)
+	rec.clock.RecvPB(msg.Piggyback)
+	rec.event(trace.EvRecv, 0, int32(msg.Src), int32(msg.Tag), int64(msg.Bytes))
+	rec.exit()
+	return msg
+}
+
 // collective wraps the common instrumentation of a collective call.
 func (r *Rank) collective(comm *simmpi.Comm, name string, bytes int64, call func(pb uint64) uint64) {
 	if r.m == nil {
@@ -318,18 +339,6 @@ func (r *Rank) Allreduce(data []float64, op simmpi.Op) []float64 {
 	r.collective(comm, string(simmpi.CollAllreduce), int64(8*len(data)), func(pb uint64) uint64 {
 		var maxPB uint64
 		out, maxPB = comm.Allreduce(r.P, data, op, pb)
-		return maxPB
-	})
-	return out
-}
-
-// Bcast is the measured MPI_Bcast on the world communicator.
-func (r *Rank) Bcast(root int, data []float64) []float64 {
-	comm := r.P.W.CommWorld()
-	var out []float64
-	r.collective(comm, string(simmpi.CollBcast), int64(8*len(data)), func(pb uint64) uint64 {
-		var maxPB uint64
-		out, maxPB = comm.Bcast(r.P, root, data, pb)
 		return maxPB
 	})
 	return out

@@ -13,48 +13,6 @@ import (
 	"repro/internal/work"
 )
 
-func TestMeasuredExtendedCollectives(t *testing.T) {
-	tr, _ := runJob(t, 4, 1, core.ModeLt1, 1, noise.Params{}, func(r *Rank) {
-		red := r.Reduce(0, []float64{float64(r.Rank() + 1)}, simmpi.OpSum)
-		if r.Rank() == 0 && red[0] != 10 {
-			t.Errorf("reduce = %v", red)
-		}
-		g := r.Gather(1, []float64{float64(r.Rank())})
-		if r.Rank() == 1 && (len(g) != 4 || g[3][0] != 3) {
-			t.Errorf("gather = %v", g)
-		}
-		var sdata [][]float64
-		if r.Rank() == 2 {
-			sdata = [][]float64{{0}, {1}, {2}, {3}}
-		}
-		sc := r.Scatter(2, sdata)
-		if sc[0] != float64(r.Rank()) {
-			t.Errorf("scatter = %v", sc)
-		}
-		pre := r.Scan([]float64{1}, simmpi.OpSum)
-		if pre[0] != float64(r.Rank()+1) {
-			t.Errorf("scan = %v", pre)
-		}
-	})
-	// Each collective must appear as a region with a CollEnd record.
-	wantRegions := map[string]bool{
-		"MPI_Reduce": false, "MPI_Gather": false, "MPI_Scatter": false, "MPI_Scan": false,
-	}
-	for _, reg := range tr.Regions {
-		if _, ok := wantRegions[reg.Name]; ok {
-			wantRegions[reg.Name] = true
-			if reg.Role != trace.RoleMPIColl {
-				t.Errorf("%s has role %v", reg.Name, reg.Role)
-			}
-		}
-	}
-	for name, seen := range wantRegions {
-		if !seen {
-			t.Errorf("region %s missing from trace", name)
-		}
-	}
-}
-
 func TestMeasuredSendrecv(t *testing.T) {
 	tr, _ := runJob(t, 2, 1, core.ModeStmt, 1, noise.Params{}, func(r *Rank) {
 		other := 1 - r.Rank()

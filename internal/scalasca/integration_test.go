@@ -185,14 +185,11 @@ func TestAnalyzerHandlesEveryRecordedEventKind(t *testing.T) {
 		r.Isend(other, 0, []float64{1}, 8)
 		r.Waitall(reqs)
 		r.Parallel("region", func(th *measure.Thread) {
-			th.Critical(func() {})
-			th.Single(func() {})
 			th.Enter("user_sub")
 			th.Work(work.Cost{Instr: 1e4})
 			th.Exit()
 			th.Barrier()
 		})
-		r.Bcast(0, []float64{1, 2})
 		r.Allgather([]float64{3})
 		r.Alltoall([][]float64{{1}, {2}})
 	})

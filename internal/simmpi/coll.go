@@ -18,14 +18,15 @@ const (
 )
 
 // CollKind names a collective operation; the measurement layer records it
-// so the analyzer can classify wait states (NxN vs 1-to-N).
+// as the collective's region name.  The analyzer files waits in
+// MPI_Barrier as wait_barrier and in every other collective as
+// wait-at-NxN.
 type CollKind string
 
 // Collective kinds.
 const (
 	CollBarrier   CollKind = "MPI_Barrier"
 	CollAllreduce CollKind = "MPI_Allreduce"
-	CollBcast     CollKind = "MPI_Bcast"
 	CollAllgather CollKind = "MPI_Allgather"
 	CollAlltoall  CollKind = "MPI_Alltoall"
 )
@@ -37,7 +38,6 @@ type Comm struct {
 	ranks   []int
 	indexOf map[int]int
 	slots   map[int]*collSlot
-	spans   bool // placement spans multiple nodes (decides link costs)
 }
 
 type collSlot struct {
@@ -48,15 +48,13 @@ type collSlot struct {
 	arrived int
 	// exited counts ranks that left the released slot.  It only gates
 	// slot GC, never timing.
-	exited    atomic.Int32
-	released  bool
-	releaseAt float64
-	maxPB     uint64
-	bytes     float64 // total payload for the cost model
+	exited   atomic.Int32
+	released bool
+	maxPB    uint64
+	bytes    float64 // total payload for the cost model
 
 	reduce []float64
 	gather [][]float64
-	bcast  []float64
 }
 
 func newComm(w *World, ranks []int) *Comm {
@@ -69,26 +67,6 @@ func newComm(w *World, ranks []int) *Comm {
 
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.ranks) }
-
-// Ranks returns the communicator's member world ranks in order.
-func (c *Comm) Ranks() []int { return c.ranks }
-
-// Sub returns the sub-communicator containing the given world ranks.
-// Like MPI_Comm_split, Sub is logically collective: every member must call
-// it with the same rank list, and all calls return the same communicator
-// (memoised by member list).
-func (w *World) Sub(ranks []int) *Comm {
-	key := fmt.Sprint(ranks)
-	if w.subs == nil {
-		w.subs = make(map[string]*Comm)
-	}
-	if c, ok := w.subs[key]; ok {
-		return c
-	}
-	c := newComm(w, append([]int(nil), ranks...))
-	w.subs[key] = c
-	return c
-}
 
 // slotFor fetches or creates the collective slot for this rank's next
 // operation on c, validating that all ranks run the same collective.
@@ -164,7 +142,6 @@ func (c *Comm) finish(p *Proc, s *collSlot, pb uint64) uint64 {
 		d := c.cost(s)
 		c.w.K.Post(vtime.Action{Delay: d}, func() {
 			s.released = true
-			s.releaseAt = c.w.K.Now()
 			s.cond.Broadcast()
 		})
 	}
@@ -212,18 +189,6 @@ func (c *Comm) Allreduce(p *Proc, data []float64, op Op, pb uint64) ([]float64, 
 	s.bytes += float64(8 * len(data))
 	maxPB := c.finish(p, s, pb)
 	return append([]float64(nil), s.reduce...), maxPB
-}
-
-// Bcast distributes root's data to every rank.  Non-root ranks pass nil.
-func (c *Comm) Bcast(p *Proc, root int, data []float64, pb uint64) ([]float64, uint64) {
-	p.Loc.Actor.Compute(c.w.Cfg.CollOverhead)
-	s := c.slotFor(p, CollBcast)
-	if p.Rank == root {
-		s.bcast = append([]float64(nil), data...)
-		s.bytes += float64(8 * len(data))
-	}
-	maxPB := c.finish(p, s, pb)
-	return append([]float64(nil), s.bcast...), maxPB
 }
 
 // Allgather concatenates each rank's contribution; result[i] is the data

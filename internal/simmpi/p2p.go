@@ -143,6 +143,17 @@ func (p *Proc) Waitany(rs []*Request) int {
 	}
 }
 
+// Sendrecv posts the receive, starts the send, and completes both — the
+// deadlock-free paired exchange.
+func (p *Proc) Sendrecv(dst, sendTag int, data []float64, bytes int,
+	src, recvTag int, pb uint64) (*Message, error) {
+	rreq := p.Irecv(src, recvTag)
+	sreq := p.Isend(dst, sendTag, data, bytes, pb)
+	p.Wait(rreq)
+	p.Wait(sreq)
+	return rreq.Msg(), nil
+}
+
 // deliver runs in kernel context when a message envelope (eager payload or
 // rendezvous header) reaches the destination rank.
 func (p *Proc) deliver(m *Message) {

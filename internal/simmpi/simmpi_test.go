@@ -199,6 +199,22 @@ func TestIsendIrecvWaitall(t *testing.T) {
 	})
 }
 
+func TestSendrecvRing(t *testing.T) {
+	const n = 4
+	job(t, n, func(p *Proc) {
+		right := (p.Rank + 1) % n
+		left := (p.Rank + n - 1) % n
+		msg, err := p.Sendrecv(right, 1, []float64{float64(p.Rank)}, 8, left, 1, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if msg.Data[0] != float64(left) {
+			t.Errorf("rank %d received %v, want %d", p.Rank, msg.Data, left)
+		}
+	})
+}
+
 func TestAllreduceSumMaxMin(t *testing.T) {
 	const n = 8
 	job(t, n, func(p *Proc) {
@@ -247,19 +263,6 @@ func TestBarrierPiggybackMax(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	job(t, 4, func(p *Proc) {
-		var data []float64
-		if p.Rank == 2 {
-			data = []float64{3.25, 1.5}
-		}
-		out, _ := p.W.CommWorld().Bcast(p, 2, data, 0)
-		if len(out) != 2 || out[0] != 3.25 || out[1] != 1.5 {
-			t.Errorf("rank %d: bcast got %v", p.Rank, out)
-		}
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	const n = 4
 	job(t, n, func(p *Proc) {
@@ -284,18 +287,6 @@ func TestAlltoall(t *testing.T) {
 			want := float64(100*i + p.Rank)
 			if out[i][0] != want {
 				t.Errorf("rank %d: from %d got %v want %g", p.Rank, i, out[i], want)
-			}
-		}
-	})
-}
-
-func TestSubCommunicator(t *testing.T) {
-	job(t, 6, func(p *Proc) {
-		even := p.W.Sub([]int{0, 2, 4})
-		if p.Rank%2 == 0 {
-			sum, _ := even.Allreduce(p, []float64{1}, OpSum, 0)
-			if sum[0] != 3 {
-				t.Errorf("rank %d: even sum = %v", p.Rank, sum)
 			}
 		}
 	})

@@ -70,7 +70,6 @@ type World struct {
 	noiseModel *noise.Model
 	procs      []*Proc
 	world      *Comm
-	subs       map[string]*Comm
 	metrics    Metrics // observe-only counters (zero value: no-op)
 }
 

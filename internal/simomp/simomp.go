@@ -1,9 +1,9 @@
 // Package simomp is an OpenMP-like shared-memory runtime on top of the
 // vtime kernel.  Each team owns one persistent worker actor per thread
 // (thread 0 is the team's master, typically an MPI rank's main actor);
-// parallel regions fork work to the pool and join at the end, and the
-// usual worksharing constructs (static loops, barriers, critical sections,
-// single regions) are provided.
+// parallel regions fork work to the pool and join at the end.  The only
+// worksharing constructs are the ones the mini-apps use: static loops and
+// barriers.
 //
 // The runtime is deliberately hook-free: the measurement layer
 // (internal/measure) wraps these primitives the way Opari2 instruments
@@ -68,16 +68,12 @@ type Team struct {
 	workCond *vtime.Cond
 	joinCond *vtime.Cond
 	barCond  *vtime.Cond
-	critCond *vtime.Cond
 
 	regionGen  int
 	job        func(*Thread)
 	joined     int
 	barGen     int
 	barCount   int
-	critBusy   bool
-	singleDone int
-	secNext    map[int]*int // sections instance -> next unclaimed section
 	quit       bool
 	inParallel bool
 }
@@ -87,9 +83,6 @@ type Thread struct {
 	ID   int
 	Team *Team
 	Loc  *loc.Location
-
-	singleSeen int
-	secSeen    int
 }
 
 // NewTeam creates a team over the given locations.  locs[0] must be the
@@ -107,7 +100,6 @@ func NewTeam(k *vtime.Kernel, locs []*loc.Location, costs Costs) *Team {
 		workCond: k.NewCond("omp-work"),
 		joinCond: k.NewCond("omp-join"),
 		barCond:  k.NewCond("omp-barrier"),
-		critCond: k.NewCond("omp-critical"),
 	}
 	for i := 1; i < t.size; i++ {
 		i := i
@@ -158,8 +150,6 @@ func (t *Team) Parallel(fn func(*Thread)) {
 		panic("simomp: nested parallel regions are not supported")
 	}
 	master := t.locs[0].Actor
-	t.singleDone = 0
-	t.secNext = nil
 	if t.size == 1 {
 		t.inParallel = true
 		fn(&Thread{ID: 0, Team: t, Loc: t.locs[0]})
@@ -221,34 +211,6 @@ func (th *Thread) Barrier() (release float64) {
 	return a.Now()
 }
 
-// Critical executes fn under the team's critical-section lock, FIFO fair.
-func (th *Thread) Critical(fn func()) {
-	t := th.Team
-	a := th.Loc.Actor
-	for t.critBusy {
-		t.critCond.Wait(a)
-	}
-	t.critBusy = true
-	fn()
-	t.critBusy = false
-	t.critCond.Signal()
-}
-
-// Single executes fn on the first thread that reaches this single
-// construct; all other threads skip it.  Like the raw Parallel, it has no
-// implicit barrier — callers add one where OpenMP semantics require it.
-// It reports whether this thread executed fn.
-func (th *Thread) Single(fn func()) bool {
-	t := th.Team
-	th.singleSeen++
-	if t.singleDone < th.singleSeen {
-		t.singleDone++
-		fn()
-		return true
-	}
-	return false
-}
-
 // ParallelFor is the fused "omp parallel for" convenience: fork, run body
 // over each thread's static chunk, implicit barrier, join.  body receives
 // the chunk bounds and the executing thread.
@@ -258,70 +220,4 @@ func (t *Team) ParallelFor(n int, body func(lo, hi int, th *Thread)) {
 		body(lo, hi, th)
 		th.Barrier()
 	})
-}
-
-// NextChunk claims the next chunk of a dynamically scheduled loop
-// (OpenMP schedule(dynamic, chunk)): threads pull chunks from a shared
-// counter, so imbalanced iteration costs even out at the price of the
-// claim overhead.  Call inside a parallel region in a loop until ok is
-// false, then hit the barrier that ends the worksharing construct:
-//
-//	t.Parallel(func(th *Thread) {
-//		for lo, hi, ok := th.NextChunk(d); ok; lo, hi, ok = th.NextChunk(d) {
-//			...
-//		}
-//		th.Barrier()
-//	})
-func (th *Thread) NextChunk(d *DynamicLoop) (lo, hi int, ok bool) {
-	th.Loc.Actor.Compute(th.Team.costs.Barrier / 4) // claim cost: an atomic RMW episode
-	if d.next >= d.n {
-		return 0, 0, false
-	}
-	lo = d.next
-	hi = lo + d.chunk
-	if hi > d.n {
-		hi = d.n
-	}
-	d.next = hi
-	return lo, hi, true
-}
-
-// Sections executes each function of the construct exactly once, on
-// whichever thread claims it first (OpenMP sections).  Call inside a
-// parallel region; every thread of the team must call it with the same
-// list.  Like the other raw worksharing constructs it has no implicit
-// barrier — add one where OpenMP semantics require it.
-func (th *Thread) Sections(fns ...func()) {
-	t := th.Team
-	inst := th.secSeen
-	th.secSeen++
-	if t.secNext == nil {
-		t.secNext = make(map[int]*int)
-	}
-	cur, ok := t.secNext[inst]
-	if !ok {
-		v := 0
-		cur = &v
-		t.secNext[inst] = cur
-	}
-	for *cur < len(fns) {
-		i := *cur
-		*cur = i + 1
-		fns[i]()
-	}
-}
-
-// DynamicLoop is the shared state of one dynamically scheduled loop.
-type DynamicLoop struct {
-	n, chunk, next int
-}
-
-// NewDynamicLoop prepares a schedule(dynamic, chunk) loop over n
-// iterations.  Create one per worksharing construct instance, before the
-// parallel region, and share it across the team.
-func NewDynamicLoop(n, chunk int) *DynamicLoop {
-	if chunk < 1 {
-		chunk = 1
-	}
-	return &DynamicLoop{n: n, chunk: chunk}
 }

@@ -87,50 +87,6 @@ func TestBarrierSynchronisesTime(t *testing.T) {
 	})
 }
 
-func TestCriticalIsMutuallyExclusiveAndAllRun(t *testing.T) {
-	harness(t, 8, func(tm *Team, _ *loc.Location) {
-		counter := 0
-		tm.Parallel(func(th *Thread) {
-			th.Critical(func() {
-				c := counter
-				// A context switch could only corrupt this if two
-				// threads were in the critical section at once.
-				th.Loc.Actor.Sleep(1e-6)
-				counter = c + 1
-			})
-			th.Barrier()
-		})
-		if counter != 8 {
-			t.Errorf("counter = %d, want 8", counter)
-		}
-	})
-}
-
-func TestSingleRunsExactlyOnce(t *testing.T) {
-	harness(t, 4, func(tm *Team, _ *loc.Location) {
-		for rep := 0; rep < 3; rep++ {
-			ran := 0
-			runners := 0
-			tm.Parallel(func(th *Thread) {
-				if th.Single(func() { ran++ }) {
-					runners++
-				}
-				th.Barrier()
-				if th.Single(func() { ran += 100 }) {
-					runners++
-				}
-				th.Barrier()
-			})
-			if ran != 101 {
-				t.Fatalf("rep %d: single bodies ran wrong: %d, want 101", rep, ran)
-			}
-			if runners != 2 {
-				t.Fatalf("rep %d: %d runners, want 2", rep, runners)
-			}
-		}
-	})
-}
-
 func TestTeamOfOne(t *testing.T) {
 	harness(t, 1, func(tm *Team, _ *loc.Location) {
 		n := 0
@@ -174,7 +130,7 @@ func TestConsecutiveRegions(t *testing.T) {
 		total := 0
 		for i := 0; i < 10; i++ {
 			tm.ParallelFor(4, func(lo, hi int, th *Thread) {
-				th.Critical(func() { total += hi - lo })
+				total += hi - lo
 			})
 		}
 		if total != 40 {

@@ -62,9 +62,6 @@ func FuzzChunkReader(f *testing.F) {
 			for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 			}
 		}
-		m := st.Merged()
-		for _, ok := m.Next(); ok; _, ok = m.Next() {
-		}
 	})
 }
 

@@ -205,30 +205,6 @@ func TestStreamTraceMatchesChunkStream(t *testing.T) {
 	}
 }
 
-func TestMergedCursorGlobalOrder(t *testing.T) {
-	tr := bigSample(4, 100)
-	m := StreamTrace(tr).Merged()
-	var prevTime uint64
-	prevLoc := -1
-	n := 0
-	for me, ok := m.Next(); ok; me, ok = m.Next() {
-		if me.Event.Time < prevTime {
-			t.Fatalf("merged order regressed: %d after %d", me.Event.Time, prevTime)
-		}
-		if me.Event.Time == prevTime && me.Loc < prevLoc {
-			t.Fatalf("tie at t=%d broke location order: loc %d after %d", prevTime, me.Loc, prevLoc)
-		}
-		prevTime, prevLoc = me.Event.Time, me.Loc
-		n++
-	}
-	if m.Err() != nil {
-		t.Fatal(m.Err())
-	}
-	if n != tr.NumEvents() {
-		t.Fatalf("merged %d events, want %d", n, tr.NumEvents())
-	}
-}
-
 func TestChunkFileRange(t *testing.T) {
 	tr := bigSample(3, 400)
 	b := chunkedBytes(t, tr, 32)

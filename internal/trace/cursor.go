@@ -147,107 +147,3 @@ func (s *Stream) Materialize() (*Trace, error) {
 	}
 	return t, nil
 }
-
-// MergedEvent is one event of a merged multi-location iteration,
-// annotated with the location it came from.
-type MergedEvent struct {
-	Loc   int
-	Event Event
-}
-
-// MergedCursor yields the events of every location interleaved in
-// global virtual-time order (ties broken by location index, then by
-// per-location recording order), holding one window per location.
-type MergedCursor struct {
-	heads []mergedHead
-	err   error
-}
-
-type mergedHead struct {
-	loc int
-	cur *Cursor
-	ev  Event
-}
-
-// Merged opens cursors over every location and merges them by
-// (time, location).
-func (s *Stream) Merged() *MergedCursor {
-	m := &MergedCursor{}
-	for i := 0; i < s.NumLocs(); i++ {
-		cur := s.Cursor(i)
-		if e, ok := cur.Next(); ok {
-			m.push(mergedHead{loc: i, cur: cur, ev: e})
-		} else if err := cur.Err(); err != nil && m.err == nil {
-			m.err = err
-		}
-	}
-	return m
-}
-
-// Next returns the globally next event, or ok=false at end of stream or
-// on error (check Err).
-func (m *MergedCursor) Next() (MergedEvent, bool) {
-	if m.err != nil || len(m.heads) == 0 {
-		return MergedEvent{}, false
-	}
-	h := m.heads[0]
-	out := MergedEvent{Loc: h.loc, Event: h.ev}
-	if e, ok := h.cur.Next(); ok {
-		m.heads[0].ev = e
-		m.siftDown(0)
-	} else {
-		if err := h.cur.Err(); err != nil {
-			m.err = err
-			return MergedEvent{}, false
-		}
-		last := len(m.heads) - 1
-		m.heads[0] = m.heads[last]
-		m.heads = m.heads[:last]
-		if len(m.heads) > 0 {
-			m.siftDown(0)
-		}
-	}
-	return out, true
-}
-
-// Err returns the first cursor error encountered during the merge.
-func (m *MergedCursor) Err() error { return m.err }
-
-func headLess(a, b mergedHead) bool {
-	if a.ev.Time != b.ev.Time {
-		return a.ev.Time < b.ev.Time
-	}
-	return a.loc < b.loc
-}
-
-func (m *MergedCursor) push(h mergedHead) {
-	m.heads = append(m.heads, h)
-	i := len(m.heads) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !headLess(m.heads[i], m.heads[parent]) {
-			break
-		}
-		m.heads[i], m.heads[parent] = m.heads[parent], m.heads[i]
-		i = parent
-	}
-}
-
-func (m *MergedCursor) siftDown(i int) {
-	n := len(m.heads)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && headLess(m.heads[l], m.heads[small]) {
-			small = l
-		}
-		if r < n && headLess(m.heads[r], m.heads[small]) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		m.heads[i], m.heads[small] = m.heads[small], m.heads[i]
-		i = small
-	}
-}
