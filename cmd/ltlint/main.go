@@ -1,8 +1,9 @@
 // Command ltlint verifies trace invariants: it reconstructs the
-// happens-before relation of a recorded trace with vector clocks and
-// checks the Lamport clock condition, per-location monotonicity,
-// send/recv matching, collective and barrier consistency, fork/join
-// nesting and piggyback synchronisation (see internal/tracecheck).
+// synchronisation skeleton of a recorded trace and checks the Lamport
+// clock condition on its edges, per-location monotonicity, send/recv
+// matching, collective and barrier consistency, fork/join nesting,
+// piggyback synchronisation and causality cycles (see
+// internal/tracecheck).
 //
 // It either reads binary LTRC trace files or runs a benchmark spec
 // in-process across clock modes:

@@ -44,8 +44,8 @@ type goldenSums struct {
 // pass must be exact, not approximately right — any drift in event
 // timestamps, completion order or analysis severities fails here instead
 // of silently skewing the paper's tables.  The tracecheck hash pins the
-// verifier the same way: its report (edge count, sampled pairs, every
-// recorded violation) must not move when the verifier gets faster, and
+// verifier the same way: its report (edge count, every recorded
+// violation) must not move when the verifier gets faster, and
 // the critpath hash pins the critical-path walk (total, per-path shares
 // and segment count) the same way.
 func TestGoldenChecksums(t *testing.T) {

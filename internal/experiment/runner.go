@@ -280,16 +280,6 @@ type TraceCheckResult struct {
 	Report *tracecheck.Report
 }
 
-// TraceViolations sums the invariant violations across all verified
-// repetitions (0 when verification was off or everything passed).
-func (s *Study) TraceViolations() int {
-	n := 0
-	for _, tc := range s.TraceChecks {
-		n += tc.Report.NumViolations()
-	}
-	return n
-}
-
 // DroppedRep records one repetition that failed both its primary run and
 // its retry.
 type DroppedRep struct {

@@ -113,13 +113,12 @@ func TestCleanWithNoise(t *testing.T) {
 }
 
 // TestVerifyAllocBudget bounds the verifier's heap traffic per trace
-// event on a real hybrid trace.  The vector-clock audit keeps a vector
-// only while a later event still needs it, and collective and barrier
-// instances keep their members rather than their all-to-all release
-// edges, so verification allocates in proportion to the
-// synchronisation skeleton; tabulating events x locations or expanding
-// every instance into pairwise edges costs several KiB per event and
-// fails here.
+// event on a real hybrid trace.  Collective and barrier instances keep
+// their members rather than their all-to-all release edges, and the
+// cycle walk holds one frontier per location, so verification allocates
+// in proportion to the synchronisation skeleton; tabulating events x
+// locations or expanding every instance into pairwise edges costs
+// several KiB per event and fails here.
 func TestVerifyAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full quick simulation")
@@ -140,7 +139,7 @@ func TestVerifyAllocBudget(t *testing.T) {
 		t.Fatalf("TeaLeaf-2 lt_stmt trace not clean: %v", r.Counts)
 	}
 	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Events)
-	t.Logf("%d events, %d edges, %d sampled pairs: %.0f B/event", r.Events, r.Edges, r.SampledPairs, perEvent)
+	t.Logf("%d events, %d edges: %.0f B/event", r.Events, r.Edges, perEvent)
 	if perEvent > 1024 {
 		t.Fatalf("Verify allocated %.0f B/event, budget 1024", perEvent)
 	}

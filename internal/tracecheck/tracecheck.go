@@ -1,10 +1,9 @@
 // Package tracecheck is an offline static-analysis pass over recorded
 // traces: it takes the true happens-before relation from the matched
 // sends/receives, collectives, OpenMP barriers and fork/join events of
-// vclock's synchronisation skeleton —
-// the two-phase vector-clock approach of Sulzmann & Stadtmüller
-// (arXiv:1807.03585) applied to LTRC traces — and verifies a battery of
-// structural invariants against it.
+// vclock's synchronisation skeleton — phase one of the two-phase
+// analysis of Sulzmann & Stadtmüller (arXiv:1807.03585) applied to LTRC
+// traces — and verifies a battery of structural invariants against it.
 //
 // The paper's whole argument rests on logical timestamps satisfying
 // Lamport's clock condition (e → f ⇒ ts(e) < ts(f)) so that Scalasca's
@@ -17,10 +16,15 @@
 // Checked invariants, per clock mode:
 //
 //   - clock condition: for every synchronisation edge a → b of a logical
-//     trace, ts(a) < ts(b); additionally, sampled causally ordered pairs
-//     from the full vector-clock relation must satisfy it transitively.
+//     trace, ts(a) < ts(b).  With the monotonicity below this covers
+//     every causally ordered pair, since happens-before is the transitive
+//     closure of program order and those edges.
 //   - per-location monotonicity: logical stamps strictly increase along
 //     each location's stream; physical (tsc) stamps never decrease.
+//   - causality: the synchronisation edges form no cycle, so the trace
+//     describes some execution (checked on physical traces too, whose
+//     per-rank clock offsets may legitimately reverse stamps across an
+//     edge).
 //   - message matching: every receive has a FIFO-matching send on its
 //     (src, dst, tag) channel, and no send is left unconsumed.
 //   - collective consistency: each rank observes a communicator's
@@ -81,7 +85,14 @@ type EventPos struct {
 	Time   uint64 `json:"time"`
 }
 
+// wholeTrace is the position of a violation that no single event
+// carries, such as a causality cycle.
+var wholeTrace = EventPos{Loc: -1, Index: -1, Rank: -1, Thread: -1}
+
 func (p EventPos) String() string {
+	if p.Loc < 0 {
+		return "trace"
+	}
 	s := fmt.Sprintf("rank %d thread %d event %d %s t=%d", p.Rank, p.Thread, p.Index, p.Kind, p.Time)
 	if p.Region != "" {
 		s += " in " + p.Region
@@ -117,10 +128,6 @@ type Report struct {
 	Locs    int    `json:"locations"`
 	Events  int    `json:"events"`
 	Edges   int    `json:"edges"` // synchronisation edges reconstructed
-	// SampledPairs counts the causally ordered event pairs checked
-	// transitively through the vector clocks (0 when the audit was
-	// skipped for size).
-	SampledPairs int `json:"sampled_pairs"`
 	// Counts is the total number of violations per kind, including any
 	// past the per-kind recording cap.
 	Counts     map[Kind]int `json:"counts,omitempty"`
@@ -154,8 +161,8 @@ func (r *Report) Render(w io.Writer, limit int) {
 	if r.Logical {
 		mode = "logical"
 	}
-	fmt.Fprintf(w, "tracecheck %s (%s): %d locations, %d events, %d sync edges, %d sampled pairs — %s\n",
-		r.Clock, mode, r.Locs, r.Events, r.Edges, r.SampledPairs, verdict)
+	fmt.Fprintf(w, "tracecheck %s (%s): %d locations, %d events, %d sync edges — %s\n",
+		r.Clock, mode, r.Locs, r.Events, r.Edges, verdict)
 	kinds := make([]Kind, 0, len(r.Counts))
 	for k := range r.Counts {
 		kinds = append(kinds, k)
@@ -176,17 +183,6 @@ func (r *Report) Render(w io.Writer, limit int) {
 	}
 }
 
-// samplesPerLoc is the number of evenly spaced events sampled per
-// location for the transitive clock-condition audit.
-const samplesPerLoc = 4
-
-// maxFrontierCells bounds the vectors the audit's replay holds — one
-// running vector per location with events plus one per sampled event,
-// each of one cell per location — so that a trace claiming thousands of
-// near-empty locations cannot size a huge allocation.  Real traces stay
-// far below it: 256 locations need 327,680 cells.
-const maxFrontierCells = 50 << 20
-
 // Options tunes a verification run.  The zero value is the default.
 type Options struct {
 	// MaxPerKind caps the violations recorded per kind; the totals in
@@ -200,8 +196,8 @@ type Options struct {
 	// of stream, sends not yet received, receives whose send's location
 	// is sealed less far along, collective/barrier instances and forks
 	// whose remaining participants are still running, release edges
-	// whose closing Exit has not been recorded, and the vector-clock
-	// audit (which needs the complete trace).  Everything prefix-closed
+	// whose closing Exit has not been recorded, and the causality-cycle
+	// walk (which needs the complete skeleton).  Everything prefix-closed
 	// still applies: nesting errors, timestamp monotonicity, FIFO
 	// matching of the pairs already on disk, sequence ordering, the
 	// clock condition and piggyback gain on every reconstructed edge.
@@ -231,10 +227,10 @@ func Verify(tr *trace.Trace, opt Options) *Report {
 
 // VerifyStream runs the invariant checks against a trace stream.  The
 // per-location pass consumes one cursor at a time and feeds vclock's
-// skeleton extractor, so only the synchronisation skeleton and the
-// sampled events stay in memory, and the vector-clock audit replays
-// that skeleton alone: verifying a chunked on-disk trace is bounded by
-// its communication volume, not its event count.
+// skeleton extractor, so only the synchronisation skeleton stays in
+// memory, and the edge checks and the cycle walk visit that skeleton
+// alone: verifying a chunked on-disk trace is bounded by its
+// communication volume, not its event count.
 func VerifyStream(st *trace.Stream, opt Options) *Report {
 	opt = opt.fill()
 	c := &checker{
@@ -254,7 +250,7 @@ func VerifyStream(st *trace.Stream, opt Options) *Report {
 	c.checkBarriers()
 	c.checkForkJoin()
 	c.checkEdges()
-	c.vectorAudit()
+	c.checkCycles()
 	sort.SliceStable(c.rep.Violations, func(i, j int) bool {
 		a, b := c.rep.Violations[i], c.rep.Violations[j]
 		if a.Kind != b.Kind {
@@ -276,8 +272,7 @@ type checker struct {
 	opt Options
 	rep *Report
 
-	sk      *vclock.Skeleton
-	samples [][]EventPos // per location, the audit's sampled events
+	sk *vclock.Skeleton
 }
 
 // violate records a violation, honouring the per-kind cap.
@@ -314,24 +309,14 @@ func (c *checker) regionName(r trace.RegionID) string {
 func (c *checker) scan() {
 	nloc := c.st.NumLocs()
 	x := vclock.NewExtractor(c.st)
-	c.samples = make([][]EventPos, nloc)
-	audit := c.rep.Logical && !c.opt.Partial
 	for li := 0; li < nloc; li++ {
 		l := c.st.Loc(li)
 		barNext := int32(0)
 		var prev EventPos
 		havePrev := false
-		var sampleAt []int
-		if audit {
-			sampleAt = sampleIndices(l.Events)
-		}
 		cur := c.st.Cursor(li)
 		for e, ok := cur.Next(); ok; e, ok = cur.Next() {
 			p := c.pos(x.Add(e, 0))
-			if len(sampleAt) > 0 && sampleAt[0] == p.Index {
-				c.samples[li] = append(c.samples[li], p)
-				sampleAt = sampleAt[1:]
-			}
 			if havePrev {
 				if c.rep.Logical && e.Time <= prev.Time {
 					pp := prev
@@ -614,77 +599,23 @@ func (c *checker) releaseEdges(recs *vclock.Paged[vclock.Sync], ins []vclock.Ins
 	}
 }
 
-// sampleIndices returns the audit's evenly spaced sample positions on a
-// location of n events.
-func sampleIndices(n int) []int {
-	k := min(samplesPerLoc, n)
-	step := max(k-1, 1)
-	out := make([]int, k)
-	for i := range out {
-		out[i] = i * (n - 1) / step
-	}
-	return out
-}
-
-func ref(p *EventPos) vclock.EventRef { return vclock.EventRef{Loc: p.Loc, Index: p.Index} }
-
-// vectorAudit replays the synchronisation skeleton through vector
-// clocks (which also exposes causality cycles) and checks the clock
-// condition transitively on sampled event pairs — the belt-and-braces
-// pass that would catch an edge set too weak to imply the full
-// happens-before relation.  The replay visits only the skeleton and
-// keeps only the sampled events' vectors, so the audit never needs the
-// trace itself; the scan captured the samples' positions.
-func (c *checker) vectorAudit() {
-	if c.opt.Partial {
-		return // the transitive audit needs the complete trace
-	}
-	if len(c.rep.ReadErrors) > 0 {
-		return // the damaged stream's skeleton is incomplete
+// checkCycles walks the skeleton in causal order (vclock.Unreached) on
+// every trace, logical or physical: events the walk cannot reach mean
+// the synchronisation edges form a cycle, so the trace describes no
+// execution.  Happens-before is the transitive closure of program order
+// and the edges scan and checkEdges already check one by one, so the
+// walk checks no stamps.
+func (c *checker) checkCycles() {
+	if c.opt.Partial || len(c.rep.ReadErrors) > 0 {
+		return // the skeleton of a prefix or a damaged stream is incomplete
 	}
 	counts := make([]int, c.st.NumLocs())
-	vectors := 0
 	for li := range counts {
 		counts[li] = c.st.Loc(li).Events
-		if counts[li] > 0 {
-			vectors += 1 + len(c.samples[li])
-		}
-	}
-	if vectors*len(counts) > maxFrontierCells {
-		return
 	}
 	edges, groups := c.sk.Graph()
-	var keep []vclock.EventRef
-	for _, ps := range c.samples {
-		for i := range ps {
-			keep = append(keep, ref(&ps[i]))
-		}
-	}
-	clocks, err := vclock.ComputeFromEdges(counts, edges, groups, keep)
-	if err != nil {
-		c.violate(KindCycle, EventPos{Loc: -1, Index: -1}, nil,
-			"vector-clock replay failed: %v", err)
-		return
-	}
-	if !c.rep.Logical {
-		return
-	}
-	for la, as := range c.samples {
-		for lb, bs := range c.samples {
-			if la == lb {
-				continue
-			}
-			for i := range as {
-				for j := range bs {
-					a, b := &as[i], &bs[j]
-					c.rep.SampledPairs++
-					if a.Time >= b.Time && clocks.HappensBefore(ref(a), ref(b)) {
-						pa := *a
-						c.violate(KindClockCondition, *b, &pa,
-							"transitively ordered pair has stamps %d -> %d", a.Time, b.Time)
-					}
-				}
-			}
-		}
+	if n := vclock.Unreached(counts, edges, groups); n > 0 {
+		c.violate(KindCycle, wholeTrace, nil,
+			"synchronisation cycle or unmatched dependency: %d events unreachable", n)
 	}
 }

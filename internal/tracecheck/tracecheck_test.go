@@ -2,6 +2,7 @@ package tracecheck
 
 import (
 	"encoding/json"
+	"maps"
 	"runtime"
 	"strings"
 	"testing"
@@ -104,9 +105,6 @@ func TestCleanMessageTrace(t *testing.T) {
 	}
 	if r.Edges != 1 {
 		t.Fatalf("expected 1 message edge, got %d", r.Edges)
-	}
-	if r.SampledPairs == 0 {
-		t.Fatalf("vector audit did not run")
 	}
 }
 
@@ -392,8 +390,8 @@ func TestRenderSummary(t *testing.T) {
 // worker's BARRIER record being its last event: the release edge into
 // the worker has no closing Exit and falls back to the record itself,
 // so that member's entry does not precede its exit.  The worker's
-// barrier stamp equals the master's, one clock-condition breach on the
-// edge and one on the transitively sampled pair.
+// barrier stamp equals the master's: one clock-condition breach, on
+// that edge.
 func barrierTailTrace() *trace.Trace {
 	b := newBuilder("lt_bb")
 	m := b.loc(0, 0)
@@ -442,8 +440,8 @@ func TestDegenerateBarrierGroups(t *testing.T) {
 		tr   *trace.Trace
 		want string
 	}{
-		{"barrier-is-last-event", barrierTailTrace(), `{"clock":"lt_bb","logical":true,"locations":2,"events":8,"edges":2,"sampled_pairs":24,"counts":{"clock-condition":2,"unbalanced-region":1},"violations":[{"kind":"clock-condition","event":{"loc":1,"index":2,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"peer":{"loc":0,"index":2,"rank":0,"thread":0,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"detail":"edge target stamp 3 does not exceed source stamp 3"},{"kind":"clock-condition","event":{"loc":1,"index":2,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"peer":{"loc":0,"index":2,"rank":0,"thread":0,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"detail":"transitively ordered pair has stamps 3 -\u003e 3"},{"kind":"unbalanced-region","event":{"loc":1,"index":1,"rank":0,"thread":1,"kind":"ENTER","region":"main","time":2},"detail":"2 region(s) never exited before end of stream"}]}`},
-		{"barrier-seq-reached-twice", doubleBarrierTrace(), `{"clock":"lt_bb","logical":true,"locations":2,"events":12,"edges":4,"sampled_pairs":32,"counts":{"barrier-mismatch":2,"clock-condition":1,"unbalanced-region":1},"violations":[{"kind":"barrier-mismatch","event":{"loc":0,"index":2,"rank":0,"thread":0,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"detail":"3 of 2 threads reached barrier seq 0 on rank 0"},{"kind":"barrier-mismatch","event":{"loc":1,"index":5,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":12},"detail":"barrier seq 0 observed where seq 1 was expected"},{"kind":"clock-condition","event":{"loc":0,"index":3,"rank":0,"thread":0,"kind":"EXIT","region":"!$omp ibarrier","time":9},"peer":{"loc":1,"index":5,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":12},"detail":"edge target stamp 9 does not exceed source stamp 12"},{"kind":"unbalanced-region","event":{"loc":1,"index":0,"rank":0,"thread":1,"kind":"ENTER","time":1},"detail":"1 region(s) never exited before end of stream"}]}`},
+		{"barrier-is-last-event", barrierTailTrace(), `{"clock":"lt_bb","logical":true,"locations":2,"events":8,"edges":2,"counts":{"clock-condition":1,"unbalanced-region":1},"violations":[{"kind":"clock-condition","event":{"loc":1,"index":2,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"peer":{"loc":0,"index":2,"rank":0,"thread":0,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"detail":"edge target stamp 3 does not exceed source stamp 3"},{"kind":"unbalanced-region","event":{"loc":1,"index":1,"rank":0,"thread":1,"kind":"ENTER","region":"main","time":2},"detail":"2 region(s) never exited before end of stream"}]}`},
+		{"barrier-seq-reached-twice", doubleBarrierTrace(), `{"clock":"lt_bb","logical":true,"locations":2,"events":12,"edges":4,"counts":{"barrier-mismatch":2,"clock-condition":1,"unbalanced-region":1},"violations":[{"kind":"barrier-mismatch","event":{"loc":0,"index":2,"rank":0,"thread":0,"kind":"BARRIER","region":"!$omp ibarrier","time":3},"detail":"3 of 2 threads reached barrier seq 0 on rank 0"},{"kind":"barrier-mismatch","event":{"loc":1,"index":5,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":12},"detail":"barrier seq 0 observed where seq 1 was expected"},{"kind":"clock-condition","event":{"loc":0,"index":3,"rank":0,"thread":0,"kind":"EXIT","region":"!$omp ibarrier","time":9},"peer":{"loc":1,"index":5,"rank":0,"thread":1,"kind":"BARRIER","region":"!$omp ibarrier","time":12},"detail":"edge target stamp 9 does not exceed source stamp 12"},{"kind":"unbalanced-region","event":{"loc":1,"index":0,"rank":0,"thread":1,"kind":"ENTER","time":1},"detail":"1 region(s) never exited before end of stream"}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -463,13 +461,64 @@ func TestDegenerateBarrierGroups(t *testing.T) {
 	}
 }
 
-// TestAuditSkipsAbsurdLocationCounts feeds a trace of thousands of
-// two-event locations, whose audit would hold three vectors of one cell
-// per location for every location: the audit must be skipped (no
-// sampled pairs) rather than size that allocation.
-func TestAuditSkipsAbsurdLocationCounts(t *testing.T) {
+// cycleTrace builds two ranks that each receive from the other before
+// sending to it.  FIFO matching pairs each send with the other rank's
+// earlier receive, so the synchronisation edges form a cycle and no
+// execution could have recorded the trace.
+func cycleTrace(clock string) *trace.Trace {
+	b := newBuilder(clock)
+	for rank := int32(0); rank < 2; rank++ {
+		l := b.loc(int(rank), 0)
+		b.ev(l, trace.EvEnter, 1, "main", trace.RoleUser, 0, 0, 0)
+		b.ev(l, trace.EvEnter, 2, "MPI_Recv", trace.RoleMPIP2P, 0, 0, 0)
+		b.ev(l, trace.EvRecv, 3, "MPI_Recv", trace.RoleMPIP2P, 1-rank, 7, 64)
+		b.ev(l, trace.EvExit, 4, "MPI_Recv", trace.RoleMPIP2P, 0, 0, 0)
+		b.ev(l, trace.EvEnter, 5, "MPI_Send", trace.RoleMPIP2P, 0, 0, 0)
+		b.ev(l, trace.EvSend, 6, "MPI_Send", trace.RoleMPIP2P, 1-rank, 7, 64)
+		b.ev(l, trace.EvExit, 7, "MPI_Send", trace.RoleMPIP2P, 0, 0, 0)
+		b.ev(l, trace.EvExit, 8, "main", trace.RoleUser, 0, 0, 0)
+	}
+	return b.tr
+}
+
+// TestCausalityCycle requires a cyclic trace to be reported as one
+// causality cycle of the whole trace.  A physical trace gets no edge
+// check, so the cycle walk alone decides it; on a logical trace both
+// message edges also breach the clock condition.
+func TestCausalityCycle(t *testing.T) {
+	cases := []struct {
+		clock string
+		want  map[Kind]int
+	}{
+		{"tsc", map[Kind]int{KindCycle: 1}},
+		{"lt_stmt", map[Kind]int{KindCycle: 1, KindClockCondition: 2}},
+	}
+	for _, tc := range cases {
+		r := Verify(cycleTrace(tc.clock), Options{})
+		if !maps.Equal(r.Counts, tc.want) {
+			t.Errorf("%s: counts %v, want %v", tc.clock, r.Counts, tc.want)
+			continue
+		}
+		var sb strings.Builder
+		r.Render(&sb, 0)
+		const line = "  causality-cycle: trace: synchronisation cycle or unmatched dependency: 12 events unreachable\n"
+		if !strings.Contains(sb.String(), line) {
+			t.Errorf("%s: rendered report lacks %q:\n%s", tc.clock, line, sb.String())
+		}
+		for _, v := range r.Violations {
+			if v.Kind == KindCycle && (v.Event.Rank != -1 || v.Event.Thread != -1) {
+				t.Errorf("%s: cycle reported at %+v, want rank and thread -1", tc.clock, v.Event)
+			}
+		}
+	}
+}
+
+// TestCycleWalkOnAbsurdLocationCounts feeds a trace of thousands of
+// two-event locations: the cycle walk holds no per-location vectors, so
+// it runs at any location count in memory linear in the locations.
+func TestCycleWalkOnAbsurdLocationCounts(t *testing.T) {
 	b := newBuilder("lt_1")
-	const locs = 4200 // 3 × locs² cells, just above maxFrontierCells
+	const locs = 4200 // a vector per location would need locs² cells
 	for i := 0; i < locs; i++ {
 		l := b.loc(i, 0)
 		b.ev(l, trace.EvEnter, 1, "main", trace.RoleUser, 0, 0, 0)
@@ -479,8 +528,8 @@ func TestAuditSkipsAbsurdLocationCounts(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	r := Verify(b.tr, Options{})
 	runtime.ReadMemStats(&after)
-	if !r.OK() || r.SampledPairs != 0 {
-		t.Fatalf("report %v, %d sampled pairs; want a clean report with the audit skipped", r.Counts, r.SampledPairs)
+	if !r.OK() {
+		t.Fatalf("report %v; want a clean report", r.Counts)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
 		t.Fatalf("Verify allocated %d bytes", alloc)

@@ -478,7 +478,7 @@ func (k *Skeleton) ForkJoin(fn func(from, to Event)) {
 	}
 }
 
-// Graph returns the skeleton in ComputeFromEdges' form: message edges,
+// Graph returns the skeleton in Unreached's form: message edges,
 // then fork/join edges, and one group per collective, then barrier,
 // instance.
 func (k *Skeleton) Graph() ([]Edge, [][]Member) {

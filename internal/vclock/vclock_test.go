@@ -1,10 +1,7 @@
 package vclock
 
 import (
-	"fmt"
 	"math/rand"
-	"slices"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -50,21 +47,6 @@ func extract(t *testing.T, tr *trace.Trace) *Skeleton {
 	return sk
 }
 
-// clocksOf replays a trace's skeleton and keeps every event's vector.
-func clocksOf(t *testing.T, tr *trace.Trace) (*Clocks, error) {
-	t.Helper()
-	edges, groups := extract(t, tr).Graph()
-	counts := make([]int, len(tr.Locs))
-	var all []EventRef
-	for li, l := range tr.Locs {
-		counts[li] = len(l.Events)
-		for ei := range l.Events {
-			all = append(all, EventRef{li, ei})
-		}
-	}
-	return ComputeFromEdges(counts, edges, groups, all)
-}
-
 // breaches lists the skeleton's synchronisation edges whose target stamp
 // does not exceed the source's — the clock condition on every direct
 // edge: messages, every member's release by every other location's
@@ -98,52 +80,6 @@ func breaches(t *testing.T, tr *trace.Trace) [][2]Event {
 	release(&sk.Bars, sk.BarIns)
 	sk.ForkJoin(check)
 	return out
-}
-
-func TestHappensBeforeAcrossMessage(t *testing.T) {
-	c, err := clocksOf(t, handTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendEv := EventRef{0, 2}
-	recvEv := EventRef{1, 2}
-	if !c.HappensBefore(sendEv, recvEv) {
-		t.Fatal("send must happen before matching recv")
-	}
-	if c.HappensBefore(recvEv, sendEv) {
-		t.Fatal("recv must not precede send")
-	}
-	// Events before the message on different locations are concurrent.
-	a := EventRef{0, 0}
-	b := EventRef{1, 0}
-	if !c.Concurrent(a, b) {
-		t.Fatal("pre-message events should be concurrent")
-	}
-	// Program order holds.
-	if !c.HappensBefore(EventRef{0, 0}, EventRef{0, 4}) {
-		t.Fatal("program order lost")
-	}
-}
-
-func TestVectorComponentsMonotone(t *testing.T) {
-	tr := handTrace()
-	c, err := clocksOf(t, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for li, l := range tr.Locs {
-		for ei := 1; ei < len(l.Events); ei++ {
-			prev, cur := c.Vector(EventRef{li, ei - 1}), c.Vector(EventRef{li, ei})
-			for i := range prev {
-				if cur[i] < prev[i] {
-					t.Fatalf("loc %d event %d: vector went backwards", li, ei)
-				}
-			}
-			if cur[li] != prev[li]+1 {
-				t.Fatalf("loc %d: own component must advance by one", li)
-			}
-		}
-	}
 }
 
 func TestValidateCleanTrace(t *testing.T) {
@@ -223,24 +159,6 @@ func TestLogicalTraceSatisfiesClockCondition(t *testing.T) {
 	}
 }
 
-func TestComputeWorksOnMeasuredTrace(t *testing.T) {
-	tr := measuredTrace(t, core.ModeLt1, noise.Params{})
-	c, err := clocksOf(t, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Spot-check: every location's last event vector dominates its first.
-	for li := range tr.Locs {
-		n := len(tr.Locs[li].Events)
-		if n < 2 {
-			continue
-		}
-		if !c.HappensBefore(EventRef{li, 0}, EventRef{li, n - 1}) {
-			t.Fatalf("loc %d: first event does not precede last", li)
-		}
-	}
-}
-
 func TestTscWithSkewedClocksViolatesCondition(t *testing.T) {
 	// Large clock offsets between ranks make physical stamps non-causal:
 	// a message can appear to arrive before it was sent.  This is the
@@ -252,58 +170,44 @@ func TestTscWithSkewedClocksViolatesCondition(t *testing.T) {
 	}
 }
 
-// referenceClocks is the textbook replay the frontier engine must agree
-// with: every event gets a full vector, computed by repeatedly advancing
-// each location past events whose incoming edges are satisfied.  It
-// returns the vectors and the number of events left unreachable.
-func referenceClocks(counts []int, edges []Edge) ([][][]uint32, int) {
+// referenceUnreached is the textbook frontier the walk must agree with:
+// it repeatedly advances each location past events whose incoming edges
+// are satisfied, and returns the number of events left unreachable.
+func referenceUnreached(counts []int, edges []Edge) int {
 	incoming := make(map[EventRef][]EventRef)
 	for _, e := range edges {
 		incoming[e.To] = append(incoming[e.To], e.From)
 	}
-	n := len(counts)
-	vecs := make([][][]uint32, n)
 	remaining := 0
-	for l, c := range counts {
-		vecs[l] = make([][]uint32, c)
+	for _, c := range counts {
 		remaining += c
 	}
-	done := make([]int, n)
+	done := make([]int, len(counts))
 	for progressed := true; progressed; {
 		progressed = false
 		for l := range counts {
 		next:
 			for done[l] < counts[l] {
-				ref := EventRef{l, done[l]}
-				for _, dep := range incoming[ref] {
+				for _, dep := range incoming[EventRef{l, done[l]}] {
 					if done[dep.Loc] <= dep.Index {
 						break next
 					}
 				}
-				vec := make([]uint32, n)
-				if done[l] > 0 {
-					copy(vec, vecs[l][done[l]-1])
-				}
-				vec[l]++
-				for _, dep := range incoming[ref] {
-					maxInto(vec, vecs[dep.Loc][dep.Index])
-				}
-				vecs[l][done[l]] = vec
 				done[l]++
 				remaining--
 				progressed = true
 			}
 		}
 	}
-	return vecs, remaining
+	return remaining
 }
 
-// TestReplayMatchesReference drives the frontier replay with random
-// skeletons — message edges, collective groups (hub-safe and not:
-// repeated locations, members whose entry does not precede their exit),
-// cycles and edges from events past a location's end — and requires
-// exactly the reference's vectors, or the reference's stuck count, with
-// each group expanded into its pairwise release edges for the reference.
+// TestReplayMatchesReference drives the walk with random skeletons —
+// message edges, collective groups (hub-safe and not: repeated
+// locations, members whose entry does not precede their exit), cycles
+// and edges from events past a location's end — and requires exactly
+// the reference's unreached count, with each group expanded into its
+// pairwise release edges for the reference.
 func TestReplayMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	hubs, degenerate, cycles := 0, 0, 0
@@ -348,88 +252,28 @@ func TestReplayMatchesReference(t *testing.T) {
 			groups = append(groups, g)
 		}
 		// The reference drops edges into events past the end, like the
-		// replay; edges out of them stay and block their targets.
+		// walk; edges out of them stay and block their targets.
 		var refEdges []Edge
 		for _, e := range pairs {
 			if e.To.Index < counts[e.To.Loc] {
 				refEdges = append(refEdges, e)
 			}
 		}
-		want, stuck := referenceClocks(counts, refEdges)
-		var all []EventRef
-		for l, c := range counts {
-			for i := 0; i < c; i++ {
-				all = append(all, EventRef{l, i})
-			}
+		want := referenceUnreached(counts, refEdges)
+		if got := Unreached(counts, edges, groups); got != want {
+			t.Fatalf("iter %d: %d events unreached, want %d\ncounts %v\nedges %v\ngroups %v",
+				iter, got, want, counts, edges, groups)
 		}
-		c, err := ComputeFromEdges(counts, edges, groups, all)
-		if stuck > 0 {
+		if want > 0 {
 			cycles++
-			wantErr := fmt.Sprintf("(%d events stuck)", stuck)
-			if err == nil || !strings.Contains(err.Error(), wantErr) {
-				t.Fatalf("iter %d: err %v, want %s", iter, err, wantErr)
-			}
 			continue
-		}
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
 		}
 		hubs += safe
 		degenerate += len(groups) - safe
-		for l := range counts {
-			for i := 0; i < counts[l]; i++ {
-				if got := c.Vector(EventRef{l, i}); !slices.Equal(got, want[l][i]) {
-					t.Fatalf("iter %d: loc %d event %d: vector %v, want %v\ncounts %v\nedges %v\ngroups %v",
-						iter, l, i, got, want[l][i], counts, edges, groups)
-				}
-			}
-		}
 	}
-	t.Logf("completed replays: %d hub-safe groups, %d degenerate; %d stuck skeletons", hubs, degenerate, cycles)
+	t.Logf("completed walks: %d hub-safe groups, %d degenerate; %d stuck skeletons", hubs, degenerate, cycles)
 	if hubs == 0 || degenerate == 0 || cycles == 0 {
 		t.Fatal("generator missed a case")
-	}
-}
-
-// TestHappensBeforeMatchesComponentwise checks the frontier
-// happens-before test against the component-wise vector order on every
-// event pair of a measured trace.
-func TestHappensBeforeMatchesComponentwise(t *testing.T) {
-	tr := measuredTrace(t, core.ModeLt1, noise.Params{})
-	c, err := clocksOf(t, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	less := func(va, vb []uint32) bool {
-		strict := false
-		for i := range va {
-			if va[i] > vb[i] {
-				return false
-			}
-			strict = strict || va[i] < vb[i]
-		}
-		return strict
-	}
-	ordered, pairs := 0, 0
-	for la, a := range tr.Locs {
-		for lb, b := range tr.Locs {
-			for ia := range a.Events {
-				for ib := range b.Events {
-					ea, eb := EventRef{la, ia}, EventRef{lb, ib}
-					got, want := c.HappensBefore(ea, eb), less(c.Vector(ea), c.Vector(eb))
-					if got != want {
-						t.Fatalf("%v -> %v: HappensBefore %v, component-wise %v", ea, eb, got, want)
-					}
-					pairs++
-					if got && la != lb {
-						ordered++
-					}
-				}
-			}
-		}
-	}
-	if ordered == 0 {
-		t.Fatalf("no cross-location pair ordered among %d pairs", pairs)
 	}
 }
 
