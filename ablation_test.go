@@ -26,7 +26,7 @@ func BenchmarkAblationPiggyback(b *testing.B) {
 	violations := func(disable bool) int {
 		cfg := measure.DefaultConfig(core.ModeStmt)
 		cfg.DisablePiggyback = disable
-		res, err := experiment.RunWithConfig(spec, &cfg, 1, noise.Cluster(), false)
+		res, err := experiment.RunWithOptions(spec, experiment.RunOptions{Cfg: &cfg, Seed: 1, Noise: noise.Cluster()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func BenchmarkAblationBufferCap(b *testing.B) {
 		}
 		cfg := measure.DefaultConfig(core.ModeTSC)
 		cfg.Overhead.BufferCapBytes = capBytes
-		ins, err := experiment.RunWithConfig(spec, &cfg, 1, noise.Cluster(), false)
+		ins, err := experiment.RunWithOptions(spec, experiment.RunOptions{Cfg: &cfg, Seed: 1, Noise: noise.Cluster()})
 		if err != nil {
 			b.Fatal(err)
 		}

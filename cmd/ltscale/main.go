@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/runcache"
 )
@@ -79,14 +78,13 @@ func main() {
 		}
 		sweeps = kept
 	}
-	np := noise.Cluster()
 	for _, s := range sweeps {
 		spec, err := experiment.SpecByName(s.base, experiment.Options{Quick: *quick})
 		if err != nil {
 			log.Fatal(err)
 		}
 		res, err := experiment.RunScaling(spec, s.points, experiment.ScalingOptions{
-			Reps: *reps, Seed: *seed, Noise: np, Workers: *workers, Cache: cache,
+			Reps: *reps, Seed: *seed, Workers: *workers, Cache: cache,
 			Metrics: reg, Progress: prog,
 		})
 		if err != nil {

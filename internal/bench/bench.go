@@ -15,8 +15,8 @@ import (
 )
 
 // now is the harness's wall-clock source.  Benchmarking is inherently a
-// wall-clock activity, so this read is sanctioned alongside the vtime
-// watchdog's; simulation results never depend on it.
+// wall-clock activity, so this read is sanctioned; simulation results
+// never depend on it.
 var now = time.Now //detlint:allow wallclock
 
 // Instance is one prepared workload: Op executes one benchmark

@@ -114,9 +114,7 @@ var clocks = map[Mode]func(l *loc.Location, src *noise.Source) Clock{
 			return d.Instr
 		})
 	},
-	ModeWStmt: func(l *loc.Location, src *noise.Source) Clock {
-		return NewWeighted(l, DefaultWeights(), src)
-	},
+	ModeWStmt:  newWeighted,
 	ModeHwComb: NewCombined,
 }
 

@@ -14,29 +14,14 @@ import (
 // loop code can carry different effort per statement.
 const ModeWStmt Mode = "lt_wstmt"
 
-// Weights configures the weighted effort model.  Effort between events is
-// WStmt*statements + WBB*basic blocks + WIter*loop iterations +
-// WCall*instrumented calls.
-type Weights struct {
-	WStmt float64
-	WBB   float64
-	WIter float64
-	WCall float64
-}
-
-// DefaultWeights approximates per-statement machine cost: statements
-// carry the base unit, basic blocks add branch overhead, calls add
-// call/return overhead.  The values are deliberately simple; Calibrated
-// models can refine them per machine.
-func DefaultWeights() Weights {
-	return Weights{WStmt: 1.0, WBB: 2.5, WIter: 0.5, WCall: 6.0}
-}
-
-// NewWeighted builds a Lamport clock with a weighted-combination effort
-// model.  src is accepted for interface symmetry; the model consumes no
-// randomness and is fully noise-resilient.
-func NewWeighted(l *loc.Location, w Weights, _ *noise.Source) Clock {
+// newWeighted builds the lt_wstmt clock: a Lamport clock whose effort
+// between events weights statements 1, basic blocks 2.5, loop
+// iterations 0.5 and instrumented calls 6.  The weights approximate
+// per-statement machine cost: statements carry the base unit, basic
+// blocks add branch overhead, calls add call/return overhead.  The model
+// consumes no randomness and is fully noise-resilient.
+func newWeighted(l *loc.Location, _ *noise.Source) Clock {
 	return newLamport(ModeWStmt, l, func(d work.Counts) float64 {
-		return w.WStmt*d.Stmt + w.WBB*d.BB + w.WIter*d.LoopIters + w.WCall*d.Calls
+		return d.Stmt + 2.5*d.BB + 0.5*d.LoopIters + 6*d.Calls
 	})
 }

@@ -187,3 +187,24 @@ func TestUnknownModeRejectedUpFront(t *testing.T) {
 		t.Errorf("RunStudy rejected a known mode: %v", err)
 	}
 }
+
+// A negative repetition count fails at each study entry point with one
+// line naming the value, before any job is queued.
+func TestNegativeRepsRejectedUpFront(t *testing.T) {
+	spec := tinySpec()
+	reg := obs.NewRegistry()
+	_, studyErr := RunStudy(spec, StudyOptions{Reps: -1, Metrics: reg})
+	_, faultErr := RunFaultStudy(spec, StudyOptions{Reps: -1, Metrics: reg}, oneOffPlan(spec))
+	_, scaleErr := RunScaling(spec, [][2]int{{1, 1}, {2, 1}}, ScalingOptions{Reps: -1, Metrics: reg})
+	for _, c := range []struct {
+		entry string
+		err   error
+	}{{"RunStudy", studyErr}, {"RunFaultStudy", faultErr}, {"RunScaling", scaleErr}} {
+		if c.err == nil || !strings.Contains(c.err.Error(), "repetition count -1") || strings.Contains(c.err.Error(), "\n") {
+			t.Errorf("%s: err = %v, want one line naming the count", c.entry, c.err)
+		}
+	}
+	if n := reg.Counter("experiment_jobs").Value(); n != 0 {
+		t.Errorf("%d jobs ran before the negative count was rejected", n)
+	}
+}

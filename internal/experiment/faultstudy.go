@@ -57,9 +57,7 @@ func RunFaultStudy(spec Spec, opts StudyOptions, plan faults.Plan) (*FaultStudy,
 // late enough to hit steady state, large enough to dwarf OS noise.
 func DefaultPlanFor(spec Spec, opts StudyOptions) (faults.Plan, error) {
 	opts = opts.fill()
-	ref, err := runIsolated(spec, RunOptions{
-		Seed: opts.BaseSeed, Noise: *opts.Noise, Watchdog: opts.Watchdog,
-	})
+	ref, err := runIsolated(spec, RunOptions{Seed: opts.BaseSeed, Noise: *opts.Noise})
 	if err != nil {
 		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %w", spec.Name, err)
 	}

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -10,8 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/measure"
 	"repro/internal/noise"
-	"repro/internal/vtime"
-	"repro/internal/work"
 )
 
 func oneOffPlan(spec Spec) faults.Plan {
@@ -212,29 +209,5 @@ func TestStudySurvivesSetupPanic(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "every repetition failed") {
 		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// A livelocked application aborts within the study's watchdog budget
-// instead of hanging the harness.
-func TestStudyWatchdogAbortsLivelock(t *testing.T) {
-	spec := tinySpec()
-	spec.App = func(r *measure.Rank) AppResult {
-		for {
-			r.Work(work.Cost{Instr: 1, Flops: 1})
-		}
-	}
-	wd := vtime.Watchdog{MaxSteps: 20_000}
-	_, err := RunWithOptions(spec, RunOptions{Seed: 1, Watchdog: wd})
-	var we *vtime.WatchdogError
-	if !errors.As(err, &we) {
-		t.Fatalf("want *vtime.WatchdogError, got %T: %v", err, err)
-	}
-	st, err := RunStudy(spec, StudyOptions{Reps: 1, Modes: []core.Mode{core.ModeLt1}, Watchdog: wd})
-	if err == nil {
-		t.Fatalf("livelocked study reported success: %+v", st)
-	}
-	if !strings.Contains(err.Error(), "watchdog") {
-		t.Fatalf("study error does not surface the watchdog abort: %v", err)
 	}
 }

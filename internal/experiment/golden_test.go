@@ -16,9 +16,10 @@ import (
 )
 
 // updateGolden rewrites testdata/golden_sha256.json from the current
-// simulation output.  Run it ONLY when a PR deliberately changes
-// simulation semantics (and bump pool.go's cacheCodeVersion in the same
-// commit) or the verifier's report:
+// simulation output.  Run it ONLY when a change deliberately alters
+// simulation semantics or the verifier's report.  The rewrite moves the
+// run-cache salt (pool.go's cacheCodeVersion embeds the grid's hash), so
+// stale cache entries miss without a hand-bumped version:
 //
 //	go test ./internal/experiment -run TestGoldenChecksums -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden critpath/trace/profile/tracecheck checksums")
@@ -147,5 +148,18 @@ func TestGoldenChecksums(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("run produced %d (app, mode) entries, golden file has %d", len(got), len(want))
+	}
+}
+
+// The run-cache salt is derived from the committed grid, so a rewritten
+// grid invalidates every cache entry by itself.
+func TestCacheSaltTracksGoldenGrid(t *testing.T) {
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	if want := "repro-sim-3/" + hex.EncodeToString(sum[:]); cacheCodeVersion != want {
+		t.Fatalf("cache salt %q, want %q", cacheCodeVersion, want)
 	}
 }

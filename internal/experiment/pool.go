@@ -20,6 +20,8 @@ package experiment
 // byte-identical for any worker count (asserted by pool_test.go).
 
 import (
+	"crypto/sha256"
+	_ "embed"
 	"fmt"
 	"runtime"
 	"sync"
@@ -32,12 +34,23 @@ import (
 	"repro/internal/tracecheck"
 )
 
+// goldenGrid is the committed golden checksum grid (golden_test.go):
+// the trace, profile, critical-path and verifier hashes of every timer
+// mode on the quick MiniFE-1, LULESH-1, TeaLeaf-1 and pattern specs.
+//
+//go:embed testdata/golden_sha256.json
+var goldenGrid []byte
+
 // cacheCodeVersion salts every cache key with the simulation semantics
-// version.  Bump it whenever a change to the kernel, machine model,
-// noise model, mini-apps or analyzer alters what any (spec, mode, seed,
-// config) job produces; stale entries then miss instead of resurfacing
-// results the current code would not compute.
-const cacheCodeVersion = "repro-sim-3"
+// version, so stale entries miss instead of resurfacing results the
+// current code would not compute.  Its suffix is the sha256 of the
+// golden grid: a change that alters any gridded job fails
+// TestGoldenChecksums until -update-golden rewrites the grid, and the
+// rewrite moves the salt.  The "repro-sim-3" prefix is still bumped by
+// hand for a semantics change the grid cannot see: a path only the
+// full-scale specs take, the MiniFE-2, LULESH-2 and TeaLeaf-2..4
+// geometries, or the lt_wstmt and lt_hwcomb modes.
+var cacheCodeVersion = fmt.Sprintf("repro-sim-3/%x", sha256.Sum256(goldenGrid))
 
 // Job is one self-describing unit of a study's grid: which configuration
 // to run, with which options, and where the result goes.
@@ -66,7 +79,7 @@ type poolHooks struct {
 	retried     *obs.Counter   // jobs that needed their one retry
 	dropped     *obs.Counter   // jobs dropped after the retry failed
 	cacheHits   *obs.Counter   // jobs served from the run cache
-	cacheMisses *obs.Counter   // cacheable jobs the cache did not have
+	cacheMisses *obs.Counter   // jobs the cache did not have
 	jobVirtual  *obs.Histogram // per-job virtual seconds
 	progress    *obs.Progress
 }
@@ -104,8 +117,7 @@ func studyJobs(spec Spec, opts StudyOptions) []Job {
 			Slot: len(jobs), Spec: spec, Mode: "", Rep: rep,
 			Opts: RunOptions{
 				Seed: opts.BaseSeed + int64(rep), Noise: *opts.Noise,
-				Faults: opts.Faults, Watchdog: opts.Watchdog,
-				Metrics: opts.Metrics,
+				Faults: opts.Faults, Metrics: opts.Metrics,
 			},
 		})
 	}
@@ -117,8 +129,7 @@ func studyJobs(spec Spec, opts StudyOptions) []Job {
 				Slot: len(jobs), Spec: spec, Mode: mode, Rep: rep,
 				Opts: RunOptions{
 					Cfg: &cfg, Seed: opts.BaseSeed + int64(rep), Noise: *opts.Noise,
-					Faults: opts.Faults, Analyze: analyze, Watchdog: opts.Watchdog,
-					Metrics: opts.Metrics,
+					Faults: opts.Faults, Analyze: analyze, Metrics: opts.Metrics,
 				},
 			})
 		}
@@ -207,8 +218,8 @@ func flattenDrops(drops []*DroppedRep) []DroppedRep {
 // primary seed never produced.
 func runJob(job Job, cache *runcache.Cache, hooks poolHooks) (*RunResult, *DroppedRep) {
 	hooks.jobs.Inc()
-	key, cacheable := cacheKey(job.Spec, job.Opts)
-	if cache != nil && cacheable {
+	key := cacheKey(job.Spec, job.Opts)
+	if cache != nil {
 		if e, ok := cache.Get(key); ok {
 			res := resultOf(e)
 			hooks.cacheHits.Inc()
@@ -220,7 +231,7 @@ func runJob(job Job, cache *runcache.Cache, hooks poolHooks) (*RunResult, *Dropp
 	}
 	res, err := runIsolated(job.Spec, job.Opts)
 	if err == nil {
-		if cache != nil && cacheable {
+		if cache != nil {
 			// A failed Put only costs the next run a re-simulation.
 			_ = cache.Put(key, entryOf(res))
 		}
@@ -244,30 +255,22 @@ func runJob(job Job, cache *runcache.Cache, hooks poolHooks) (*RunResult, *Dropp
 	}
 }
 
-// cacheKey builds the content address of one job.  ok is false when the
-// job cannot be keyed: a measurement Filter is an opaque function, so
-// filtered runs always execute.  The spec's App closure is likewise not
-// hashable — its identity is carried by Name, Description, the geometry
-// fields and cacheCodeVersion, which is why that constant must be bumped
-// with every simulation-semantics change.
-func cacheKey(spec Spec, o RunOptions) (runcache.Key, bool) {
-	if o.Cfg != nil && o.Cfg.Filter != nil {
-		return runcache.Key{}, false
-	}
+// cacheKey builds the content address of one job.  The spec's App
+// closure is not hashable: its identity is carried by Name, Description,
+// the geometry fields and cacheCodeVersion, which is why that salt must
+// move with every simulation-semantics change.
+func cacheKey(spec Spec, o RunOptions) runcache.Key {
 	k := runcache.Key{
 		Spec: fmt.Sprintf("%s|%dx%dx%d|oneper=%t|%s",
 			spec.Name, spec.Ranks, spec.Threads, spec.Nodes, spec.OnePerDomain, spec.Description),
-		Seed:     o.Seed,
-		Noise:    fmt.Sprintf("%+v", o.Noise),
-		Analyze:  o.Analyze,
-		Watchdog: fmt.Sprintf("%+v", o.Watchdog),
-		Version:  cacheCodeVersion,
+		Seed:    o.Seed,
+		Noise:   fmt.Sprintf("%+v", o.Noise),
+		Analyze: o.Analyze,
+		Version: cacheCodeVersion,
 	}
 	if o.Cfg != nil {
 		k.Mode = string(o.Cfg.Mode)
-		cfg := *o.Cfg
-		cfg.Filter = nil
-		k.Config = fmt.Sprintf("%+v", cfg)
+		k.Config = fmt.Sprintf("%+v", *o.Cfg)
 	}
 	if o.Faults != nil {
 		// Key the *effective* plan: RunWithOptions defaults a zero plan
@@ -278,7 +281,7 @@ func cacheKey(spec Spec, o RunOptions) (runcache.Key, bool) {
 		}
 		k.Faults = fmt.Sprintf("seed=%d|jitter=%g|%s", plan.Seed, plan.Jitter, plan.String())
 	}
-	return k, true
+	return k
 }
 
 // entryOf converts a run result to its cached form.

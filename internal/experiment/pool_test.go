@@ -20,9 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/measure"
-	"repro/internal/noise"
 	"repro/internal/runcache"
-	"repro/internal/vtime"
 	"repro/internal/work"
 )
 
@@ -160,7 +158,7 @@ func TestFaultStudyIdenticalAcrossWorkerCounts(t *testing.T) {
 // depend on the worker count.
 func TestScalingIdenticalAcrossWorkerCounts(t *testing.T) {
 	points := [][2]int{{1, 1}, {2, 1}, {4, 2}}
-	opts := ScalingOptions{Reps: 2, Seed: 5, Noise: noise.Cluster(), Workers: 1}
+	opts := ScalingOptions{Reps: 2, Seed: 5, Workers: 1}
 	want, err := RunScaling(tinySpec(), points, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -362,30 +360,13 @@ func TestTraceCheckRepNamesJobRepetition(t *testing.T) {
 	}
 }
 
-// Filtered measurements cannot be content-addressed (a Filter is an
-// opaque function): they must bypass the cache, not poison it.
-func TestFilteredRunsBypassCache(t *testing.T) {
-	cfg := measure.DefaultConfig(core.ModeLt1)
-	cfg.Filter = measure.FilterOut("block")
-	if _, ok := cacheKey(tinySpec(), RunOptions{Cfg: &cfg, Seed: 1}); ok {
-		t.Fatal("filtered config produced a cache key")
-	}
-	if _, ok := cacheKey(tinySpec(), RunOptions{Cfg: nil, Seed: 1}); !ok {
-		t.Fatal("reference run not cacheable")
-	}
-}
-
 // Distinct jobs of one study must never share a content address.
 func TestCacheKeysDistinctAcrossGrid(t *testing.T) {
 	spec := tinySpec()
 	opts := (StudyOptions{Reps: 2, BaseSeed: 1}).fill()
 	seen := map[string]int{}
 	for i, job := range studyJobs(spec, opts) {
-		key, ok := cacheKey(job.Spec, job.Opts)
-		if !ok {
-			t.Fatalf("job %d not cacheable", i)
-		}
-		h := key.Hash()
+		h := cacheKey(job.Spec, job.Opts).Hash()
 		if prev, dup := seen[h]; dup {
 			t.Fatalf("jobs %d and %d share a cache key", prev, i)
 		}
@@ -393,15 +374,10 @@ func TestCacheKeysDistinctAcrossGrid(t *testing.T) {
 	}
 	// A fault plan must change the address even with everything else equal.
 	plan := faults.AfzalPlan(spec.Ranks, 1e-4, 5e-4)
-	bare, _ := cacheKey(spec, RunOptions{Seed: 1})
-	faulted, _ := cacheKey(spec, RunOptions{Seed: 1, Faults: &plan})
+	bare := cacheKey(spec, RunOptions{Seed: 1})
+	faulted := cacheKey(spec, RunOptions{Seed: 1, Faults: &plan})
 	if bare.Hash() == faulted.Hash() {
 		t.Fatal("fault plan not part of the cache key")
-	}
-	// As must a watchdog budget (it can truncate results).
-	bounded, _ := cacheKey(spec, RunOptions{Seed: 1, Watchdog: vtime.Watchdog{MaxSteps: 10}})
-	if bare.Hash() == bounded.Hash() {
-		t.Fatal("watchdog not part of the cache key")
 	}
 }
 

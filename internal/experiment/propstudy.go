@@ -10,12 +10,10 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/measure"
-	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/obs/perfetto"
 	"repro/internal/propagation"
 	"repro/internal/runcache"
-	"repro/internal/vtime"
 )
 
 // PropagationOptions controls a delay-propagation study.
@@ -23,16 +21,8 @@ type PropagationOptions struct {
 	// Modes restricts the timer modes (default: all six).  Include tsc to
 	// get the per-mode front comparison — tsc is the reference clock.
 	Modes []core.Mode
-	// Seed seeds fault-plan jitter (and the noise model, if enabled).
+	// Seed seeds fault-plan jitter.
 	Seed int64
-	// Noise selects the noise environment.  The default (zero) is
-	// deliberate and differs from the other studies: with noise off, the
-	// faulted-minus-baseline delta is the injected fault's signal alone.
-	Noise noise.Params
-	// Analysis tunes the propagation analyzer.
-	Analysis propagation.Options
-	// Watchdog bounds each run; the zero value runs unbounded.
-	Watchdog vtime.Watchdog
 	// Workers caps the job pool's goroutines (0 = GOMAXPROCS); results
 	// are byte-identical for every worker count, like every study.
 	Workers int
@@ -138,7 +128,7 @@ func RunPropagationStudy(spec Spec, opts PropagationOptions, plan faults.Plan) (
 		default:
 			mp.BaselineWall, mp.FaultedWall = baseline.Wall, faulted.Wall
 			mp.Applied = faulted.Applied
-			a, err := propagation.Analyze(baseline.Trace, faulted.Trace, opts.Analysis)
+			a, err := propagation.Analyze(baseline.Trace, faulted.Trace, propagation.Options{})
 			if err != nil {
 				mp.Err = err.Error()
 			} else {
@@ -177,9 +167,7 @@ func RunPropagationStudy(spec Spec, opts PropagationOptions, plan faults.Plan) (
 // idle time can visibly erode it before the run ends.
 func DefaultPropagationPlanFor(spec Spec, opts PropagationOptions) (faults.Plan, error) {
 	opts = opts.fill()
-	ref, err := runIsolated(spec, RunOptions{
-		Seed: opts.Seed, Noise: opts.Noise, Watchdog: opts.Watchdog,
-	})
+	ref, err := runIsolated(spec, RunOptions{Seed: opts.Seed})
 	if err != nil {
 		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %w", spec.Name, err)
 	}
@@ -189,16 +177,15 @@ func DefaultPropagationPlanFor(spec Spec, opts PropagationOptions) (faults.Plan,
 // propagationJobs enumerates the paired grid: slots 2i / 2i+1 hold mode
 // i's baseline and faulted runs.  Both share the study seed, so the only
 // difference between the pair is the fault plan — the contract the
-// analyzer's event alignment rests on.
+// analyzer's event alignment rests on.  Unlike the other studies, the
+// runs are noise-free: the faulted-minus-baseline delta is then the
+// injected fault's signal alone.
 func propagationJobs(spec Spec, opts PropagationOptions, plan faults.Plan) []Job {
 	jobs := make([]Job, 0, 2*len(opts.Modes))
 	for _, mode := range opts.Modes {
 		cfg := measure.DefaultConfig(mode)
 		for _, withFaults := range []bool{false, true} {
-			o := RunOptions{
-				Cfg: &cfg, Seed: opts.Seed, Noise: opts.Noise,
-				Watchdog: opts.Watchdog, Metrics: opts.Metrics,
-			}
+			o := RunOptions{Cfg: &cfg, Seed: opts.Seed, Metrics: opts.Metrics}
 			if withFaults {
 				p := plan
 				o.Faults = &p

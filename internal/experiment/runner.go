@@ -47,8 +47,6 @@ type RunOptions struct {
 	Faults *faults.Plan
 	// Analyze runs the trace through the analyzer.
 	Analyze bool
-	// Watchdog bounds the simulation; the zero value runs unbounded.
-	Watchdog vtime.Watchdog
 	// Metrics, when non-nil, receives observe-only counters from every
 	// layer of the run (kernel, MPI runtime, fault injector).  It never
 	// enters the run-cache key and cannot change any result — the
@@ -74,20 +72,14 @@ func Run(spec Spec, mode core.Mode, seed int64, np noise.Params, analyze bool) (
 		c := measure.DefaultConfig(mode)
 		cfg = &c
 	}
-	return RunWithConfig(spec, cfg, seed, np, analyze)
-}
-
-// RunWithConfig is Run with an explicit measurement configuration (nil
-// runs uninstrumented) — the hook for ablation studies that vary the
-// overhead model, filters or piggyback behaviour.
-func RunWithConfig(spec Spec, cfg *measure.Config, seed int64, np noise.Params, analyze bool) (*RunResult, error) {
 	return RunWithOptions(spec, RunOptions{Cfg: cfg, Seed: seed, Noise: np, Analyze: analyze})
 }
 
 // RunWithOptions is the fully general single-run entry point: an
-// explicit measurement configuration, an optional fault plan, and an
-// optional kernel watchdog.  A timer mode core.New cannot build is
-// rejected before the run starts.
+// explicit measurement configuration (nil runs uninstrumented; ablation
+// studies vary its overhead model or piggyback behaviour) and an
+// optional fault plan.  A timer mode core.New cannot build is rejected
+// before the run starts.
 func RunWithOptions(spec Spec, o RunOptions) (*RunResult, error) {
 	if o.Cfg != nil {
 		if err := checkModes(spec, o.Cfg.Mode); err != nil {
@@ -95,7 +87,6 @@ func RunWithOptions(spec Spec, o RunOptions) (*RunResult, error) {
 		}
 	}
 	k := vtime.NewKernel()
-	k.SetWatchdog(o.Watchdog)
 	k.SetMetrics(vtime.NewMetrics(o.Metrics))
 	if tl := o.Timeline; tl != nil {
 		// Installed before machine.New so the t=0 registrations seed every
@@ -202,9 +193,6 @@ type StudyOptions struct {
 	// modes — required by studies that measure rep-to-rep stability
 	// under fault injection.
 	AnalyzeAll bool
-	// Watchdog bounds each repetition's simulation; the zero value runs
-	// unbounded.
-	Watchdog vtime.Watchdog
 	// Workers caps the goroutines of the study's job pool; 0 uses
 	// GOMAXPROCS.  The results are byte-identical for every worker
 	// count — every job owns its kernel, machine and noise model, and
@@ -257,9 +245,9 @@ func (o StudyOptions) fill() StudyOptions {
 
 // Study is the complete result set for one configuration: repeated
 // reference runs plus repeated measured runs per timer mode.  A study
-// degrades gracefully: repetitions that fail (panic, deadlock, watchdog
-// abort) are retried once with a fresh seed and, if they fail again,
-// recorded in Dropped instead of killing the whole study.
+// degrades gracefully: repetitions that fail (panic, deadlock) are
+// retried once with a fresh seed and, if they fail again, recorded in
+// Dropped instead of killing the whole study.
 type Study struct {
 	Spec    Spec
 	Opts    StudyOptions
@@ -292,6 +280,15 @@ type DroppedRep struct {
 // retrySeedOffset decorrelates a retried repetition from every planned
 // seed of the study (BaseSeed .. BaseSeed+Reps).
 const retrySeedOffset = 1_000_003
+
+// checkReps rejects a negative repetition count before any job is
+// queued; 0 still selects the entry point's default.
+func checkReps(spec Spec, reps int) error {
+	if reps < 0 {
+		return fmt.Errorf("experiment %s: repetition count %d is negative", spec.Name, reps)
+	}
+	return nil
+}
 
 // checkModes rejects a timer mode core.New cannot build.  The studies
 // call it before queueing jobs, so the pool never retries a job that
@@ -330,9 +327,13 @@ func runIsolated(spec Spec, o RunOptions) (res *RunResult, err error) {
 // index, the Study is byte-identical for every worker count.  Failing
 // repetitions are isolated: each is retried once with a fresh seed, then
 // dropped and reported in Study.Dropped.  RunStudy returns an error only
-// when a mode is unknown or every single repetition failed.
+// when the repetition count is negative, a mode is unknown or every
+// single repetition failed.
 func RunStudy(spec Spec, opts StudyOptions) (*Study, error) {
 	opts = opts.fill()
+	if err := checkReps(spec, opts.Reps); err != nil {
+		return nil, err
+	}
 	if err := checkModes(spec, opts.Modes...); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/runcache"
-	"repro/internal/vtime"
 )
 
 // ScalePoint is one configuration of a preliminary scaling study
@@ -42,14 +41,10 @@ type ScalingOptions struct {
 	Reps int
 	// Seed decorrelates repetitions (rep r runs with Seed+r).
 	Seed int64
-	// Noise selects the noise environment.
-	Noise noise.Params
 	// Workers caps the job pool's goroutines; 0 uses GOMAXPROCS.
 	Workers int
 	// Cache optionally serves repetitions from a run cache.
 	Cache *runcache.Cache
-	// Watchdog bounds each repetition; the zero value runs unbounded.
-	Watchdog vtime.Watchdog
 	// Metrics, when non-nil, aggregates observe-only counters across the
 	// grid (see StudyOptions.Metrics).
 	Metrics *obs.Registry
@@ -66,16 +61,22 @@ type ScalingResult struct {
 }
 
 // RunScaling runs the given app (taken from base) uninstrumented at a
-// series of (ranks, threads) points and reports run times, speedups and
-// parallel efficiencies.  The full points × reps grid runs on the shared
-// job pool, with the same degradation path as RunStudy: a failing
-// repetition is retried once with a fresh seed, then dropped; a point
-// whose every repetition drops is reported with an Err entry instead of
-// failing the study.  Results are byte-identical for every worker count.
+// series of (ranks, threads) points, in the cluster noise environment,
+// and reports run times, speedups and parallel efficiencies.  The full
+// points × reps grid runs on the shared job pool, with the same
+// degradation path as RunStudy: a failing repetition is retried once
+// with a fresh seed, then dropped; a point whose every repetition drops
+// is reported with an Err entry instead of failing the study.  Results
+// are byte-identical for every worker count.  A negative repetition
+// count is rejected before any job runs.
 func RunScaling(base Spec, points [][2]int, o ScalingOptions) (*ScalingResult, error) {
-	if o.Reps <= 0 {
+	if err := checkReps(base, o.Reps); err != nil {
+		return nil, err
+	}
+	if o.Reps == 0 {
 		o.Reps = 3
 	}
+	np := noise.Cluster()
 	specs := make([]Spec, len(points))
 	jobs := make([]Job, 0, len(points)*o.Reps)
 	for pi, pt := range points {
@@ -91,10 +92,7 @@ func RunScaling(base Spec, points [][2]int, o ScalingOptions) (*ScalingResult, e
 		for rep := 0; rep < o.Reps; rep++ {
 			jobs = append(jobs, Job{
 				Slot: len(jobs), Spec: spec, Rep: rep,
-				Opts: RunOptions{
-					Seed: o.Seed + int64(rep), Noise: o.Noise, Watchdog: o.Watchdog,
-					Metrics: o.Metrics,
-				},
+				Opts: RunOptions{Seed: o.Seed + int64(rep), Noise: np, Metrics: o.Metrics},
 			})
 		}
 	}
@@ -154,21 +152,6 @@ func normalizeScaling(points []ScalePoint) {
 		cores := float64(points[i].Ranks * points[i].Threads)
 		points[i].Efficiency = points[i].Speedup * baseCores / cores
 	}
-}
-
-// ScalingStudy is the strict legacy entry point: RunScaling with default
-// parallelism, failing outright on the first dropped repetition the way
-// the pre-pool sequential implementation did.
-func ScalingStudy(base Spec, points [][2]int, reps int, seed int64, np noise.Params) ([]ScalePoint, error) {
-	res, err := RunScaling(base, points, ScalingOptions{Reps: reps, Seed: seed, Noise: np})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Dropped) > 0 {
-		d := res.Dropped[0]
-		return nil, fmt.Errorf("scaling rep %d (seed %d): %s", d.Rep, d.Seed, d.Err)
-	}
-	return res.Points, nil
 }
 
 // RenderScaling writes a scaling table.  Points whose every repetition

@@ -4,15 +4,24 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/noise"
 )
 
-func TestScalingStudyBasics(t *testing.T) {
-	pts, err := ScalingStudy(tinySpec(), [][2]int{{1, 1}, {2, 1}, {4, 1}}, 2, 1, noise.Params{})
+// runScaling runs a sweep that must complete without a dropped
+// repetition.
+func runScaling(t *testing.T, points [][2]int, reps int) []ScalePoint {
+	t.Helper()
+	res, err := RunScaling(tinySpec(), points, ScalingOptions{Reps: reps, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.Dropped) > 0 {
+		t.Fatalf("dropped repetitions: %+v", res.Dropped)
+	}
+	return res.Points
+}
+
+func TestScalingStudyBasics(t *testing.T) {
+	pts := runScaling(t, [][2]int{{1, 1}, {2, 1}, {4, 1}}, 2)
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -30,10 +39,7 @@ func TestScalingStudyBasics(t *testing.T) {
 }
 
 func TestScalingStudyAutoSizesNodes(t *testing.T) {
-	pts, err := ScalingStudy(tinySpec(), [][2]int{{256, 1}}, 1, 1, noise.Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := runScaling(t, [][2]int{{256, 1}}, 1)
 	if pts[0].Nodes != 2 {
 		t.Fatalf("256 single-thread ranks need 2 nodes, got %d", pts[0].Nodes)
 	}
@@ -52,7 +58,7 @@ func TestRenderScaling(t *testing.T) {
 }
 
 func TestRunWithConfigNilIsReference(t *testing.T) {
-	res, err := RunWithConfig(tinySpec(), nil, 1, noise.Params{}, false)
+	res, err := RunWithOptions(tinySpec(), RunOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,11 @@
 // guard the ways Go code usually breaks that property:
 //
 //   - wallclock: references to time.Now or time.Since.  Real time must
-//     never influence simulation state; the vtime kernel's injectable
-//     nowFunc (watchdog wall-clock budget) is the one sanctioned
-//     exception outside the cmd binaries, and carries a
-//     "//detlint:allow wallclock" directive.
+//     never influence simulation state.  The sanctioned reads sit in the
+//     cmd binaries, which use the host clock only for observe-only
+//     reporting such as obs.NewProgress, and in the benchmark harnesses;
+//     each carries a "//detlint:allow wallclock" directive.  No
+//     simulation package reads the host clock.
 //   - globalrand: calls through the process-global math/rand generator
 //     (rand.Intn, rand.Float64, rand.Shuffle, …).  The global generator
 //     is shared, unseeded (or racily reseeded) state; deterministic code
@@ -41,7 +42,7 @@
 // The traversal is a deliberate over-approximation (interface dispatch
 // fans out to every implementing type), so a clean run is a guarantee.
 // The vtime package is exempt from the helper scope and from globalmut:
-// it owns the sanctioned boundaries.
+// it owns the scheduling order.
 //
 // Suppress a deliberate exception with "//detlint:allow <name>: why" on
 // the offending line or the line above.
@@ -66,7 +67,7 @@ var Wallclock = &lint.Analyzer{
 	Doc:  "flags time.Now/time.Since: real time must not influence simulation state",
 	RunModule: func(pass *lint.ModulePass) error {
 		reportDirect(pass, wallclockRef,
-			"time.%s reads the wall clock; inject a nowFunc (see internal/vtime) so simulation stays deterministic")
+			"time.%s reads the wall clock; inject a clock function (see obs.NewProgress) so simulation stays deterministic")
 		reportHelperCalls(pass, reachesWallclock,
 			"reaches the wall clock (%s); simulation code must take virtual time from the kernel")
 		return nil

@@ -62,8 +62,7 @@ func ownHas(n *lint.FuncNode, find finder) bool {
 // propagate computes the bottom-up closure of a per-function fact over
 // the call-graph SCCs: a function is tainted when its own body has the
 // fact or any callee is tainted.  vtime nodes are never tainted — the
-// kernel holds the sanctioned boundaries for both the wall clock
-// (nowFunc) and scheduling order.
+// kernel holds the sanctioned boundary for scheduling order.
 func propagate(g *lint.CallGraph, has func(*lint.FuncNode) bool) map[*lint.FuncNode]bool {
 	tainted := make(map[*lint.FuncNode]bool)
 	for _, scc := range g.SCCs() {

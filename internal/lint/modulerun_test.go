@@ -52,7 +52,7 @@ func TestUnusedAllowReportsTypo(t *testing.T) {
 	}
 	want := []string{
 		"8 unusedallow //detlint:allow wallclok suppresses no diagnostic; remove the stale directive",
-		"8 wallclock time.Now reads the wall clock; inject a nowFunc (see internal/vtime) so simulation stays deterministic",
+		"8 wallclock time.Now reads the wall clock; inject a clock function (see obs.NewProgress) so simulation stays deterministic",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("got\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

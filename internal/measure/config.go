@@ -2,23 +2,6 @@ package measure
 
 import "repro/internal/core"
 
-// Filter decides which user regions are instrumented, playing the role of
-// Score-P filter files (paper §V-A: "we specified filters to keep the
-// overhead for tsc measurements reasonably small").  It returns true if
-// the region should be measured.  A nil Filter measures everything.
-// Filtered regions produce no events and no overhead; their time is
-// attributed to the enclosing call path, as with Score-P.
-type Filter func(region string) bool
-
-// FilterOut builds a filter that excludes exactly the named regions.
-func FilterOut(names ...string) Filter {
-	drop := make(map[string]bool, len(names))
-	for _, n := range names {
-		drop[n] = true
-	}
-	return func(region string) bool { return !drop[region] }
-}
-
 // Overhead models the run-time cost of the measurement system itself.
 // The logical clocks are insensitive to these costs by construction —
 // instrumentation instructions are executed but not counted as
@@ -89,8 +72,6 @@ func DefaultOverhead() Overhead {
 type Config struct {
 	// Mode is the timer to use for timestamps.
 	Mode core.Mode
-	// Filter selects instrumented user regions; nil measures all.
-	Filter Filter
 	// Overhead models the measurement system's own costs.
 	Overhead Overhead
 	// XBBPerOmpCall is the constant number of basic blocks charged per

@@ -210,47 +210,6 @@ func TestTSCTraceVariesUnderNoise(t *testing.T) {
 	}
 }
 
-func TestFilterSuppressesRegions(t *testing.T) {
-	app := func(r *Rank) {
-		r.Region("noisy_helper", func() {
-			r.Work(work.Cost{Instr: 1e5})
-		})
-		r.Region("solve", func() {
-			r.Work(work.Cost{Instr: 1e5})
-		})
-	}
-	cfg := DefaultConfig(core.ModeLt1)
-	cfg.Filter = FilterOut("noisy_helper")
-	k := vtime.NewKernel()
-	m := machine.New(k, machine.Jureca(1))
-	place, _ := machine.PlaceBlock(m, 1, 1)
-	w := simmpi.NewWorld(k, m, place, simmpi.DefaultConfig(), simomp.DefaultCosts(), nil)
-	meas := New(cfg)
-	w.Launch(func(p *simmpi.Proc) {
-		r := NewRank(meas, p)
-		r.Begin()
-		app(r)
-		r.End()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, reg := range meas.Trace.Regions {
-		if reg.Name == "noisy_helper" {
-			t.Fatal("filtered region appears in trace")
-		}
-	}
-	found := false
-	for _, reg := range meas.Trace.Regions {
-		if reg.Name == "solve" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("unfiltered region missing from trace")
-	}
-}
-
 func TestInstrumentationAddsOverhead(t *testing.T) {
 	_, ref := runJob(t, 2, 2, "", 1, noise.Params{}, miniApp)
 	_, ins := runJob(t, 2, 2, core.ModeBB, 1, noise.Params{}, miniApp)

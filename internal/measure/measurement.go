@@ -59,10 +59,10 @@ type recorder struct {
 	clock core.Clock
 	locIx int // index into Trace.Locs
 
-	stack []stackEntry
-	// names mirrors the unfiltered region names on the stack; its join
-	// is the location's current call path, used to root worker threads
-	// under the master's fork-time path the way Scalasca does.
+	stack []trace.RegionID
+	// names mirrors the region names on the stack; its join is the
+	// location's current call path, used to root worker threads under
+	// the master's fork-time path the way Scalasca does.
 	names []string
 
 	// regions caches this location's view of the trace's global region
@@ -74,11 +74,6 @@ type recorder struct {
 	bufEvents     int     // events since last working-set update
 	bufRegistered float64 // buffer bytes already added to the working set
 	barSeen       int32
-}
-
-type stackEntry struct {
-	region   trace.RegionID
-	filtered bool
 }
 
 func (m *Measurement) newRecorder(l *loc.Location) *recorder {
@@ -129,13 +124,8 @@ func (r *recorder) event(kind trace.EvKind, region trace.RegionID, a, b int32, c
 	})
 }
 
-// enter pushes a user or runtime region, recording the Enter event unless
-// the region is filtered out.
+// enter pushes a user or runtime region and records its Enter event.
 func (r *recorder) enter(name string, role trace.Role) {
-	if role == trace.RoleUser && r.m.Cfg.Filter != nil && !r.m.Cfg.Filter(name) {
-		r.stack = append(r.stack, stackEntry{filtered: true})
-		return
-	}
 	id, ok := r.regions[name]
 	if !ok {
 		id = r.m.Trace.Region(name, role)
@@ -144,7 +134,7 @@ func (r *recorder) enter(name string, role trace.Role) {
 		}
 		r.regions[name] = id
 	}
-	r.stack = append(r.stack, stackEntry{region: id})
+	r.stack = append(r.stack, id)
 	r.names = append(r.names, name)
 	r.event(trace.EvEnter, id, 0, 0, 0)
 }
@@ -154,18 +144,15 @@ func (r *recorder) callPath() string {
 	return strings.Join(r.names, "/")
 }
 
-// exit pops the current region, recording the Exit event unless filtered.
+// exit pops the current region and records its Exit event.
 func (r *recorder) exit() {
 	if len(r.stack) == 0 {
 		panic("measure: exit without matching enter")
 	}
 	top := r.stack[len(r.stack)-1]
 	r.stack = r.stack[:len(r.stack)-1]
-	if top.filtered {
-		return
-	}
 	r.names = r.names[:len(r.names)-1]
-	r.event(trace.EvExit, top.region, 0, 0, 0)
+	r.event(trace.EvExit, top, 0, 0, 0)
 }
 
 // ompCallCounts charges the constant per-OpenMP-call effort the lt_bb and

@@ -4,13 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/noise"
-	"repro/internal/simmpi"
-	"repro/internal/simomp"
 	"repro/internal/trace"
-	"repro/internal/vtime"
-	"repro/internal/work"
 )
 
 func TestMeasuredSendrecv(t *testing.T) {
@@ -36,50 +31,6 @@ func TestMeasuredSendrecv(t *testing.T) {
 		if sends != 1 || recvs != 1 {
 			t.Fatalf("rank %d: %d sends, %d recvs", l.Rank, sends, recvs)
 		}
-	}
-}
-
-func TestFilterReducesOverheadAndTraceSize(t *testing.T) {
-	// The paper keeps tsc overhead small with filter files (§V-A).  A
-	// call-dense helper region, filtered out, must stop costing events.
-	app := func(r *Rank) {
-		for i := 0; i < 3000; i++ {
-			r.Region("tiny_helper", func() {
-				r.Work(work.Cost{Instr: 1e4, Flops: 1e4})
-			})
-		}
-	}
-	k := vtime.NewKernel()
-	_ = k
-	run := func(filter Filter) (wall float64, events int) {
-		cfg := DefaultConfig(core.ModeTSC)
-		cfg.Filter = filter
-		kk := vtime.NewKernel()
-		m := machine.New(kk, machine.Jureca(1))
-		place, err := machine.PlaceBlock(m, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := simmpi.NewWorld(kk, m, place, simmpi.DefaultConfig(), simomp.DefaultCosts(), nil)
-		meas := New(cfg)
-		w.Launch(func(p *simmpi.Proc) {
-			r := NewRank(meas, p)
-			r.Begin()
-			app(r)
-			r.End()
-		})
-		if err := kk.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return kk.Now(), meas.Trace.NumEvents()
-	}
-	fullWall, fullEvents := run(nil)
-	filtWall, filtEvents := run(FilterOut("tiny_helper"))
-	if filtEvents >= fullEvents/10 {
-		t.Fatalf("filter left %d of %d events", filtEvents, fullEvents)
-	}
-	if filtWall >= fullWall {
-		t.Fatalf("filtered run (%g) not faster than unfiltered (%g)", filtWall, fullWall)
 	}
 }
 

@@ -12,6 +12,9 @@ import (
 	"repro/internal/obs/perfetto"
 )
 
+// sseInterval is the /progress event cadence.
+const sseInterval = time.Second
+
 // Options selects which observatory surfaces a Monitor serves.  Every
 // field is optional; an endpoint whose backing component is absent
 // answers 503 so probes can tell "not wired" from "broken".
@@ -27,8 +30,6 @@ type Options struct {
 	// /waitstates.  The watcher opens lazily on first request, so the
 	// monitor may start before the recorder has created the file.
 	TracePath string
-	// SSEInterval is the /progress event cadence (default 1s).
-	SSEInterval time.Duration
 }
 
 // Monitor is the HTTP observatory: an http.Handler exposing
@@ -51,9 +52,6 @@ type Monitor struct {
 
 // NewMonitor builds the observatory handler for the given components.
 func NewMonitor(opt Options) *Monitor {
-	if opt.SSEInterval <= 0 {
-		opt.SSEInterval = time.Second
-	}
 	m := &Monitor{opt: opt, mux: http.NewServeMux()}
 	m.mux.HandleFunc("/healthz", m.healthz)
 	m.mux.HandleFunc("/metrics", m.metrics)
@@ -152,7 +150,7 @@ func (m *Monitor) progress(w http.ResponseWriter, r *http.Request) {
 	if !send() {
 		return
 	}
-	tick := time.NewTicker(m.opt.SSEInterval)
+	tick := time.NewTicker(sseInterval)
 	defer tick.Stop()
 	for {
 		select {

@@ -3,8 +3,8 @@ package obs
 import "sync"
 
 // Mark is one instant annotation on the virtual timeline — a fault
-// injection firing, a watchdog trip, anything that happens at a point
-// in virtual time rather than over a span.
+// injection firing, anything that happens at a point in virtual time
+// rather than over a span.
 type Mark struct {
 	T      float64 // virtual time, seconds
 	Name   string  // short label, e.g. "oneoff rank 2"

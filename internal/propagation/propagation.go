@@ -40,53 +40,35 @@ import (
 	"repro/internal/trace"
 )
 
-// Options tunes the analysis.  The zero value is ready to use.
-type Options struct {
-	// ThresholdTicks is the absolute delay, in trace clock ticks, a rank
-	// must exceed to count as reached by the front.  0 selects the
-	// automatic threshold: ThresholdFrac of the largest delay observed
-	// anywhere in the job.
-	ThresholdTicks float64
-	// ThresholdFrac is the automatic threshold as a fraction of the
-	// global peak delay (default 0.5).  Half the peak separates "the
-	// front arrived" from echo ripples without tuning per workload.
-	ThresholdFrac float64
-	// IterRegion is the region name whose Enter events delimit
-	// iterations (default "iteration", the convention of the pattern
-	// workloads; the paper apps use their own step regions).
-	IterRegion string
-	// DecayFraction splits decaying from non-decaying ranks: a reached
-	// rank whose final delay fell to <= DecayFraction * its peak decayed
-	// (default 0.5).
-	DecayFraction float64
-	// Samples bounds each rank's reported delay series (default 64
-	// buckets over the baseline time span; the peak in each bucket is
-	// kept so short spikes survive the downsampling).
-	Samples int
-	// SettleFactor is the tolerance for declaring the job resynchronised:
-	// the per-iteration phase spread must return below
-	// SettleFactor * pre-fault spread (default 1.5).
-	SettleFactor float64
-}
+// The analysis runs one parameterisation, the one every study, test and
+// golden uses.
+const (
+	// thresholdFrac places the front threshold at this fraction of the
+	// largest delay observed anywhere in the job: half the peak
+	// separates "the front arrived" from echo ripples without tuning per
+	// workload.
+	thresholdFrac = 0.5
+	// iterRegionName names the region whose Enter events delimit
+	// iterations, the convention of the pattern workloads.
+	iterRegionName = "iteration"
+	// decayFraction splits decaying from non-decaying ranks: a reached
+	// rank whose final delay fell to decayFraction of its peak or below
+	// decayed.
+	decayFraction = 0.5
+	// seriesSamples bounds each rank's reported delay series: buckets
+	// over the baseline time span, keeping the peak in each bucket so
+	// short spikes survive the downsampling.
+	seriesSamples = 64
+	// settleFactor is the tolerance for declaring the job
+	// resynchronised: the per-iteration phase spread must return below
+	// settleFactor times the pre-fault spread.
+	settleFactor = 1.5
+)
 
-func (o Options) fill() Options {
-	if o.ThresholdFrac == 0 {
-		o.ThresholdFrac = 0.5
-	}
-	if o.IterRegion == "" {
-		o.IterRegion = "iteration"
-	}
-	if o.DecayFraction == 0 {
-		o.DecayFraction = 0.5
-	}
-	if o.Samples == 0 {
-		o.Samples = 64
-	}
-	if o.SettleFactor == 0 {
-		o.SettleFactor = 1.5
-	}
-	return o
-}
+// Options carries no settings: the analysis always runs with the
+// constants above.  It remains Analyze's third parameter only until the
+// study benchmark (perfbench/) stops passing Options{}.
+type Options struct{}
 
 // Class labels how a rank experienced the injected delay.
 type Class string
@@ -99,7 +81,7 @@ const (
 	// upstream slack swallowed most of it before it got here.
 	ClassAbsorbed Class = "absorbed"
 	// ClassDecaying: the front reached the rank, but its delay then fell
-	// to DecayFraction of the peak or below.
+	// to decayFraction of the peak or below.
 	ClassDecaying Class = "decaying"
 	// ClassNonDecaying: the front reached the rank and the delay stuck.
 	ClassNonDecaying Class = "non-decaying"
@@ -122,8 +104,9 @@ type RankDelay struct {
 	// FrontTime is the baseline tick at which the delay first exceeded
 	// the threshold; -1 if the front never reached this rank.
 	FrontTime float64 `json:"front_time"`
-	// FrontIter is the iteration (0-based count of IterRegion entries on
-	// this rank) during which the front arrived; -1 if it never did.
+	// FrontIter is the iteration (0-based count of iterRegionName
+	// entries on this rank) during which the front arrived; -1 if it
+	// never did.
 	FrontIter int `json:"front_iter"`
 	// SlackTicks is the rank's baseline communication slack: ticks spent
 	// inside MPI wait and collective regions, the budget available to
@@ -157,7 +140,8 @@ type SpreadPoint struct {
 // oscillators whose phases the injected delay kicks.
 type Desync struct {
 	// Iterations is the aligned iteration count across ranks (0 when the
-	// workload exposes no IterRegion, in which case the rest is zero).
+	// workload has no iterRegionName region, in which case the rest is
+	// zero).
 	Iterations int `json:"iterations"`
 	// MeanPeriod is the mean iteration period of the faulted run, ticks.
 	MeanPeriod float64 `json:"mean_period"`
@@ -169,7 +153,7 @@ type Desync struct {
 	// FinalSpread is the phase spread at the last aligned iteration.
 	FinalSpread float64 `json:"final_spread"`
 	// SettleIter is the first post-injection iteration whose spread fell
-	// back below SettleFactor * PreSpread; -1 if the job never
+	// back below settleFactor * PreSpread; -1 if the job never
 	// resynchronised (permanent desynchronization).
 	SettleIter int `json:"settle_iter"`
 	// SettleTicks is the corresponding resettling span in ticks after the
@@ -220,9 +204,9 @@ type Analysis struct {
 type rankData struct {
 	times  []float64 // baseline tick per aligned event
 	deltas []float64 // faulted - baseline tick per aligned event
-	iters  []int     // aligned-event index of each IterRegion enter
-	fIter  []float64 // faulted tick of each IterRegion enter
-	bIter  []float64 // baseline tick of each IterRegion enter
+	iters  []int     // aligned-event index of each iteration enter
+	fIter  []float64 // faulted tick of each iteration enter
+	bIter  []float64 // baseline tick of each iteration enter
 }
 
 // masterStream finds the thread-0 location of each rank, ordered by rank.
@@ -249,8 +233,7 @@ func sameShape(a, b *trace.Event) bool {
 // while per-rank structural divergence past some prefix (a fault changing
 // a timing-dependent matching choice) merely truncates that rank's series
 // and is reported in RankDelay.Misaligned.
-func Analyze(baseline, faulted *trace.Trace, opt Options) (*Analysis, error) {
-	opt = opt.fill()
+func Analyze(baseline, faulted *trace.Trace, _ Options) (*Analysis, error) {
 	if baseline == nil || faulted == nil {
 		return nil, fmt.Errorf("propagation: need both a baseline and a faulted trace")
 	}
@@ -271,7 +254,7 @@ func Analyze(baseline, faulted *trace.Trace, opt Options) (*Analysis, error) {
 	// code path), which alignment re-checks event by event anyway.
 	iterRegion := trace.RegionID(-1)
 	for id, def := range baseline.Regions {
-		if def.Name == opt.IterRegion {
+		if def.Name == iterRegionName {
 			iterRegion = trace.RegionID(id)
 			break
 		}
@@ -321,10 +304,7 @@ func Analyze(baseline, faulted *trace.Trace, opt Options) (*Analysis, error) {
 		a.Ranks = append(a.Ranks, rd)
 	}
 
-	a.ThresholdTicks = opt.ThresholdTicks
-	if a.ThresholdTicks == 0 {
-		a.ThresholdTicks = opt.ThresholdFrac * globalPeak
-	}
+	a.ThresholdTicks = thresholdFrac * globalPeak
 	a.Observed = globalPeak > 0
 
 	// Front crossing, series bucketing and classification per rank.
@@ -344,7 +324,7 @@ func Analyze(baseline, faulted *trace.Trace, opt Options) (*Analysis, error) {
 				}
 			}
 		}
-		rd.Series = bucket(d.times, d.deltas, opt.Samples)
+		rd.Series = bucket(d.times, d.deltas, seriesSamples)
 		switch {
 		case rd.Peak == 0:
 			rd.Class = ClassUnaffected
@@ -352,7 +332,7 @@ func Analyze(baseline, faulted *trace.Trace, opt Options) (*Analysis, error) {
 		case rd.FrontTime < 0:
 			rd.Class = ClassAbsorbed
 			a.Absorbed++
-		case rd.Final <= opt.DecayFraction*rd.Peak:
+		case rd.Final <= decayFraction*rd.Peak:
 			rd.Class = ClassDecaying
 			a.Decaying++
 			a.Reached++
@@ -368,7 +348,7 @@ func Analyze(baseline, faulted *trace.Trace, opt Options) (*Analysis, error) {
 	}
 
 	frontSpeeds(a, ranks)
-	desync(a, data, opt)
+	desync(a, data)
 	return a, nil
 }
 
@@ -498,7 +478,7 @@ func frontSpeeds(a *Analysis, ranks int) {
 
 // desync computes the coupled-oscillator metrics from the per-rank
 // iteration marks of the faulted run.
-func desync(a *Analysis, data []rankData, opt Options) {
+func desync(a *Analysis, data []rankData) {
 	a.Desync.SettleIter = -1
 	a.Desync.SettleTicks = -1
 	iters := -1
@@ -587,7 +567,7 @@ func desync(a *Analysis, data []rankData, opt Options) {
 	if pre > 0 {
 		a.Desync.PreSpread = s / float64(pre)
 	}
-	limit := opt.SettleFactor * a.Desync.PreSpread
+	limit := settleFactor * a.Desync.PreSpread
 	if limit <= 0 {
 		// A perfectly synchronous pre-fault phase: settle when the spread
 		// returns to (near) zero periods.

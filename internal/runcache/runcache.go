@@ -37,20 +37,19 @@ import (
 
 // Key names the complete identity of one simulated job.  Every field
 // that can change the job's outcome must appear here; the composite
-// fields (Spec, Noise, Faults, Config, Watchdog) are canonical string
-// renderings produced by the caller.  Version is the caller's code
-// version salt: bump it whenever simulation semantics change, so stale
-// entries from older binaries can never be mistaken for fresh results.
+// fields (Spec, Noise, Faults, Config) are canonical string renderings
+// produced by the caller.  Version is the caller's code version salt: it
+// must change whenever simulation semantics change, so stale entries
+// from older binaries can never be mistaken for fresh results.
 type Key struct {
-	Spec     string // spec identity: name, geometry, pinning, description
-	Mode     string // timer mode; "" for an uninstrumented reference run
-	Seed     int64  // noise / fault-jitter seed
-	Noise    string // noise.Params rendering
-	Faults   string // effective fault plan (seed, jitter, faults); "" if none
-	Config   string // measurement config rendering; "" if uninstrumented
-	Analyze  bool   // whether the trace was run through the analyzer
-	Watchdog string // run budget rendering (it can truncate a result)
-	Version  string // caller's code-version salt
+	Spec    string // spec identity: name, geometry, pinning, description
+	Mode    string // timer mode; "" for an uninstrumented reference run
+	Seed    int64  // noise / fault-jitter seed
+	Noise   string // noise.Params rendering
+	Faults  string // effective fault plan (seed, jitter, faults); "" if none
+	Config  string // measurement config rendering; "" if uninstrumented
+	Analyze bool   // whether the trace was run through the analyzer
+	Version string // caller's code-version salt
 }
 
 // Hash returns the key's content address: a hex SHA-256 over the
@@ -71,7 +70,6 @@ func (k Key) Hash() string {
 	put(k.Faults)
 	put(k.Config)
 	put(strconv.FormatBool(k.Analyze))
-	put(k.Watchdog)
 	put(k.Version)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -14,15 +14,14 @@ import (
 
 func sampleKey() Key {
 	return Key{
-		Spec:     "tiny|4x2x1|oneper=false|test spec",
-		Mode:     "lt_stmt",
-		Seed:     7,
-		Noise:    "{OSDetourProb:0.002}",
-		Faults:   "",
-		Config:   "{Mode:lt_stmt ...}",
-		Analyze:  true,
-		Watchdog: "{MaxSteps:0 MaxVirtual:0 MaxWall:0s}",
-		Version:  "sim1",
+		Spec:    "tiny|4x2x1|oneper=false|test spec",
+		Mode:    "lt_stmt",
+		Seed:    7,
+		Noise:   "{OSDetourProb:0.002}",
+		Faults:  "",
+		Config:  "{Mode:lt_stmt ...}",
+		Analyze: true,
+		Version: "sim1",
 	}
 }
 
@@ -75,9 +74,6 @@ func TestKeyHashStableAndSensitive(t *testing.T) {
 	k = base
 	k.Analyze = false
 	variants["Analyze"] = k
-	k = base
-	k.Watchdog += "x"
-	variants["Watchdog"] = k
 	k = base
 	k.Version = "sim2"
 	variants["Version"] = k

@@ -183,11 +183,12 @@ func (r *Report) Render(w io.Writer, limit int) {
 	}
 }
 
+// maxPerKind caps the violations recorded per kind; the totals in
+// Report.Counts keep counting past it.
+const maxPerKind = 100
+
 // Options tunes a verification run.  The zero value is the default.
 type Options struct {
-	// MaxPerKind caps the violations recorded per kind; the totals in
-	// Report.Counts keep counting past it.  0 means 100.
-	MaxPerKind int
 	// Partial verifies a still-growing prefix of a trace (the sealed
 	// view of a live tail, trace.Follow): only prefix-closed invariants
 	// are checked, so a clean run never reports violations mid-stream
@@ -202,13 +203,6 @@ type Options struct {
 	// matching of the pairs already on disk, sequence ordering, the
 	// clock condition and piggyback gain on every reconstructed edge.
 	Partial bool
-}
-
-func (o Options) fill() Options {
-	if o.MaxPerKind == 0 {
-		o.MaxPerKind = 100
-	}
-	return o
 }
 
 // Logical reports whether a clock name denotes a logical (Lamport-style,
@@ -232,7 +226,6 @@ func Verify(tr *trace.Trace, opt Options) *Report {
 // alone: verifying a chunked on-disk trace is bounded by its
 // communication volume, not its event count.
 func VerifyStream(st *trace.Stream, opt Options) *Report {
-	opt = opt.fill()
 	c := &checker{
 		st:  st,
 		opt: opt,
@@ -278,7 +271,7 @@ type checker struct {
 // violate records a violation, honouring the per-kind cap.
 func (c *checker) violate(k Kind, ev EventPos, peer *EventPos, format string, args ...any) {
 	c.rep.Counts[k]++
-	if c.rep.Counts[k] > c.opt.MaxPerKind {
+	if c.rep.Counts[k] > maxPerKind {
 		return
 	}
 	c.rep.Violations = append(c.rep.Violations, Violation{

@@ -325,20 +325,21 @@ func TestUnbalancedRegion(t *testing.T) {
 	expectOnly(t, r, KindUnbalanced)
 }
 
-// TestViolationCap: per-kind recording stops at MaxPerKind but totals
+// TestViolationCap: per-kind recording stops at maxPerKind but totals
 // keep counting.
 func TestViolationCap(t *testing.T) {
+	const sends = maxPerKind + 5
 	b := newBuilder("lt_1")
 	l0 := b.loc(0, 0)
 	b.ev(l0, trace.EvEnter, 1, "main", trace.RoleUser, 0, 0, 0)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < sends; i++ {
 		b.ev(l0, trace.EvSend, uint64(2+i), "main", trace.RoleUser, 1, 7, 8)
 	}
-	b.ev(l0, trace.EvExit, 10, "main", trace.RoleUser, 0, 0, 0)
+	b.ev(l0, trace.EvExit, 2+sends, "main", trace.RoleUser, 0, 0, 0)
 	b.loc(1, 0) // rank 1 exists but never receives
-	r := Verify(b.tr, Options{MaxPerKind: 2})
-	if r.Counts[KindOrphanSend] != 5 {
-		t.Fatalf("expected 5 counted orphan sends, got %d", r.Counts[KindOrphanSend])
+	r := Verify(b.tr, Options{})
+	if r.Counts[KindOrphanSend] != sends {
+		t.Fatalf("expected %d counted orphan sends, got %d", sends, r.Counts[KindOrphanSend])
 	}
 	n := 0
 	for _, v := range r.Violations {
@@ -346,8 +347,8 @@ func TestViolationCap(t *testing.T) {
 			n++
 		}
 	}
-	if n != 2 {
-		t.Fatalf("expected 2 recorded orphan sends, got %d", n)
+	if n != maxPerKind {
+		t.Fatalf("expected %d recorded orphan sends, got %d", maxPerKind, n)
 	}
 }
 

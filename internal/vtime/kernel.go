@@ -3,17 +3,7 @@ package vtime
 import (
 	"fmt"
 	"strings"
-	"time"
 )
-
-// nowFunc is the kernel's single window onto the host clock, used only
-// by the watchdog's wall-clock budget — simulation state never depends
-// on it.  It is a variable so tests can substitute a fake clock and
-// exercise the watchdog without real elapsed time.  Wall-clock reads
-// are otherwise sanctioned only in cmd binaries that inject time.Now
-// into observe-only reporting (obs.Progress); everything else must fail
-// the determinism lint (cmd/detlint).
-var nowFunc = time.Now //detlint:allow wallclock
 
 // Kernel is the central scheduler of a virtual-time simulation.  Create one
 // with NewKernel, register resources and actors, then call Run.
@@ -30,8 +20,6 @@ type Kernel struct {
 	current   *Actor // actor currently holding the execution slot
 	steps     uint64
 	completed uint64
-	watchdog  Watchdog
-	wallStart time.Time
 
 	// The run's outcome, fixed by the actor that panicked or by the
 	// goroutine whose handoff found the run over: the error Run
@@ -62,43 +50,6 @@ type Kernel struct {
 	// capObserver, when set, is told about every resource registration
 	// and capacity change.  Observe-only; see SetCapacityObserver.
 	capObserver func(now float64, resource string, capacity float64)
-}
-
-// Watchdog bounds a simulation run.  A zero field disables that limit;
-// the zero Watchdog disables all of them.  When any budget is exhausted,
-// Run aborts with a *WatchdogError carrying a wait-graph snapshot instead
-// of spinning or hanging — the defence against livelocked or runaway
-// simulations that the study harness relies on.
-type Watchdog struct {
-	// MaxSteps bounds the number of scheduling steps (virtual-time
-	// advances).  A livelocked simulation that keeps scheduling actions
-	// without finishing trips this first.
-	MaxSteps uint64
-	// MaxVirtual bounds the virtual time, in seconds.
-	MaxVirtual float64
-	// MaxWall bounds the host wall-clock time spent inside Run.  It is
-	// checked once per scheduling step, so an actor stuck in host code
-	// without yielding is not caught (nothing inside the kernel runs
-	// then).
-	MaxWall time.Duration
-}
-
-// SetWatchdog installs the run budget.  Call before Run.
-func (k *Kernel) SetWatchdog(w Watchdog) { k.watchdog = w }
-
-// WatchdogError reports an aborted simulation with a structured snapshot
-// of where every actor was stuck when the budget ran out.
-type WatchdogError struct {
-	Reason    string  // which budget tripped
-	Steps     uint64  // scheduling steps executed
-	Completed uint64  // actions completed
-	Now       float64 // virtual time at abort
-	WaitGraph string  // per-actor blocking snapshot
-}
-
-func (e *WatchdogError) Error() string {
-	return fmt.Sprintf("vtime: watchdog: %s at t=%g after %d steps (%d actions completed)\n%s",
-		e.Reason, e.Now, e.Steps, e.Completed, e.WaitGraph)
 }
 
 // DeadlockError reports a simulation in which live actors remain but no
@@ -176,7 +127,6 @@ func (k *Kernel) Run() error {
 		panic("vtime: Kernel.Run called twice")
 	}
 	k.running = true
-	k.wallStart = nowFunc()
 	if next := k.handoff(); next != nil {
 		next.resume <- struct{}{}
 		<-k.over
@@ -242,15 +192,9 @@ func (k *Kernel) schedule() (*Actor, error) {
 		k.steps++
 		k.metrics.Steps.Inc()
 		k.metrics.HeapSize.Set(int64(k.heap.Len()))
-		if err := k.checkWatchdog(); err != nil {
-			return nil, err
-		}
 		t := k.heap.peek().finishAt
 		if t < k.now {
 			t = k.now // defensive: never move backwards
-		}
-		if max := k.watchdog.MaxVirtual; max > 0 && t > max {
-			return nil, k.watchdogError(fmt.Sprintf("virtual-time budget %g s exceeded (next completion at t=%g)", max, t))
 		}
 		k.now = t
 		// Fire everything due at t, then flush the membership changes the
@@ -482,31 +426,6 @@ func (k *Kernel) Post(a Action, fn func()) {
 	k.submit(act)
 }
 
-// checkWatchdog enforces the step and wall-clock budgets.  It runs once
-// per scheduling step, keeping the common path to two comparisons.
-func (k *Kernel) checkWatchdog() error {
-	if max := k.watchdog.MaxSteps; max > 0 && k.steps > max {
-		return k.watchdogError(fmt.Sprintf("step budget %d exhausted", max))
-	}
-	// Checking the host clock is comparatively expensive; amortise it.
-	if max := k.watchdog.MaxWall; max > 0 && k.steps%256 == 0 {
-		if wall := nowFunc().Sub(k.wallStart); wall > max {
-			return k.watchdogError(fmt.Sprintf("wall-clock budget %s exhausted (ran %s)", max, wall.Round(time.Millisecond)))
-		}
-	}
-	return nil
-}
-
-func (k *Kernel) watchdogError(reason string) error {
-	return &WatchdogError{
-		Reason:    reason,
-		Steps:     k.steps,
-		Completed: k.completed,
-		Now:       k.now,
-		WaitGraph: k.WaitGraph(),
-	}
-}
-
 func (k *Kernel) deadlockError() error {
 	return &DeadlockError{Now: k.now, Blocked: k.alive, WaitGraph: k.WaitGraph()}
 }
@@ -514,8 +433,7 @@ func (k *Kernel) deadlockError() error {
 // WaitGraph renders a diagnostic snapshot of every live actor: what it is
 // doing, what condition it is blocked on and since when, plus an inverted
 // index from each condition to its waiters.  It is the payload of
-// deadlock and watchdog errors and may be called at any time for
-// debugging.
+// deadlock errors and may be called at any time for debugging.
 func (k *Kernel) WaitGraph() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  wait-graph (%d live actors, %d pending actions):", k.alive, k.heap.Len())

@@ -5,26 +5,27 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // awaitGoroutines waits until runtime.NumGoroutine is back at base.  An
 // unwound actor acknowledges its exit just before its goroutine returns,
-// so the count may lag Run's return by a scheduling quantum.
+// so the count may lag Run's return by a scheduling quantum; the wait
+// yields the processor a bounded number of times rather than reading
+// the host clock.
 func awaitGoroutines(t *testing.T, base int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 10_000_000 {
 			t.Fatalf("%d goroutines remain after the runs, baseline %d", runtime.NumGoroutine(), base)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }
 
-// A run that ends with a deadlock, a watchdog abort or an actor panic
-// must not leave its parked actors behind: each would pin the kernel
-// and everything its actors reference for the life of the process.
+// A run that ends with a deadlock or an actor panic must not leave its
+// parked actors behind, whether they wait on a Cond or on a pending
+// action: each would pin the kernel and everything its actors reference
+// for the life of the process.
 func TestFailedRunsReleaseActors(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -46,17 +47,19 @@ func TestFailedRunsReleaseActors(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		k := NewKernel()
-		k.SetWatchdog(Watchdog{MaxSteps: 100})
-		for j := 0; j < 8; j++ {
+		for j := 0; j < 7; j++ {
 			k.Spawn("spinner", func(a *Actor) {
 				for {
 					a.Sleep(1e-3)
 				}
 			})
 		}
-		var we *WatchdogError
-		if err := k.Run(); !errors.As(err, &we) || !strings.Contains(we.Reason, "step budget") {
-			t.Fatalf("want a step-budget *WatchdogError, got %v", err)
+		k.Spawn("bad", func(a *Actor) {
+			a.Sleep(0.05)
+			panic("boom")
+		})
+		if err := k.Run(); err == nil || !strings.Contains(err.Error(), `actor 7 "bad" panicked: boom`) {
+			t.Fatalf("want the actor panic as the run's error, got %v", err)
 		}
 	}
 	for i := 0; i < 10; i++ {
