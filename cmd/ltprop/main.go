@@ -71,11 +71,7 @@ func main() {
 	opts := experiment.PropagationOptions{Seed: *seed, Workers: *jobs}
 	if *mode != "all" {
 		for _, m := range strings.Split(*mode, ",") {
-			mode := core.Mode(strings.TrimSpace(m))
-			if err := core.CheckMode(mode); err != nil {
-				log.Fatal(err)
-			}
-			opts.Modes = append(opts.Modes, mode)
+			opts.Modes = append(opts.Modes, core.Mode(strings.TrimSpace(m)))
 		}
 	}
 	if *cacheDir != "" {

@@ -54,12 +54,22 @@ func RunFaultStudy(spec Spec, opts StudyOptions, plan faults.Plan) (*FaultStudy,
 // DefaultPlanFor sizes the canonical Afzal one-off-delay experiment for a
 // configuration: one reference run establishes the job's wall time, then
 // the delay lands on the middle rank at 30% of it, sized at 10% of it —
-// late enough to hit steady state, large enough to dwarf OS noise.
+// late enough to hit steady state, large enough to dwarf OS noise.  The
+// options are checked before anything runs.  The reference is the clean
+// study's repetition-0 reference job, so with opts.Cache the fault study
+// that follows is served it from the cache.
 func DefaultPlanFor(spec Spec, opts StudyOptions) (faults.Plan, error) {
 	opts = opts.fill()
-	ref, err := runIsolated(spec, RunOptions{Seed: opts.BaseSeed, Noise: *opts.Noise})
-	if err != nil {
-		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %w", spec.Name, err)
+	if err := checkReps(spec, opts.Reps); err != nil {
+		return faults.Plan{}, err
+	}
+	if err := checkModes(spec, opts.Modes...); err != nil {
+		return faults.Plan{}, err
+	}
+	o := RunOptions{Seed: opts.BaseSeed, Noise: *opts.Noise, Metrics: opts.Metrics}
+	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil))
+	if drop != nil {
+		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %s", spec.Name, drop.Err)
 	}
 	return faults.AfzalPlan(spec.Ranks, 0.3*ref.Wall, 0.1*ref.Wall), nil
 }

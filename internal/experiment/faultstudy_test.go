@@ -9,6 +9,8 @@ import (
 	"repro/internal/faults"
 	"repro/internal/measure"
 	"repro/internal/noise"
+	"repro/internal/obs"
+	"repro/internal/runcache"
 )
 
 func oneOffPlan(spec Spec) faults.Plan {
@@ -125,6 +127,69 @@ func TestRunFaultStudy(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("fault report missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// The default plans check their options before simulating anything, and
+// size from a pool job through the run cache: a second call is a cache
+// hit, and so is the clean study's repetition-0 reference.
+func TestDefaultPlansValidateFirstAndUseTheCache(t *testing.T) {
+	spec := tinySpec()
+	reg := obs.NewRegistry()
+	_, repsErr := DefaultPlanFor(spec, StudyOptions{Reps: -1, Metrics: reg})
+	if repsErr == nil || !strings.Contains(repsErr.Error(), "repetition count -1") {
+		t.Errorf("DefaultPlanFor with Reps -1: err = %v, want one naming the count", repsErr)
+	}
+	bogus := []core.Mode{"bogus"}
+	_, modeErr := DefaultPlanFor(spec, StudyOptions{Modes: bogus, Metrics: reg})
+	_, propModeErr := DefaultPropagationPlanFor(spec, PropagationOptions{Modes: bogus, Metrics: reg})
+	for _, err := range []error{modeErr, propModeErr} {
+		if err == nil || !strings.Contains(err.Error(), `unknown clock mode "bogus"`) {
+			t.Errorf("err = %v, want one naming the mode", err)
+		}
+	}
+	if n := reg.Counter("experiment_jobs").Value(); n != 0 {
+		t.Fatalf("%d jobs ran before the options were rejected", n)
+	}
+
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := reg.Counter("experiment_cache_hits")
+	opts := StudyOptions{Reps: 1, BaseSeed: 3, Modes: []core.Mode{core.ModeLt1}, Metrics: reg}
+	uncached, err := DefaultPlanFor(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Cache = cache
+	for call := 1; call <= 2; call++ {
+		plan, err := DefaultPlanFor(spec, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.String() != uncached.String() {
+			t.Fatalf("call %d: plan %s, want %s as sized without the cache", call, plan, uncached)
+		}
+		if got := hits.Value(); got != uint64(call-1) {
+			t.Fatalf("call %d: %d cache hits, want %d", call, got, call-1)
+		}
+	}
+	if _, err := RunStudy(spec, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := hits.Value(); got != 2 {
+		t.Errorf("the study's repetition-0 reference was not served from the cache (%d hits, want 2)", got)
+	}
+
+	propOpts := PropagationOptions{Seed: 7, Cache: cache, Metrics: reg}
+	for call := 1; call <= 2; call++ {
+		if _, err := DefaultPropagationPlanFor(spec, propOpts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hits.Value(); got != 3 {
+		t.Errorf("the second propagation sizing was not a cache hit (%d hits, want 3)", got)
 	}
 }
 

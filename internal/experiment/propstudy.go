@@ -164,12 +164,18 @@ func RunPropagationStudy(spec Spec, opts PropagationOptions, plan faults.Plan) (
 // of it, sized at 5% of it — on the 30-iteration patterns that is a
 // delay of one to two iteration periods, large enough to dominate every
 // other timing effect yet small enough that the slack variants' per-hop
-// idle time can visibly erode it before the run ends.
+// idle time can visibly erode it before the run ends.  The modes are
+// checked before anything runs, and the reference runs as a pool job
+// through opts.Cache.
 func DefaultPropagationPlanFor(spec Spec, opts PropagationOptions) (faults.Plan, error) {
 	opts = opts.fill()
-	ref, err := runIsolated(spec, RunOptions{Seed: opts.Seed})
-	if err != nil {
-		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %w", spec.Name, err)
+	if err := checkModes(spec, opts.Modes...); err != nil {
+		return faults.Plan{}, err
+	}
+	o := RunOptions{Seed: opts.Seed, Metrics: opts.Metrics}
+	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil))
+	if drop != nil {
+		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %s", spec.Name, drop.Err)
 	}
 	return faults.AfzalPlan(spec.Ranks, 0.3*ref.Wall, 0.05*ref.Wall), nil
 }

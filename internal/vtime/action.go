@@ -3,7 +3,6 @@ package vtime
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // workEpsilon is the absolute amount of remaining work below which an
@@ -40,6 +39,7 @@ type Action struct {
 	actor      *Actor
 	phase      actionPhase
 	rate       float64 // current work-phase rate, units/s
+	need       float64 // resource allocation at RateCap, set by attach
 	settled    float64 // virtual time of last progress settlement
 	finishAt   float64 // predicted completion of current phase
 	heapIndex  int
@@ -68,62 +68,10 @@ func (a *Action) validate() {
 	if a.RateCap < 0 || math.IsNaN(a.RateCap) {
 		panic(fmt.Sprintf("vtime: invalid action rate cap %g", a.RateCap))
 	}
-	if a.Res != nil && a.ResPerUnit <= 0 {
-		panic("vtime: action with resource must set positive ResPerUnit")
+	if a.Res != nil && (a.ResPerUnit <= 0 || math.IsNaN(a.ResPerUnit) || math.IsInf(a.ResPerUnit, 0)) {
+		panic(fmt.Sprintf("vtime: action with resource must set a positive, finite ResPerUnit, got %g", a.ResPerUnit))
 	}
 	if a.Res == nil && a.Work > 0 && a.RateCap == 0 {
 		panic("vtime: resourceless action with work must set RateCap")
-	}
-}
-
-// needSorter orders a scratch copy of a resource's members by need for
-// the water-fill.  It lives on the Resource so re-sharing reuses the same
-// backing arrays, and sort.Stable on the pointer receiver avoids the
-// per-call closure and interface allocations of sort.SliceStable.  Any
-// stable sort yields the same permutation for the same keys, so swapping
-// the sort implementation cannot move a single bit of the allocation.
-type needSorter struct {
-	members []*Action
-	needs   []float64
-}
-
-func (s *needSorter) Len() int           { return len(s.members) }
-func (s *needSorter) Less(i, j int) bool { return s.needs[i] < s.needs[j] }
-func (s *needSorter) Swap(i, j int) {
-	s.members[i], s.members[j] = s.members[j], s.members[i]
-	s.needs[i], s.needs[j] = s.needs[j], s.needs[i]
-}
-
-// shareResource recomputes the work-phase rates of every member of r by
-// equal-allocation water-filling: each member receives capacity/n unless
-// its rate cap makes it need less (need = the allocation it could consume
-// at its rate cap), in which case the surplus is shared by the others.
-// Water-filling proceeds in ascending order of need.  Returns without
-// effect if the resource has no members.
-func shareResource(r *Resource) {
-	n := len(r.members)
-	if n == 0 {
-		return
-	}
-	s := &r.sorter
-	s.members = append(s.members[:0], r.members...)
-	s.needs = s.needs[:0]
-	for _, a := range s.members {
-		nd := math.Inf(1)
-		if a.RateCap != 0 {
-			nd = a.RateCap * a.ResPerUnit
-		}
-		s.needs = append(s.needs, nd)
-	}
-	sort.Stable(s)
-	left := r.capacity
-	for i, a := range s.members {
-		fair := left / float64(n-i)
-		alloc := fair
-		if nd := s.needs[i]; nd < alloc {
-			alloc = nd
-		}
-		left -= alloc
-		a.rate = alloc / a.ResPerUnit
 	}
 }

@@ -35,7 +35,7 @@ type Kernel struct {
 	// since the last flush.  Each is settled, re-shared and re-keyed once
 	// per scheduling instant by flushDirty instead of once per change —
 	// the batched fluid-model resettling that keeps an n-way contention
-	// burst O(n log n) instead of O(n²).
+	// burst O(n) per re-share instead of O(n²).
 	dirty []*Resource
 
 	// freeActions recycles the heap-allocated Action shells of completed
@@ -340,15 +340,24 @@ func (k *Kernel) flushDirty() bool {
 	return true
 }
 
-// resettle recomputes progress, rates and predicted finish times for every
-// member of a resource after membership or capacity changed.  It is only
-// called from flushDirty, once per dirty resource per instant.
+// resettle settles, re-shares and re-keys every member of a resource in
+// one pass after its membership or capacity changed; flushDirty calls it
+// once per dirty resource per instant.  The share is an equal-allocation
+// water-fill in the members' need order: each member gets an equal part
+// of the capacity left, or its need if that is smaller.  Settling reads
+// only the member's own old rate, and the heap order (finishAt, seq) is
+// strict, so visiting members one at a time changes no bit.
 func (k *Kernel) resettle(r *Resource) {
-	for _, m := range r.members {
+	left := r.capacity
+	n := len(r.members)
+	for i, m := range r.members {
 		m.settle(k.now)
-	}
-	shareResource(r)
-	for _, m := range r.members {
+		alloc := left / float64(n-i)
+		if m.need < alloc {
+			alloc = m.need
+		}
+		left -= alloc
+		m.rate = alloc / m.ResPerUnit
 		if m.remaining <= workEpsilon {
 			m.finishAt = k.now
 		} else {

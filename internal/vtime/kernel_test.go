@@ -359,6 +359,8 @@ func TestInvalidActionsPanic(t *testing.T) {
 		{"nan work", Action{Work: math.NaN(), RateCap: 1}},
 		{"work without rate or resource", Action{Work: 1}},
 		{"resource without per-unit", Action{Work: 1, Res: &Resource{name: "x", capacity: 1}}},
+		{"nan per-unit", Action{Work: 1, Res: &Resource{name: "x", capacity: 1}, ResPerUnit: math.NaN()}},
+		{"infinite per-unit", Action{Work: 1, Res: &Resource{name: "x", capacity: 1}, ResPerUnit: math.Inf(1)}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -1,6 +1,10 @@
 package vtime
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Resource is a shared, capacity-limited facility such as the memory
 // bandwidth of a NUMA domain or a network link.  Actions that name a
@@ -11,19 +15,15 @@ type Resource struct {
 	capacity float64 // units per virtual second
 
 	// members are the actions currently in their work phase on this
-	// resource, in submission order.  The order is load-bearing: the
-	// water-fill breaks need ties stably by it, and its floating-point
-	// allocations are bitwise sensitive to position, so removal must
-	// preserve it (see detach).
+	// resource, in ascending order of need and, among equal needs, in
+	// attach order: the order the water-fill visits them in.  Its
+	// floating-point allocations are bitwise sensitive to position, so
+	// attach and detach must both keep this order.
 	members []*Action
 
 	// dirty marks the resource as queued in the kernel's dirty set for
 	// the next coalesced resettle (see Kernel.markDirty).
 	dirty bool
-
-	// sorter is the reusable scratch for shareResource, so re-sharing a
-	// resource allocates nothing in steady state.
-	sorter needSorter
 }
 
 // NewResource registers a new shared resource with the kernel.  Capacity is
@@ -68,23 +68,33 @@ func (r *Resource) SetCapacity(c float64) {
 // Load returns the number of actions currently drawing on the resource.
 func (r *Resource) Load() int { return len(r.members) }
 
+// attach fixes a's need, the allocation it could consume at its rate cap
+// (unbounded without one), and inserts it after the last member whose
+// need is at most its own.  Needs never change, so members stay in order.
 func (r *Resource) attach(a *Action) {
-	a.resIndex = len(r.members)
-	r.members = append(r.members, a)
+	a.need = math.Inf(1)
+	if a.RateCap != 0 {
+		a.need = a.RateCap * a.ResPerUnit
+	}
+	i := len(r.members)
+	for i > 0 && r.members[i-1].need > a.need {
+		i--
+	}
+	r.members = slices.Insert(r.members, i, a)
+	for j := i; j < len(r.members); j++ {
+		r.members[j].resIndex = j
+	}
 }
 
 // detach removes a by its stored member index — no scan — while keeping
-// the remaining members in submission order.
+// the remaining members in order.
 func (r *Resource) detach(a *Action) {
 	i := a.resIndex
 	if i < 0 || i >= len(r.members) || r.members[i] != a {
 		panic("vtime: detach of action not attached to resource " + r.name)
 	}
-	last := len(r.members) - 1
-	copy(r.members[i:], r.members[i+1:])
-	r.members[last] = nil
-	r.members = r.members[:last]
-	for j := i; j < last; j++ {
+	r.members = slices.Delete(r.members, i, i+1)
+	for j := i; j < len(r.members); j++ {
 		r.members[j].resIndex = j
 	}
 	a.resIndex = -1

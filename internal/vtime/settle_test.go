@@ -1,6 +1,11 @@
 package vtime
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
 
 // The tests in this file pin the exact semantics of the coalesced
 // dirty-set resettling (kernel.go flushDirty): capacity and membership
@@ -102,5 +107,97 @@ func TestSetCapacityFromPostWhileDirty(t *testing.T) {
 	}
 	if end2 != 2.5 {
 		t.Fatalf("w2 finished at %.17g, want exactly 2.5", end2)
+	}
+}
+
+// referenceShare is the oracle for the kernel's need-ordered members: the
+// water-fill computed directly, by a stable sort of the attach-ordered
+// members by need and then the fill over the sorted copy.  It returns
+// that order and each sorted member's rate.
+func referenceShare(attached []*Action, capacity float64) ([]*Action, []float64) {
+	need := func(a *Action) float64 {
+		if a.RateCap == 0 {
+			return math.Inf(1)
+		}
+		return a.RateCap * a.ResPerUnit
+	}
+	order := append([]*Action(nil), attached...)
+	sort.SliceStable(order, func(i, j int) bool { return need(order[i]) < need(order[j]) })
+	rates := make([]float64, len(order))
+	left := capacity
+	for i, a := range order {
+		alloc := left / float64(len(order)-i)
+		if nd := need(a); nd < alloc {
+			alloc = nd
+		}
+		left -= alloc
+		rates[i] = alloc / a.ResPerUnit
+	}
+	return order, rates
+}
+
+// Random attach, detach and capacity sequences on one resource: after
+// every flush the need-ordered members must be exactly the stable sort of
+// the attach-ordered members, each member's rate must carry the reference
+// water-fill's bits, and each resIndex must be its member's position.
+// Rate caps and per-unit costs come from small sets, so equal needs and
+// unbounded (RateCap 0) members are common.
+func TestNeedOrderedMembersMatchStableSort(t *testing.T) {
+	rateCaps := []float64{0, 0, 1, 2, 3}
+	perUnit := []float64{0.5, 1, 2}
+	capacities := []float64{1, 3, 7.5, 10}
+	works := []float64{1e-15, 1, 5}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := NewKernel()
+		r := k.NewResource("bw", capacities[rng.Intn(len(capacities))])
+		var attached []*Action
+		for step := 0; step < 200; step++ {
+			for ops := 1 + rng.Intn(3); ops > 0; ops-- {
+				switch op := rng.Intn(10); {
+				case op < 5 || len(attached) == 0:
+					a := &Action{
+						Work:       works[rng.Intn(len(works))],
+						RateCap:    rateCaps[rng.Intn(len(rateCaps))],
+						Res:        r,
+						ResPerUnit: perUnit[rng.Intn(len(perUnit))],
+					}
+					k.submit(a)
+					attached = append(attached, a)
+				case op < 9:
+					i := rng.Intn(len(attached))
+					a := attached[i]
+					if a.heapIndex >= 0 {
+						k.heap.removeAction(a)
+					}
+					a.settle(k.now)
+					r.detach(a)
+					k.markDirty(r)
+					a.phase = phaseDone
+					attached = append(attached[:i], attached[i+1:]...)
+				default:
+					r.SetCapacity(capacities[rng.Intn(len(capacities))])
+				}
+			}
+			k.flushDirty()
+			order, rates := referenceShare(attached, r.capacity)
+			if len(r.members) != len(order) {
+				t.Fatalf("seed %d step %d: %d members, want %d", seed, step, len(r.members), len(order))
+			}
+			for i, m := range r.members {
+				if m != order[i] {
+					t.Fatalf("seed %d step %d: member %d (seq %d) is not the stable sort's (seq %d)",
+						seed, step, i, m.seq, order[i].seq)
+				}
+				if m.resIndex != i {
+					t.Fatalf("seed %d step %d: member %d has resIndex %d", seed, step, i, m.resIndex)
+				}
+				if math.Float64bits(m.rate) != math.Float64bits(rates[i]) {
+					t.Fatalf("seed %d step %d: member %d rate %.17g, reference %.17g",
+						seed, step, i, m.rate, rates[i])
+				}
+			}
+			k.now += 0.25 * float64(rng.Intn(3))
+		}
 	}
 }
