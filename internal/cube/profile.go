@@ -8,6 +8,7 @@ package cube
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,7 +48,10 @@ type Profile struct {
 
 	metricByName map[string]MetricID
 	pathByKey    map[pathKey]PathID
-	sev          map[MetricID]map[PathID][]float64
+	// sev holds the severities densely: sev[m][path] is the row of
+	// (metric, path) over locations.  A nil row, or a metric or path past
+	// the end of its slice, means nothing was added there.
+	sev [][][]float64
 }
 
 type pathKey struct {
@@ -62,7 +66,6 @@ func New(clock string, locNames []string) *Profile {
 		LocNames:     append([]string(nil), locNames...),
 		metricByName: make(map[string]MetricID),
 		pathByKey:    make(map[pathKey]PathID),
-		sev:          make(map[MetricID]map[PathID][]float64),
 	}
 }
 
@@ -120,37 +123,56 @@ func (p *Profile) Add(m MetricID, path PathID, loc int, v float64) {
 	if v == 0 {
 		return
 	}
-	byPath := p.sev[m]
-	if byPath == nil {
-		byPath = make(map[PathID][]float64)
-		p.sev[m] = byPath
+	for int(m) >= len(p.sev) {
+		p.sev = append(p.sev, nil)
 	}
-	vals := byPath[path]
+	rows := p.sev[m]
+	if n := int(path) + 1; n > len(rows) {
+		// Rows are never dropped, so the capacity past len holds nil rows.
+		rows = slices.Grow(rows, n-len(rows))[:n]
+		p.sev[m] = rows
+	}
+	vals := rows[path]
 	if vals == nil {
 		vals = make([]float64, len(p.LocNames))
-		byPath[path] = vals
+		rows[path] = vals
 	}
 	vals[loc] += v
 }
 
+// rows returns metric m's severity rows indexed by path id; the slice
+// may end before the last path, and a nil row holds nothing.
+func (p *Profile) rows(m MetricID) [][]float64 {
+	if int(m) < len(p.sev) {
+		return p.sev[m]
+	}
+	return nil
+}
+
+// row returns the severity row of (metric, path), nil if nothing was
+// added there.
+func (p *Profile) row(m MetricID, path PathID) []float64 {
+	if rows := p.rows(m); int(path) < len(rows) {
+		return rows[path]
+	}
+	return nil
+}
+
 // Value returns the exclusive severity at (metric, path, location).
 func (p *Profile) Value(m MetricID, path PathID, loc int) float64 {
-	if byPath := p.sev[m]; byPath != nil {
-		if vals := byPath[path]; vals != nil {
-			return vals[loc]
-		}
+	if vals := p.row(m, path); vals != nil {
+		return vals[loc]
 	}
 	return 0
 }
 
-// Total returns the metric's sum over all paths and locations.  It sums
-// in path-id order, not map order: float addition is not associative, so
-// map order would change the low bits from call to call.
+// Total returns the metric's sum over all paths and locations, in
+// path-id order: float addition is not associative, so only a fixed
+// order gives the same low bits from call to call.
 func (p *Profile) Total(m MetricID) float64 {
-	byPath := p.sev[m]
 	var t float64
-	for path := range p.Paths {
-		for _, v := range byPath[PathID(path)] {
+	for _, vals := range p.rows(m) {
+		for _, v := range vals {
 			t += v
 		}
 	}
@@ -170,13 +192,13 @@ func (p *Profile) TotalByName(name string) float64 {
 // call-path dimension.
 func (p *Profile) ByPath(m MetricID) map[PathID]float64 {
 	out := make(map[PathID]float64)
-	for path, vals := range p.sev[m] {
+	for path, vals := range p.rows(m) {
 		var s float64
 		for _, v := range vals {
 			s += v
 		}
 		if s != 0 {
-			out[path] = s
+			out[PathID(path)] = s
 		}
 	}
 	return out
@@ -197,10 +219,8 @@ func (p *Profile) Inclusive(m MetricID, path PathID) float64 {
 
 func (p *Profile) exclusiveAll(m MetricID, path PathID) float64 {
 	var s float64
-	if byPath := p.sev[m]; byPath != nil {
-		for _, v := range byPath[path] {
-			s += v
-		}
+	for _, v := range p.row(m, path) {
+		s += v
 	}
 	return s
 }
@@ -260,15 +280,15 @@ func (p *Profile) MCMap() map[string]float64 {
 	if t == 0 {
 		return out
 	}
-	for m, byPath := range p.sev {
+	for m, rows := range p.sev {
 		mname := p.Metrics[m].Name
-		for path, vals := range byPath {
+		for path, vals := range rows {
 			var s float64
 			for _, v := range vals {
 				s += v
 			}
 			if s != 0 {
-				out[mname+"|"+p.PathString(path)] += 100 * s / t
+				out[mname+"|"+p.PathString(PathID(path))] += 100 * s / t
 			}
 		}
 	}
@@ -299,14 +319,19 @@ func Mean(profiles []*Profile) *Profile {
 		}
 		out.AddMetric(m.Name, m.Desc, parent)
 	}
-	// Iterate metrics and paths in slice (declaration) order, NOT over
-	// the sev maps: map-range order here would intern the output's Paths
-	// in a different order on every run, making the merged profile's
-	// serialised bytes nondeterministic.
+	// Iterate metrics and paths in id (declaration) order, so the
+	// output's Paths are interned in the order these loops first meet
+	// them and the merged profile's serialised bytes never vary.  Each
+	// input path is mapped to its output path once per input profile.
+	var outOf []PathID
 	for _, pr := range profiles {
+		outOf = outOf[:0]
+		for range pr.Paths {
+			outOf = append(outOf, unmapped)
+		}
 		for m := range pr.Metrics {
-			byPath := pr.sev[MetricID(m)]
-			if byPath == nil {
+			rows := pr.rows(MetricID(m))
+			if rows == nil {
 				continue
 			}
 			name := pr.Metrics[m].Name
@@ -314,12 +339,11 @@ func Mean(profiles []*Profile) *Profile {
 			if !ok {
 				outM = out.AddMetric(name, pr.Metrics[m].Desc, NoParent)
 			}
-			for path := range pr.Paths {
-				vals, ok := byPath[PathID(path)]
-				if !ok {
+			for path, vals := range rows {
+				if vals == nil {
 					continue
 				}
-				outPath := out.internPathString(pr.PathString(PathID(path)))
+				outPath := out.meanPath(pr, PathID(path), outOf)
 				for l, v := range vals {
 					if v != 0 && l < out.NumLocs() {
 						out.Add(outM, outPath, l, v/n)
@@ -331,13 +355,39 @@ func Mean(profiles []*Profile) *Profile {
 	return out
 }
 
+// unmapped marks an input path Mean has not met yet.
+const unmapped PathID = -2
+
+// meanPath returns the output path of pr's path id, interning it as
+// internPathString(pr.PathString(id)) would: its unmapped ancestors
+// first, each name split at "/".  outOf memoises pr's paths.
+func (p *Profile) meanPath(pr *Profile, id PathID, outOf []PathID) PathID {
+	if outOf[id] == unmapped {
+		parent := PathID(NoParent)
+		if c := pr.Paths[id]; c.Parent != NoParent {
+			parent = p.meanPath(pr, c.Parent, outOf)
+		}
+		outOf[id] = p.internNames(parent, pr.Paths[id].Name)
+	}
+	return outOf[id]
+}
+
 // internPathString re-creates a path node chain from an "a/b/c" string.
 func (p *Profile) internPathString(s string) PathID {
-	parent := PathID(NoParent)
-	for _, part := range strings.Split(s, "/") {
-		parent = p.Path(parent, part)
+	return p.internNames(NoParent, s)
+}
+
+// internNames interns the "/"-separated names of s as a chain under
+// parent and returns its last node.
+func (p *Profile) internNames(parent PathID, s string) PathID {
+	for {
+		name, rest, more := strings.Cut(s, "/")
+		parent = p.Path(parent, name)
+		if !more {
+			return parent
+		}
+		s = rest
 	}
-	return parent
 }
 
 // TopPaths returns the metric's call paths sorted by descending share,

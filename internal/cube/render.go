@@ -58,9 +58,8 @@ func (p *Profile) RenderLocations(w io.Writer, metric string) {
 		return
 	}
 	totals := make([]float64, p.NumLocs())
-	byPath := p.sev[id]
-	for path := range p.Paths { // path-id order, as in Total
-		for l, v := range byPath[PathID(path)] {
+	for _, vals := range p.rows(id) { // path-id order, as in Total
+		for l, v := range vals {
 			totals[l] += v
 		}
 	}

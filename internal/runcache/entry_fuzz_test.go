@@ -3,7 +3,11 @@ package runcache
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -47,7 +51,9 @@ func hasNaN(e *Entry) bool {
 // never panic, and any entry it accepts must re-encode to bytes that
 // decode to a deep-equal entry (and re-encode to the same bytes).  The
 // committed corpus under testdata/fuzz/FuzzDecodeEntry holds the
-// encoding of fullEntry, truncations of it, and hugeModeEntry.
+// encoding of fullEntry, truncations of it (two inside its profile
+// section), the same entry with a bitmap bit past its profile record's
+// values, hugeModeEntry, and fullEntry as version 3 wrote it.
 func FuzzDecodeEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := decodeEntry(data)
@@ -66,4 +72,39 @@ func FuzzDecodeEntry(f *testing.F) {
 			t.Fatalf("round trip changed the entry:\n%+v\n%+v", e, e2)
 		}
 	})
+}
+
+// TestCommittedEntrySeeds pins what the committed corpus seeds are for:
+// the current full entry decodes to fullEntry, and every other seed,
+// the version-3 entry among them, is rejected.
+func TestCommittedEntrySeeds(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzDecodeEntry/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus files (%v)", err)
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Fatalf("%s: not a one-value []byte corpus file", file)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		e, err := decodeEntry([]byte(data))
+		switch name := filepath.Base(file); {
+		case name == "full-entry":
+			if err != nil || !reflect.DeepEqual(e, fullEntry()) {
+				t.Errorf("%s: does not decode to fullEntry (%v)", name, err)
+			}
+		case err == nil:
+			t.Errorf("%s: accepted", name)
+		case name == "v3-full-entry" && !strings.Contains(err.Error(), "version 3"):
+			t.Errorf("%s: rejected for %v, not for its version", name, err)
+		}
+	}
 }

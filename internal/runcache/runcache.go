@@ -6,9 +6,11 @@
 // across `ltreport`/`ltverify`/`ltscale` invocations.  Entries reuse the
 // repository's canonical encoders: the event trace is stored in the
 // trace file format (trace.WriteChunked, read back with the strict
-// trace.Read) and the analysis profile as the cube JSON (internal/cube),
-// so a cached result decodes deep-equal to a fresh run (asserted by
-// tests in internal/experiment).
+// trace.Read) and the analysis profile as cube's binary section
+// (cube.Profile.AppendBinary, read back with cube.ReadBinary, which
+// validates through the same builder as the cube JSON reader), so a
+// cached result decodes deep-equal to a fresh run (asserted by tests in
+// internal/experiment).
 //
 // The cache is safe for concurrent use by the pool's workers: writes go
 // to a temporary file and are renamed into place, and two racing writers
@@ -189,16 +191,18 @@ func (c *Cache) Put(key Key, e *Entry) error {
 //	  core varint, resource string, at f64, magnitude f64   (version 2+)
 //	flags byte (bit 0: trace present, bit 1: profile present)
 //	if trace:   uvarint byte length + trace file (trace.WriteChunked)
-//	if profile: uvarint byte length + cube JSON (cube/Profile.Write)
+//	if profile: uvarint byte length + binary profile section
+//	            (cube/Profile.AppendBinary)
 //
 // Version history: 2 added the applied-fault log; 3 switched the trace
-// blob to the chunked compressed format.  Older entries decode as a
-// miss (by design: a pre-log binary cannot know what fired, and the
-// version bump keeps cache files self-describing across the format
-// change).
+// blob to the chunked compressed format; 4 replaced the profile's cube
+// JSON with cube's binary section, which decodes without reflection.
+// Older entries decode as a miss (by design: a pre-log binary cannot
+// know what fired, and the version bump keeps cache files
+// self-describing across the format change).
 const (
 	entryMagic   = "LTRR"
-	entryVersion = 3
+	entryVersion = 4
 )
 
 func encodeEntry(w *bytes.Buffer, e *Entry) error {
@@ -256,24 +260,21 @@ func encodeEntry(w *bytes.Buffer, e *Entry) error {
 		flags |= 2
 	}
 	w.WriteByte(flags)
-	blob := func(write func(io.Writer) error) error {
+	if e.Trace != nil {
 		var b bytes.Buffer
-		if err := write(&b); err != nil {
+		if err := trace.WriteChunked(&b, e.Trace); err != nil {
 			return err
 		}
 		putU(uint64(b.Len()))
 		w.Write(b.Bytes())
-		return nil
-	}
-	if e.Trace != nil {
-		if err := blob(func(w io.Writer) error { return trace.WriteChunked(w, e.Trace) }); err != nil {
-			return err
-		}
 	}
 	if e.Profile != nil {
-		if err := blob(e.Profile.Write); err != nil {
+		b, err := e.Profile.AppendBinary(nil)
+		if err != nil {
 			return err
 		}
+		putU(uint64(len(b)))
+		w.Write(b)
 	}
 	return nil
 }
@@ -408,7 +409,7 @@ func decodeEntry(b []byte) (*Entry, error) {
 		}
 	}
 	if profileBlob != nil {
-		if e.Profile, err = cube.Read(bytes.NewReader(profileBlob)); err != nil {
+		if e.Profile, err = cube.ReadBinary(profileBlob); err != nil {
 			return nil, err
 		}
 	}

@@ -193,9 +193,9 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	}
 }
 
-// hugeModeEntry is a 10-byte entry: magic, version 3 and a mode-string
-// length of 2^30-1 with nothing behind it.
-var hugeModeEntry = append([]byte("LTRR\x03"), binary.AppendUvarint(nil, 1<<30-1)...)
+// hugeModeEntry is a 10-byte entry: magic, the current version and a
+// mode-string length of 2^30-1 with nothing behind it.
+var hugeModeEntry = binary.AppendUvarint(binary.AppendUvarint([]byte(entryMagic), entryVersion), 1<<30-1)
 
 func TestOpenRejectsUnwritableParent(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "f", "\x00bad")); err == nil {

@@ -161,47 +161,47 @@ func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 
 	b := d.raw.Bytes()
 	off := 0
-	u := func() (uint64, bool) {
-		v, n := binary.Uvarint(b[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	s := func() (int64, bool) {
-		v, n := binary.Varint(b[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
 	prev := uint64(0)
+	var f [5]uint64 // time delta, region, then A, B, C zigzag-encoded
 	for i := 0; i < h.info.Events; i++ {
 		if off >= len(b) {
 			return dst, fmt.Errorf("%w: payload ends at event %d/%d", ErrBadChunk, i+1, h.info.Events)
 		}
 		kind := b[off]
 		off++
-		dt, ok := u()
-		reg, ok2 := u()
-		a, ok3 := s()
-		bb, ok4 := s()
-		c, ok5 := s()
-		if !(ok && ok2 && ok3 && ok4 && ok5) {
-			return dst, fmt.Errorf("%w: bad varint at event %d/%d", ErrBadChunk, i+1, h.info.Events)
+		for j := range f {
+			// Most fields fit one byte; longer ones take binary.Uvarint.
+			if off < len(b) && b[off] < 0x80 {
+				f[j] = uint64(b[off])
+				off++
+				continue
+			}
+			v, n := binary.Uvarint(b[off:])
+			if n <= 0 {
+				return dst, fmt.Errorf("%w: bad varint at event %d/%d", ErrBadChunk, i+1, h.info.Events)
+			}
+			f[j] = v
+			off += n
 		}
-		prev += dt
+		prev += f[0]
 		dst = append(dst, Event{
-			Kind: EvKind(kind), Time: prev, Region: RegionID(reg),
-			A: int32(a), B: int32(bb), C: c,
+			Kind: EvKind(kind), Time: prev, Region: RegionID(f[1]),
+			A: int32(unzigzag(f[2])), B: int32(unzigzag(f[3])), C: unzigzag(f[4]),
 		})
 	}
 	if off != len(b) {
 		return dst, fmt.Errorf("%w: %d trailing payload bytes after %d events", ErrBadChunk, len(b)-off, h.info.Events)
 	}
 	return dst, nil
+}
+
+// unzigzag is binary.Varint's decoding of an unsigned varint's value.
+func unzigzag(u uint64) int64 {
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x
 }
 
 // readDefs parses a defs record, invoking the callbacks for each new

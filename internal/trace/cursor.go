@@ -45,6 +45,19 @@ func (c *Cursor) Next() (Event, bool) {
 	return e, true
 }
 
+// window is Next for a whole window at a time: it consumes and returns
+// every event left in the current window, refilling it first when it is
+// used up.  It returns false where Next would.  The slice is the
+// cursor's buffer, valid until the next call.
+func (c *Cursor) window() ([]Event, bool) {
+	if _, ok := c.Next(); !ok {
+		return nil, false
+	}
+	win := c.win[c.i-1:]
+	c.i = len(c.win)
+	return win, true
+}
+
 // Err returns the first error encountered by Next, if any.  A clean end
 // of stream is not an error.
 func (c *Cursor) Err() error { return c.err }
@@ -138,8 +151,8 @@ func (s *Stream) Materialize() (*Trace, error) {
 			t.Locs[l].Events = make([]Event, 0, min(li.Events, maxPresize))
 		}
 		cur := s.Cursor(i)
-		for e, ok := cur.Next(); ok; e, ok = cur.Next() {
-			t.Locs[l].Events = append(t.Locs[l].Events, e)
+		for win, ok := cur.window(); ok; win, ok = cur.window() {
+			t.Locs[l].Events = append(t.Locs[l].Events, win...)
 		}
 		if err := cur.Err(); err != nil {
 			return nil, err

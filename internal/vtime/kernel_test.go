@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -375,11 +376,28 @@ func TestInvalidActionsPanic(t *testing.T) {
 	}
 }
 
+// TestNegativeCapacityPanics: both entry points reject every capacity
+// that is not positive and finite.  A NaN capacity used to be accepted
+// and the run never finished; +Inf turned the water-fill's remainder
+// into NaN.
 func TestNegativeCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	entries := []struct {
+		name string
+		set  func(c float64)
+	}{
+		{"NewResource", func(c float64) { NewKernel().NewResource("bad", c) }},
+		{"SetCapacity", func(c float64) { NewKernel().NewResource("bw", 1).SetCapacity(c) }},
+	}
+	for _, c := range []float64{0, -5, math.NaN(), math.Inf(1)} {
+		for _, e := range entries {
+			t.Run(fmt.Sprintf("%s/%g", e.name, c), func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s(%g) did not panic", e.name, c)
+					}
+				}()
+				e.set(c)
+			})
 		}
-	}()
-	NewKernel().NewResource("bad", -5)
+	}
 }

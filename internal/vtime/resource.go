@@ -28,11 +28,9 @@ type Resource struct {
 
 // NewResource registers a new shared resource with the kernel.  Capacity is
 // in resource units per virtual second (for example bytes/s for a memory
-// domain) and must be positive.
+// domain) and must be positive and finite.
 func (k *Kernel) NewResource(name string, capacity float64) *Resource {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("vtime: resource %q: capacity must be positive, got %g", name, capacity))
-	}
+	checkCapacity(name, capacity)
 	r := &Resource{k: k, name: name, capacity: capacity}
 	k.resources = append(k.resources, r)
 	if k.capObserver != nil {
@@ -47,6 +45,15 @@ func (r *Resource) Name() string { return r.name }
 // Capacity returns the resource capacity in units per virtual second.
 func (r *Resource) Capacity() float64 { return r.capacity }
 
+// checkCapacity panics unless c is positive and finite.  A NaN capacity
+// never lets a member finish, and an infinite one turns the water-fill's
+// remainder into Inf − Inf = NaN for the members after the first.
+func checkCapacity(name string, c float64) {
+	if !(c > 0) || math.IsInf(c, 1) {
+		panic(fmt.Sprintf("vtime: resource %q: capacity must be positive and finite, got %g", name, c))
+	}
+}
+
 // SetCapacity changes the capacity of the resource from the current
 // virtual instant onward.  Call it from actor context or from a Post
 // completion callback (for example to model frequency throttling or a
@@ -55,9 +62,7 @@ func (r *Resource) Capacity() float64 { return r.capacity }
 // no matter how many membership or capacity changes pile up — and the new
 // rates are then shared out of the new capacity in a single pass.
 func (r *Resource) SetCapacity(c float64) {
-	if c <= 0 {
-		panic(fmt.Sprintf("vtime: resource %q: capacity must be positive, got %g", r.name, c))
-	}
+	checkCapacity(r.name, c)
 	r.capacity = c
 	r.k.markDirty(r)
 	if obs := r.k.capObserver; obs != nil {
