@@ -5,19 +5,19 @@
 // piggyback synchronisation and causality cycles (see
 // internal/tracecheck).
 //
-// It either reads binary LTRC trace files or runs a benchmark spec
+// It either reads binary LTRC trace files, as strictly as
+// trace.ReadFile (a cut or corrupt file fails), or runs a benchmark spec
 // in-process across clock modes:
 //
 //	ltlint trace1.ltrc trace2.ltrc
 //	ltlint -spec MiniFE-1 -quick -mode all
 //	ltlint -spec LULESH-2 -quick -mode lt_stmt,lt_hwctr -json
 //
-// Exit status is 1 when any trace fails verification.
+// Exit status is 1 when any trace cannot be read or fails verification.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -100,35 +100,17 @@ func runSpec(name, modeFlag string, quick bool, seed int64, withNoise, jsonOut b
 	return failed
 }
 
-// checkFile verifies one trace file as a stream, so its memory follows
-// the trace's synchronisation skeleton rather than its event count.  It
-// is as strict as trace.ReadFile: a file that does not prove itself
-// complete, or has a chunk that does not decode, fails.
+// checkFile verifies one trace file.  It reads the file as strictly as
+// trace.ReadFile does: a file that does not prove itself complete, whose
+// records do not tile it, or that has a chunk that does not decode
+// fails.
 func checkFile(path string, jsonOut bool, limit int) bool {
-	cf, err := trace.OpenChunkFile(path)
+	tr, err := trace.ReadFile(path)
 	if err != nil {
-		log.Printf("%v", err) // OpenChunkFile names the file
+		log.Print(err) // ReadFile names the file, and the record when one is bad
 		return false
 	}
-	defer cf.Close()
-	if err := cf.Damage; err != nil {
-		// A damaged record's RecordError carries the path and its
-		// coordinates; any other damage is named here.
-		var rerr *trace.RecordError
-		if errors.As(err, &rerr) {
-			log.Printf("corrupt trace at %s", rerr)
-		} else {
-			log.Printf("%s: %v", path, err)
-		}
-		return false
-	}
-	rep := tracecheck.VerifyStream(cf.Stream(), tracecheck.Options{})
-	if len(rep.ReadErrors) > 0 {
-		for _, e := range rep.ReadErrors {
-			log.Printf("corrupt trace at %s", e)
-		}
-		return false
-	}
+	rep := tracecheck.Verify(tr, tracecheck.Options{})
 	emit(path, rep, jsonOut, limit)
 	return rep.OK()
 }

@@ -8,8 +8,9 @@
 //	ltviz -range 1000:2000 run.ltrc    # only events with vtime in [1000, 2000]
 //
 // -range answers virtual-time window queries: it consults the trailing
-// chunk index and decompresses only the chunks overlapping the window —
-// an O(log n) seek rather than a full-file read.
+// chunk index and decompresses only the chunks overlapping the window
+// (trace.ChunkFile.Range).  A file is read leniently: a trace cut off
+// mid-recording exports the chunks that survived.
 //
 // Given -spec, it runs the configuration in-process and exports the
 // resulting trace together with the run's machine timeline — fault
@@ -40,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/core"
@@ -98,7 +100,7 @@ func main() {
 		log.Fatal("-o takes a single trace file; omit it to write per-input .json files")
 	}
 	for _, path := range flag.Args() {
-		st, err := openStream(path, minT, maxT, haveRange)
+		tr, err := readRange(path, minT, maxT)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -106,25 +108,24 @@ func main() {
 		if flag.NArg() > 1 {
 			dst = path + ".json"
 		}
-		if err := writeStreamJSON(dst, st, nil); err != nil {
+		if err := writeJSON(dst, tr, nil); err != nil {
 			log.Fatal(err)
 		}
 		if dst != "" {
+			inRange := ""
 			if haveRange {
-				// A ranged chunked stream reports the overlapping chunks'
-				// totals, an upper bound on what the window exports.
-				fmt.Fprintf(os.Stderr, "ltviz: %s -> %s (<= %d events in range)\n", path, dst, st.NumEvents())
-			} else {
-				fmt.Fprintf(os.Stderr, "ltviz: %s -> %s (%d events)\n", path, dst, st.NumEvents())
+				inRange = " in range"
 			}
+			fmt.Fprintf(os.Stderr, "ltviz: %s -> %s (%d events%s)\n", path, dst, tr.NumEvents(), inRange)
 		}
 	}
 }
 
-// parseRange parses the -range "min:max" virtual-time window.
+// parseRange parses the -range "min:max" virtual-time window; without
+// one the window is every stamp.
 func parseRange(s string) (minT, maxT uint64, ok bool, err error) {
 	if s == "" {
-		return 0, 0, false, nil
+		return 0, math.MaxUint64, false, nil
 	}
 	var lo, hi uint64
 	if _, err := fmt.Sscanf(s, "%d:%d", &lo, &hi); err != nil {
@@ -136,17 +137,15 @@ func parseRange(s string) (minT, maxT uint64, ok bool, err error) {
 	return lo, hi, true, nil
 }
 
-// openStream opens a trace file as a stream, restricted to the vtime
-// window when one was given; the window is served from the chunk index.
-func openStream(path string, minT, maxT uint64, bounded bool) (*trace.Stream, error) {
+// readRange decodes the events of a trace file whose vtime lies in
+// [minT, maxT]; the chunk index skips the chunks outside the window.
+func readRange(path string, minT, maxT uint64) (*trace.Trace, error) {
 	cf, err := trace.OpenChunkFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if bounded {
-		return cf.Range(minT, maxT), nil
-	}
-	return cf.Stream(), nil
+	defer cf.Close()
+	return cf.Range(minT, maxT)
 }
 
 // runSpec executes one configuration in-process with a timeline
@@ -226,10 +225,6 @@ func overlayFront(tl *obs.Timeline, sp experiment.Spec, cfg measure.Config, seed
 
 // writeJSON exports to the given path, or stdout when path is empty.
 func writeJSON(path string, tr *trace.Trace, tl *obs.Timeline) error {
-	return writeStreamJSON(path, trace.StreamTrace(tr), tl)
-}
-
-func writeStreamJSON(path string, st *trace.Stream, tl *obs.Timeline) error {
 	var w io.Writer = os.Stdout
 	if path != "" {
 		f, err := os.Create(path)
@@ -239,5 +234,5 @@ func writeStreamJSON(path string, st *trace.Stream, tl *obs.Timeline) error {
 		defer f.Close()
 		w = f
 	}
-	return perfetto.ExportStream(w, st, tl)
+	return perfetto.Export(w, tr, tl)
 }

@@ -30,7 +30,7 @@ var contentionCost = work.Cost{Instr: 1e6, Flops: 1e6, Bytes: 1e6}
 // Workloads returns the substrate and study benchmarks in reporting
 // order.  The first five are the kernel-level micro-benchmarks whose
 // ns/op and allocs/op are the scoreboard for scheduler optimisations;
-// the TracePipe four measure the chunked trace pipeline; the study pair
+// the TracePipe three measure the chunked trace format; the study pair
 // measures the end-to-end pipeline they multiply into.
 func Workloads() []Workload {
 	return []Workload{
@@ -65,19 +65,14 @@ func Workloads() []Workload {
 			Make: tracePipeRecord,
 		},
 		{
-			Name: "TracePipeReplayStream",
-			Desc: "cursor replay of a 100k-event chunked trace (bounded memory)",
-			Make: tracePipeReplayStream,
-		},
-		{
 			Name: "TracePipeReplayMaterialized",
-			Desc: "full-materialize replay of the same 100k-event chunked trace",
-			Make: tracePipeReplayMaterialized,
+			Desc: "decode a 100k-event chunked trace into memory",
+			Make: tracePipeDecode,
 		},
 		{
 			Name: "TracePipeRangeStream",
 			Desc: "one-chunk vtime window replay through the chunk index",
-			Make: tracePipeRangeStream,
+			Make: tracePipeRange,
 		},
 		{
 			Name: "StudySequential",
@@ -203,9 +198,9 @@ func traceRoundTrip() (*Instance, error) {
 // The trace-pipeline workloads exercise the chunked on-disk format
 // end to end: TracePipeRecord measures the spill-to-disk writer (the
 // recording side holds one active chunk per location), and the two
-// replay workloads measure the same 100k-event chunked trace consumed
-// through cursors versus fully materialized — the allocation gap
-// between them is the bounded-memory claim the membudget test pins.
+// decode workloads read the same 100k-event chunked trace whole and
+// through a one-chunk vtime window — the allocation gap between them is
+// the ranged-read claim the membudget test pins.
 // tracePipeChunkEvents deliberately sits below DefaultChunkEvents so
 // the 100k-event fixture carries ~12 chunks per location: enough index
 // granularity that a one-chunk range query measurably beats decoding
@@ -246,8 +241,8 @@ func tracePipeRegions(def func(name string, role trace.Role) trace.RegionID) []t
 	return out
 }
 
-// tracePipeFile builds the shared chunked trace the replay workloads
-// consume.
+// tracePipeFile builds the shared chunked trace the decode workloads
+// read.
 func tracePipeFile() ([]byte, error) {
 	var buf bytes.Buffer
 	cw := trace.NewChunkWriter(&buf, "lt_stmt")
@@ -280,10 +275,9 @@ func tracePipeRecord() (*Instance, error) {
 	}, nil
 }
 
-// tracePipeChunkFile opens the shared chunked trace for the replay
-// workloads.  Both replay over the same long-lived open file — the
-// steady state of a replay service — so the measured difference is
-// purely cursor iteration versus materialization.
+// tracePipeChunkFile opens the shared chunked trace for the decode
+// workloads.  Both decode from the same long-lived open file, so the
+// measured difference is purely the chunks each one decodes.
 func tracePipeChunkFile() (*trace.ChunkFile, error) {
 	data, err := tracePipeFile()
 	if err != nil {
@@ -292,70 +286,35 @@ func tracePipeChunkFile() (*trace.ChunkFile, error) {
 	return trace.NewChunkFile(bytes.NewReader(data), int64(len(data)))
 }
 
-func tracePipeReplayStream() (*Instance, error) {
+func tracePipeDecode() (*Instance, error) {
 	cf, err := tracePipeChunkFile()
 	if err != nil {
 		return nil, err
 	}
-	st := cf.Stream()
 	return &Instance{
 		Events: tracePipeEvents,
 		Op: func() error {
-			n := 0
-			for li := 0; li < st.NumLocs(); li++ {
-				cur := st.Cursor(li)
-				for _, ok := cur.Next(); ok; _, ok = cur.Next() {
-					n++
-				}
-				if err := cur.Err(); err != nil {
-					return err
-				}
-			}
-			if n != tracePipeEvents {
-				return fmt.Errorf("streamed replay saw %d events, want %d", n, tracePipeEvents)
-			}
-			return nil
-		},
-	}, nil
-}
-
-func tracePipeReplayMaterialized() (*Instance, error) {
-	cf, err := tracePipeChunkFile()
-	if err != nil {
-		return nil, err
-	}
-	st := cf.Stream()
-	return &Instance{
-		Events: tracePipeEvents,
-		Op: func() error {
-			tr, err := st.Materialize()
+			tr, err := cf.Trace()
 			if err != nil {
 				return err
 			}
-			n := 0
-			for li := range tr.Locs {
-				n += len(tr.Locs[li].Events)
-			}
-			if n != tracePipeEvents {
-				return fmt.Errorf("materialized replay saw %d events, want %d", n, tracePipeEvents)
+			if n := tr.NumEvents(); n != tracePipeEvents {
+				return fmt.Errorf("decode saw %d events, want %d", n, tracePipeEvents)
 			}
 			return nil
 		},
 	}, nil
 }
 
-// tracePipeRangeStream replays one chunk-sized virtual-time window
-// through the chunk index.  Before the index existed every windowed
-// query (ltviz -range, wait-state inspection of one phase) had to
-// materialize the entire trace and filter; with it the cursor decodes
-// only the chunks overlapping the window.  The window is taken from a
-// middle chunk of location 0 so it is deterministic and non-trivial.
-func tracePipeRangeStream() (*Instance, error) {
+// tracePipeRange decodes one chunk-sized virtual-time window
+// through the chunk index, which skips every chunk the window misses.
+// The window is taken from a middle chunk of location 0 so it is
+// deterministic and non-trivial.
+func tracePipeRange() (*Instance, error) {
 	cf, err := tracePipeChunkFile()
 	if err != nil {
 		return nil, err
 	}
-	var minT, maxT uint64
 	var mine []trace.ChunkInfo
 	for _, c := range cf.Chunks() {
 		if c.Loc == 0 {
@@ -370,20 +329,13 @@ func tracePipeRangeStream() (*Instance, error) {
 	// with each other, so a full-span window would straddle two chunks on
 	// most of them and decode twice the data the query needs.
 	span := mid.LastTime - mid.FirstTime
-	minT, maxT = mid.FirstTime+span/4, mid.LastTime-span/4
+	minT, maxT := mid.FirstTime+span/4, mid.LastTime-span/4
 	replay := func() (int, error) {
-		st := cf.Range(minT, maxT)
-		n := 0
-		for li := 0; li < st.NumLocs(); li++ {
-			cur := st.Cursor(li)
-			for _, ok := cur.Next(); ok; _, ok = cur.Next() {
-				n++
-			}
-			if err := cur.Err(); err != nil {
-				return 0, err
-			}
+		tr, err := cf.Range(minT, maxT)
+		if err != nil {
+			return 0, err
 		}
-		return n, nil
+		return tr.NumEvents(), nil
 	}
 	want, err := replay()
 	if err != nil {
@@ -400,7 +352,7 @@ func tracePipeRangeStream() (*Instance, error) {
 				return err
 			}
 			if n != want {
-				return fmt.Errorf("ranged replay saw %d events, want %d", n, want)
+				return fmt.Errorf("ranged decode saw %d events, want %d", n, want)
 			}
 			return nil
 		},

@@ -38,8 +38,9 @@ type goldenSums struct {
 }
 
 // TestGoldenChecksums replays one quick configuration per mini-app with
-// every timer mode at seed 1 and demands the serialised trace and cube
-// profile stay byte-for-byte identical to the committed checksums.  This
+// every timer mode at seed 1 — the six paper modes plus lt_wstmt and
+// lt_hwcomb — and demands the serialised trace and cube profile stay
+// byte-for-byte identical to the committed checksums.  This
 // is the tier-1 tripwire for kernel "optimisations": the deferred
 // dirty-set resettling, the index-based detach and every future perf
 // pass must be exact, not approximately right — any drift in event
@@ -57,13 +58,14 @@ func TestGoldenChecksums(t *testing.T) {
 		// front the propagation studies measure.
 		"Ring-16", "RingSlack-16", "Torus-16", "Pipeline-8", "MasterWorker-8",
 	}
+	modes := append(core.AllModes(), core.ModeWStmt, core.ModeHwComb)
 	got := make(map[string]goldenSums)
 	for _, app := range apps {
 		spec, err := SpecByName(app, Options{Quick: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range core.AllModes() {
+		for _, mode := range modes {
 			res, err := Run(spec, mode, 1, noise.Cluster(), true)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", app, mode, err)

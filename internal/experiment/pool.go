@@ -48,8 +48,8 @@ var goldenGrid []byte
 // TestGoldenChecksums until -update-golden rewrites the grid, and the
 // rewrite moves the salt.  The "repro-sim-3" prefix is still bumped by
 // hand for a semantics change the grid cannot see: a path only the
-// full-scale specs take, the MiniFE-2, LULESH-2 and TeaLeaf-2..4
-// geometries, or the lt_wstmt and lt_hwcomb modes.
+// full-scale specs take, or the MiniFE-2, LULESH-2 and TeaLeaf-2..4
+// geometries.
 var cacheCodeVersion = fmt.Sprintf("repro-sim-3/%x", sha256.Sum256(goldenGrid))
 
 // Job is one self-describing unit of a study's grid: which configuration

@@ -14,14 +14,14 @@ import (
 )
 
 // TestStreamedAnalysisMatchesMaterialized is the determinism contract
-// for the chunked trace pipeline: every analysis consumer must produce
-// byte-identical output whether it materializes the trace in memory or
-// streams it chunk by chunk from the round-tripped on-disk form.  For a
-// sample of the golden grid it checks four equalities — the trace
-// fingerprint after a chunked round-trip, the Scalasca profile, the
-// tracecheck report and the perfetto export.  Any window-boundary bug
-// in the cursor layer (a dropped event, a delta-decode restart error, a
-// reordered match) lands here instead of skewing the paper's tables.
+// for the chunked trace file: every analysis must produce byte-identical
+// output on a recorded trace and on the same trace written in small
+// chunks and read back.  For a sample of the golden grid it checks
+// four equalities — the trace fingerprint after the round trip, the
+// Scalasca profile, the tracecheck report and the perfetto export.  Any
+// chunk-boundary bug in the decoder (a dropped event, a delta-decode
+// restart error, a reordered match) lands here instead of skewing the
+// paper's tables.
 func TestStreamedAnalysisMatchesMaterialized(t *testing.T) {
 	cases := []struct {
 		app  string
@@ -43,43 +43,42 @@ func TestStreamedAnalysisMatchesMaterialized(t *testing.T) {
 		}
 		tr := res.Trace
 
+		// 64-event chunks put several chunk boundaries in every location;
+		// WriteChunked's 4096 would put none in these quick traces, whose
+		// locations hold at most 1,110 events.  SetSink replays the whole
+		// trace into the writer.
 		var chunked bytes.Buffer
-		if err := trace.WriteChunked(&chunked, tr); err != nil {
+		cw := trace.NewChunkWriter(&chunked, tr.Clock)
+		cw.ChunkEvents = 64
+		tr.SetSink(cw)
+		tr.SetSink(nil)
+		if err := cw.Close(); err != nil {
 			t.Fatalf("%s: writing chunked: %v", name, err)
 		}
-		cf, err := trace.NewChunkFile(bytes.NewReader(chunked.Bytes()), int64(chunked.Len()))
+		rt, err := trace.Read(&chunked)
 		if err != nil {
-			t.Fatalf("%s: opening chunked: %v", name, err)
+			t.Fatalf("%s: reading chunked: %v", name, err)
 		}
 
-		// Round-trip fidelity: materializing the chunked form must
-		// reproduce the exact events of the original trace.
-		mat, err := cf.Stream().Materialize()
-		if err != nil {
-			t.Fatalf("%s: materializing: %v", name, err)
-		}
-		if traceSum(mat) != traceSum(tr) {
+		// Round-trip fidelity: the read trace holds the exact events of
+		// the original.
+		if traceSum(rt) != traceSum(tr) {
 			t.Errorf("%s: chunked round-trip drifted from the original trace", name)
 		}
 
-		// Scalasca replay: in-memory versus streamed-from-disk.
-		pm, err := scalasca.Analyze(tr)
-		if err != nil {
-			t.Fatalf("%s: analyze: %v", name, err)
+		// Scalasca replay.
+		var profiles [2]bytes.Buffer
+		for i, x := range []*trace.Trace{tr, rt} {
+			p, err := scalasca.Analyze(x)
+			if err != nil {
+				t.Fatalf("%s: analyze: %v", name, err)
+			}
+			if err := p.Write(&profiles[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		ps, err := scalasca.AnalyzeStream(cf.Stream())
-		if err != nil {
-			t.Fatalf("%s: analyze stream: %v", name, err)
-		}
-		var bm, bs bytes.Buffer
-		if err := pm.Write(&bm); err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.Write(&bs); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bm.Bytes(), bs.Bytes()) {
-			t.Errorf("%s: streamed scalasca profile differs from materialized", name)
+		if !bytes.Equal(profiles[0].Bytes(), profiles[1].Bytes()) {
+			t.Errorf("%s: scalasca profile after the round trip differs", name)
 		}
 
 		// Tracecheck verdicts.
@@ -87,25 +86,24 @@ func TestStreamedAnalysisMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := json.Marshal(tracecheck.VerifyStream(cf.Stream(), tracecheck.Options{}))
+		rr, err := json.Marshal(tracecheck.Verify(rt, tracecheck.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(rm, rs) {
-			t.Errorf("%s: streamed tracecheck report differs from materialized:\n  mat    %s\n  stream %s",
-				name, rm, rs)
+		if !bytes.Equal(rm, rr) {
+			t.Errorf("%s: tracecheck report after the round trip differs:\n  recorded   %s\n  round trip %s",
+				name, rm, rr)
 		}
 
 		// Perfetto export.
-		var em, es bytes.Buffer
-		if err := perfetto.ExportStream(&em, trace.StreamTrace(tr), nil); err != nil {
-			t.Fatalf("%s: export: %v", name, err)
+		var exports [2]bytes.Buffer
+		for i, x := range []*trace.Trace{tr, rt} {
+			if err := perfetto.Export(&exports[i], x, nil); err != nil {
+				t.Fatalf("%s: export: %v", name, err)
+			}
 		}
-		if err := perfetto.ExportStream(&es, cf.Stream(), nil); err != nil {
-			t.Fatalf("%s: export stream: %v", name, err)
-		}
-		if !bytes.Equal(em.Bytes(), es.Bytes()) {
-			t.Errorf("%s: streamed perfetto export differs from materialized", name)
+		if !bytes.Equal(exports[0].Bytes(), exports[1].Bytes()) {
+			t.Errorf("%s: perfetto export after the round trip differs", name)
 		}
 	}
 }

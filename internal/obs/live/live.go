@@ -174,8 +174,13 @@ func (m *Monitor) timeline(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "trace tail: "+err.Error(), http.StatusServiceUnavailable)
 		return
 	}
+	tr, err := wa.Trace()
+	if err != nil {
+		http.Error(w, "trace decode: "+err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = perfetto.ExportStream(w, wa.Stream(), m.opt.Timeline)
+	_ = perfetto.Export(w, tr, m.opt.Timeline)
 }
 
 func (m *Monitor) waitstates(w http.ResponseWriter, r *http.Request) {

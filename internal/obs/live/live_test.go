@@ -77,7 +77,7 @@ func (s *pollingSink) Record(l int, e trace.Event) {
 // TestWatcherConvergesToPostMortem runs a real instrumented simulation
 // with the observatory tailing its spill, polling incrementally from
 // inside the event stream, and asserts the final online analysis is
-// deep-equal to the post-mortem AnalyzeStream over the finished file.
+// deep-equal to the post-mortem Analyze of the finished file.
 func TestWatcherConvergesToPostMortem(t *testing.T) {
 	spec, err := experiment.SpecByName("MiniFE-1", experiment.Options{Quick: true})
 	if err != nil {
@@ -143,17 +143,16 @@ func TestWatcherConvergesToPostMortem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := trace.OpenChunkFile(path)
+	spilled, err := trace.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cf.Close()
-	postMortem, err := scalasca.AnalyzeStream(cf.Stream())
+	postMortem, err := scalasca.Analyze(spilled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(online, postMortem) {
-		t.Fatal("online profile diverged from post-mortem AnalyzeStream")
+		t.Fatal("online profile diverged from post-mortem Analyze")
 	}
 	// And the spill analyzes identically to the in-memory trace the run
 	// returned (the sink mirrored every event faithfully).
@@ -165,7 +164,7 @@ func TestWatcherConvergesToPostMortem(t *testing.T) {
 		t.Fatal("spill profile diverged from the run's own trace")
 	}
 	// Invariant checker agrees with its post-mortem run too.
-	post := tracecheck.VerifyStream(cf.Stream(), tracecheck.Options{})
+	post := tracecheck.Verify(spilled, tracecheck.Options{})
 	if !post.OK() {
 		t.Fatalf("post-mortem verification failed: %d violations", post.NumViolations())
 	}

@@ -1,8 +1,8 @@
 // Package live is the run observatory: it follows a chunked trace file
-// while the simulation is still writing it, re-runs the wait-state
-// analysis and the invariant checker incrementally over the sealed
-// prefix, and serves the results — together with the metrics registry
-// and the study progress — over a small HTTP surface.
+// while the simulation is still writing it, decodes the sealed prefix on
+// every request, re-runs the wait-state analysis and the invariant
+// checker over it, and serves the results — together with the metrics
+// registry and the study progress — over a small HTTP surface.
 //
 // Observation is strictly read-only.  The watcher opens the trace file
 // for reading only, every analysis runs over an immutable snapshot of
@@ -50,17 +50,13 @@ func (w *Watcher) Poll() (newChunks int, done bool, err error) {
 	return w.tc.Poll()
 }
 
-// Snapshot returns an immutable reader over the sealed prefix.
-func (w *Watcher) Snapshot() *trace.ChunkFile {
+// Trace decodes the sealed prefix from an immutable snapshot of it, for
+// export consumers (perfetto).
+func (w *Watcher) Trace() (*trace.Trace, error) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.tc.Snapshot()
-}
-
-// Stream returns a stream over the sealed prefix, for export consumers
-// (perfetto, lttrace -stat).
-func (w *Watcher) Stream() *trace.Stream {
-	return w.Snapshot().Stream()
+	cf := w.tc.Snapshot()
+	w.mu.Unlock()
+	return cf.Trace()
 }
 
 // Done reports whether the trailer has been ingested (the trace is
@@ -82,9 +78,13 @@ func (w *Watcher) Close() error {
 
 // Profile runs the wait-state analysis over the current sealed prefix
 // and returns the profile.  Once the tail is done this is exactly the
-// post-mortem scalasca.AnalyzeStream result.
+// post-mortem scalasca.Analyze result.
 func (w *Watcher) Profile() (*cube.Profile, error) {
-	return scalasca.AnalyzeStreamPartial(w.Stream())
+	tr, err := w.Trace()
+	if err != nil {
+		return nil, err
+	}
+	return scalasca.AnalyzePartial(tr)
 }
 
 // waitMetrics are the wait-state metrics surfaced in a WaitSummary,
@@ -139,8 +139,10 @@ type WaitSummary struct {
 	Violations     map[string]int `json:"violations,omitempty"`
 	ViolationTotal int            `json:"violation_total"`
 
-	// AnalyzeError is set when the wait-state replay itself failed
-	// (damaged trace); the structural counters above are still valid.
+	// AnalyzeError is set when the sealed prefix does not decode (a
+	// damaged chunk) or the wait-state replay fails.  The storage
+	// counters (events, chunks, offset) stay valid; a prefix that does
+	// not decode counts no violations.
 	AnalyzeError string `json:"analyze_error,omitempty"`
 }
 
@@ -171,14 +173,18 @@ func (w *Watcher) WaitStates() (*WaitSummary, error) {
 	w.mu.Unlock()
 
 	s.Locs = len(cf.Locs())
-	summarizeStream(s, cf)
+	summarize(s, cf)
 	return s, nil
 }
 
-// summarizeStream fills the analysis sections of s from the sealed
-// prefix cf.  Split out so tests can drive it on a plain ChunkFile.
-func summarizeStream(s *WaitSummary, cf *trace.ChunkFile) {
-	prof, err := scalasca.AnalyzeStreamPartial(cf.Stream())
+// summarize fills the analysis sections of s from the sealed prefix cf.
+func summarize(s *WaitSummary, cf *trace.ChunkFile) {
+	tr, err := cf.Trace()
+	if err != nil {
+		s.AnalyzeError = err.Error()
+		return
+	}
+	prof, err := scalasca.AnalyzePartial(tr)
 	if err != nil {
 		s.AnalyzeError = err.Error()
 	} else {
@@ -206,7 +212,7 @@ func summarizeStream(s *WaitSummary, cf *trace.ChunkFile) {
 		})
 	}
 
-	rep := tracecheck.VerifyStream(cf.Stream(), tracecheck.Options{Partial: !s.Done})
+	rep := tracecheck.Verify(tr, tracecheck.Options{Partial: !s.Done})
 	s.ViolationTotal = rep.NumViolations()
 	for k, n := range rep.Counts {
 		if s.Violations == nil {

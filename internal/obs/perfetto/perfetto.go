@@ -1,7 +1,10 @@
 // Package perfetto converts the simulator's traces into the Chrome
 // trace-event JSON that Perfetto (ui.perfetto.dev) and chrome://tracing
 // load directly, so a simulated run can be inspected on the same
-// timeline UI used for real profiles.
+// timeline UI used for real profiles.  Export reads an in-memory
+// *trace.Trace: a run's own, or one decoded from a trace file (ltviz
+// decodes a file, or a virtual-time window of it, with
+// trace.ChunkFile.Range).
 //
 // The mapping follows the trace-event format's process/thread model:
 // each MPI rank becomes a process (pid = rank) and each of its OpenMP
@@ -77,15 +80,12 @@ func tickMicros(clock string) float64 {
 // analysis results onto the timeline's seconds axis.
 func TickSeconds(clock string) float64 { return tickMicros(clock) / 1e6 }
 
-// ExportStream writes a trace stream as trace-event JSON.  It makes two
-// passes over the stream — one to extract the synchronisation skeleton
-// (vclock.Extract), one to emit — re-opening the per-location cursors in
-// between, so a chunked on-disk trace exports holding one chunk window
-// plus the skeleton in memory.  Flows are numbered from the skeleton:
-// sends from 1 in (location, record) order, and a receive takes the id
-// of the send it was FIFO-matched to; unmatched receives render as plain
-// instants.
-func ExportStream(w io.Writer, st *trace.Stream, tl *obs.Timeline) error {
+// Export writes a trace as trace-event JSON.  It extracts the
+// synchronisation skeleton (vclock.Extract) first, then emits.  Flows
+// are numbered from the skeleton: sends from 1 in (location, record)
+// order, and a receive takes the id of the send it was FIFO-matched to;
+// unmatched receives render as plain instants.
+func Export(w io.Writer, tr *trace.Trace, tl *obs.Timeline) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
 		return err
@@ -108,8 +108,7 @@ func ExportStream(w io.Writer, st *trace.Stream, tl *obs.Timeline) error {
 
 	// Metadata: name every rank process and thread, then the synthetic
 	// machine process.
-	for li := 0; li < st.NumLocs(); li++ {
-		l := st.Loc(li)
+	for _, l := range tr.Locs {
 		if l.Thread == 0 {
 			if err := emit(event{
 				Args: map[string]any{"name": fmt.Sprintf("rank %d", l.Rank)},
@@ -136,17 +135,12 @@ func ExportStream(w io.Writer, st *trace.Stream, tl *obs.Timeline) error {
 	}
 
 	// Event streams, in location then record order.
-	scale := tickMicros(st.Clock)
-	logical := strings.HasPrefix(st.Clock, "lt_")
-	sk, err := vclock.Extract(st)
-	if err != nil {
-		return fmt.Errorf("perfetto: %w", err)
-	}
+	scale := tickMicros(tr.Clock)
+	logical := strings.HasPrefix(tr.Clock, "lt_")
+	sk := vclock.Extract(tr)
 	sends, recvs := 0, 0 // the emission pass meets both in skeleton order
-	for li := 0; li < st.NumLocs(); li++ {
-		l := st.Loc(li)
-		cur := st.Cursor(li)
-		for e, ok := cur.Next(); ok; e, ok = cur.Next() {
+	for _, l := range tr.Locs {
+		for _, e := range l.Events {
 			ts := float64(e.Time) * scale
 			base := event{Pid: l.Rank, Tid: l.Thread, Ts: ts}
 			var out event
@@ -154,13 +148,13 @@ func ExportStream(w io.Writer, st *trace.Stream, tl *obs.Timeline) error {
 			case trace.EvEnter:
 				out = base
 				out.Ph = "B"
-				out.Name = st.Regions[e.Region].Name
-				out.Cat = st.Regions[e.Region].Role.String()
+				out.Name = tr.Regions[e.Region].Name
+				out.Cat = tr.Regions[e.Region].Role.String()
 			case trace.EvExit:
 				out = base
 				out.Ph = "E"
-				out.Name = st.Regions[e.Region].Name
-				out.Cat = st.Regions[e.Region].Role.String()
+				out.Name = tr.Regions[e.Region].Name
+				out.Cat = tr.Regions[e.Region].Role.String()
 			case trace.EvSend:
 				out = base
 				out.Ph = "s"
@@ -236,9 +230,6 @@ func ExportStream(w io.Writer, st *trace.Stream, tl *obs.Timeline) error {
 			if err := emit(out); err != nil {
 				return err
 			}
-		}
-		if err := cur.Err(); err != nil {
-			return fmt.Errorf("perfetto: loc %d: %w", li, err)
 		}
 	}
 

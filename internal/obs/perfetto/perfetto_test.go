@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,10 +45,10 @@ func miniTrace(t *testing.T) *trace.Trace {
 	return res.Trace
 }
 
-func export(t *testing.T, st *trace.Stream) []byte {
+func export(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := perfetto.ExportStream(&buf, st, nil); err != nil {
+	if err := perfetto.Export(&buf, tr, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -82,14 +83,19 @@ func TestGoldenMiniTrace(t *testing.T) {
 		t.Fatalf("committed %s (%d events) differs from a fresh simulation (%d events); run with -update if the semantics change was intentional",
 			tracePath, committed.NumEvents(), live.NumEvents())
 	}
-	// Render through the same path ltviz uses for file input: the
-	// file's stream, exported with no timeline.
+	// Render through the same path ltviz uses for file input: the file
+	// decoded by ChunkFile.Range over every stamp, exported with no
+	// timeline.
 	cf, err := trace.OpenChunkFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	got := export(t, cf.Stream())
+	decoded, err := cf.Range(0, math.MaxUint64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := export(t, decoded)
 	if *update {
 		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -110,7 +116,7 @@ func TestGoldenMiniTrace(t *testing.T) {
 // re-marshalling each event with encoding/json's sorted map order), and
 // every flow-finish id was opened by a flow-start.
 func TestExportIsValidSortedJSON(t *testing.T) {
-	out := export(t, trace.StreamTrace(miniTrace(t)))
+	out := export(t, miniTrace(t))
 	var doc struct {
 		DisplayTimeUnit string                       `json:"displayTimeUnit"`
 		TraceEvents     []map[string]json.RawMessage `json:"traceEvents"`
@@ -149,8 +155,8 @@ func TestExportIsValidSortedJSON(t *testing.T) {
 
 // TestExportDeterministic: same trace in, identical bytes out.
 func TestExportDeterministic(t *testing.T) {
-	st := trace.StreamTrace(miniTrace(t))
-	if a, b := export(t, st), export(t, st); !bytes.Equal(a, b) {
+	tr := miniTrace(t)
+	if a, b := export(t, tr), export(t, tr); !bytes.Equal(a, b) {
 		t.Fatal("two exports of one trace differ")
 	}
 }
@@ -190,7 +196,7 @@ func TestFlowIDsAcrossUnmatchedMessages(t *testing.T) {
 			Pid  int    `json:"pid"`
 		} `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(export(t, trace.StreamTrace(tr)), &doc); err != nil {
+	if err := json.Unmarshal(export(t, tr), &doc); err != nil {
 		t.Fatal(err)
 	}
 	var got []string

@@ -16,10 +16,10 @@ type compInterval struct {
 
 // analysis carries the replay state.
 type analysis struct {
-	st      *trace.Stream
+	tr      *trace.Trace
 	prof    *cube.Profile
 	m       metricSet
-	partial bool // tolerate a stream that ends mid-run (live prefix)
+	partial bool // tolerate a trace that ends mid-run (live prefix)
 
 	// x collects the synchronisation skeleton the wait-state passes
 	// replay, tagging each record with its call path.
@@ -35,54 +35,41 @@ type analysis struct {
 
 // Analyze replays a trace and produces the analysis profile.  Severities
 // are in ticks of the trace's clock; normalise with the profile queries.
-// It is AnalyzeStream over the in-memory trace — the two paths share
-// every line of replay code, so their profiles are byte-identical.
 func Analyze(tr *trace.Trace) (*cube.Profile, error) {
-	return AnalyzeStream(trace.StreamTrace(tr))
+	return analyze(tr, false)
 }
 
-// AnalyzeStream replays a trace stream and produces the analysis
-// profile.  Events are consumed through one cursor per location, so a
-// chunked on-disk trace is analysed holding one chunk window (plus the
-// synchronisation skeleton, which scales with communication, not run
-// length) in memory.
-func AnalyzeStream(st *trace.Stream) (*cube.Profile, error) {
-	return analyzeStream(st, false)
+// AnalyzePartial replays a possibly incomplete trace — the sealed prefix
+// of one still being recorded (trace.Follow) — and produces the analysis
+// of everything replayed so far.  It differs from Analyze only in
+// tolerance: regions still open when a location's events end simply
+// stop accruing at its last event instead of failing the replay, and
+// sends whose enclosing region has not closed yet keep their provisional
+// completion time.  On a complete trace the two are identical (every
+// region closes, so the tolerance never fires), which is what lets a
+// live monitor's final poll converge exactly to the post-mortem
+// analysis.
+func AnalyzePartial(tr *trace.Trace) (*cube.Profile, error) {
+	return analyze(tr, true)
 }
 
-// AnalyzeStreamPartial replays a possibly incomplete stream — the
-// sealed prefix of a trace still being recorded (trace.Follow) — and
-// produces the analysis of everything replayed so far.  It differs from
-// AnalyzeStream only in tolerance: regions still open when the stream
-// ends simply stop accruing at the last event instead of failing the
-// replay, and sends whose enclosing region has not closed yet keep
-// their provisional completion time.  On a complete trace the two are
-// identical (every region closes, so the tolerance never fires), which
-// is what lets a live monitor's final poll converge exactly to the
-// post-mortem analysis.
-func AnalyzeStreamPartial(st *trace.Stream) (*cube.Profile, error) {
-	return analyzeStream(st, true)
-}
-
-func analyzeStream(st *trace.Stream, partial bool) (*cube.Profile, error) {
-	nloc := st.NumLocs()
+func analyze(tr *trace.Trace, partial bool) (*cube.Profile, error) {
+	nloc := len(tr.Locs)
 	locNames := make([]string, nloc)
-	for i := 0; i < nloc; i++ {
-		l := st.Loc(i)
+	for i, l := range tr.Locs {
 		locNames[i] = fmt.Sprintf("r%dt%d", l.Rank, l.Thread)
 	}
-	prof := cube.New(st.Clock, locNames)
+	prof := cube.New(tr.Clock, locNames)
 	a := &analysis{
-		st:       st,
+		tr:       tr,
 		prof:     prof,
 		m:        buildMetrics(prof),
 		partial:  partial,
-		x:        vclock.NewExtractor(st),
+		x:        vclock.NewExtractor(tr),
 		comp:     make([][]compInterval, nloc),
 		teamSize: make(map[int]int),
 	}
-	for i := 0; i < nloc; i++ {
-		l := st.Loc(i)
+	for _, l := range tr.Locs {
 		if l.Thread+1 > a.teamSize[l.Rank] {
 			a.teamSize[l.Rank] = l.Thread + 1
 		}
@@ -111,7 +98,7 @@ type frame struct {
 // skeleton extractor (tagging each record with its call path), and
 // accounts idle worker threads during the master's sequential phases.
 func (a *analysis) scanLocation(li int) error {
-	l := a.st.Loc(li)
+	l := &a.tr.Locs[li]
 	isMaster := l.Thread == 0
 	workers := a.teamSize[l.Rank] - 1
 	stack := a.stack[:0]
@@ -119,8 +106,7 @@ func (a *analysis) scanLocation(li int) error {
 	haveLast := false
 	inParallel := false
 
-	cur := a.st.Cursor(li)
-	for e, ok := cur.Next(); ok; e, ok = cur.Next() {
+	for _, e := range l.Events {
 		t := float64(e.Time)
 		if !haveLast {
 			lastT = t
@@ -147,8 +133,8 @@ func (a *analysis) scanLocation(li int) error {
 			if len(stack) > 0 {
 				parent = stack[len(stack)-1].path
 			}
-			role := a.st.Regions[e.Region].Role
-			path := a.prof.Path(parent, a.st.Regions[e.Region].Name)
+			role := a.tr.Regions[e.Region].Role
+			path := a.prof.Path(parent, a.tr.Regions[e.Region].Name)
 			stack = append(stack, frame{path: path, role: role, enter: t})
 		case trace.EvExit:
 			if len(stack) == 0 {
@@ -178,9 +164,6 @@ func (a *analysis) scanLocation(li int) error {
 		}
 	}
 	a.stack = stack[:0]
-	if err := cur.Err(); err != nil {
-		return fmt.Errorf("scalasca: loc %d: reading trace: %w", li, err)
-	}
 	if len(stack) != 0 && !a.partial {
 		return fmt.Errorf("scalasca: loc %d: %d unclosed regions at end of trace", li, len(stack))
 	}

@@ -84,7 +84,7 @@ type locIndexState struct {
 // another location (the first in location order on a tie); a worker's
 // region by its fork and a join by the latest worker region it closes.
 func CriticalPathAnalysis(tr *trace.Trace) (*CritPath, error) {
-	x := vclock.NewExtractor(trace.StreamTrace(tr))
+	x := vclock.NewExtractor(tr)
 	paths := newPathTable(tr)
 	states := make([]locIndexState, len(tr.Locs))
 	for li, l := range tr.Locs {

@@ -3,7 +3,9 @@
 // per location), reconstructs call paths, classifies time by paradigm,
 // detects wait states (late sender, late receiver, wait-at-NxN, OpenMP
 // barrier waiting), computes delay costs that point at the root causes of
-// collective wait states, and emits a cube.Profile.
+// collective wait states, and emits a cube.Profile.  Analyze replays a
+// complete *trace.Trace; AnalyzePartial replays the sealed prefix of one
+// still being recorded, for the live observatory.
 package scalasca
 
 import "repro/internal/cube"

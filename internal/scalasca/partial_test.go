@@ -8,9 +8,9 @@ import (
 )
 
 // TestAnalyzeStreamPartialToleratesOpenRegions pins the live-prefix
-// tolerance: a stream ending mid-run (regions still open) fails the
-// strict replay but analyzes under the partial one, with time accrued
-// up to the last recorded event.
+// tolerance: a trace ending mid-run (regions still open) fails Analyze
+// but analyzes under AnalyzePartial, with time accrued up to the last
+// recorded event.
 func TestAnalyzeStreamPartialToleratesOpenRegions(t *testing.T) {
 	tr, locs := newTrace(1)
 	main := tr.Region("main", trace.RoleUser)
@@ -20,14 +20,14 @@ func TestAnalyzeStreamPartialToleratesOpenRegions(t *testing.T) {
 	tr.Record(locs[0], trace.Event{Kind: trace.EvSend, Time: 25, A: 1, B: 7})
 	// ...and the trace stops here, mid-region, as a live tail would.
 
-	if _, err := AnalyzeStream(trace.StreamTrace(tr)); err == nil {
+	if _, err := Analyze(tr); err == nil {
 		t.Fatal("strict replay accepted an unclosed region")
 	}
-	prof, err := AnalyzeStreamPartial(trace.StreamTrace(tr))
+	prof, err := AnalyzePartial(tr)
 	if err != nil {
 		t.Fatalf("partial replay: %v", err)
 	}
-	// Exclusive time accrues to the innermost frame until the stream
+	// Exclusive time accrues to the innermost frame until the trace
 	// ends: 10 ticks in main, 15 in solve.
 	near(t, prof.TotalByName(MTime), 25, "partial time total")
 }
@@ -54,11 +54,11 @@ func TestAnalyzeStreamPartialEqualsFullOnComplete(t *testing.T) {
 	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 120, Region: recv})
 	tr.Record(locs[1], trace.Event{Kind: trace.EvExit, Time: 200, Region: main})
 
-	full, err := AnalyzeStream(trace.StreamTrace(tr))
+	full, err := Analyze(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := AnalyzeStreamPartial(trace.StreamTrace(tr))
+	partial, err := AnalyzePartial(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func (a *analysis) collectives(sk *vclock.Skeleton) {
 			p := sk.Colls.At(int(m))
 			if w := maxEnter - float64(p.EnterTime); w > 0 {
 				metric := a.m.waitNxN
-				if a.st.Regions[p.Scope].Name == "MPI_Barrier" {
+				if a.tr.Regions[p.Scope].Name == "MPI_Barrier" {
 					metric = a.m.waitBarrier
 				}
 				a.prof.Add(metric, cube.PathID(p.Tag), p.Loc, w)

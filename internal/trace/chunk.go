@@ -387,9 +387,9 @@ func (cw *ChunkWriter) Close() error {
 	return cw.bw.Flush()
 }
 
-// WriteChunked serialises a fully materialized trace.  Region and
-// location indices are preserved, so a round trip through
-// WriteChunked + Read reproduces the trace exactly.
+// WriteChunked serialises an in-memory trace.  Region and location
+// indices are preserved, so a round trip through WriteChunked + Read
+// reproduces the trace exactly.
 func WriteChunked(w io.Writer, t *Trace) error {
 	cw := NewChunkWriter(w, t.Clock)
 	for _, r := range t.Regions {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -137,71 +138,28 @@ func TestChunkFileStreamMaterialize(t *testing.T) {
 	if want := 300/32 + 1; len(cf.locChunks[0]) != want {
 		t.Fatalf("loc 0 has %d chunks, want %d", len(cf.locChunks[0]), want)
 	}
-	st := cf.Stream()
-	if st.NumEvents() != tr.NumEvents() {
-		t.Fatalf("stream NumEvents = %d, want %d", st.NumEvents(), tr.NumEvents())
-	}
-	got, err := st.Materialize()
+	got, err := cf.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
 	equalTraces(t, got, tr)
 }
 
-// Cursors must be independently re-openable (perfetto flow matching
-// iterates every location twice).
-func TestCursorReopen(t *testing.T) {
+// A ChunkFile holds no decode state between calls, so decoding the same
+// file twice yields the same trace.
+func TestChunkFileTraceRepeatable(t *testing.T) {
 	tr := bigSample(1, 100)
 	b := chunkedBytes(t, tr, 16)
 	cf, err := NewChunkFile(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cf.Stream()
 	for pass := 0; pass < 2; pass++ {
-		cur := st.Cursor(0)
-		n := 0
-		for e, ok := cur.Next(); ok; e, ok = cur.Next() {
-			if e != tr.Locs[0].Events[n] {
-				t.Fatalf("pass %d event %d mismatch", pass, n)
-			}
-			n++
+		got, err := cf.Trace()
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
 		}
-		if cur.Err() != nil {
-			t.Fatal(cur.Err())
-		}
-		if n != 100 {
-			t.Fatalf("pass %d yielded %d events", pass, n)
-		}
-	}
-}
-
-func TestStreamTraceMatchesChunkStream(t *testing.T) {
-	tr := bigSample(2, 200)
-	b := chunkedBytes(t, tr, 64)
-	cf, err := NewChunkFile(bytes.NewReader(b), int64(len(b)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, file := StreamTrace(tr), cf.Stream()
-	for loc := 0; loc < mem.NumLocs(); loc++ {
-		mc, fc := mem.Cursor(loc), file.Cursor(loc)
-		for {
-			me, mok := mc.Next()
-			fe, fok := fc.Next()
-			if mok != fok {
-				t.Fatalf("loc %d: cursor lengths diverge", loc)
-			}
-			if !mok {
-				break
-			}
-			if me != fe {
-				t.Fatalf("loc %d: %+v != %+v", loc, me, fe)
-			}
-		}
-		if mc.Err() != nil || fc.Err() != nil {
-			t.Fatalf("cursor errors: %v / %v", mc.Err(), fc.Err())
-		}
+		equalTraces(t, got, tr)
 	}
 }
 
@@ -213,7 +171,7 @@ func TestChunkFileRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	const minT, maxT = 300, 700
-	got, err := cf.Range(minT, maxT).Materialize()
+	got, err := cf.Range(minT, maxT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,31 +250,35 @@ func TestChunkCorruptionMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Location 1 is untouched.
-		cur := cf.Stream().Cursor(1)
-		n := 0
-		for _, ok := cur.Next(); ok; _, ok = cur.Next() {
-			n++
-		}
-		if cur.Err() != nil || n != 200 {
-			t.Fatalf("untouched location: %d events, err %v", n, cur.Err())
-		}
-		// Location 0 yields every chunk before the corrupt one, then a
-		// structured error.
-		cur = cf.Stream().Cursor(0)
-		n = 0
-		for _, ok := cur.Next(); ok; _, ok = cur.Next() {
-			n++
-		}
-		if n != 200-target.Events {
-			t.Fatalf("damaged location yielded %d events, want %d", n, 200-target.Events)
-		}
+		// Decoding every chunk fails on the damaged one, naming it.
+		_, err = cf.Trace()
 		var re *RecordError
-		if !errors.As(cur.Err(), &re) {
-			t.Fatalf("cursor error is not a *RecordError: %v", cur.Err())
+		if !errors.As(err, &re) {
+			t.Fatalf("decode error is not a *RecordError: %v", err)
 		}
-		if !errors.Is(cur.Err(), ErrBadChunk) && !errors.Is(cur.Err(), ErrTruncated) {
-			t.Fatalf("cursor error lost its cause: %v", cur.Err())
+		if re.Loc != 0 || re.Offset != target.Offset {
+			t.Fatalf("error names location %d offset %d, want location 0 offset %d", re.Loc, re.Offset, target.Offset)
+		}
+		if !errors.Is(err, ErrBadChunk) && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("decode error lost its cause: %v", err)
+		}
+		// A window the damaged chunk does not overlap is pruned before
+		// it, so every chunk it does overlap still decodes.
+		maxT := target.FirstTime - 1
+		got, err := cf.Range(0, maxT)
+		if err != nil {
+			t.Fatalf("window before the damaged chunk: %v", err)
+		}
+		for li := range tr.Locs {
+			var want []Event
+			for _, e := range tr.Locs[li].Events {
+				if e.Time <= maxT {
+					want = append(want, e)
+				}
+			}
+			if !slices.Equal(got.Locs[li].Events, want) {
+				t.Fatalf("location %d: window yielded %d events, want %d", li, len(got.Locs[li].Events), len(want))
+			}
 		}
 	})
 
@@ -337,13 +299,8 @@ func TestChunkCorruptionMatrix(t *testing.T) {
 			t.Fatalf("scan kept %d chunks, want %d", len(cf.Chunks()), len(chunks)-1)
 		}
 		// Every surviving chunk decodes.
-		for loc := 0; loc < cf.Stream().NumLocs(); loc++ {
-			cur := cf.Stream().Cursor(loc)
-			for _, ok := cur.Next(); ok; _, ok = cur.Next() {
-			}
-			if cur.Err() != nil {
-				t.Fatalf("surviving chunk failed: %v", cur.Err())
-			}
+		if _, err := cf.Trace(); err != nil {
+			t.Fatalf("surviving chunk failed: %v", err)
 		}
 	})
 
@@ -358,7 +315,7 @@ func TestChunkCorruptionMatrix(t *testing.T) {
 		if cf.Damage != nil {
 			t.Fatalf("scan of complete records reported damage: %v", cf.Damage)
 		}
-		got, err := cf.Stream().Materialize()
+		got, err := cf.Trace()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +332,7 @@ func TestChunkCorruptionMatrix(t *testing.T) {
 		if cf.IndexOK {
 			t.Fatal("bad trailer offset accepted")
 		}
-		got, err := cf.Stream().Materialize()
+		got, err := cf.Trace()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +349,7 @@ func TestChunkCorruptionMatrix(t *testing.T) {
 		if cf.IndexOK {
 			t.Fatal("corrupt index accepted")
 		}
-		got, err := cf.Stream().Materialize()
+		got, err := cf.Trace()
 		if err != nil {
 			t.Fatal(err)
 		}

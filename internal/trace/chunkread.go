@@ -9,8 +9,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
-	"sync"
+	"slices"
 )
 
 // ErrBadChunk reports a chunk whose payload failed its CRC or decoded
@@ -125,11 +126,11 @@ func (p *posReader) chunkHeader(tagOff int64) (chunkHeader, error) {
 	return h, p.skip(n)
 }
 
-// chunkDecoder decompresses and decodes chunk payloads, reusing its
-// buffers and flate state across chunks so steady-state decoding does
-// not allocate.
+// chunkDecoder fetches, decompresses and decodes chunk records, reusing
+// its buffers and flate state across the chunks of one decode.
 type chunkDecoder struct {
-	comp []byte
+	rec  []byte // the raw chunk record
+	comp []byte // its compressed payload, a window of rec
 	raw  bytes.Buffer
 	fr   io.ReadCloser
 	lim  io.LimitedReader
@@ -139,7 +140,9 @@ type chunkDecoder struct {
 // decode verifies the CRC, inflates the payload and appends the decoded
 // events to dst.  The compressed bytes must already be in d.comp.  The
 // inflate buffer grows with the bytes actually inflated, never with the
-// header's claimed length.
+// header's claimed length.  The header's span sits outside the CRC, so
+// the first and last decoded stamps must equal it: index pruning trusts
+// the span without decoding.
 func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 	if crc32.ChecksumIEEE(d.comp) != h.crc {
 		return dst, fmt.Errorf("%w: CRC mismatch", ErrBadChunk)
@@ -160,6 +163,7 @@ func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 	}
 
 	b := d.raw.Bytes()
+	start := len(dst)
 	off := 0
 	prev := uint64(0)
 	var f [5]uint64 // time delta, region, then A, B, C zigzag-encoded
@@ -191,6 +195,10 @@ func (d *chunkDecoder) decode(h chunkHeader, dst []Event) ([]Event, error) {
 	}
 	if off != len(b) {
 		return dst, fmt.Errorf("%w: %d trailing payload bytes after %d events", ErrBadChunk, len(b)-off, h.info.Events)
+	}
+	if n := len(dst); n > start && (dst[start].Time != h.info.FirstTime || dst[n-1].Time != h.info.LastTime) {
+		return dst, fmt.Errorf("%w: events span [%d, %d], header claims [%d, %d]",
+			ErrBadChunk, dst[start].Time, dst[n-1].Time, h.info.FirstTime, h.info.LastTime)
 	}
 	return dst, nil
 }
@@ -247,10 +255,17 @@ func readDefs(p *posReader, region func(string, Role), loc func(int, int), haveR
 	return nil
 }
 
+// LocInfo is one location of a trace file: its identity and how many
+// events its chunks claim.
+type LocInfo struct {
+	Rank, Thread int
+	Events       int
+}
+
 // ChunkFile is a random-access view of a trace file: the definition
-// tables, the chunk index, and cursors that decode one chunk at a time.
-// Open it with OpenChunkFile (or NewChunkFile over any io.ReaderAt).  If
-// the trailing index is missing or corrupt — a truncated recording — the
+// tables and the chunk index, from which Trace and Range decode.  Open
+// it with OpenChunkFile (or NewChunkFile over any io.ReaderAt).  If the
+// trailing index is missing or corrupt — a truncated recording — the
 // constructor falls back to the sequential record scan and keeps every
 // chunk whose record is whole; whatever kept the file from proving
 // itself complete is reported by Damage while the surviving chunks stay
@@ -280,20 +295,6 @@ type ChunkFile struct {
 	// or ErrTruncated for a file that ends between records.  The chunks
 	// before the damage remain readable.
 	Damage error
-
-	// pool recycles decode state (window buffer, decompressor, scratch)
-	// between cursors, so re-opening cursors over a long-lived file —
-	// the steady state of every streaming replay — does not re-allocate.
-	pool sync.Pool
-}
-
-// decodeState is the per-cursor machinery a ChunkFile pools: the chunk
-// decoder's reusable buffers, a scratch buffer for raw chunk records,
-// and the event window they fill.
-type decodeState struct {
-	dec     chunkDecoder
-	scratch []byte
-	win     []Event
 }
 
 // OpenChunkFile opens a trace file for random access.  It fails only on
@@ -653,21 +654,20 @@ func (cf *ChunkFile) recordErr(info ChunkInfo, ci int, err error) *RecordError {
 }
 
 // readChunk loads chunk ci's payload (re-parsing its header from the
-// file, which also guards against a stale index) and appends its events
-// to dst.  The whole record is fetched with a single ReadAt into ds's
-// pooled scratch buffer and parsed in place, so steady-state chunk
-// reads allocate nothing.
-func (cf *ChunkFile) readChunk(ds *decodeState, ci int, dst []Event) ([]Event, error) {
+// file, which must agree with the index entry) and appends its events to
+// dst.  The whole record is fetched with a single ReadAt into d's record
+// buffer and parsed in place.
+func (cf *ChunkFile) readChunk(d *chunkDecoder, ci int, dst []Event) ([]Event, error) {
 	info := cf.chunks[ci]
 	need := max(min(int64(maxChunkRecordHeader+info.CompLen), cf.size-info.Offset), 0)
-	if int64(cap(ds.scratch)) < need {
-		ds.scratch = make([]byte, need)
+	if int64(cap(d.rec)) < need {
+		d.rec = make([]byte, need)
 	}
-	got, err := cf.ra.ReadAt(ds.scratch[:need], info.Offset)
+	got, err := cf.ra.ReadAt(d.rec[:need], info.Offset)
 	if err != nil && err != io.EOF {
 		return dst, cf.recordErr(info, ci, fail("chunk record", err))
 	}
-	buf := ds.scratch[:got]
+	buf := d.rec[:got]
 	if len(buf) == 0 || buf[0] != tagChunk {
 		return dst, cf.recordErr(info, ci, fmt.Errorf("%w: index points at a non-chunk record", ErrBadChunk))
 	}
@@ -675,107 +675,79 @@ func (cf *ChunkFile) readChunk(ds *decodeState, ci int, dst []Event) ([]Event, e
 	if err != nil {
 		return dst, cf.recordErr(info, ci, err)
 	}
-	if h.info.Loc != info.Loc || h.info.Events != info.Events || h.info.CompLen != info.CompLen {
+	if h.info != info {
 		return dst, cf.recordErr(info, ci, fmt.Errorf("%w: header disagrees with index", ErrBadChunk))
 	}
 	off := 1 + n
 	if off+h.info.CompLen > len(buf) {
 		return dst, cf.recordErr(info, ci, fmt.Errorf("%w while reading chunk payload", ErrTruncated))
 	}
-	ds.dec.comp = buf[off : off+h.info.CompLen]
-	out, err := ds.dec.decode(h, dst)
+	d.comp = buf[off : off+h.info.CompLen]
+	out, err := d.decode(h, dst)
 	if err != nil {
 		return out, cf.recordErr(info, ci, err)
 	}
 	return out, nil
 }
 
-// Stream returns the streaming view of the file.  Cursors decode one
-// chunk at a time into a reused window, so iterating an arbitrarily
-// large trace holds O(chunk) memory.
-func (cf *ChunkFile) Stream() *Stream {
-	return cf.stream(0, ^uint64(0), false)
+// maxPresize caps how many events a decode reserves per location up
+// front: a file's event counts are claims until its chunks decode, and a
+// corrupt count must not size an allocation.  Longer locations grow as
+// their events arrive.
+const maxPresize = 1 << 16
+
+// Trace decodes every chunk the file lists into a *Trace.  Like the
+// constructor it is lenient: it decodes the chunks that survived, and
+// fails only when the region table names a region twice or a chunk does
+// not decode (a *RecordError naming it).  Read and ReadFile are the
+// strict readers.
+func (cf *ChunkFile) Trace() (*Trace, error) {
+	return cf.Range(0, math.MaxUint64)
 }
 
-// Range returns a stream restricted to events with minT <= Time <=
-// maxT.  The chunk index prunes chunks entirely outside the window, so
-// a narrow range over a huge file decodes only the overlapping chunks.
-// Per-location event counts in the returned stream are upper bounds
-// (the overlapping chunks' totals), not exact counts.
-func (cf *ChunkFile) Range(minT, maxT uint64) *Stream {
-	return cf.stream(minT, maxT, true)
-}
-
-func (cf *ChunkFile) stream(minT, maxT uint64, bounded bool) *Stream {
-	locs := cf.locs
-	if bounded {
-		locs = make([]LocInfo, len(cf.locs))
-		copy(locs, cf.locs)
-		for i := range locs {
-			n := 0
-			for _, ci := range cf.locChunks[i] {
-				c := cf.chunks[ci]
-				if c.LastTime >= minT && c.FirstTime <= maxT {
-					n += c.Events
-				}
-			}
-			locs[i].Events = n
+// Range decodes, as leniently as Trace, the events with minT <= Time <=
+// maxT.  The chunk index prunes every chunk whose span misses the
+// window, so a narrow window over a large file decodes only the chunks
+// it overlaps, and a damaged chunk outside it is never read.
+func (cf *ChunkFile) Range(minT, maxT uint64) (*Trace, error) {
+	t := New(cf.Clock)
+	t.Regions = slices.Grow(t.Regions, len(cf.Regions))
+	t.Locs = slices.Grow(t.Locs, len(cf.locs))
+	for _, r := range cf.Regions {
+		if err := t.internRegion(r.Name, r.Role); err != nil {
+			return nil, err
 		}
 	}
-	return &Stream{
-		Clock:   cf.Clock,
-		Regions: cf.Regions,
-		locs:    locs,
-		open: func(loc int) *Cursor {
-			chunks := cf.locChunks[loc]
-			pos := 0
-			var ds *decodeState
-			return &Cursor{refill: func(c *Cursor) error {
-				if ds == nil {
-					if v := cf.pool.Get(); v != nil {
-						ds = v.(*decodeState)
-						c.win = ds.win[:0] // adopt the pooled window's capacity
-					} else {
-						ds = &decodeState{}
-					}
-				}
-				for {
-					if pos >= len(chunks) {
-						// Exhausted: hand the window and decoder back for
-						// the next cursor.  The cursor never yields again,
-						// so nothing aliases the recycled buffers.
-						ds.win = c.win[:0]
-						cf.pool.Put(ds)
-						ds = nil
-						return io.EOF
-					}
-					ci := chunks[pos]
-					info := cf.chunks[ci]
-					if bounded && (info.LastTime < minT || info.FirstTime > maxT) {
-						pos++
-						continue
-					}
-					pos++
-					win, err := cf.readChunk(ds, ci, c.win[:0])
-					if err != nil {
-						return err
-					}
-					if bounded {
-						kept := win[:0]
-						for _, e := range win {
-							if e.Time >= minT && e.Time <= maxT {
-								kept = append(kept, e)
-							}
-						}
-						win = kept
-						if len(win) == 0 {
-							continue
-						}
-					}
-					c.win = win
-					return nil
-				}
-			}}
-		},
+	overlaps := func(ci int) bool { return cf.chunks[ci].LastTime >= minT && cf.chunks[ci].FirstTime <= maxT }
+	outside := func(e Event) bool { return e.Time < minT || e.Time > maxT }
+	whole := minT == 0 && maxT == math.MaxUint64
+	var d chunkDecoder
+	for li, l := range cf.locs {
+		t.AddLocation(l.Rank, l.Thread)
+		n := 0
+		for _, ci := range cf.locChunks[li] {
+			if overlaps(ci) {
+				n += cf.chunks[ci].Events
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		events := make([]Event, 0, min(n, maxPresize))
+		for _, ci := range cf.locChunks[li] {
+			if !overlaps(ci) {
+				continue
+			}
+			start := len(events)
+			var err error
+			if events, err = cf.readChunk(&d, ci, events); err != nil {
+				return nil, err
+			}
+			if !whole {
+				events = events[:start+len(slices.DeleteFunc(events[start:], outside))]
+			}
+		}
+		t.Locs[li].Events = events
 	}
+	return t, nil
 }

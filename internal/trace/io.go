@@ -145,7 +145,7 @@ func (cf *ChunkFile) complete() (*Trace, error) {
 			return nil, err
 		}
 	}
-	return cf.Stream().Materialize()
+	return cf.Trace()
 }
 
 // checkRecords proves that an indexed file's records tile it: the

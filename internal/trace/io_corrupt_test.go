@@ -72,6 +72,24 @@ func TestReadCorruptionDiagnostics(t *testing.T) {
 		}
 		return b
 	}
+	// junk inserts five bytes that start no record before the index
+	// record and re-points the trailer past them: the index still loads,
+	// so only the record scan can see the junk.
+	idx := indexOffset(t, valid)
+	junk := append(append(append([]byte(nil), valid[:idx]...), 7, 7, 7, 7, 7), valid[idx:]...)
+	binary.LittleEndian.PutUint64(junk[len(junk)-12:], uint64(idx+5))
+	// respanned makes location 0's first chunk (stamps 1 and 5) claim
+	// FirstTime 127 and drops the trailer, so the read takes the span
+	// from the header rather than the index.  The span sits outside the
+	// payload CRC.
+	_, recs := parseRecords(t, valid)
+	first := firstChunkRecord(t, recs)
+	at := first.off + 1 + int64(len(uvarint(0))+len(uvarint(2)))
+	if first.loc != 0 || valid[at] != 1 {
+		t.Fatalf("first chunk: location %d, FirstTime byte %d; want location 0 and 1", first.loc, valid[at])
+	}
+	respanned := append([]byte(nil), valid[:len(valid)-12]...)
+	respanned[at] = 127
 	for _, tc := range []struct {
 		name  string
 		input []byte
@@ -85,6 +103,9 @@ func TestReadCorruptionDiagnostics(t *testing.T) {
 		{"implausible region count", header([]byte{tagDefs}, uvarint(1<<40)), "implausible region count"},
 		{"implausible location count", header([]byte{tagDefs}, uvarint(0), uvarint(1<<40)), "implausible location count"},
 		{"empty input", nil, "truncated event stream while reading magic"},
+		{"junk between records", junk, fmt.Sprintf("unknown record tag 0x07 at offset %d", idx)},
+		{"chunk span misstated", respanned,
+			fmt.Sprintf("location 0 (rank 0 thread 0) chunk 1 offset %d: trace: chunk payload corrupt: events span [1, 5], header claims [127, 5]", first.off)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Read(bytes.NewReader(tc.input))

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"os"
 	"sync"
 )
@@ -22,9 +21,9 @@ import (
 // makes Done() true; structurally impossible bytes become sticky damage
 // reported by Err().
 //
-// Snapshot returns a point-in-time *ChunkFile over the sealed prefix;
-// analyses stream it exactly like a finished file.  All methods are
-// safe for concurrent use.
+// Snapshot returns a point-in-time *ChunkFile over the sealed prefix,
+// which decodes exactly like a finished file.  All methods are safe for
+// concurrent use.
 type TailCursor struct {
 	mu sync.Mutex
 	f  *os.File
@@ -32,8 +31,6 @@ type TailCursor struct {
 	cf         *ChunkFile // accumulated sealed view; cf.size tracks the last stat
 	headerDone bool
 	recordScan
-
-	ds decodeState // persistent scratch for ChunkEvents
 }
 
 // Follow opens path for tailing.  The file may be empty or mid-header:
@@ -148,19 +145,6 @@ func (tc *TailCursor) Events() int {
 		n += l.Events
 	}
 	return n
-}
-
-// ChunkEvents appends the events of sealed chunk ci (file order, as
-// discovered by Poll) to dst, reusing the tail's persistent decode
-// state — so an incremental consumer draining chunks as they land
-// allocates only when a chunk outgrows every previous scratch buffer.
-func (tc *TailCursor) ChunkEvents(ci int, dst []Event) ([]Event, error) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if ci < 0 || ci >= len(tc.cf.chunks) {
-		return dst, fmt.Errorf("trace: chunk %d out of range (have %d sealed)", ci, len(tc.cf.chunks))
-	}
-	return tc.cf.readChunk(&tc.ds, ci, dst)
 }
 
 // Snapshot returns a point-in-time random-access view over the sealed

@@ -14,7 +14,7 @@ import (
 // byte-exact cuts stay reachable on short inputs.  The tail must never
 // panic; damage, once reported, must stay reported; and whenever the
 // strict Read accepts the same bytes, the tail must end Done with no
-// error and its snapshot must materialize exactly Read's trace.
+// error and its snapshot must decode to exactly Read's trace.
 func FuzzTailCursor(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteChunked(&buf, bigSampleFuzz()); err != nil {
@@ -68,7 +68,7 @@ func FuzzTailCursor(f *testing.F) {
 		if !tc.Done() || tc.Err() != nil {
 			t.Fatalf("Read accepts the bytes, but the tail ends Done()=%v Err()=%v", tc.Done(), tc.Err())
 		}
-		got, err := tc.Snapshot().Stream().Materialize()
+		got, err := tc.Snapshot().Trace()
 		if err != nil {
 			t.Fatalf("Read accepts the bytes, but the tail's snapshot fails: %v", err)
 		}

@@ -82,7 +82,7 @@ func firstChunkRecord(t *testing.T, recs []tailRecord) tailRecord {
 
 // TestFollowLiveWriter drives a ChunkWriter and a TailCursor against
 // the same file, asserting the tail discovers each sealed chunk as the
-// writer flushes it, and that the final sealed view materializes to the
+// writer flushes it, and that the final sealed view decodes to the
 // exact trace.
 func TestFollowLiveWriter(t *testing.T) {
 	tr := bigSample(3, 700)
@@ -156,7 +156,7 @@ func TestFollowLiveWriter(t *testing.T) {
 		t.Fatalf("sealed events = %d, want %d", tc.Events(), tr.NumEvents())
 	}
 
-	got, err := tc.Snapshot().Stream().Materialize()
+	got, err := tc.Snapshot().Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestFollowTornTails(t *testing.T) {
 			if tc.Torn() != nil {
 				t.Fatalf("torn still reported after completion: %v", tc.Torn())
 			}
-			got, err := tc.Snapshot().Stream().Materialize()
+			got, err := tc.Snapshot().Trace()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestTailSnapshotImmutable(t *testing.T) {
 	}
 	snap := tc.Snapshot()
 	wantChunks := len(snap.Chunks())
-	wantEvents := snap.Stream().NumEvents()
+	wantEvents := tc.Events()
 
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -332,8 +332,12 @@ func TestTailSnapshotImmutable(t *testing.T) {
 	if got := len(snap.Chunks()); got != wantChunks {
 		t.Fatalf("snapshot chunk count moved: %d -> %d", wantChunks, got)
 	}
-	if got := snap.Stream().NumEvents(); got != wantEvents {
-		t.Fatalf("snapshot event count moved: %d -> %d", wantEvents, got)
+	got, err := snap.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumEvents() != wantEvents {
+		t.Fatalf("snapshot event count moved: %d -> %d", wantEvents, got.NumEvents())
 	}
 }
 

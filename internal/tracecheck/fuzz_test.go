@@ -105,10 +105,7 @@ func FuzzVerify(f *testing.F) {
 // every edge of the trace's skeleton, closed transitively.
 func happensBefore(t *testing.T, tr *trace.Trace) [][]bool {
 	t.Helper()
-	sk, err := vclock.Extract(trace.StreamTrace(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := vclock.Extract(tr)
 	first := make([]int, len(tr.Locs)+1)
 	for l, lt := range tr.Locs {
 		first[l+1] = first[l] + len(lt.Events)

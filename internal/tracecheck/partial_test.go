@@ -112,15 +112,18 @@ func TestPartialCleanOnEveryLivePrefix(t *testing.T) {
 		if _, _, err := tc.Poll(); err != nil {
 			t.Fatalf("cut %d%%: %v", frac, err)
 		}
-		st := tc.Snapshot().Stream()
-		rep := tracecheck.VerifyStream(st, tracecheck.Options{Partial: true})
+		prefix, err := tc.Snapshot().Trace()
+		if err != nil {
+			t.Fatalf("cut %d%%: %v", frac, err)
+		}
+		rep := tracecheck.Verify(prefix, tracecheck.Options{Partial: true})
 		if !rep.OK() {
 			var sb bytes.Buffer
 			rep.Render(&sb, 10)
 			t.Errorf("cut %d%%: partial verification flagged a clean prefix:\n%s", frac, sb.String())
 		}
 		if frac < 100 && !strictFailed {
-			if !tracecheck.VerifyStream(tc.Snapshot().Stream(), tracecheck.Options{}).OK() {
+			if !tracecheck.Verify(prefix, tracecheck.Options{}).OK() {
 				strictFailed = true
 			}
 		}

@@ -4,6 +4,9 @@
 // vclock's synchronisation skeleton — phase one of the two-phase
 // analysis of Sulzmann & Stadtmüller (arXiv:1807.03585) applied to LTRC
 // traces — and verifies a battery of structural invariants against it.
+// Verify reads an in-memory *trace.Trace: a recorded run's, or one
+// decoded from a trace file (trace.ReadFile), or the sealed prefix of a
+// file still being written (Options.Partial).
 //
 // The paper's whole argument rests on logical timestamps satisfying
 // Lamport's clock condition (e → f ⇒ ts(e) < ts(f)) so that Scalasca's
@@ -132,10 +135,6 @@ type Report struct {
 	// past the per-kind recording cap.
 	Counts     map[Kind]int `json:"counts,omitempty"`
 	Violations []Violation  `json:"violations,omitempty"`
-	// ReadErrors lists stream read failures encountered while scanning a
-	// (possibly damaged) chunked trace.  The verdict then covers only the
-	// events that could be decoded.
-	ReadErrors []string `json:"read_errors,omitempty"`
 }
 
 // OK reports whether no invariant was violated.
@@ -212,28 +211,18 @@ func Logical(clock string) bool { return strings.HasPrefix(clock, "lt_") }
 // Verify runs every invariant check against the trace and returns the
 // report.  It never fails: structural problems (unmatched receives,
 // broken nesting, causality cycles) become violations, so a partially
-// corrupted trace still yields a maximally informative report.  Verify
-// is VerifyStream over the in-memory trace, so their reports are
-// identical.
+// corrupted trace still yields a maximally informative report.  One
+// pass over the events feeds vclock's skeleton extractor, and the edge
+// checks and the cycle walk visit that skeleton alone.
 func Verify(tr *trace.Trace, opt Options) *Report {
-	return VerifyStream(trace.StreamTrace(tr), opt)
-}
-
-// VerifyStream runs the invariant checks against a trace stream.  The
-// per-location pass consumes one cursor at a time and feeds vclock's
-// skeleton extractor, so only the synchronisation skeleton stays in
-// memory, and the edge checks and the cycle walk visit that skeleton
-// alone: verifying a chunked on-disk trace is bounded by its
-// communication volume, not its event count.
-func VerifyStream(st *trace.Stream, opt Options) *Report {
 	c := &checker{
-		st:  st,
+		tr:  tr,
 		opt: opt,
 		rep: &Report{
-			Clock:   st.Clock,
-			Logical: Logical(st.Clock),
-			Locs:    st.NumLocs(),
-			Events:  st.NumEvents(),
+			Clock:   tr.Clock,
+			Logical: Logical(tr.Clock),
+			Locs:    len(tr.Locs),
+			Events:  tr.NumEvents(),
 			Counts:  make(map[Kind]int),
 		},
 	}
@@ -261,7 +250,7 @@ func VerifyStream(st *trace.Stream, opt Options) *Report {
 }
 
 type checker struct {
-	st  *trace.Stream
+	tr  *trace.Trace
 	opt Options
 	rep *Report
 
@@ -281,7 +270,7 @@ func (c *checker) violate(k Kind, ev EventPos, peer *EventPos, format string, ar
 
 // pos describes a skeleton event for a report.
 func (c *checker) pos(e vclock.Event) EventPos {
-	l := c.st.Loc(e.Loc)
+	l := &c.tr.Locs[e.Loc]
 	return EventPos{
 		Loc: e.Loc, Index: e.Index, Rank: l.Rank, Thread: l.Thread,
 		Kind: e.Kind.String(), Region: c.regionName(e.Scope), Time: e.Time,
@@ -289,26 +278,23 @@ func (c *checker) pos(e vclock.Event) EventPos {
 }
 
 func (c *checker) regionName(r trace.RegionID) string {
-	if r >= 0 && int(r) < len(c.st.Regions) {
-		return c.st.Regions[r].Name
+	if r >= 0 && int(r) < len(c.tr.Regions) {
+		return c.tr.Regions[r].Name
 	}
 	return ""
 }
 
-// scan performs the per-location streaming pass: it feeds the skeleton
-// extractor and checks timestamp monotonicity, barrier sequence order
-// and fork/join placement in-stream, then reports the skeleton's
+// scan performs the per-location pass: it feeds the skeleton extractor
+// and checks timestamp monotonicity, barrier sequence order and
+// fork/join placement in event order, then reports the skeleton's
 // unbalanced regions.
 func (c *checker) scan() {
-	nloc := c.st.NumLocs()
-	x := vclock.NewExtractor(c.st)
-	for li := 0; li < nloc; li++ {
-		l := c.st.Loc(li)
+	x := vclock.NewExtractor(c.tr)
+	for _, l := range c.tr.Locs {
 		barNext := int32(0)
 		var prev EventPos
 		havePrev := false
-		cur := c.st.Cursor(li)
-		for e, ok := cur.Next(); ok; e, ok = cur.Next() {
+		for _, e := range l.Events {
 			p := c.pos(x.Add(e, 0))
 			if havePrev {
 				if c.rep.Logical && e.Time <= prev.Time {
@@ -342,9 +328,6 @@ func (c *checker) scan() {
 			prev = p
 			havePrev = true
 		}
-		if err := cur.Err(); err != nil {
-			c.rep.ReadErrors = append(c.rep.ReadErrors, fmt.Sprintf("location %d: %v", li, err))
-		}
 		x.EndLocation()
 	}
 	c.sk = x.Skeleton()
@@ -372,7 +355,7 @@ func (c *checker) checkMessages() {
 	for i := 0; i < c.sk.Recvs.Len(); i++ {
 		if r := c.sk.Recvs.At(i); r.Peer < 0 {
 			c.violate(KindUnmatchedRecv, c.pos(r.Record()), nil,
-				"no matching send on channel src=%d dst=%d tag=%d", r.A, c.st.Loc(r.Loc).Rank, r.B)
+				"no matching send on channel src=%d dst=%d tag=%d", r.A, c.tr.Locs[r.Loc].Rank, r.B)
 		}
 	}
 	for _, i := range c.sk.Orphans {
@@ -414,7 +397,7 @@ func (c *checker) checkCollectives() {
 				if int32(i) != s {
 					c.violate(KindCollOrder, c.findColl(li, comm, s), nil,
 						"rank %d observes comm %d instance seq %d at position %d (expected seq %d)",
-						c.st.Loc(li).Rank, comm, s, i, i)
+						c.tr.Locs[li].Rank, comm, s, i, i)
 					break
 				}
 			}
@@ -435,11 +418,11 @@ func (c *checker) checkCollectives() {
 				}
 				c.violate(KindCollParticipant, c.pos(first.Record()), nil,
 					"rank %d missing from comm %d collective instance seq %d",
-					c.st.Loc(li).Rank, comm, seq)
+					c.tr.Locs[li].Rank, comm, seq)
 			case n > 1:
 				c.violate(KindCollParticipant, c.pos(first.Record()), nil,
 					"rank %d participates %d times in comm %d instance seq %d",
-					c.st.Loc(li).Rank, n, comm, seq)
+					c.tr.Locs[li].Rank, n, comm, seq)
 			}
 		}
 		name := c.regionName(first.Scope)
@@ -462,7 +445,7 @@ func (c *checker) findColl(li int, comm, seq int32) EventPos {
 			return c.pos(s.Record())
 		}
 	}
-	l := c.st.Loc(li)
+	l := &c.tr.Locs[li]
 	return EventPos{Loc: li, Rank: l.Rank, Thread: l.Thread}
 }
 
@@ -471,8 +454,8 @@ func (c *checker) findColl(li int, comm, seq int32) EventPos {
 // the scan).
 func (c *checker) checkBarriers() {
 	teamSize := make(map[int32]int) // rank -> location count
-	for i := 0; i < c.st.NumLocs(); i++ {
-		teamSize[int32(c.st.Loc(i).Rank)]++
+	for _, l := range c.tr.Locs {
+		teamSize[int32(l.Rank)]++
 	}
 	bars := &c.sk.Bars
 	for _, in := range c.sk.BarIns {
@@ -599,12 +582,12 @@ func (c *checker) releaseEdges(recs *vclock.Paged[vclock.Sync], ins []vclock.Ins
 // and the edges scan and checkEdges already check one by one, so the
 // walk checks no stamps.
 func (c *checker) checkCycles() {
-	if c.opt.Partial || len(c.rep.ReadErrors) > 0 {
-		return // the skeleton of a prefix or a damaged stream is incomplete
+	if c.opt.Partial {
+		return // the skeleton of a prefix is incomplete
 	}
-	counts := make([]int, c.st.NumLocs())
-	for li := range counts {
-		counts[li] = c.st.Loc(li).Events
+	counts := make([]int, len(c.tr.Locs))
+	for li, l := range c.tr.Locs {
+		counts[li] = len(l.Events)
 	}
 	edges, groups := c.sk.Graph()
 	if n := vclock.Unreached(counts, edges, groups); n > 0 {

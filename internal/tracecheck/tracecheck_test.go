@@ -447,8 +447,8 @@ func TestDegenerateBarrierGroups(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for path, r := range map[string]*Report{
-				"Verify":       Verify(tc.tr, Options{}),
-				"VerifyStream": VerifyStream(chunkStream(t, tc.tr), Options{}),
+				"Verify":     Verify(tc.tr, Options{}),
+				"round trip": Verify(roundTrip(t, tc.tr), Options{}),
 			} {
 				got, err := json.Marshal(r)
 				if err != nil {

@@ -2,7 +2,6 @@ package vclock
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -198,9 +197,9 @@ type Skeleton struct {
 // a time in location order: Add each event of a location, then
 // EndLocation, then the next location; Skeleton finishes the matching.
 // Consumers that need their own per-event pass feed the extractor from
-// it, so a stream is decoded once.
+// it, so the trace is walked once.
 type Extractor struct {
-	st     *trace.Stream
+	tr     *trace.Trace
 	k      *Skeleton
 	loc    int
 	index  int
@@ -233,18 +232,18 @@ type pending struct {
 	depth int
 }
 
-// NewExtractor starts a skeleton of st's locations.
-func NewExtractor(st *trace.Stream) *Extractor {
+// NewExtractor starts a skeleton of tr's locations.
+func NewExtractor(tr *trace.Trace) *Extractor {
 	x := &Extractor{
-		st:    st,
-		k:     &Skeleton{segFirst: make([]int, st.NumLocs()+1)},
+		tr:    tr,
+		k:     &Skeleton{segFirst: make([]int, len(tr.Locs)+1)},
 		teams: make(map[int32]int),
 	}
-	x.worker = st.NumLocs() > 0 && st.Loc(0).Thread != 0
+	x.worker = len(tr.Locs) > 0 && tr.Locs[0].Thread != 0
 	return x
 }
 
-func (x *Extractor) rank(loc int) int32 { return int32(x.st.Loc(loc).Rank) }
+func (x *Extractor) rank(loc int) int32 { return int32(x.tr.Locs[loc].Rank) }
 
 // Add feeds the next event of the current location and returns its
 // skeleton description.  tag is kept with synchronisation records.
@@ -354,7 +353,7 @@ func (x *Extractor) EndLocation() {
 	}
 	x.loc++
 	x.k.segFirst[x.loc] = x.k.segs.Len()
-	x.worker = x.loc < x.st.NumLocs() && x.st.Loc(x.loc).Thread != 0
+	x.worker = x.loc < len(x.tr.Locs) && x.tr.Locs[x.loc].Thread != 0
 	x.index = 0
 	x.stack = x.stack[:0]
 	x.pending = x.pending[:0]
@@ -404,8 +403,8 @@ func (x *Extractor) Skeleton() *Skeleton {
 	for i := range k.Teams {
 		x.teams[k.Teams[i].Rank] = i
 	}
-	for li := 0; li < x.st.NumLocs(); li++ {
-		if x.st.Loc(li).Thread == 0 {
+	for li, l := range x.tr.Locs {
+		if l.Thread == 0 {
 			continue
 		}
 		if i, ok := x.teams[x.rank(li)]; ok {
@@ -505,19 +504,14 @@ func (k *Skeleton) Graph() ([]Edge, [][]Member) {
 	return edges, groups
 }
 
-// Extract builds the skeleton of a whole stream.  It fails on the first
-// location whose events cannot be read.
-func Extract(st *trace.Stream) (*Skeleton, error) {
-	x := NewExtractor(st)
-	for li := 0; li < st.NumLocs(); li++ {
-		cur := st.Cursor(li)
-		for e, ok := cur.Next(); ok; e, ok = cur.Next() {
+// Extract builds the skeleton of a whole trace.
+func Extract(tr *trace.Trace) *Skeleton {
+	x := NewExtractor(tr)
+	for _, l := range tr.Locs {
+		for _, e := range l.Events {
 			x.Add(e, 0)
-		}
-		if err := cur.Err(); err != nil {
-			return nil, fmt.Errorf("loc %d: %w", li, err)
 		}
 		x.EndLocation()
 	}
-	return x.Skeleton(), nil
+	return x.Skeleton()
 }

@@ -37,23 +37,13 @@ func handTrace() *trace.Trace {
 	return tr
 }
 
-// extract builds a trace's skeleton.
-func extract(t *testing.T, tr *trace.Trace) *Skeleton {
-	t.Helper()
-	sk, err := Extract(trace.StreamTrace(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sk
-}
-
 // breaches lists the skeleton's synchronisation edges whose target stamp
 // does not exceed the source's — the clock condition on every direct
 // edge: messages, every member's release by every other location's
 // member of its instance, forks and joins.
 func breaches(t *testing.T, tr *trace.Trace) [][2]Event {
 	t.Helper()
-	sk := extract(t, tr)
+	sk := Extract(tr)
 	var out [][2]Event
 	check := func(from, to Event) {
 		if to.Time <= from.Time {
@@ -109,7 +99,7 @@ func TestUnmatchedReceiveRejected(t *testing.T) {
 	tr.Record(l0, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
 	tr.Record(l0, trace.Event{Kind: trace.EvRecv, Time: 2, A: 5, B: 0, C: 8})
 	tr.Record(l0, trace.Event{Kind: trace.EvExit, Time: 3, Region: main})
-	sk := extract(t, tr)
+	sk := Extract(tr)
 	if r := sk.Recvs.At(0); sk.Recvs.Len() != 1 || r.Peer != -1 || r.EventRef != (EventRef{0, 1}) {
 		t.Fatalf("%d receives, first %+v; want the one receive at loc 0 event 1 unmatched", sk.Recvs.Len(), *r)
 	}
