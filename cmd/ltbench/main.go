@@ -94,10 +94,12 @@ func main() {
 		for r := 0; r < *reps; r++ {
 			m, err := bench.Measure(w.Name, ins, *benchtime)
 			if err != nil {
+				closeInstance(ins)
 				log.Fatalf("%s: %v", w.Name, err)
 			}
 			ms = append(ms, m)
 		}
+		closeInstance(ins)
 		med := bench.Median(ms)
 		out.Results = append(out.Results, med)
 		fmt.Printf("%-22s %14.0f %12.0f %12.1f %14s%s\n",
@@ -122,6 +124,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s\n", path)
+}
+
+// closeInstance removes what a workload's set-up left on disk.
+func closeInstance(ins *bench.Instance) {
+	if ins.Close != nil {
+		ins.Close()
+	}
 }
 
 func readFile(path string) (*File, error) {

@@ -168,7 +168,7 @@ func statFile(path string) error {
 	indexLine := "index: missing, recovered by sequential scan"
 	switch {
 	case cf.IndexOK:
-		indexLine = "index: ok (O(log n) range seeks available)"
+		indexLine = "index: ok (range reads scan every chunk's span and decode only the chunks that overlap)"
 	case cf.Damage != nil:
 		indexLine = fmt.Sprintf("index: MISSING, recovered by sequential scan; damage: %v", cf.Damage)
 	}

@@ -22,10 +22,11 @@ var now = time.Now //detlint:allow wallclock
 // Instance is one prepared workload: Op executes one benchmark
 // operation, and Events is the number of substrate events (simulated
 // actions, trace events) a single op processes, 0 when the notion does
-// not apply.
+// not apply.  Close, when non-nil, removes what Make left on disk.
 type Instance struct {
 	Op     func() error
 	Events int64
+	Close  func()
 }
 
 // Measurement is the result of timing one workload instance.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/machine"
 	"repro/internal/noise"
+	"repro/internal/runcache"
 	"repro/internal/scalasca"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -31,7 +33,8 @@ var contentionCost = work.Cost{Instr: 1e6, Flops: 1e6, Bytes: 1e6}
 // order.  The first five are the kernel-level micro-benchmarks whose
 // ns/op and allocs/op are the scoreboard for scheduler optimisations;
 // the TracePipe three measure the chunked trace format; the study pair
-// measures the end-to-end pipeline they multiply into.
+// measures the end-to-end pipeline they multiply into; ReportWarmQuick
+// measures a report served from the run cache.
 func Workloads() []Workload {
 	return []Workload{
 		{
@@ -83,6 +86,11 @@ func Workloads() []Workload {
 			Name: "StudyPooled4",
 			Desc: "MiniFE-1 quick study (2 reps, all modes), 4 workers",
 			Make: func() (*Instance, error) { return studyRunner(4) },
+		},
+		{
+			Name: "ReportWarmQuick",
+			Desc: "quick FullReport (2 reps, 2 workers) served from a filled run cache",
+			Make: reportWarmQuick,
 		},
 	}
 }
@@ -370,5 +378,40 @@ func studyRunner(workers int) (*Instance, error) {
 			_, err := experiment.RunStudy(spec, opts)
 			return err
 		},
+	}, nil
+}
+
+// reportWarmQuick fills a run cache in a temporary directory with one
+// quick FullReport, then times the same report served from it.  An op
+// fails if any of its lookups misses, so the row never times a
+// simulation.
+func reportWarmQuick() (*Instance, error) {
+	dir, err := os.MkdirTemp("", "ltbench-report-")
+	if err != nil {
+		return nil, err
+	}
+	cache, err := runcache.Open(dir)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, err
+	}
+	opts := experiment.StudyOptions{Reps: 2, BaseSeed: 1, Workers: 2, Cache: cache}
+	quick := experiment.Options{Quick: true}
+	if err := experiment.FullReport(io.Discard, opts, quick); err != nil {
+		os.RemoveAll(dir)
+		return nil, err
+	}
+	_, filled := cache.Stats()
+	return &Instance{
+		Op: func() error {
+			if err := experiment.FullReport(io.Discard, opts, quick); err != nil {
+				return err
+			}
+			if _, misses := cache.Stats(); misses != filled {
+				return fmt.Errorf("warm report missed the cache %d times", misses-filled)
+			}
+			return nil
+		},
+		Close: func() { os.RemoveAll(dir) },
 	}, nil
 }

@@ -67,7 +67,7 @@ func DefaultPlanFor(spec Spec, opts StudyOptions) (faults.Plan, error) {
 		return faults.Plan{}, err
 	}
 	o := RunOptions{Seed: opts.BaseSeed, Noise: *opts.Noise, Metrics: opts.Metrics}
-	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil))
+	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil), false)
 	if drop != nil {
 		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %s", spec.Name, drop.Err)
 	}

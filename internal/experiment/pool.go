@@ -159,18 +159,30 @@ func poolWorkers(requested, jobs int) int {
 // dropped) and the dropped-repetition records (nil where it succeeded).
 // Each worker writes only its own jobs' slots, so placement needs no
 // lock, and slot indexing keeps the output independent of scheduling;
-// flattenDrops turns the drop slots into the report form.  When checks
-// is non-nil (one slot per job), the worker also verifies the trace of
-// every instrumented job, fresh or served from the cache, right after
-// its result is decided, and stores the report in the job's slot.
-func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks, checks []*tracecheck.Report) ([]*RunResult, []*DroppedRep) {
+// flattenDrops turns the drop slots into the report form.
+//
+// A worker derives its job's products before it drops the trace.  The
+// profile comes with the result.  When checks is non-nil (one slot per
+// job), the worker verifies the trace of every instrumented job, fresh
+// or served from the cache, right after its result is decided, and
+// stores the report in the job's slot.  Then it drops the trace unless
+// keep selects the job (nil keeps every trace).  A cache hit whose trace
+// is neither verified nor kept is served without decoding it.
+func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks, checks []*tracecheck.Report, keep func(Job) bool) ([]*RunResult, []*DroppedRep) {
 	results := make([]*RunResult, len(jobs))
 	drops := make([]*DroppedRep, len(jobs))
 	run := func(i int) {
-		results[i], drops[i] = runJob(jobs[i], cache, hooks)
-		if res := results[i]; checks != nil && res != nil && res.Trace != nil {
-			checks[i] = tracecheck.Verify(res.Trace, tracecheck.Options{})
+		kept := keep == nil || keep(jobs[i])
+		res, drop := runJob(jobs[i], cache, hooks, kept || checks != nil)
+		if res != nil && res.Trace != nil {
+			if checks != nil {
+				checks[i] = tracecheck.Verify(res.Trace, tracecheck.Options{})
+			}
+			if !kept {
+				res.Trace = nil
+			}
 		}
+		results[i], drops[i] = res, drop
 	}
 	workers = poolWorkers(workers, len(jobs))
 	if workers == 1 {
@@ -215,12 +227,13 @@ func flattenDrops(drops []*DroppedRep) []DroppedRep {
 // convert a double failure into a DroppedRep.  Only a first-attempt
 // success is cached — a retry's result belongs to the shifted seed, and
 // caching it under the primary key would hand later runs a result the
-// primary seed never produced.
-func runJob(job Job, cache *runcache.Cache, hooks poolHooks) (*RunResult, *DroppedRep) {
+// primary seed never produced.  A cache hit decodes its trace only with
+// withTrace; a fresh run always carries its trace.
+func runJob(job Job, cache *runcache.Cache, hooks poolHooks, withTrace bool) (*RunResult, *DroppedRep) {
 	hooks.jobs.Inc()
 	key := cacheKey(job.Spec, job.Opts)
 	if cache != nil {
-		if e, ok := cache.Get(key); ok {
+		if e, ok := cache.Lookup(key, withTrace); ok {
 			res := resultOf(e)
 			hooks.cacheHits.Inc()
 			hooks.progress.CacheHit()

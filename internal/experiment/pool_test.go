@@ -77,6 +77,21 @@ func assertStudiesEqual(t *testing.T, want, got *Study) {
 	}
 }
 
+// dropTraces returns a copy of st whose runs carry no trace: what the
+// same study must equal when its pool keeps no trace.
+func dropTraces(st *Study) *Study {
+	c := *st
+	c.Runs = make(map[core.Mode][]*RunResult, len(st.Runs))
+	for mode, rs := range st.Runs {
+		for _, r := range rs {
+			r2 := *r
+			r2.Trace = nil
+			c.Runs[mode] = append(c.Runs[mode], &r2)
+		}
+	}
+	return &c
+}
+
 // assertVerified requires one clean trace check per instrumented
 // repetition, in mode-list then repetition order.
 func assertVerified(t *testing.T, st *Study) {
@@ -273,7 +288,7 @@ func TestDroppedOrderIsEnumerationOrder(t *testing.T) {
 	spec := tinySpec()
 	spec.App = func(r *measure.Rank) AppResult { panic("always fails") }
 	jobs := studyJobs(spec, (StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeLt1, core.ModeTSC}}).fill())
-	_, drops := runPool(jobs, 4, nil, poolHooks{}, nil)
+	_, drops := runPool(jobs, 4, nil, poolHooks{}, nil, nil)
 	dropped := flattenDrops(drops)
 	if len(dropped) != len(jobs) {
 		t.Fatalf("%d drops for %d jobs", len(dropped), len(jobs))
@@ -324,6 +339,102 @@ func TestCacheHitMatchesFreshRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStudiesEqual(t, fresh, warm)
+}
+
+// Derive, then drop: a pool whose keep selects no job still derives
+// every product before it drops each trace.  Trace checks, profiles,
+// walls and drops equal RunStudy's at 1 and 2 workers, both cold and
+// served from a cache RunStudy filled, and no run keeps its trace.
+func TestDroppedTracesKeepDerivedProducts(t *testing.T) {
+	spec := tinySpec()
+	opts := StudyOptions{
+		Reps: 2, BaseSeed: 5,
+		Modes:        []core.Mode{core.ModeTSC, core.ModeLt1, core.ModeStmt},
+		VerifyTraces: true,
+	}
+	full, err := RunStudy(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertVerified(t, full)
+	want := dropTraces(full)
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := opts
+	filled.Cache = cache
+	if _, err := RunStudy(spec, filled); err != nil {
+		t.Fatal(err)
+	}
+	keepNone := func(Job) bool { return false }
+	for _, o := range []StudyOptions{opts, filled} {
+		for _, workers := range []int{1, 2} {
+			o.Workers = workers
+			got, err := runStudy(spec, o, keepNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("cached=%t/workers=%d", o.Cache != nil, workers), func(t *testing.T) {
+				assertStudiesEqual(t, want, got)
+			})
+		}
+	}
+	jobs := int64(opts.Reps * (1 + len(opts.Modes)))
+	if hits, misses := cache.Stats(); hits != 2*jobs || misses != jobs {
+		t.Fatalf("stats = %d hits, %d misses; want %d, %d", hits, misses, 2*jobs, jobs)
+	}
+}
+
+// FullReport's predicate keeps one trace, LULESH-1's tsc repetition 0,
+// and each study otherwise equals RunStudy's without its traces: fresh,
+// and served from a cache that never decodes a dropped trace.
+func TestFullReportKeepsOnlyTheCritPathTrace(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeTSC, core.ModeLt1}, Workers: 2}
+	filled := opts
+	filled.Cache = cache
+	// The predicate reads only a job's spec name, mode and repetition,
+	// so a tiny spec under the paper spec's name stands in for it.
+	lulesh := tinySpec()
+	lulesh.Name = "LULESH-1"
+	if _, err := SpecByName(lulesh.Name, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{lulesh, tinySpec()} {
+		name := spec.Name
+		full, err := RunStudy(spec, filled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dropTraces(full)
+		if name == "LULESH-1" {
+			want.Runs[core.ModeTSC][0] = full.Runs[core.ModeTSC][0]
+		}
+		for _, o := range []StudyOptions{opts, filled} {
+			got, err := runStudy(spec, o, critPathJob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/cached=%t", name, o.Cache != nil), func(t *testing.T) {
+				for mode, rs := range got.Runs {
+					for rep, r := range rs {
+						kept := name == "LULESH-1" && mode == core.ModeTSC && rep == 0
+						if (r.Trace != nil) != kept {
+							t.Errorf("%s rep %d: trace kept %t, want %t", mode, rep, r.Trace != nil, kept)
+						}
+					}
+				}
+				assertStudiesEqual(t, want, got)
+			})
+		}
+	}
+	if _, misses := cache.Stats(); misses != int64(2*opts.Reps*(1+len(opts.Modes))) {
+		t.Fatalf("%d misses, want only the filling studies' jobs", misses)
+	}
 }
 
 // A trace check names its job's repetition number, as a dropped-rep

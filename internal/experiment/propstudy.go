@@ -111,7 +111,7 @@ func RunPropagationStudy(spec Spec, opts PropagationOptions, plan faults.Plan) (
 	}
 	jobs := propagationJobs(spec, opts, plan)
 	opts.Progress.Start(len(jobs), spec.Name)
-	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress), nil)
+	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress), nil, nil)
 	opts.Progress.Finish()
 	st.Dropped = flattenDrops(drops)
 
@@ -173,7 +173,7 @@ func DefaultPropagationPlanFor(spec Spec, opts PropagationOptions) (faults.Plan,
 		return faults.Plan{}, err
 	}
 	o := RunOptions{Seed: opts.Seed, Metrics: opts.Metrics}
-	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil))
+	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil), false)
 	if drop != nil {
 		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %s", spec.Name, drop.Err)
 	}

@@ -328,8 +328,15 @@ func runIsolated(spec Spec, o RunOptions) (res *RunResult, err error) {
 // repetitions are isolated: each is retried once with a fresh seed, then
 // dropped and reported in Study.Dropped.  RunStudy returns an error only
 // when the repetition count is negative, a mode is unknown or every
-// single repetition failed.
+// single repetition failed.  Every instrumented run keeps its trace.
 func RunStudy(spec Spec, opts StudyOptions) (*Study, error) {
+	return runStudy(spec, opts, nil)
+}
+
+// runStudy is RunStudy, except that each pool worker drops a run's trace
+// once it has derived the run's products, unless keep selects the job
+// (nil keeps every trace; see runPool).
+func runStudy(spec Spec, opts StudyOptions, keep func(Job) bool) (*Study, error) {
 	opts = opts.fill()
 	if err := checkReps(spec, opts.Reps); err != nil {
 		return nil, err
@@ -344,7 +351,7 @@ func RunStudy(spec Spec, opts StudyOptions) (*Study, error) {
 		checks = make([]*tracecheck.Report, len(jobs))
 	}
 	opts.Progress.Start(len(jobs), spec.Name)
-	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress), checks)
+	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress), checks, keep)
 	opts.Progress.Finish()
 	st.Dropped = flattenDrops(drops)
 	for i, job := range jobs {

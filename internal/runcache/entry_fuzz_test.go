@@ -47,21 +47,32 @@ func hasNaN(e *Entry) bool {
 	return nan
 }
 
-// FuzzDecodeEntry feeds arbitrary bytes to the entry decoder.  It must
-// never panic, and any entry it accepts must re-encode to bytes that
-// decode to a deep-equal entry (and re-encode to the same bytes).  The
+// FuzzDecodeEntry feeds arbitrary bytes to the entry decoder, with and
+// without the trace.  It must never panic.  Any entry the traced decode
+// accepts, the trace-free decode must accept too, with a nil trace and
+// every other field equal; and it must re-encode to bytes that decode
+// to a deep-equal entry (and re-encode to the same bytes).  The
 // committed corpus under testdata/fuzz/FuzzDecodeEntry holds the
 // encoding of fullEntry, truncations of it (two inside its profile
 // section), the same entry with a bitmap bit past its profile record's
 // values, hugeModeEntry, and fullEntry as version 3 wrote it.
 func FuzzDecodeEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := decodeEntry(data)
+		free, freeErr := decodeEntry(data, false)
+		e, err := decodeEntry(data, true)
 		if err != nil {
 			return
 		}
+		if freeErr != nil {
+			t.Fatalf("the trace-free decode rejects an entry the traced decode accepts: %v", freeErr)
+		}
+		withoutTrace := *e
+		withoutTrace.Trace = nil
+		if free.Trace != nil || (!hasNaN(e) && !reflect.DeepEqual(free, &withoutTrace)) {
+			t.Fatalf("the trace-free decode differs beyond the trace:\n%+v\n%+v", free, e)
+		}
 		again := mustEncode(t, e)
-		e2, err := decodeEntry(again)
+		e2, err := decodeEntry(again, true)
 		if err != nil {
 			t.Fatalf("re-encoded entry does not decode: %v", err)
 		}
@@ -75,8 +86,9 @@ func FuzzDecodeEntry(f *testing.F) {
 }
 
 // TestCommittedEntrySeeds pins what the committed corpus seeds are for:
-// the current full entry decodes to fullEntry, and every other seed,
-// the version-3 entry among them, is rejected.
+// the current full entry decodes to fullEntry (without its trace in the
+// trace-free decode), and every other seed, the version-3 entry among
+// them, is rejected both ways.
 func TestCommittedEntrySeeds(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzDecodeEntry/*")
 	if err != nil || len(files) == 0 {
@@ -95,16 +107,22 @@ func TestCommittedEntrySeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)
 		}
-		e, err := decodeEntry([]byte(data))
-		switch name := filepath.Base(file); {
-		case name == "full-entry":
-			if err != nil || !reflect.DeepEqual(e, fullEntry()) {
-				t.Errorf("%s: does not decode to fullEntry (%v)", name, err)
+		for _, withTrace := range []bool{true, false} {
+			want := fullEntry()
+			if !withTrace {
+				want.Trace = nil
 			}
-		case err == nil:
-			t.Errorf("%s: accepted", name)
-		case name == "v3-full-entry" && !strings.Contains(err.Error(), "version 3"):
-			t.Errorf("%s: rejected for %v, not for its version", name, err)
+			e, err := decodeEntry([]byte(data), withTrace)
+			switch name := filepath.Base(file); {
+			case name == "full-entry":
+				if err != nil || !reflect.DeepEqual(e, want) {
+					t.Errorf("%s (withTrace %t): does not decode to fullEntry (%v)", name, withTrace, err)
+				}
+			case err == nil:
+				t.Errorf("%s (withTrace %t): accepted", name, withTrace)
+			case name == "v3-full-entry" && !strings.Contains(err.Error(), "version 3"):
+				t.Errorf("%s (withTrace %t): rejected for %v, not for its version", name, withTrace, err)
+			}
 		}
 	}
 }

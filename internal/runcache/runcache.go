@@ -10,7 +10,10 @@
 // (cube.Profile.AppendBinary, read back with cube.ReadBinary, which
 // validates through the same builder as the cube JSON reader), so a
 // cached result decodes deep-equal to a fresh run (asserted by tests in
-// internal/experiment).
+// internal/experiment).  A caller that does not read a run's trace looks
+// its entry up without it (Lookup with withTrace false): the trace blob
+// is bounds-checked but not decoded, and decoding it is most of the cost
+// of a hit.
 //
 // The cache is safe for concurrent use by the pool's workers: writes go
 // to a temporary file and are renamed into place, and two racing writers
@@ -129,14 +132,21 @@ func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, hash[:2], hash+".ltr")
 }
 
-// Get looks a key up.  ok is false on a miss, including every flavour of
-// unreadable entry (absent, truncated, corrupt, wrong format version).
+// Get looks a key up with its trace: Lookup(key, true).  The study
+// benchmark's replay (perfbench) calls it.
+func (c *Cache) Get(key Key) (e *Entry, ok bool) { return c.Lookup(key, true) }
+
+// Lookup looks a key up.  ok is false on a miss, including every flavour
+// of unreadable entry (absent, truncated, corrupt, wrong format version).
 // The entry file is read whole, so no length it claims can size an
-// allocation beyond the file itself.
-func (c *Cache) Get(key Key) (e *Entry, ok bool) {
+// allocation beyond the file itself.  Without withTrace the trace blob
+// is bounds-checked, as are the flags and the trailing bytes, but never
+// decoded: the entry comes back with a nil Trace, and a blob that would
+// not decode still serves a hit.
+func (c *Cache) Lookup(key Key, withTrace bool) (e *Entry, ok bool) {
 	b, err := os.ReadFile(c.path(key.Hash()))
 	if err == nil {
-		e, err = decodeEntry(b)
+		e, err = decodeEntry(b, withTrace)
 	}
 	if err != nil {
 		c.misses.Add(1)
@@ -354,7 +364,9 @@ func (r *entryReader) count(itemBytes int) int {
 	return int(n)
 }
 
-func decodeEntry(b []byte) (*Entry, error) {
+// decodeEntry decodes an entry image, its trace blob only when
+// withTrace is set.
+func decodeEntry(b []byte, withTrace bool) (*Entry, error) {
 	if !bytes.HasPrefix(b, []byte(entryMagic)) {
 		return nil, fmt.Errorf("runcache: bad magic")
 	}
@@ -403,7 +415,7 @@ func decodeEntry(b []byte) (*Entry, error) {
 		return nil, r.err
 	}
 	var err error
-	if traceBlob != nil {
+	if withTrace && traceBlob != nil {
 		if e.Trace, err = trace.Read(bytes.NewReader(traceBlob)); err != nil {
 			return nil, err
 		}

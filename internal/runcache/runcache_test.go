@@ -1,6 +1,7 @@
 package runcache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -173,20 +174,57 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 		if err := os.WriteFile(files[0], corrupt(append([]byte(nil), orig...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, ok := c.Get(key)
-		runtime.ReadMemStats(&after)
-		if ok && name != "bit flip" {
-			// A flipped float bit still decodes; structural damage must not.
-			t.Fatalf("%s entry returned a hit", name)
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
-			t.Fatalf("%s entry: Get allocated %d bytes", name, alloc)
+		for _, withTrace := range []bool{true, false} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, ok := c.Lookup(key, withTrace)
+			runtime.ReadMemStats(&after)
+			if ok && name != "bit flip" {
+				// A flipped float bit still decodes; structural damage must not.
+				t.Fatalf("%s entry returned a hit (withTrace %t)", name, withTrace)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Fatalf("%s entry: Lookup (withTrace %t) allocated %d bytes", name, withTrace, alloc)
+			}
 		}
 		if err := os.WriteFile(files[0], orig, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// A corrupt trace blob fails only the traced read: the trace-free
+	// read never decodes it and serves every other field.
+	orig, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleEntry()
+	var blob bytes.Buffer
+	if err := trace.WriteChunked(&blob, want.Trace); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(orig, blob.Bytes())
+	if at < 0 {
+		t.Fatal("trace blob not found in the entry file")
+	}
+	bad := append([]byte(nil), orig...)
+	bad[at] ^= 0xff // the trace file's magic
+	if err := os.WriteFile(files[0], bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(key); ok {
+		t.Fatal("corrupt trace blob: Get returned a hit")
+	}
+	got, ok := c.Lookup(key, false)
+	if !ok {
+		t.Fatal("corrupt trace blob: Lookup without the trace missed")
+	}
+	want.Trace = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("corrupt trace blob: trace-free entry\ngot  %+v\nwant %+v", got, want)
+	}
+	if err := os.WriteFile(files[0], orig, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("restored entry no longer readable")
