@@ -149,10 +149,10 @@ func benchWorkload(b *testing.B, name string) {
 	}
 }
 
-// BenchmarkKernelSharedResource measures the virtual-time kernel's
-// scheduling throughput with contending actions.
-func BenchmarkKernelSharedResource(b *testing.B) {
-	benchWorkload(b, "KernelSharedResource")
+// BenchmarkKernelMixedNeeds measures the virtual-time kernel's
+// scheduling throughput with contending actions of four distinct needs.
+func BenchmarkKernelMixedNeeds(b *testing.B) {
+	benchWorkload(b, "KernelMixedNeeds")
 }
 
 // BenchmarkMachineContention measures the fluid model under NUMA-domain

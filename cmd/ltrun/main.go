@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -43,7 +44,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write the binary trace here (chunked compressed format)")
 	profOut := flag.String("profile", "", "write the analysis profile (JSON) here")
 	liveAddr := flag.String("live", "",
-		"serve the run observatory on this address (host:port) while the run executes")
+		"serve the run observatory (/healthz, /metrics) on this address (host:port) while the run executes")
 	liveLinger := flag.Duration("live-linger", 0,
 		"keep the observatory serving this long after the run completes (for scrapers)")
 	list := flag.Bool("list", false, "list configurations and exit")
@@ -59,6 +60,9 @@ func main() {
 				s.Name, s.Ranks, s.Threads, s.Nodes, s.Description)
 		}
 		return
+	}
+	if err := checkOutputs(*mode, *traceOut, *profOut); err != nil {
+		log.Fatal(err)
 	}
 	spec, err := experiment.SpecByName(*config, specOpts)
 	if err != nil {
@@ -86,63 +90,21 @@ func main() {
 		Analyze: *profOut != "" || !*quiet,
 	}
 
-	// Live observatory: spill the trace to a sidecar file as it is
-	// recorded (AutoFlush so the tail sees every sealed chunk) and serve
-	// the monitoring endpoints while the run executes.  The sidecar is a
-	// separate file from -trace: the official artifact is still written
-	// at the end, byte-identical to a run without -live.
-	var spillClose func()
+	// Live observatory: serve the metrics registry while the run
+	// executes.  The trace is written only once the run has ended.
 	if *liveAddr != "" {
-		if cfg == nil {
-			log.Fatal("-live requires an instrumented run (non-empty -mode)")
-		}
-		spillPath := *traceOut + ".live"
-		if *traceOut == "" {
-			f, err := os.CreateTemp("", "ltrun-live-*.ltrc")
-			if err != nil {
-				log.Fatal(err)
-			}
-			spillPath = f.Name()
-			f.Close()
-			defer os.Remove(spillPath)
-		}
-		sf, err := os.Create(spillPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cw := trace.NewChunkWriter(sf, *mode)
-		cw.AutoFlush = true
-		spillClose = func() {
-			if err := cw.Close(); err != nil {
-				log.Printf("live spill: %v", err)
-			}
-			if err := sf.Close(); err != nil {
-				log.Printf("live spill: %v", err)
-			}
-		}
-		opts.TraceSink = cw
 		opts.Metrics = obs.NewRegistry()
-		opts.Timeline = &obs.Timeline{}
-		srv, err := live.Start(*liveAddr, live.Options{
-			Registry:  opts.Metrics,
-			Timeline:  opts.Timeline,
-			TracePath: spillPath,
-		})
+		srv, err := live.Start(*liveAddr, live.Options{Registry: opts.Metrics})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		fmt.Printf("live observatory on http://%s (spill %s)\n", srv.Addr(), spillPath)
+		fmt.Printf("live observatory on http://%s\n", srv.Addr())
 	}
 
 	res, err := experiment.RunWithOptions(spec, opts)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if spillClose != nil {
-		// Seal the sidecar (index + trailer) so the tail's next poll sees
-		// the run complete.
-		spillClose()
 	}
 	if plan != nil {
 		fmt.Printf("armed faults: %s\n", plan.Describe())
@@ -187,6 +149,21 @@ func main() {
 		fmt.Printf("lingering %s for observatory clients\n", *liveLinger)
 		time.Sleep(*liveLinger)
 	}
+}
+
+// checkOutputs rejects an output flag that the run cannot honour: an
+// uninstrumented reference run (mode "") records no trace and computes
+// no profile, so -trace or -profile on it would write nothing.
+func checkOutputs(mode, traceOut, profOut string) error {
+	switch {
+	case mode != "":
+		return nil
+	case traceOut != "":
+		return errors.New(`-trace requires an instrumented run (non-empty -mode); a reference run (-mode "") records no trace`)
+	case profOut != "":
+		return errors.New(`-profile requires an instrumented run (non-empty -mode); a reference run (-mode "") computes no profile`)
+	}
+	return nil
 }
 
 func orRef(mode string) string {

@@ -14,7 +14,6 @@ import (
 	"log"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/scalasca"
 	"repro/internal/trace"
@@ -30,26 +29,15 @@ func main() {
 	timeline := flag.Int("timeline", 0, "draw an ASCII timeline this many columns wide")
 	tlRows := flag.Int("timeline-rows", 32, "with -timeline: locations to draw")
 	stat := flag.Bool("stat", false, "print storage statistics (chunks, compression, index health) and exit")
-	follow := flag.Bool("follow", false, "with -stat: refresh the table live while the trace is still being written")
-	interval := flag.Duration("interval", time.Second, "with -follow: refresh cadence")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("need exactly one trace file")
 	}
 	if *stat {
-		var err error
-		if *follow {
-			err = followStat(flag.Arg(0), *interval)
-		} else {
-			err = statFile(flag.Arg(0))
-		}
-		if err != nil {
+		if err := statFile(flag.Arg(0)); err != nil {
 			log.Fatal(err)
 		}
 		return
-	}
-	if *follow {
-		log.Fatal("-follow requires -stat")
 	}
 	tr, err := trace.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -172,13 +160,6 @@ func statFile(path string) error {
 	case cf.Damage != nil:
 		indexLine = fmt.Sprintf("index: MISSING, recovered by sequential scan; damage: %v", cf.Damage)
 	}
-	renderChunkStats(path, fi.Size(), cf, indexLine)
-	return nil
-}
-
-// renderChunkStats prints the storage-anatomy table of a chunked trace
-// view — a fully opened file or a live tail's sealed-prefix snapshot.
-func renderChunkStats(path string, size int64, cf *trace.ChunkFile, indexLine string) {
 	chunks := cf.Chunks()
 	locs := cf.Locs()
 	type locStat struct {
@@ -211,7 +192,7 @@ func renderChunkStats(path string, size int64, cf *trace.ChunkFile, indexLine st
 	for _, s := range stats {
 		events += s.events
 	}
-	fmt.Printf("%s: chunked v2, %d bytes on disk\n", path, size)
+	fmt.Printf("%s: chunked v2, %d bytes on disk\n", path, fi.Size())
 	fmt.Printf("clock %s, %d locations, %d regions, %d events, %d chunks\n",
 		cf.Clock, len(locs), len(cf.Regions), events, len(chunks))
 	fmt.Println(indexLine)
@@ -227,42 +208,8 @@ func renderChunkStats(path string, size int64, cf *trace.ChunkFile, indexLine st
 			s.raw, s.comp, ratio(s.raw, s.comp), s.lo, s.hi)
 	}
 	fmt.Printf("payload: %d raw -> %d compressed (%.2fx); %.2f bytes/event on disk\n",
-		totRaw, totComp, ratio(totRaw, totComp), safeDiv(float64(size), float64(events)))
-}
-
-// followStat tails a trace still being written, re-rendering the
-// storage table from the sealed prefix at each refresh until the
-// writer seals the trailer.  Trailer-less files are exactly what the
-// tail reader is for, so this never errors on a missing index.
-func followStat(path string, interval time.Duration) error {
-	tc, err := trace.Follow(path)
-	if err != nil {
-		return err
-	}
-	defer tc.Close()
-	for {
-		_, done, perr := tc.Poll()
-		var size int64
-		if fi, err := os.Stat(path); err == nil {
-			size = fi.Size()
-		}
-		indexLine := fmt.Sprintf("following: %d sealed bytes ingested", tc.Offset())
-		if te := tc.Torn(); te != nil {
-			indexLine += fmt.Sprintf(" (writer mid-record: %v)", te)
-		}
-		if done {
-			indexLine = "index: ok — trace sealed, tail complete"
-		}
-		renderChunkStats(path, size, tc.Snapshot(), indexLine)
-		if done {
-			return nil
-		}
-		if perr != nil && tc.Err() != nil {
-			return fmt.Errorf("trace damaged while following: %w", perr)
-		}
-		fmt.Println()
-		time.Sleep(interval)
-	}
+		totRaw, totComp, ratio(totRaw, totComp), safeDiv(float64(fi.Size()), float64(events)))
+	return nil
 }
 
 func safeDiv(a, b float64) float64 {

@@ -31,16 +31,18 @@ var contentionCost = work.Cost{Instr: 1e6, Flops: 1e6, Bytes: 1e6}
 
 // Workloads returns the substrate and study benchmarks in reporting
 // order.  The first five are the kernel-level micro-benchmarks whose
-// ns/op and allocs/op are the scoreboard for scheduler optimisations;
-// the TracePipe three measure the chunked trace format; the study pair
+// ns/op and allocs/op are the scoreboard for scheduler optimisations
+// (KernelMixedNeeds shares one resource among members of four distinct
+// needs, MachineContention among members of one equal need); the
+// TracePipe three measure the chunked trace format; the study pair
 // measures the end-to-end pipeline they multiply into; ReportWarmQuick
 // measures a report served from the run cache.
 func Workloads() []Workload {
 	return []Workload{
 		{
-			Name: "KernelSharedResource",
-			Desc: "16 actors x 100 contending actions through the vtime kernel",
-			Make: kernelSharedResource,
+			Name: "KernelMixedNeeds",
+			Desc: "16 actors x 100 contending actions at four rate caps through the vtime kernel",
+			Make: kernelMixedNeeds,
 		},
 		{
 			Name: "MachineContention",
@@ -105,7 +107,15 @@ func ByName(name string) (*Instance, error) {
 	return nil, fmt.Errorf("bench: unknown workload %q", name)
 }
 
-func kernelSharedResource() (*Instance, error) {
+// mixedRateCaps are kernelMixedNeeds' per-actor rate caps, dealt round
+// robin.  Sixteen actors on a capacity of 100 have a fair share of 6.25,
+// so the first two caps bind below it and the last two above.  Distinct
+// needs make Resource.attach insert each action inside the need-ordered
+// member list instead of appending it, as the fluid model's memory
+// streams do.
+var mixedRateCaps = [...]float64{2, 5, 10, 40}
+
+func kernelMixedNeeds() (*Instance, error) {
 	const actors, actions = 16, 100
 	return &Instance{
 		Events: actors * actions,
@@ -113,9 +123,10 @@ func kernelSharedResource() (*Instance, error) {
 			k := vtime.NewKernel()
 			bw := k.NewResource("bw", 100)
 			for a := 0; a < actors; a++ {
+				rateCap := mixedRateCaps[a%len(mixedRateCaps)]
 				k.Spawn("s", func(ac *vtime.Actor) {
 					for j := 0; j < actions; j++ {
-						ac.Execute(vtime.Action{Work: 1, Res: bw, ResPerUnit: 1})
+						ac.Execute(vtime.Action{Work: 1, RateCap: rateCap, Res: bw, ResPerUnit: 1})
 					}
 				})
 			}

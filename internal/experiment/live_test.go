@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,15 +9,13 @@ import (
 	"repro/internal/measure"
 	"repro/internal/noise"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // TestLiveObservationDoesNotPerturbResults extends the observe-only
-// identity guarantee to the full live-observatory wiring: a run with a
-// trace sink spilling to disk, a metrics registry and a timeline
-// attached must produce the byte-identical trace and profile of an
-// unobserved run.  The spill itself must reproduce the run's trace
-// faithfully (same serialised bytes after materializing).
+// identity guarantee to what the live observatory and the Perfetto
+// export attach to a single run: with a metrics registry and a timeline
+// attached, a run must produce the byte-identical trace and profile,
+// and the same virtual wall time, as an unobserved run.
 func TestLiveObservationDoesNotPerturbResults(t *testing.T) {
 	spec, err := SpecByName("MiniFE-1", Options{Quick: true})
 	if err != nil {
@@ -36,27 +32,12 @@ func TestLiveObservationDoesNotPerturbResults(t *testing.T) {
 		}
 		wantTrace, wantProfile := fingerprint(t, label, plain)
 
-		spillPath := filepath.Join(t.TempDir(), "spill.ltrc")
-		f, err := os.Create(spillPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cw := trace.NewChunkWriter(f, string(mode))
-		cw.AutoFlush = true
-
 		observed := base
 		observed.Metrics = obs.NewRegistry()
 		observed.Timeline = &obs.Timeline{}
-		observed.TraceSink = cw
 		res, err := RunWithOptions(spec, observed)
 		if err != nil {
 			t.Fatalf("%s: observed run: %v", label, err)
-		}
-		if err := cw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
 		}
 		gotTrace, gotProfile := fingerprint(t, label, res)
 		if gotTrace != wantTrace {
@@ -68,33 +49,6 @@ func TestLiveObservationDoesNotPerturbResults(t *testing.T) {
 		if res.Wall != plain.Wall {
 			t.Errorf("%s: live observation changed the wall time: %g vs %g", label, res.Wall, plain.Wall)
 		}
-
-		// The spill is a faithful mirror: read back, it hashes to the
-		// same events as the run's own trace.
-		spilled, err := trace.ReadFile(spillPath)
-		if err != nil {
-			t.Fatalf("%s: reading spill: %v", label, err)
-		}
-		if traceSum(spilled) != traceSum(res.Trace) {
-			t.Errorf("%s: spill diverged from the run's trace", label)
-		}
-	}
-}
-
-// TestTraceSinkRequiresInstrumentedRun: an uninstrumented run records
-// no trace, so there is nothing for a sink to mirror.
-func TestTraceSinkRequiresInstrumentedRun(t *testing.T) {
-	spec, err := SpecByName("MiniFE-1", Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	_, err = RunWithOptions(spec, RunOptions{
-		Seed:      1,
-		TraceSink: trace.NewChunkWriter(&buf, string(core.ModeStmt)),
-	})
-	if err == nil {
-		t.Fatal("trace sink accepted on an uninstrumented run")
 	}
 }
 

@@ -56,12 +56,6 @@ type RunOptions struct {
 	// Perfetto export: resource-capacity samples and fault-injection
 	// marks, all in virtual seconds.
 	Timeline *obs.Timeline
-	// TraceSink, when non-nil, mirrors every trace definition and event
-	// to the sink as it is recorded — the live-observatory spill that
-	// trace.Follow tails while the run executes.  The sink is observe-
-	// only: it cannot change the run's trace, profile or timings (the
-	// live identity test asserts byte-identical artifacts).
-	TraceSink trace.Sink
 }
 
 // Run executes one configuration once.  mode "" runs uninstrumented;
@@ -130,12 +124,6 @@ func RunWithOptions(spec Spec, o RunOptions) (*RunResult, error) {
 	if o.Cfg != nil {
 		mode = o.Cfg.Mode
 		meas = measure.New(*o.Cfg)
-	}
-	if o.TraceSink != nil {
-		if meas == nil {
-			return nil, fmt.Errorf("experiment %s: trace sink requires an instrumented run", spec.Name)
-		}
-		meas.Trace.SetSink(o.TraceSink)
 	}
 	out := &RunResult{
 		Mode:   mode,

@@ -45,13 +45,19 @@ func TestStreamedAnalysisMatchesMaterialized(t *testing.T) {
 
 		// 64-event chunks put several chunk boundaries in every location;
 		// WriteChunked's 4096 would put none in these quick traces, whose
-		// locations hold at most 1,110 events.  SetSink replays the whole
-		// trace into the writer.
+		// locations hold at most 1,110 events.
 		var chunked bytes.Buffer
 		cw := trace.NewChunkWriter(&chunked, tr.Clock)
 		cw.ChunkEvents = 64
-		tr.SetSink(cw)
-		tr.SetSink(nil)
+		for _, r := range tr.Regions {
+			cw.Region(r.Name, r.Role)
+		}
+		for li, l := range tr.Locs {
+			cw.AddLocation(l.Rank, l.Thread)
+			for _, e := range l.Events {
+				cw.Record(li, e)
+			}
+		}
 		if err := cw.Close(); err != nil {
 			t.Fatalf("%s: writing chunked: %v", name, err)
 		}

@@ -1,3 +1,15 @@
+// Package live is the run observatory: a small HTTP surface that serves
+// the metrics registry and the study progress while a run or a study
+// executes.
+//
+// Observation is strictly read-only.  The registry and the progress
+// reporter are written by the simulation and only read here, and
+// nothing in this package hands a handle back to the simulation: a run
+// with the observatory attached produces byte-identical traces,
+// profiles and study JSON to a run without it (asserted by
+// internal/experiment's identity tests).  Traces are not served: as in
+// the paper's post-mortem workflow, a trace is analysed only after its
+// run has ended (ltrun -trace, then lttrace, ltlint or ltviz).
 package live
 
 import (
@@ -5,11 +17,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/perfetto"
 )
 
 // sseInterval is the /progress event cadence.
@@ -23,13 +33,6 @@ type Options struct {
 	Registry *obs.Registry
 	// Progress backs /progress.
 	Progress *obs.Progress
-	// Timeline annotates the /timeline export (may be nil even when
-	// TracePath is set).
-	Timeline *obs.Timeline
-	// TracePath is the chunked trace file to tail for /timeline and
-	// /waitstates.  The watcher opens lazily on first request, so the
-	// monitor may start before the recorder has created the file.
-	TracePath string
 }
 
 // Monitor is the HTTP observatory: an http.Handler exposing
@@ -37,17 +40,11 @@ type Options struct {
 //	/healthz    liveness probe
 //	/metrics    registry snapshot (expvar-style text; ?format=json)
 //	/progress   study progress (SSE stream; ?format=json for one shot)
-//	/timeline   Perfetto trace-event JSON over the sealed trace prefix
-//	/waitstates incremental wait-state and invariant summary
 //
 // All handlers are read-only with respect to the simulation.
 type Monitor struct {
 	opt Options
 	mux *http.ServeMux
-
-	mu      sync.Mutex
-	watcher *Watcher
-	watchEr error // sticky only while the file does not exist yet
 }
 
 // NewMonitor builds the observatory handler for the given components.
@@ -56,46 +53,12 @@ func NewMonitor(opt Options) *Monitor {
 	m.mux.HandleFunc("/healthz", m.healthz)
 	m.mux.HandleFunc("/metrics", m.metrics)
 	m.mux.HandleFunc("/progress", m.progress)
-	m.mux.HandleFunc("/timeline", m.timeline)
-	m.mux.HandleFunc("/waitstates", m.waitstates)
 	return m
 }
 
 // ServeHTTP dispatches to the observatory endpoints.
 func (m *Monitor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.mux.ServeHTTP(w, r)
-}
-
-// watch returns the lazily opened trace watcher, retrying the open on
-// every call until the recorder has created the file.
-func (m *Monitor) watch() (*Watcher, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.watcher != nil {
-		return m.watcher, nil
-	}
-	if m.opt.TracePath == "" {
-		return nil, fmt.Errorf("no trace attached")
-	}
-	w, err := Watch(m.opt.TracePath)
-	if err != nil {
-		m.watchEr = err
-		return nil, err
-	}
-	m.watcher, m.watchEr = w, nil
-	return w, nil
-}
-
-// Close releases the trace watcher, if one was opened.
-func (m *Monitor) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.watcher == nil {
-		return nil
-	}
-	err := m.watcher.Close()
-	m.watcher = nil
-	return err
 }
 
 func (m *Monitor) healthz(w http.ResponseWriter, r *http.Request) {
@@ -164,40 +127,6 @@ func (m *Monitor) progress(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (m *Monitor) timeline(w http.ResponseWriter, r *http.Request) {
-	wa, err := m.watch()
-	if err != nil {
-		http.Error(w, "timeline unavailable: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if _, _, err := wa.Poll(); err != nil {
-		http.Error(w, "trace tail: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	tr, err := wa.Trace()
-	if err != nil {
-		http.Error(w, "trace decode: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = perfetto.Export(w, tr, m.opt.Timeline)
-}
-
-func (m *Monitor) waitstates(w http.ResponseWriter, r *http.Request) {
-	wa, err := m.watch()
-	if err != nil {
-		http.Error(w, "waitstates unavailable: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	s, err := wa.WaitStates()
-	if err != nil {
-		http.Error(w, "trace tail: "+err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, s)
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -206,7 +135,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // Server is a running observatory listener.
 type Server struct {
-	mon *Monitor
 	ln  net.Listener
 	srv *http.Server
 }
@@ -214,27 +142,17 @@ type Server struct {
 // Start serves the observatory on addr (host:port; port 0 picks a free
 // one) and returns immediately; the accept loop runs in a goroutine.
 func Start(addr string, opt Options) (*Server, error) {
-	mon := NewMonitor(opt)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: mon}
+	srv := &http.Server{Handler: NewMonitor(opt)}
 	go func() { _ = srv.Serve(ln) }()
-	return &Server{mon: mon, ln: ln, srv: srv}, nil
+	return &Server{ln: ln, srv: srv}, nil
 }
 
 // Addr returns the bound listen address ("127.0.0.1:8377").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Monitor returns the handler, for direct (in-process) queries.
-func (s *Server) Monitor() *Monitor { return s.mon }
-
-// Close stops the listener and releases the trace watcher.
-func (s *Server) Close() error {
-	err := s.srv.Close()
-	if cerr := s.mon.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close stops the listener.
+func (s *Server) Close() error { return s.srv.Close() }

@@ -16,10 +16,9 @@ type compInterval struct {
 
 // analysis carries the replay state.
 type analysis struct {
-	tr      *trace.Trace
-	prof    *cube.Profile
-	m       metricSet
-	partial bool // tolerate a trace that ends mid-run (live prefix)
+	tr   *trace.Trace
+	prof *cube.Profile
+	m    metricSet
 
 	// x collects the synchronisation skeleton the wait-state passes
 	// replay, tagging each record with its call path.
@@ -33,27 +32,11 @@ type analysis struct {
 	stack []frame
 }
 
-// Analyze replays a trace and produces the analysis profile.  Severities
-// are in ticks of the trace's clock; normalise with the profile queries.
+// Analyze replays a complete trace and produces the analysis profile.
+// Severities are in ticks of the trace's clock; normalise with the
+// profile queries.  A region left open at the end of a location's
+// events fails the replay.
 func Analyze(tr *trace.Trace) (*cube.Profile, error) {
-	return analyze(tr, false)
-}
-
-// AnalyzePartial replays a possibly incomplete trace — the sealed prefix
-// of one still being recorded (trace.Follow) — and produces the analysis
-// of everything replayed so far.  It differs from Analyze only in
-// tolerance: regions still open when a location's events end simply
-// stop accruing at its last event instead of failing the replay, and
-// sends whose enclosing region has not closed yet keep their provisional
-// completion time.  On a complete trace the two are identical (every
-// region closes, so the tolerance never fires), which is what lets a
-// live monitor's final poll converge exactly to the post-mortem
-// analysis.
-func AnalyzePartial(tr *trace.Trace) (*cube.Profile, error) {
-	return analyze(tr, true)
-}
-
-func analyze(tr *trace.Trace, partial bool) (*cube.Profile, error) {
 	nloc := len(tr.Locs)
 	locNames := make([]string, nloc)
 	for i, l := range tr.Locs {
@@ -64,7 +47,6 @@ func analyze(tr *trace.Trace, partial bool) (*cube.Profile, error) {
 		tr:       tr,
 		prof:     prof,
 		m:        buildMetrics(prof),
-		partial:  partial,
 		x:        vclock.NewExtractor(tr),
 		comp:     make([][]compInterval, nloc),
 		teamSize: make(map[int]int),
@@ -164,7 +146,7 @@ func (a *analysis) scanLocation(li int) error {
 		}
 	}
 	a.stack = stack[:0]
-	if len(stack) != 0 && !a.partial {
+	if len(stack) != 0 {
 		return fmt.Errorf("scalasca: loc %d: %d unclosed regions at end of trace", li, len(stack))
 	}
 	a.x.EndLocation()

@@ -4,8 +4,8 @@
 // detects wait states (late sender, late receiver, wait-at-NxN, OpenMP
 // barrier waiting), computes delay costs that point at the root causes of
 // collective wait states, and emits a cube.Profile.  Analyze replays a
-// complete *trace.Trace; AnalyzePartial replays the sealed prefix of one
-// still being recorded, for the live observatory.
+// complete *trace.Trace after its run has ended, as Scalasca replays an
+// OTF2 trace post mortem; it has no mode for a partial trace.
 package scalasca
 
 import "repro/internal/cube"

@@ -16,13 +16,7 @@ func (a *analysis) messages(sk *vclock.Skeleton) {
 			continue
 		}
 		s := sk.Sends.At(int(r.Peer))
-		sEvent, sEnter := float64(s.Time), float64(s.EnterTime)
-		// A send whose region has not closed yet (a live prefix) keeps
-		// its own stamp as its completion time.
-		sExit := sEvent
-		if !s.Provisional {
-			sExit = float64(s.ExitTime)
-		}
+		sEvent, sEnter, sExit := float64(s.Time), float64(s.EnterTime), float64(s.ExitTime)
 		rEvent, rEnter := float64(r.Time), float64(r.EnterTime)
 
 		// Late sender: the receiver entered its receive before the send
@@ -96,17 +90,13 @@ func (a *analysis) collectives(sk *vclock.Skeleton) {
 }
 
 // ompBarriers splits each OpenMP barrier instance, in (rank, seq) order,
-// into waiting (before the last thread arrived) and overhead (after).  A
-// thread whose barrier region has not closed yet (a live prefix) has not
-// left the barrier and takes no part.
+// into waiting (before the last thread arrived) and overhead (after).
 func (a *analysis) ompBarriers(sk *vclock.Skeleton) {
 	var parts []*vclock.Sync
 	for _, in := range sk.BarIns {
 		parts = parts[:0]
 		for _, m := range in.Members {
-			if p := sk.Bars.At(int(m)); !p.Provisional {
-				parts = append(parts, p)
-			}
+			parts = append(parts, sk.Bars.At(int(m)))
 		}
 		if len(parts) < 2 {
 			// A one-thread team's barrier is pure overhead.

@@ -39,8 +39,8 @@ import (
 //	trailer: 8-byte little-endian file offset of the index record's tag
 //	byte, then the magic "LTIX".  Readers that find a valid trailer seek
 //	straight to the index; readers that don't (truncated file) fall back
-//	to the sequential record scan the live tail also runs, keeping every
-//	chunk that decodes cleanly.
+//	to a sequential record scan, keeping every chunk that decodes
+//	cleanly.
 const (
 	magic        = "LTRC"
 	traceVersion = 2
@@ -97,13 +97,6 @@ type ChunkWriter struct {
 	// set between NewChunkWriter and the first Record; the default is
 	// DefaultChunkEvents.
 	ChunkEvents int
-
-	// AutoFlush pushes every sealed chunk through the internal buffer to
-	// the underlying writer as soon as it is complete, so a live reader
-	// tailing the output file (trace.Follow) sees each chunk when it is
-	// sealed instead of when the buffer happens to fill.  Off by
-	// default: batch recording keeps the fewer, larger writes.
-	AutoFlush bool
 
 	index []ChunkInfo
 
@@ -309,23 +302,6 @@ func (cw *ChunkWriter) flushLoc(l int) {
 	cw.write(cw.comp.Bytes())
 	cw.index = append(cw.index, info)
 	loc.events = loc.events[:0]
-	if cw.AutoFlush && cw.err == nil {
-		cw.err = cw.bw.Flush()
-	}
-}
-
-// Flush writes everything sealed so far — defs records for any
-// definitions not yet on disk, plus all completed chunk records sitting
-// in the internal buffer — through to the underlying writer.  Partial
-// per-location chunks stay buffered (sealing them early would fragment
-// the chunk layout); only Close spills those.  Flush is what gives a
-// live tail (trace.Follow) something to see before the file is closed.
-func (cw *ChunkWriter) Flush() error {
-	cw.flushDefs()
-	if cw.err != nil {
-		return cw.err
-	}
-	return cw.bw.Flush()
 }
 
 // Close flushes every location's partial chunk, writes the index record

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -301,6 +303,45 @@ func TestChunkCorruptionMatrix(t *testing.T) {
 		// Every surviving chunk decodes.
 		if _, err := cf.Trace(); err != nil {
 			t.Fatalf("surviving chunk failed: %v", err)
+		}
+	})
+
+	t.Run("unknown tag is damage, not a torn record", func(t *testing.T) {
+		// Without a trailer the fallback scan reads the records.  An
+		// unknown tag byte where the third chunk starts is damage; the
+		// same file cut inside that chunk's header is a torn record.
+		third := chunks[2].Offset
+		trailerless := valid[:len(valid)-12]
+		bad := append([]byte(nil), trailerless...)
+		bad[third] = 0x7f
+		cf, err := NewChunkFile(bytes.NewReader(bad), int64(len(bad)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cf.IndexOK {
+			t.Fatal("trailerless file claims an intact index")
+		}
+		want := fmt.Sprintf("unknown record tag 0x7f at offset %d", third)
+		if cf.Damage == nil || !strings.Contains(cf.Damage.Error(), want) {
+			t.Fatalf("damage = %v, want %q", cf.Damage, want)
+		}
+		if errors.Is(cf.Damage, ErrTruncated) {
+			t.Fatalf("an unknown tag was classified as a torn record: %v", cf.Damage)
+		}
+		if len(cf.Chunks()) != 2 {
+			t.Fatalf("scan kept %d chunks, want the 2 before the damage", len(cf.Chunks()))
+		}
+		if _, err := cf.Trace(); err != nil {
+			t.Fatalf("chunks before the damage failed: %v", err)
+		}
+
+		cut, err := NewChunkFile(bytes.NewReader(trailerless[:third+3]), third+3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var re *RecordError
+		if !errors.As(cut.Damage, &re) || !errors.Is(cut.Damage, ErrTruncated) || re.Offset != third {
+			t.Fatalf("cut inside a chunk header: damage = %v, want a torn RecordError at offset %d", cut.Damage, third)
 		}
 	})
 

@@ -492,9 +492,8 @@ func (cf *ChunkFile) loadIndex() bool {
 	return true
 }
 
-// recordScan is the state of an incremental scan over a record stream
-// that may still be growing: where the next scan resumes and how the
-// last one ended.
+// recordScan is the state of a sequential scan over a record stream:
+// where it stopped and why.
 type recordScan struct {
 	resume int64        // offset of the first byte not covered by a whole record
 	done   bool         // the index record was reached: the file is complete
@@ -503,28 +502,25 @@ type recordScan struct {
 }
 
 // scanSealed is the one record scanner, shared by NewChunkFile's
-// index-less fallback and the live tail (TailCursor.Poll).  It parses
-// records from s.resume to the end of the image, parsing record headers
-// only (chunk payloads are skipped, not decoded), and adds each record's
-// definitions or chunk to cf once the whole record is on hand.  It
-// stops at the first record it cannot take whole and classifies why:
+// index-less fallback and Read's check that an indexed file's records
+// tile it (checkRecords).  It parses records from s.resume to the end
+// of the image, parsing record headers only (chunk payloads are
+// skipped, not decoded), and adds each record's definitions or chunk to
+// cf once the whole record is on hand.  It stops at the first record it
+// cannot take whole and classifies why:
 //
 //   - a clean record boundary at the end of the image: nothing torn;
-//   - a record cut off by the end of the image: a torn tail, described
-//     by s.torn as a *RecordError (location, chunk ordinal, file
-//     offset).  s.resume stays at its tag byte, so a growing file is
-//     re-parsed from there once the writer completes the record;
+//   - a record cut off by the end of the image: a torn record,
+//     described by s.torn as a *RecordError (location, chunk ordinal,
+//     file offset); s.resume stays at its tag byte;
 //   - the index record: the writer closed the file, s.done is set;
 //   - anything structurally impossible (unknown tag, implausible
-//     header): s.damage.  Written bytes are immutable, so a
-//     complete-but-implausible record can never become valid.
+//     header): s.damage.
 //
 // Torn versus damaged is decided by error class: truncation errors mean
-// "not there yet", everything else means "wrong".  It returns the
-// number of chunks added.
-func (cf *ChunkFile) scanSealed(s *recordScan) (newChunks int) {
+// "the file was cut", everything else means "the bytes are wrong".
+func (cf *ChunkFile) scanSealed(s *recordScan) {
 	p := cf.section(s.resume)
-	s.torn = nil
 	for {
 		tagOff := p.off
 		tag, err := p.ReadByte()
@@ -532,41 +528,40 @@ func (cf *ChunkFile) scanSealed(s *recordScan) (newChunks int) {
 			if err != io.EOF {
 				s.damage = fail("record tag", err)
 			}
-			return newChunks
+			return
 		}
 		switch tag {
 		case tagDefs:
 			if !cf.scanDefs(p, tagOff, s) {
-				return newChunks
+				return
 			}
 		case tagChunk:
 			if !cf.scanChunk(p, tagOff, s) {
-				return newChunks
+				return
 			}
-			newChunks++
 		case tagIndex:
 			// The writer only emits the index from Close, after sealing
 			// every chunk.  It repeats what the records already said, so
 			// it is not parsed.
 			s.done = true
-			return newChunks
+			return
 		default:
 			s.damage = fmt.Errorf("trace: unknown record tag 0x%02x at offset %d", tag, tagOff)
-			return newChunks
+			return
 		}
 	}
 }
 
-// truncation reports whether err means "the bytes are not there yet"
-// rather than "the bytes are wrong".
+// truncation reports whether err means "the file was cut" rather than
+// "the bytes are wrong".
 func truncation(err error) bool {
 	return errors.Is(err, ErrTruncated) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // scanDefs parses one defs record.  New definitions are staged and only
 // merged into cf when the whole record parsed, so a defs record cut
-// mid-way is never half-applied (it would double-apply on the
-// re-parse).  It reports whether the record was taken.
+// mid-way is never half-applied.  It reports whether the record was
+// taken.
 func (cf *ChunkFile) scanDefs(p *posReader, tagOff int64, s *recordScan) bool {
 	var regions []RegionDef
 	var locs []LocInfo

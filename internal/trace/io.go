@@ -51,9 +51,9 @@ func (t *Trace) internRegion(name string, role Role) error {
 // partially corrupted trace.
 type RecordError struct {
 	// Path is the trace file being read, when known.  Read leaves it
-	// empty (an io.Reader has no name); ReadFile, OpenChunkFile and
-	// Follow fill it in, so batch tools reading many traces report
-	// which file held the bad record.
+	// empty (an io.Reader has no name); ReadFile and OpenChunkFile fill
+	// it in, so batch tools reading many traces report which file held
+	// the bad record.
 	Path   string
 	Loc    int // index into the location table; -1 for a defs record
 	Rank   int
@@ -149,10 +149,10 @@ func (cf *ChunkFile) complete() (*Trace, error) {
 }
 
 // checkRecords proves that an indexed file's records tile it: the
-// sequential scan a live tail makes must reach the index record cleanly
-// and find exactly the definitions and chunks the index lists.  Without
-// it, strict Read would accept bytes between records that the tail
-// rejects, or records the index contradicts.
+// sequential record scan must reach the index record cleanly and find
+// exactly the definitions and chunks the index lists.  Without it,
+// strict Read would accept bytes between records that the index-less
+// fallback scan rejects, or records the index contradicts.
 func (cf *ChunkFile) checkRecords() error {
 	seq := &ChunkFile{ra: cf.ra, size: cf.size, path: cf.path}
 	hdr := seq.section(0)

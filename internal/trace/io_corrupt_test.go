@@ -5,12 +5,84 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 )
+
+// rawRecord describes one record of a complete chunked file, located
+// by parsing the raw bytes with the reader's own internal decoders — so
+// corruption tests can cut or damage the file at byte-exact positions.
+type rawRecord struct {
+	tag        byte
+	off        int64 // offset of the tag byte
+	end        int64 // offset one past the record
+	payloadOff int64 // tagChunk only: first payload byte
+	loc        int   // tagChunk only
+}
+
+func parseRecords(t *testing.T, full []byte) (hdrEnd int64, recs []rawRecord) {
+	t.Helper()
+	cf := &ChunkFile{ra: bytes.NewReader(full), size: int64(len(full))}
+	p := cf.section(0)
+	if err := cf.readHeader(p); err != nil {
+		t.Fatal(err)
+	}
+	hdrEnd = p.off
+	nRegions, nLocs := 0, 0
+	for {
+		off := p.off
+		tag, err := p.ReadByte()
+		if err == io.EOF {
+			return hdrEnd, recs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch tag {
+		case tagDefs:
+			err := readDefs(p,
+				func(string, Role) { nRegions++ },
+				func(int, int) { nLocs++ },
+				nRegions, nLocs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rawRecord{tag: tag, off: off, end: p.off})
+		case tagChunk:
+			h, err := p.chunkHeader(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloadOff := p.off
+			if err := p.skip(h.info.CompLen); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rawRecord{
+				tag: tag, off: off, end: p.off, payloadOff: payloadOff, loc: h.info.Loc,
+			})
+		case tagIndex:
+			recs = append(recs, rawRecord{tag: tag, off: off, end: int64(len(full))})
+			return hdrEnd, recs
+		default:
+			t.Fatalf("unknown tag 0x%02x at %d", tag, off)
+		}
+	}
+}
+
+func firstChunkRecord(t *testing.T, recs []rawRecord) rawRecord {
+	t.Helper()
+	for _, r := range recs {
+		if r.tag == tagChunk {
+			return r
+		}
+	}
+	t.Fatal("no chunk record found")
+	return rawRecord{}
+}
 
 // recordSample is a small chunked image with several chunks per
 // location (chunks of 2 events) and rank == location index, so cuts can
@@ -214,7 +286,7 @@ func TestReadFileStampsPath(t *testing.T) {
 	// Cut inside the last chunk's payload: the RecordError must name
 	// the file.
 	_, recs := parseRecords(t, whole)
-	var last tailRecord
+	var last rawRecord
 	for _, r := range recs {
 		if r.tag == tagChunk {
 			last = r

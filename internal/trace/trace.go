@@ -2,7 +2,10 @@
 // system and consumed by the analyzer — the role OTF2 plays between
 // Score-P and Scalasca in the paper.  A trace holds one event stream per
 // location (each OpenMP thread of each MPI rank), a shared region table,
-// and the name of the clock that minted the timestamps.
+// and the name of the clock that minted the timestamps.  As in the
+// paper's post-mortem workflow, a trace file is written once its run
+// has completed and is read only after that: no reader follows a file
+// that is still being written.
 package trace
 
 import "fmt"
@@ -127,7 +130,6 @@ type Trace struct {
 	Locs    []LocTrace
 
 	regionIDs map[string]RegionID
-	sink      Sink // optional write-only mirror (see SetSink)
 }
 
 // New creates an empty trace for the given clock mode.
@@ -148,9 +150,6 @@ func (t *Trace) Region(name string, role Role) RegionID {
 	id := RegionID(len(t.Regions))
 	t.Regions = append(t.Regions, RegionDef{Name: name, Role: role})
 	t.regionIDs[name] = id
-	if t.sink != nil {
-		t.sink.Region(name, role)
-	}
 	return id
 }
 
@@ -160,9 +159,6 @@ func (t *Trace) RegionName(id RegionID) string { return t.Regions[id].Name }
 // AddLocation appends an empty location stream and returns its index.
 func (t *Trace) AddLocation(rank, thread int) int {
 	t.Locs = append(t.Locs, LocTrace{Rank: rank, Thread: thread})
-	if t.sink != nil {
-		t.sink.AddLocation(rank, thread)
-	}
 	return len(t.Locs) - 1
 }
 
@@ -178,9 +174,6 @@ func (t *Trace) Record(l int, e Event) {
 		lt.Events = grown
 	}
 	lt.Events = append(lt.Events, e)
-	if t.sink != nil {
-		t.sink.Record(l, e)
-	}
 }
 
 // ResetEvents empties every location's event stream while keeping the

@@ -4,9 +4,10 @@
 // vclock's synchronisation skeleton — phase one of the two-phase
 // analysis of Sulzmann & Stadtmüller (arXiv:1807.03585) applied to LTRC
 // traces — and verifies a battery of structural invariants against it.
-// Verify reads an in-memory *trace.Trace: a recorded run's, or one
-// decoded from a trace file (trace.ReadFile), or the sealed prefix of a
-// file still being written (Options.Partial).
+// Verify reads a complete in-memory *trace.Trace, after its run has
+// ended: a recorded run's, or one decoded from a trace file
+// (trace.ReadFile).  Like the second phase of that analysis, it runs
+// over the whole recorded log; it has no mode for a partial trace.
 //
 // The paper's whole argument rests on logical timestamps satisfying
 // Lamport's clock condition (e → f ⇒ ts(e) < ts(f)) so that Scalasca's
@@ -186,23 +187,9 @@ func (r *Report) Render(w io.Writer, limit int) {
 // Report.Counts keep counting past it.
 const maxPerKind = 100
 
-// Options tunes a verification run.  The zero value is the default.
-type Options struct {
-	// Partial verifies a still-growing prefix of a trace (the sealed
-	// view of a live tail, trace.Follow): only prefix-closed invariants
-	// are checked, so a clean run never reports violations mid-stream
-	// that its complete trace would not.  Suppressed because the rest of
-	// the trace may still legitimately arrive: regions still open at end
-	// of stream, sends not yet received, receives whose send's location
-	// is sealed less far along, collective/barrier instances and forks
-	// whose remaining participants are still running, release edges
-	// whose closing Exit has not been recorded, and the causality-cycle
-	// walk (which needs the complete skeleton).  Everything prefix-closed
-	// still applies: nesting errors, timestamp monotonicity, FIFO
-	// matching of the pairs already on disk, sequence ordering, the
-	// clock condition and piggyback gain on every reconstructed edge.
-	Partial bool
-}
+// Options tunes a verification run.  It has no fields; Verify keeps the
+// parameter so that existing callers compile unchanged.
+type Options struct{}
 
 // Logical reports whether a clock name denotes a logical (Lamport-style,
 // piggyback-synchronised) mode, for which the strict invariants apply.
@@ -214,10 +201,9 @@ func Logical(clock string) bool { return strings.HasPrefix(clock, "lt_") }
 // corrupted trace still yields a maximally informative report.  One
 // pass over the events feeds vclock's skeleton extractor, and the edge
 // checks and the cycle walk visit that skeleton alone.
-func Verify(tr *trace.Trace, opt Options) *Report {
+func Verify(tr *trace.Trace, _ Options) *Report {
 	c := &checker{
-		tr:  tr,
-		opt: opt,
+		tr: tr,
 		rep: &Report{
 			Clock:   tr.Clock,
 			Logical: Logical(tr.Clock),
@@ -251,7 +237,6 @@ func Verify(tr *trace.Trace, opt Options) *Report {
 
 type checker struct {
 	tr  *trace.Trace
-	opt Options
 	rep *Report
 
 	sk *vclock.Skeleton
@@ -332,10 +317,9 @@ func (c *checker) scan() {
 	}
 	c.sk = x.Skeleton()
 	for _, a := range c.sk.Anomalies {
-		switch {
-		case a.Kind == vclock.UnbalancedExit:
+		if a.Kind == vclock.UnbalancedExit {
 			c.violate(KindUnbalanced, c.pos(a.Event), nil, "exit without matching enter")
-		case !c.opt.Partial:
+		} else {
 			c.violate(KindUnbalanced, c.pos(a.Event), nil,
 				"%d region(s) never exited before end of stream", a.Open)
 		}
@@ -346,12 +330,6 @@ func (c *checker) scan() {
 // has no FIFO-matching send, and one orphan-send violation per send
 // never consumed (the signature of a dropped receive).
 func (c *checker) checkMessages() {
-	if c.opt.Partial {
-		// On a prefix, the sender's location may simply be sealed less
-		// far along than the receiver's, and unconsumed sends may still
-		// be received.
-		return
-	}
 	for i := 0; i < c.sk.Recvs.Len(); i++ {
 		if r := c.sk.Recvs.At(i); r.Peer < 0 {
 			c.violate(KindUnmatchedRecv, c.pos(r.Record()), nil,
@@ -413,9 +391,6 @@ func (c *checker) checkCollectives() {
 		for _, li := range members[comm] {
 			switch n := seen[li]; {
 			case n == 0:
-				if c.opt.Partial {
-					continue // the rank may not have reached the instance yet
-				}
 				c.violate(KindCollParticipant, c.pos(first.Record()), nil,
 					"rank %d missing from comm %d collective instance seq %d",
 					c.tr.Locs[li].Rank, comm, seq)
@@ -473,7 +448,7 @@ func (c *checker) checkBarriers() {
 		if want > teamSize[rank] {
 			want = teamSize[rank] // a truncated trace cannot have more locations than recorded
 		}
-		if n := len(in.Members); n != want && !(c.opt.Partial && n < want) {
+		if n := len(in.Members); n != want {
 			c.violate(KindBarrier, c.pos(first.Record()), nil,
 				"%d of %d threads reached barrier seq %d on rank %d", n, want, seq, rank)
 		}
@@ -502,7 +477,7 @@ func (c *checker) checkForkJoin() {
 		case nj > nf:
 			c.violate(KindForkJoin, c.pos(*joins.At(nf)), nil,
 				"join without a preceding fork (%d joins, %d forks)", nj, nf)
-		case nf > nj && !c.opt.Partial:
+		case nf > nj:
 			c.violate(KindForkJoin, c.pos(*forks.At(nj)), nil,
 				"fork never joined (%d forks, %d joins)", nf, nj)
 		}
@@ -562,12 +537,9 @@ func (c *checker) releaseEdges(recs *vclock.Paged[vclock.Sync], ins []vclock.Ins
 			dst = append(dst, r.ExitEvent())
 		}
 		for i := range src {
-			for j, m := range in.Members {
+			for j := range dst {
 				if src[i].Loc == dst[j].Loc {
 					continue
-				}
-				if c.opt.Partial && recs.At(int(m)).Provisional {
-					continue // the releasing Exit is not on disk yet
 				}
 				fn(src[i], dst[j])
 			}
@@ -582,9 +554,6 @@ func (c *checker) releaseEdges(recs *vclock.Paged[vclock.Sync], ins []vclock.Ins
 // and the edges scan and checkEdges already check one by one, so the
 // walk checks no stamps.
 func (c *checker) checkCycles() {
-	if c.opt.Partial {
-		return // the skeleton of a prefix is incomplete
-	}
 	counts := make([]int, len(c.tr.Locs))
 	for li, l := range c.tr.Locs {
 		counts[li] = len(l.Events)

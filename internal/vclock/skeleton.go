@@ -24,12 +24,11 @@ type Event struct {
 // fields are Event's, flattened so that the record packs into 80 bytes.
 type Sync struct {
 	EventRef
-	Time        uint64
-	A, B        int32
-	Scope       trace.RegionID
-	Kind        trace.EvKind
-	ExitKind    trace.EvKind // see Exit
-	Provisional bool         // see Exit
+	Time     uint64
+	A, B     int32
+	Scope    trace.RegionID
+	Kind     trace.EvKind
+	ExitKind trace.EvKind // see Exit
 	// Tag is the value the consumer passed with the record to
 	// Extractor.Add (Scalasca passes the call path it was recorded in).
 	Tag int32
@@ -42,8 +41,8 @@ type Sync struct {
 	Enter      int32
 	EnterScope trace.RegionID
 	EnterTime  uint64
-	// The Exit closing that region.  When the region never closes it is
-	// the location's last event instead, and Provisional is set.
+	// The Exit closing that region.  When the region never closes (a
+	// malformed trace) it is the location's last event instead.
 	Exit      int32
 	ExitScope trace.RegionID
 	ExitTime  uint64
@@ -54,8 +53,7 @@ func (s *Sync) Record() Event {
 	return Event{EventRef: s.EventRef, Time: s.Time, A: s.A, B: s.B, Scope: s.Scope, Kind: s.Kind}
 }
 
-// ExitEvent returns the event closing the record's region (see
-// Provisional).
+// ExitEvent returns the event closing the record's region (see Exit).
 func (s *Sync) ExitEvent() Event {
 	return Event{EventRef: EventRef{s.Loc, int(s.Exit)}, Time: s.ExitTime, Scope: s.ExitScope, Kind: s.ExitKind}
 }
@@ -332,13 +330,12 @@ func (x *Extractor) team(rank int32) *Team {
 }
 
 // EndLocation closes the current location: records whose region never
-// closed get its last event as their provisional Exit, an open worker
-// segment ends there, and regions left open become an anomaly.
+// closed get its last event as their Exit, an open worker segment ends
+// there, and regions left open become an anomaly.
 func (x *Extractor) EndLocation() {
 	for _, p := range x.pending {
 		s := p.list.At(p.i)
 		s.Exit, s.ExitScope, s.ExitTime, s.ExitKind = int32(x.last.Index), x.last.Scope, x.last.Time, x.last.Kind
-		s.Provisional = true
 	}
 	if x.segOpen {
 		x.closeSegment(x.last)
