@@ -10,19 +10,19 @@ import (
 // and allocs/op must be at least 5x below decoding the whole trace,
 // which has to decode everything before it could filter.
 func TestRangedReplayAllocBudget(t *testing.T) {
-	mat, err := tracePipeDecode()
+	mat, err := traceDecode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng, err := tracePipeRange()
+	rng, err := traceRange()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := Measure("TracePipeReplayMaterialized", mat, 50*time.Millisecond)
+	mm, err := Measure("TraceDecode", mat, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := Measure("TracePipeRangeStream", rng, 50*time.Millisecond)
+	mr, err := Measure("TraceRange", rng, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

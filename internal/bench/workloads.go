@@ -33,10 +33,10 @@ var contentionCost = work.Cost{Instr: 1e6, Flops: 1e6, Bytes: 1e6}
 // order.  The first five are the kernel-level micro-benchmarks whose
 // ns/op and allocs/op are the scoreboard for scheduler optimisations
 // (KernelMixedNeeds shares one resource among members of four distinct
-// needs, MachineContention among members of one equal need); the
-// TracePipe three measure the chunked trace format; the study pair
-// measures the end-to-end pipeline they multiply into; ReportWarmQuick
-// measures a report served from the run cache.
+// needs, MachineContention among members of one equal need); TraceWrite,
+// TraceDecode and TraceRange measure the chunked trace format; the
+// study pair measures the end-to-end pipeline they multiply into;
+// ReportWarmQuick measures a report served from the run cache.
 func Workloads() []Workload {
 	return []Workload{
 		{
@@ -65,19 +65,19 @@ func Workloads() []Workload {
 			Make: traceRoundTrip,
 		},
 		{
-			Name: "TracePipeRecord",
-			Desc: "stream-record 100k events through the chunked writer",
-			Make: tracePipeRecord,
+			Name: "TraceWrite",
+			Desc: "encode a 100k-event trace in the chunked format",
+			Make: traceWrite,
 		},
 		{
-			Name: "TracePipeReplayMaterialized",
+			Name: "TraceDecode",
 			Desc: "decode a 100k-event chunked trace into memory",
-			Make: tracePipeDecode,
+			Make: traceDecode,
 		},
 		{
-			Name: "TracePipeRangeStream",
-			Desc: "one-chunk vtime window replay through the chunk index",
-			Make: tracePipeRange,
+			Name: "TraceRange",
+			Desc: "decode a one-chunk vtime window through the chunk index",
+			Make: traceRange,
 		},
 		{
 			Name: "StudySequential",
@@ -214,123 +214,94 @@ func traceRoundTrip() (*Instance, error) {
 	}, nil
 }
 
-// The trace-pipeline workloads exercise the chunked on-disk format
-// end to end: TracePipeRecord measures the spill-to-disk writer (the
-// recording side holds one active chunk per location), and the two
-// decode workloads read the same 100k-event chunked trace whole and
-// through a one-chunk vtime window — the allocation gap between them is
-// the ranged-read claim the membudget test pins.
-// tracePipeChunkEvents deliberately sits below DefaultChunkEvents so
-// the 100k-event fixture carries ~12 chunks per location: enough index
+// The trace-file workloads exercise the chunked on-disk format on one
+// synthetic 100k-event trace: TraceWrite encodes it, and the two decode
+// workloads read its file whole and through a one-chunk vtime window —
+// the allocation gap between them is the ranged-read claim the
+// membudget test pins.  Two locations of 50,000 events each give every
+// location 12 full default-size chunks and a partial tail: enough index
 // granularity that a one-chunk range query measurably beats decoding
-// the whole file, as it would on a million-event production trace.
+// the whole file.
 const (
-	tracePipeEvents      = 100_000
-	tracePipeLocs        = 8
-	tracePipeChunkEvents = 1024
+	traceFileEvents = 100_000
+	traceFileLocs   = 2
 )
 
-// tracePipeAppend emits one location's share of a synthetic trace into
-// sink: nested enter/exit pairs over a handful of regions with strictly
-// increasing stamps, the shape (and entropy) of a real lt_stmt trace.
-func tracePipeAppend(li, events int, regions []trace.RegionID, sink func(trace.Event)) {
-	t := uint64(li + 1)
-	depth := 0
-	for i := 0; i < events; i++ {
-		r := regions[(i/2+li)%len(regions)]
-		var k trace.EvKind
-		if depth == 0 || (i%2 == 0 && depth < 4) {
-			k = trace.EvEnter
-			depth++
-		} else {
-			k = trace.EvExit
-			depth--
-		}
-		t += uint64(1 + (i*7+li)%5)
-		sink(trace.Event{Kind: k, Time: t, Region: r, A: int32(i % 97), C: int64(i)})
+// traceFixture builds the shared synthetic trace: per location, nested
+// enter/exit pairs over a handful of regions with strictly increasing
+// stamps, the shape (and entropy) of a real lt_stmt trace.
+func traceFixture() *trace.Trace {
+	tr := trace.New("lt_stmt")
+	var regions []trace.RegionID
+	for _, name := range []string{"main", "assemble", "solve", "exchange", "reduce"} {
+		regions = append(regions, tr.Region(name, trace.RoleUser))
 	}
-}
-
-func tracePipeRegions(def func(name string, role trace.Role) trace.RegionID) []trace.RegionID {
-	names := []string{"main", "assemble", "solve", "exchange", "reduce"}
-	out := make([]trace.RegionID, len(names))
-	for i, n := range names {
-		out[i] = def(n, trace.RoleUser)
-	}
-	return out
-}
-
-// tracePipeFile builds the shared chunked trace the decode workloads
-// read.
-func tracePipeFile() ([]byte, error) {
-	var buf bytes.Buffer
-	cw := trace.NewChunkWriter(&buf, "lt_stmt")
-	cw.ChunkEvents = tracePipeChunkEvents
-	regions := tracePipeRegions(cw.Region)
-	per := tracePipeEvents / tracePipeLocs
-	for li := 0; li < tracePipeLocs; li++ {
-		loc := cw.AddLocation(li, 0)
-		tracePipeAppend(li, per, regions, func(e trace.Event) { cw.Record(loc, e) })
-	}
-	if err := cw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func tracePipeRecord() (*Instance, error) {
-	return &Instance{
-		Events: tracePipeEvents,
-		Op: func() error {
-			cw := trace.NewChunkWriter(io.Discard, "lt_stmt")
-			regions := tracePipeRegions(cw.Region)
-			per := tracePipeEvents / tracePipeLocs
-			for li := 0; li < tracePipeLocs; li++ {
-				loc := cw.AddLocation(li, 0)
-				tracePipeAppend(li, per, regions, func(e trace.Event) { cw.Record(loc, e) })
+	for li := 0; li < traceFileLocs; li++ {
+		tr.AddLocation(li, 0)
+		t := uint64(li + 1)
+		depth := 0
+		for i := 0; i < traceFileEvents/traceFileLocs; i++ {
+			r := regions[(i/2+li)%len(regions)]
+			var k trace.EvKind
+			if depth == 0 || (i%2 == 0 && depth < 4) {
+				k = trace.EvEnter
+				depth++
+			} else {
+				k = trace.EvExit
+				depth--
 			}
-			return cw.Close()
-		},
+			t += uint64(1 + (i*7+li)%5)
+			tr.Record(li, trace.Event{Kind: k, Time: t, Region: r, A: int32(i % 97), C: int64(i)})
+		}
+	}
+	return tr
+}
+
+func traceWrite() (*Instance, error) {
+	tr := traceFixture()
+	return &Instance{
+		Events: traceFileEvents,
+		Op:     func() error { return trace.WriteChunked(io.Discard, tr) },
 	}, nil
 }
 
-// tracePipeChunkFile opens the shared chunked trace for the decode
-// workloads.  Both decode from the same long-lived open file, so the
-// measured difference is purely the chunks each one decodes.
-func tracePipeChunkFile() (*trace.ChunkFile, error) {
-	data, err := tracePipeFile()
-	if err != nil {
+// traceChunkFile opens the fixture's file for the decode workloads.
+// Both decode from the same long-lived open file, so the measured
+// difference is purely the chunks each one decodes.
+func traceChunkFile() (*trace.ChunkFile, error) {
+	var buf bytes.Buffer
+	if err := trace.WriteChunked(&buf, traceFixture()); err != nil {
 		return nil, err
 	}
-	return trace.NewChunkFile(bytes.NewReader(data), int64(len(data)))
+	return trace.NewChunkFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 }
 
-func tracePipeDecode() (*Instance, error) {
-	cf, err := tracePipeChunkFile()
+func traceDecode() (*Instance, error) {
+	cf, err := traceChunkFile()
 	if err != nil {
 		return nil, err
 	}
 	return &Instance{
-		Events: tracePipeEvents,
+		Events: traceFileEvents,
 		Op: func() error {
 			tr, err := cf.Trace()
 			if err != nil {
 				return err
 			}
-			if n := tr.NumEvents(); n != tracePipeEvents {
-				return fmt.Errorf("decode saw %d events, want %d", n, tracePipeEvents)
+			if n := tr.NumEvents(); n != traceFileEvents {
+				return fmt.Errorf("decode saw %d events, want %d", n, traceFileEvents)
 			}
 			return nil
 		},
 	}, nil
 }
 
-// tracePipeRange decodes one chunk-sized virtual-time window
-// through the chunk index, which skips every chunk the window misses.
-// The window is taken from a middle chunk of location 0 so it is
-// deterministic and non-trivial.
-func tracePipeRange() (*Instance, error) {
-	cf, err := tracePipeChunkFile()
+// traceRange decodes one chunk-sized virtual-time window through the
+// chunk index, which skips every chunk the window misses.  The window is
+// taken from a middle chunk of location 0 so it is deterministic and
+// non-trivial.
+func traceRange() (*Instance, error) {
+	cf, err := traceChunkFile()
 	if err != nil {
 		return nil, err
 	}

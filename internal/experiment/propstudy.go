@@ -213,13 +213,17 @@ func (st *PropagationStudy) WriteJSON(w io.Writer) error {
 }
 
 // PropagationReport renders the study as text: the per-mode front/decay
-// table, then per-rank detail for the reference clock.
+// table, then per-rank detail for the reference clock.  A pure logical
+// clock's stamps do not depend on timing, so when one observes a front
+// the report says why: the faulted run matched messages in another
+// order.
 func PropagationReport(w io.Writer, st *PropagationStudy) {
 	fmt.Fprintf(w, "DELAY PROPAGATION — %s (%d ranks)\n", st.Spec, st.Ranks)
 	fmt.Fprintf(w, "plan: %s\n", st.Plan)
 	fmt.Fprintf(w, "applied: %s\n\n", describeApplied(st.Modes))
 	fmt.Fprintf(w, "%-10s %9s %8s %12s %14s %24s %10s  %s\n",
 		"mode", "observed", "reached", "front r/it", "front r/vs", "decay/nondec/absorbed", "settle@it", "front vs tsc")
+	var reordered []string
 	for _, mp := range st.Modes {
 		if mp.Err != "" {
 			fmt.Fprintf(w, "%-10s failed: %s\n", mp.Mode, mp.Err)
@@ -242,6 +246,14 @@ func PropagationReport(w io.Writer, st *PropagationStudy) {
 			a.FrontSpeedRanksPerTick/perfetto.TickSeconds(a.Clock),
 			fmt.Sprintf("%d/%d/%d", a.Decaying, a.NonDecay, a.Absorbed),
 			settle, vs)
+		if mp.Mode.Deterministic() && a.Observed {
+			reordered = append(reordered, string(mp.Mode))
+		}
+	}
+	if len(reordered) > 0 {
+		fmt.Fprintf(w, "note: %s cannot see a delay (their stamps ignore timing); their front is the faulted run "+
+			"matching messages in another order, as a Waitany or wildcard receive completed by timing\n",
+			strings.Join(reordered, ", "))
 	}
 	if ref := findMode(st.Modes, core.ModeTSC); ref != nil && ref.Analysis != nil {
 		a := ref.Analysis

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,27 +77,12 @@ func equalTraces(t *testing.T, got, want *Trace) {
 	}
 }
 
-// chunkedBytes serialises tr in the chunked format with the given chunk
-// size (0 = default).
-func chunkedBytes(t *testing.T, tr *Trace, chunkEvents int) []byte {
+// chunkedBytes serialises tr in the chunked format with chunks of n
+// events.
+func chunkedBytes(t *testing.T, tr *Trace, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	cw := NewChunkWriter(&buf, tr.Clock)
-	if chunkEvents > 0 {
-		cw.ChunkEvents = chunkEvents
-	}
-	for _, r := range tr.Regions {
-		cw.Region(r.Name, r.Role)
-	}
-	for _, l := range tr.Locs {
-		cw.AddLocation(l.Rank, l.Thread)
-	}
-	for li := range tr.Locs {
-		for _, e := range tr.Locs[li].Events {
-			cw.Record(li, e)
-		}
-	}
-	if err := cw.Close(); err != nil {
+	if err := writeChunked(&buf, tr, n); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -412,14 +399,7 @@ func TestChunkedPropertyRoundTrip(t *testing.T) {
 			})
 		}
 		var buf bytes.Buffer
-		cw := NewChunkWriter(&buf, tr.Clock)
-		cw.ChunkEvents = int(chunkSz%32) + 1
-		cw.Region("r", RoleUser)
-		cw.AddLocation(int(rank), int(thread))
-		for _, e := range tr.Locs[0].Events {
-			cw.Record(0, e)
-		}
-		if cw.Close() != nil {
+		if writeChunked(&buf, tr, int(chunkSz%32)+1) != nil {
 			return false
 		}
 		got, err := Read(bytes.NewReader(buf.Bytes()))
@@ -439,4 +419,119 @@ func TestChunkedPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWriteChunkedLayout pins the writer's record order without a byte
+// golden (flate output is not promised stable across Go releases): one
+// defs record right after the header, each location's full chunks in
+// location order, then each location's partial tail in location order,
+// and an index whose every entry equals its chunk's header.
+func TestWriteChunkedLayout(t *testing.T) {
+	const n = 4
+	tr := New("lt_stmt")
+	reg := tr.Region("main", RoleUser)
+	for l, events := range []int{0, 1, n - 1, n, 2*n + 1} {
+		tr.AddLocation(l, 0)
+		for i := 0; i < events; i++ {
+			tr.Record(l, Event{Kind: EvEnter, Time: uint64(10*l + i), Region: reg, C: int64(i)})
+		}
+	}
+	whole := chunkedBytes(t, tr, n)
+	hdrEnd, recs := parseRecords(t, whole)
+	if recs[0].tag != tagDefs || recs[0].off != hdrEnd {
+		t.Fatalf("first record: tag 0x%02x at %d, want the defs record at %d", recs[0].tag, recs[0].off, hdrEnd)
+	}
+	var headers []ChunkInfo
+	for _, r := range recs[1:] {
+		switch r.tag {
+		case tagDefs:
+			t.Fatalf("a second defs record at offset %d", r.off)
+		case tagChunk:
+			h, _, err := parseChunkHeader(whole[r.off+1:], r.off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			headers = append(headers, h.info)
+		}
+	}
+	// (location, events) in file order: full chunks of locations 3 and
+	// 4, then the tails of locations 1, 2 and 4.
+	want := [][2]int{{3, n}, {4, n}, {4, n}, {1, 1}, {2, n - 1}, {4, 1}}
+	if len(headers) != len(want) {
+		t.Fatalf("%d chunk records, want %d", len(headers), len(want))
+	}
+	for i, h := range headers {
+		if h.Loc != want[i][0] || h.Events != want[i][1] {
+			t.Errorf("chunk %d: location %d with %d events, want location %d with %d",
+				i, h.Loc, h.Events, want[i][0], want[i][1])
+		}
+	}
+	cf, err := NewChunkFile(bytes.NewReader(whole), int64(len(whole)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cf.IndexOK || !slices.Equal(cf.Chunks(), headers) {
+		t.Fatalf("index (loaded %v) lists %+v, want the chunk headers %+v", cf.IndexOK, cf.Chunks(), headers)
+	}
+	got, err := Read(bytes.NewReader(whole))
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalTraces(t, got, tr)
+}
+
+// TestReadIncrementalDefs reads a file whose second location and
+// second region arrive in a second defs record, after the first
+// location's first chunk, as an earlier streaming writer laid them out.
+// WriteChunked no longer writes such files, but readers must keep
+// accepting them; the bytes are also a FuzzChunkReader seed.
+func TestReadIncrementalDefs(t *testing.T) {
+	corpus, err := os.ReadFile("testdata/fuzz/FuzzChunkReader/two-defs-records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSpace(strings.TrimPrefix(string(corpus), "go test fuzz v1\n"))
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := []byte(s)
+	_, recs := parseRecords(t, whole)
+	var tags []byte
+	for _, r := range recs {
+		tags = append(tags, r.tag)
+	}
+	if want := []byte{tagDefs, tagChunk, tagDefs, tagChunk, tagChunk, tagChunk, tagIndex}; !bytes.Equal(tags, want) {
+		t.Fatalf("record tags %v, want %v", tags, want)
+	}
+
+	want := New("lt_stmt")
+	main := want.Region("main", RoleUser)
+	send := want.Region("MPI_Send", RoleMPIP2P)
+	l0, l1 := want.AddLocation(0, 0), want.AddLocation(1, 0)
+	for _, e := range []Event{{Kind: EvEnter, Time: 1, Region: main}, {Kind: EvExit, Time: 4, Region: main},
+		{Kind: EvEnter, Time: 6, Region: main}} {
+		want.Record(l0, e)
+	}
+	for _, e := range []Event{{Kind: EvEnter, Time: 2, Region: send}, {Kind: EvSend, Time: 3, B: 7, C: 64},
+		{Kind: EvExit, Time: 5, Region: send}} {
+		want.Record(l1, e)
+	}
+	got, err := Read(bytes.NewReader(whole))
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalTraces(t, got, want)
+	// Without its trailer the file is read by the record scan alone.
+	cf, err := NewChunkFile(bytes.NewReader(whole[:len(whole)-12]), int64(len(whole)-12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cf.IndexOK || cf.Damage != nil {
+		t.Fatalf("trailerless read: IndexOK %v, damage %v; want a clean scan", cf.IndexOK, cf.Damage)
+	}
+	if got, err = cf.Trace(); err != nil {
+		t.Fatal(err)
+	}
+	equalTraces(t, got, want)
 }

@@ -540,9 +540,9 @@ func (cf *ChunkFile) scanSealed(s *recordScan) {
 				return
 			}
 		case tagIndex:
-			// The writer only emits the index from Close, after sealing
-			// every chunk.  It repeats what the records already said, so
-			// it is not parsed.
+			// The writer emits the index last, after every chunk.  It
+			// repeats what the records already said, so it is not
+			// parsed.
 			s.done = true
 			return
 		default:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 )
 
 // ErrTruncated reports a trace file that ends mid-stream.  Errors from
@@ -44,24 +45,29 @@ func (t *Trace) internRegion(name string, role Role) error {
 }
 
 // RecordError pinpoints the record being decoded when a trace read
-// fails mid-stream: the location index, its rank and thread, the chunk
-// and its file offset.  It wraps the underlying failure, so
-// errors.Is(err, ErrTruncated) still detects a cut-off file, and
-// analyses like ltlint can report the exact offending record of a
-// partially corrupted trace.
+// fails mid-stream: as far as they are known, the location index, its
+// rank and thread, the chunk and its file offset.  It wraps the
+// underlying failure, so errors.Is(err, ErrTruncated) still detects a
+// cut-off file, and analyses like ltlint can report the exact offending
+// record of a partially corrupted trace.
 type RecordError struct {
 	// Path is the trace file being read, when known.  Read leaves it
 	// empty (an io.Reader has no name); ReadFile and OpenChunkFile fill
 	// it in, so batch tools reading many traces report which file held
 	// the bad record.
-	Path   string
-	Loc    int // index into the location table; -1 for a defs record
+	Path string
+	// Loc indexes the location table; -1 when unknown (a defs record,
+	// or a chunk header cut before its location field).
+	Loc int
+	// Rank and Thread are the location's when it is in the table,
+	// which Chunk > 0 marks.
 	Rank   int
 	Thread int
 	Event  int // zero-based index, within the location, of the chunk's first event
 	Events int // Event plus the chunk's declared event count
 	// Chunk is the one-based chunk ordinal within the location, or 0
-	// when the failing record is not a chunk (a defs record).
+	// when the failing record is not a chunk (a defs record) or its
+	// location is unknown or not in the table.
 	Chunk int
 	// Offset is the file offset of the offending record's tag byte; 0
 	// means unknown.
@@ -70,17 +76,24 @@ type RecordError struct {
 }
 
 func (e *RecordError) Error() string {
-	at := fmt.Sprintf("location %d (rank %d thread %d)", e.Loc, e.Rank, e.Thread)
-	if e.Chunk > 0 {
-		at += fmt.Sprintf(" chunk %d", e.Chunk)
+	var at []string
+	switch {
+	case e.Chunk > 0:
+		at = append(at, fmt.Sprintf("location %d (rank %d thread %d) chunk %d", e.Loc, e.Rank, e.Thread, e.Chunk))
+	case e.Loc >= 0:
+		at = append(at, fmt.Sprintf("location %d", e.Loc))
 	}
 	if e.Offset > 0 {
-		at += fmt.Sprintf(" offset %d", e.Offset)
+		at = append(at, fmt.Sprintf("offset %d", e.Offset))
+	}
+	msg := fmt.Sprint(e.Err)
+	if len(at) > 0 {
+		msg = strings.Join(at, " ") + ": " + msg
 	}
 	if e.Path != "" {
-		return fmt.Sprintf("%s: %s: %v", e.Path, at, e.Err)
+		msg = e.Path + ": " + msg
 	}
-	return fmt.Sprintf("%s: %v", at, e.Err)
+	return msg
 }
 
 func (e *RecordError) Unwrap() error { return e.Err }
@@ -112,8 +125,8 @@ func ReadFile(path string) (*Trace, error) {
 	return t, nil
 }
 
-// Read decodes a trace written by WriteChunked or a ChunkWriter.  It is
-// strict: it succeeds only on a complete file — its trailer and index
+// Read decodes a trace written by WriteChunked.  It is strict: it
+// succeeds only on a complete file — its trailer and index
 // validate, or a sequential scan reaches the index record — whose every
 // chunk decodes.  It fails with a precise diagnostic — bad magic,
 // unsupported version, implausible count, an ErrTruncated-wrapped error

@@ -266,6 +266,33 @@ func TestReadRecordContext(t *testing.T) {
 	if chunks < 4 {
 		t.Fatalf("sample has %d chunks, want several per location", chunks)
 	}
+
+	// Where the location is unknown, or not in the table, the message
+	// names no rank or thread.
+	first := firstChunkRecord(t, recs)
+	outside := append([]byte(nil), whole...)
+	outside[first.off+1] = 0x7f // the location field: 127, past the table
+	for _, tc := range []struct {
+		name  string
+		input []byte
+		want  string
+	}{
+		{"defs record cut", whole[:recs[0].off+2],
+			fmt.Sprintf("offset %d: trace: truncated event stream while reading defs record", recs[0].off)},
+		{"chunk header cut before its location", whole[:first.off+1],
+			fmt.Sprintf("offset %d: trace: truncated event stream while reading chunk header", first.off)},
+		{"chunk header naming a location past the table", outside[:first.off+3],
+			fmt.Sprintf("location 127 offset %d: trace: truncated event stream while reading chunk header", first.off)},
+	} {
+		_, err := Read(bytes.NewReader(tc.input))
+		var re *RecordError
+		if !errors.As(err, &re) || !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: got %v, want a truncated RecordError", tc.name, err)
+		}
+		if err.Error() != tc.want {
+			t.Errorf("%s: message %q, want %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // ReadFile must stamp the file path onto every failure: RecordErrors
