@@ -101,9 +101,8 @@ func runSpec(name, modeFlag string, quick bool, seed int64, withNoise, jsonOut b
 }
 
 // checkFile verifies one trace file.  It reads the file as strictly as
-// trace.ReadFile does: a file that does not prove itself complete, whose
-// records do not tile it, or that has a chunk that does not decode
-// fails.
+// trace.ReadFile does: a file that does not prove itself complete or
+// that has a chunk that does not decode fails.
 func checkFile(path string, jsonOut bool, limit int) bool {
 	tr, err := trace.ReadFile(path)
 	if err != nil {

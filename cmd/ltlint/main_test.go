@@ -9,8 +9,8 @@ import (
 
 // TestCheckFileIsStrict verifies the committed mini trace, then the same
 // file with five junk bytes inserted before its index record and the
-// trailer re-pointed past them.  The index still loads, so only a strict
-// read's record scan sees the junk, and the file must fail.
+// trailer re-pointed past them.  The reader meets the junk where it
+// expects a record tag, and the file must fail.
 func TestCheckFileIsStrict(t *testing.T) {
 	clean := filepath.Join("..", "..", "internal", "obs", "perfetto", "testdata", "mini.ltrc")
 	if !checkFile(clean, false, 0) {

@@ -2,10 +2,15 @@
 // statistics, per-region event counts, and the largest in-region
 // timestamp gaps (useful for debugging clock behaviour).
 //
+// Every mode reads the file strictly: a trace cut off or damaged
+// anywhere fails with an error naming the file and, when one is at
+// fault, the offending record.
+//
 // Usage:
 //
 //	lttrace trace.ltrc
 //	lttrace -gaps 20 trace.ltrc
+//	lttrace -stat trace.ltrc
 package main
 
 import (
@@ -28,7 +33,7 @@ func main() {
 	critpath := flag.Bool("critpath", false, "run the critical-path analysis and show its top contributors")
 	timeline := flag.Int("timeline", 0, "draw an ASCII timeline this many columns wide")
 	tlRows := flag.Int("timeline-rows", 32, "with -timeline: locations to draw")
-	stat := flag.Bool("stat", false, "print storage statistics (chunks, compression, index health) and exit")
+	stat := flag.Bool("stat", false, "print storage statistics (chunks, compression, vtime spans) and exit")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("need exactly one trace file")
@@ -140,8 +145,9 @@ func main() {
 
 // statFile prints the storage-level anatomy of a trace file: per-location
 // chunk counts, compressed versus raw bytes and the virtual-time span
-// straight from the chunk index — without decompressing a single event.
-// It reads leniently, so a damaged file reports what survives.
+// straight from the chunk headers — without decompressing a single
+// event.  It reads as strictly as the other modes: a cut or damaged file
+// fails.
 func statFile(path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -150,15 +156,6 @@ func statFile(path string) error {
 	cf, err := trace.OpenChunkFile(path)
 	if err != nil {
 		return err
-	}
-	defer cf.Close()
-
-	indexLine := "index: missing, recovered by sequential scan"
-	switch {
-	case cf.IndexOK:
-		indexLine = "index: ok (range reads scan every chunk's span and decode only the chunks that overlap)"
-	case cf.Damage != nil:
-		indexLine = fmt.Sprintf("index: MISSING, recovered by sequential scan; damage: %v", cf.Damage)
 	}
 	chunks := cf.Chunks()
 	locs := cf.Locs()
@@ -195,7 +192,6 @@ func statFile(path string) error {
 	fmt.Printf("%s: chunked v2, %d bytes on disk\n", path, fi.Size())
 	fmt.Printf("clock %s, %d locations, %d regions, %d events, %d chunks\n",
 		cf.Clock, len(locs), len(cf.Regions), events, len(chunks))
-	fmt.Println(indexLine)
 	ratio := func(raw, comp int64) float64 {
 		if comp == 0 {
 			return 0

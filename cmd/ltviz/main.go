@@ -7,10 +7,10 @@
 //	ltviz -o run.json run.ltrc         # JSON to a file
 //	ltviz -range 1000:2000 run.ltrc    # only events with vtime in [1000, 2000]
 //
-// -range answers virtual-time window queries: it consults the trailing
-// chunk index and decompresses only the chunks overlapping the window
-// (trace.ChunkFile.Range).  A file is read leniently: a trace cut off
-// mid-recording exports the chunks that survived.
+// -range answers virtual-time window queries: it decompresses only the
+// chunks whose header span overlaps the window (trace.ChunkFile.Range).
+// A file is read strictly: a trace cut off or damaged anywhere, inside
+// the window or not, fails with an error naming the file.
 //
 // Given -spec, it runs the configuration in-process and exports the
 // resulting trace together with the run's machine timeline — fault
@@ -66,7 +66,7 @@ func main() {
 	noNoise := flag.Bool("no-noise", false, "disable all noise sources in -spec runs")
 	faultSpec := flag.String("faults", "", `fault plan for -spec runs, e.g. "oneoff:rank=2,at=0.01,delay=0.005"`)
 	front := flag.Bool("front", false, "overlay the delay front from a matching baseline run (needs -spec and -faults)")
-	rng := flag.String("range", "", `export only events with vtime in "min:max" (chunked traces seek via the index)`)
+	rng := flag.String("range", "", `export only events with vtime in "min:max" (only the overlapping chunks decode)`)
 	flag.Parse()
 
 	minT, maxT, haveRange, err := parseRange(*rng)
@@ -138,13 +138,12 @@ func parseRange(s string) (minT, maxT uint64, ok bool, err error) {
 }
 
 // readRange decodes the events of a trace file whose vtime lies in
-// [minT, maxT]; the chunk index skips the chunks outside the window.
+// [minT, maxT]; the chunks outside the window are not inflated.
 func readRange(path string, minT, maxT uint64) (*trace.Trace, error) {
 	cf, err := trace.OpenChunkFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer cf.Close()
 	return cf.Range(minT, maxT)
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// TestRangedReplayAllocBudget pins the chunk index's claim: a one-chunk
+// TestRangedReplayAllocBudget pins the ranged read's claim: a one-chunk
 // vtime window decodes only the chunks it overlaps, so both bytes/op
 // and allocs/op must be at least 5x below decoding the whole trace,
 // which has to decode everything before it could filter.

@@ -76,7 +76,7 @@ func Workloads() []Workload {
 		},
 		{
 			Name: "TraceRange",
-			Desc: "decode a one-chunk vtime window through the chunk index",
+			Desc: "decode a one-chunk vtime window, skipping the chunks it misses",
 			Make: traceRange,
 		},
 		{
@@ -265,15 +265,15 @@ func traceWrite() (*Instance, error) {
 	}, nil
 }
 
-// traceChunkFile opens the fixture's file for the decode workloads.
-// Both decode from the same long-lived open file, so the measured
+// traceChunkFile parses the fixture's file for the decode workloads.
+// Both decode from the same long-lived parsed image, so the measured
 // difference is purely the chunks each one decodes.
 func traceChunkFile() (*trace.ChunkFile, error) {
 	var buf bytes.Buffer
 	if err := trace.WriteChunked(&buf, traceFixture()); err != nil {
 		return nil, err
 	}
-	return trace.NewChunkFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	return trace.NewChunkFile(buf.Bytes())
 }
 
 func traceDecode() (*Instance, error) {
@@ -296,8 +296,8 @@ func traceDecode() (*Instance, error) {
 	}, nil
 }
 
-// traceRange decodes one chunk-sized virtual-time window through the
-// chunk index, which skips every chunk the window misses.  The window is
+// traceRange decodes one chunk-sized virtual-time window; every chunk
+// whose header span misses the window is skipped.  The window is
 // taken from a middle chunk of location 0 so it is deterministic and
 // non-trivial.
 func traceRange() (*Instance, error) {

@@ -90,7 +90,6 @@ func TestGoldenMiniTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cf.Close()
 	decoded, err := cf.Range(0, math.MaxUint64)
 	if err != nil {
 		t.Fatal(err)

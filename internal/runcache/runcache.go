@@ -414,13 +414,17 @@ func decodeEntry(b []byte, withTrace bool) (*Entry, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	var err error
 	if withTrace && traceBlob != nil {
-		if e.Trace, err = trace.Read(bytes.NewReader(traceBlob)); err != nil {
+		cf, err := trace.NewChunkFile(traceBlob)
+		if err == nil {
+			e.Trace, err = cf.Trace()
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
 	if profileBlob != nil {
+		var err error
 		if e.Profile, err = cube.ReadBinary(profileBlob); err != nil {
 			return nil, err
 		}

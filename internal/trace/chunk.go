@@ -22,8 +22,7 @@ import (
 //	         after the header, defining every region and location.
 //	         Readers accept several: each carries only definitions not
 //	         yet given and precedes the first chunk that references
-//	         them, so a truncated file still resolves every surviving
-//	         chunk.
+//	         them.
 //	    0x02 chunk: location, event count, first vtime, last vtime,
 //	         raw (uncompressed) byte length, compressed byte length,
 //	         CRC-32 (IEEE, 4 bytes little-endian) of the compressed
@@ -34,13 +33,12 @@ import (
 //	    0x03 index: uvarint body length, body, CRC-32 of the body.  The
 //	         body repeats the full region and location tables (with
 //	         per-location total event counts) and lists every chunk's
-//	         file offset, location, event count, vtime span and sizes —
-//	         enough to answer range queries without touching the chunks.
+//	         file offset, location, event count, vtime span and sizes.
 //	trailer: 8-byte little-endian file offset of the index record's tag
-//	byte, then the magic "LTIX".  Readers that find a valid trailer seek
-//	straight to the index; readers that don't (truncated file) fall back
-//	to a sequential record scan, keeping every chunk that decodes
-//	cleanly.
+//	byte, then the magic "LTIX".  The index and trailer are a function of
+//	the records before them (appendIndex), and they end the file: the
+//	reader checks them by re-encoding them from the records it parsed,
+//	so a file proves itself complete without the index body being parsed.
 const (
 	magic        = "LTRC"
 	traceVersion = 2
@@ -52,7 +50,7 @@ const (
 	indexMagic = "LTIX"
 
 	// chunkEvents is the number of events WriteChunked puts in a chunk,
-	// the unit of decoding and of index pruning: each location's events
+	// the unit of decoding and of window reads: each location's events
 	// are cut into chunks of this many, the last one partial.
 	chunkEvents = 4096
 
@@ -61,8 +59,8 @@ const (
 	maxChunkBytes = 1 << 26
 )
 
-// ChunkInfo describes one chunk as listed in the trailing index (or
-// reconstructed by a sequential scan).
+// ChunkInfo describes one chunk as its record's header gives it, and as
+// the trailing index lists it.
 type ChunkInfo struct {
 	Offset    int64 // file offset of the chunk record's tag byte
 	Loc       int
@@ -99,9 +97,13 @@ type chunkEncoder struct {
 // writeChunked is WriteChunked with chunks of n events.
 func writeChunked(w io.Writer, t *Trace, n int) error {
 	enc := &chunkEncoder{bw: bufio.NewWriter(w)}
+	locs := make([]LocInfo, len(t.Locs))
+	for l, lt := range t.Locs {
+		locs[l] = LocInfo{Rank: lt.Rank, Thread: lt.Thread, Events: len(lt.Events)}
+	}
 	b := appendString(binary.AppendUvarint([]byte(magic), traceVersion), t.Clock)
 	if len(t.Regions) > 0 || len(t.Locs) > 0 {
-		b = appendTables(append(b, tagDefs), t, false)
+		b = appendTables(append(b, tagDefs), t.Regions, locs, false)
 	}
 	enc.write(b)
 	for l, lt := range t.Locs {
@@ -114,19 +116,26 @@ func writeChunked(w io.Writer, t *Trace, n int) error {
 			enc.chunk(l, tail)
 		}
 	}
+	enc.write(appendIndex(b[:0], t.Regions, locs, enc.index, enc.off))
+	return enc.bw.Flush()
+}
 
-	body := binary.AppendUvarint(appendTables(nil, t, true), uint64(len(enc.index)))
-	for _, c := range enc.index {
+// appendIndex appends the index record and the trailer that end a file
+// whose records define regions and locs and hold chunks, with the index
+// record's tag byte at offset off.  The writer writes these bytes, and
+// the reader accepts a file only if it ends in them.
+func appendIndex(b []byte, regions []RegionDef, locs []LocInfo, chunks []ChunkInfo, off int64) []byte {
+	body := binary.AppendUvarint(appendTables(nil, regions, locs, true), uint64(len(chunks)))
+	for _, c := range chunks {
 		for _, v := range [...]uint64{uint64(c.Offset), uint64(c.Loc), uint64(c.Events),
 			c.FirstTime, c.LastTime, uint64(c.RawLen), uint64(c.CompLen)} {
 			body = binary.AppendUvarint(body, v)
 		}
 	}
-	b = binary.AppendUvarint(append(b[:0], tagIndex), uint64(len(body)))
+	b = binary.AppendUvarint(append(b, tagIndex), uint64(len(body)))
 	b = binary.LittleEndian.AppendUint32(append(b, body...), crc32.ChecksumIEEE(body))
-	b = binary.LittleEndian.AppendUint64(b, uint64(enc.off))
-	enc.write(append(b, indexMagic...))
-	return enc.bw.Flush()
+	b = binary.LittleEndian.AppendUint64(b, uint64(off))
+	return append(b, indexMagic...)
 }
 
 // appendString appends a length-prefixed string.
@@ -137,16 +146,16 @@ func appendString(b []byte, s string) []byte {
 // appendTables appends the region and location tables as a defs record
 // lays them out or, with totals, as the index body does, where each
 // location also carries its event count.
-func appendTables(b []byte, t *Trace, totals bool) []byte {
-	b = binary.AppendUvarint(b, uint64(len(t.Regions)))
-	for _, r := range t.Regions {
+func appendTables(b []byte, regions []RegionDef, locs []LocInfo, totals bool) []byte {
+	b = binary.AppendUvarint(b, uint64(len(regions)))
+	for _, r := range regions {
 		b = append(appendString(b, r.Name), byte(r.Role))
 	}
-	b = binary.AppendUvarint(b, uint64(len(t.Locs)))
-	for _, l := range t.Locs {
+	b = binary.AppendUvarint(b, uint64(len(locs)))
+	for _, l := range locs {
 		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(l.Rank)), uint64(l.Thread))
 		if totals {
-			b = binary.AppendUvarint(b, uint64(len(l.Events)))
+			b = binary.AppendUvarint(b, uint64(l.Events))
 		}
 	}
 	return b

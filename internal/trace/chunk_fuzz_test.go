@@ -2,19 +2,21 @@ package trace
 
 import (
 	"bytes"
-	"reflect"
+	"encoding/binary"
 	"slices"
 	"testing"
 )
 
-// FuzzChunkReader feeds arbitrary bytes to both trace readers: each
-// must either decode cleanly or return a structured error — never
-// panic, hang, or over-allocate on a corrupted varint — and whenever
-// the strict Read succeeds, its trace is exactly what the lenient
-// reader decodes from the same bytes.  On such a trace whose locations'
-// stamps never decrease, Range over a window drawn from the input must
-// return exactly the trace's events inside the window: index pruning
-// may skip a chunk only when none of its events fall in it.
+// FuzzChunkReader feeds arbitrary bytes to the trace reader, both as
+// they are and re-sealed (reseal), so that an input whose chunk header
+// was mutated still reaches the span check and the inflate instead of
+// failing the tail comparison.  The reader must either decode cleanly or
+// return a structured error — never panic, hang, or over-allocate on a
+// corrupted varint.  An accepted input decodes to exactly the events its
+// chunk headers claim, location by location.  On an accepted trace whose
+// locations' stamps never decrease, Range over a window drawn from the
+// input must return exactly the trace's events inside the window: a
+// window read may skip a chunk only when none of its events fall in it.
 func FuzzChunkReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(magic))
@@ -36,64 +38,65 @@ func FuzzChunkReader(f *testing.F) {
 
 	f.Add([]byte(magic + "\x01\x00\x00\x00")) // a version-1 header
 	f.Add(valid[:len(valid)/3])
+	f.Add(valid[:binary.LittleEndian.Uint64(valid[len(valid)-12:])+5]) // a cut inside the index record
+	f.Add(append(append([]byte(nil), valid...), "trailing junk"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, rerr := Read(bytes.NewReader(data))
-		if rerr == nil && tr == nil {
-			t.Fatal("Read returned nil trace and nil error")
-		}
-		cf, err := NewChunkFile(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			if rerr == nil {
-				t.Fatalf("Read accepted bytes NewChunkFile rejects: %v", err)
-			}
-			return
-		}
-		// Whatever survived must decode cleanly or fail with a
-		// structured error, without panicking.
-		all, err := cf.Trace()
-		if rerr != nil {
-			return
-		}
-		if err != nil {
-			t.Fatalf("Read succeeded but ChunkFile.Trace failed: %v", err)
-		}
-		if !reflect.DeepEqual(tr, all) {
-			t.Fatal("Read and NewChunkFile+Trace disagree")
-		}
-		var stamps []uint64
-		for _, l := range tr.Locs {
-			for i, e := range l.Events {
-				if i > 0 && e.Time < l.Events[i-1].Time {
-					return
-				}
-				stamps = append(stamps, e.Time)
-			}
-		}
-		if len(stamps) == 0 {
-			return
-		}
-		lo, hi := stamps[int(data[0])%len(stamps)], stamps[int(data[len(data)-1])%len(stamps)]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		got, err := cf.Range(lo, hi)
-		if err != nil {
-			t.Fatalf("Range(%d, %d) of an accepted trace failed: %v", lo, hi, err)
-		}
-		for li, l := range tr.Locs {
-			var want []Event
-			for _, e := range l.Events {
-				if e.Time >= lo && e.Time <= hi {
-					want = append(want, e)
-				}
-			}
-			if !slices.Equal(got.Locs[li].Events, want) {
-				t.Fatalf("Range(%d, %d): location %d has %d events, want %d",
-					lo, hi, li, len(got.Locs[li].Events), len(want))
-			}
+		checkAccepted(t, data)
+		if sealed := reseal(data); sealed != nil {
+			checkAccepted(t, sealed)
 		}
 	})
+}
+
+// checkAccepted reads data and, if the reader accepts it, checks the
+// decoded trace against the chunk headers and the window invariant.
+func checkAccepted(t *testing.T, data []byte) {
+	cf, err := NewChunkFile(data)
+	if err != nil {
+		return
+	}
+	tr, err := cf.Trace()
+	if err != nil {
+		return
+	}
+	for li, l := range cf.Locs() {
+		if n := len(tr.Locs[li].Events); n != l.Events {
+			t.Fatalf("location %d decoded %d events, its chunk headers claim %d", li, n, l.Events)
+		}
+	}
+	var stamps []uint64
+	for _, l := range tr.Locs {
+		for i, e := range l.Events {
+			if i > 0 && e.Time < l.Events[i-1].Time {
+				return
+			}
+			stamps = append(stamps, e.Time)
+		}
+	}
+	if len(stamps) == 0 {
+		return
+	}
+	lo, hi := stamps[int(data[0])%len(stamps)], stamps[int(data[len(data)-1])%len(stamps)]
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	got, err := cf.Range(lo, hi)
+	if err != nil {
+		t.Fatalf("Range(%d, %d) of an accepted trace failed: %v", lo, hi, err)
+	}
+	for li, l := range tr.Locs {
+		var want []Event
+		for _, e := range l.Events {
+			if e.Time >= lo && e.Time <= hi {
+				want = append(want, e)
+			}
+		}
+		if !slices.Equal(got.Locs[li].Events, want) {
+			t.Fatalf("Range(%d, %d): location %d has %d events, want %d",
+				lo, hi, li, len(got.Locs[li].Events), len(want))
+		}
+	}
 }
 
 func bigSampleFuzz() *Trace {

@@ -114,15 +114,9 @@ func TestWriteChunkedRoundTrip(t *testing.T) {
 func TestChunkFileStreamMaterialize(t *testing.T) {
 	tr := bigSample(4, 300)
 	b := chunkedBytes(t, tr, 32)
-	cf, err := NewChunkFile(bytes.NewReader(b), int64(len(b)))
+	cf, err := NewChunkFile(b)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !cf.IndexOK {
-		t.Fatal("intact file did not load its index")
-	}
-	if cf.Damage != nil {
-		t.Fatalf("unexpected damage: %v", cf.Damage)
 	}
 	if want := 300/32 + 1; len(cf.locChunks[0]) != want {
 		t.Fatalf("loc 0 has %d chunks, want %d", len(cf.locChunks[0]), want)
@@ -139,7 +133,7 @@ func TestChunkFileStreamMaterialize(t *testing.T) {
 func TestChunkFileTraceRepeatable(t *testing.T) {
 	tr := bigSample(1, 100)
 	b := chunkedBytes(t, tr, 16)
-	cf, err := NewChunkFile(bytes.NewReader(b), int64(len(b)))
+	cf, err := NewChunkFile(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +149,7 @@ func TestChunkFileTraceRepeatable(t *testing.T) {
 func TestChunkFileRange(t *testing.T) {
 	tr := bigSample(3, 400)
 	b := chunkedBytes(t, tr, 32)
-	cf, err := NewChunkFile(bytes.NewReader(b), int64(len(b)))
+	cf, err := NewChunkFile(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +192,12 @@ func TestWriteChunkedDeterministic(t *testing.T) {
 	}
 }
 
+// TestChunkCorruptionMatrix damages a valid file in each way the reader
+// must reject and checks the error's class and the record it names.
 func TestChunkCorruptionMatrix(t *testing.T) {
 	tr := bigSample(2, 200)
 	valid := chunkedBytes(t, tr, 32)
-	cfAll, err := NewChunkFile(bytes.NewReader(valid), int64(len(valid)))
+	cfAll, err := NewChunkFile(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +211,20 @@ func TestChunkCorruptionMatrix(t *testing.T) {
 		c[at] ^= 0xff
 		return c
 	}
+	// chunkErr checks that err is a *RecordError of class want naming
+	// chunk ci of the valid file: its location, ordinal and offset.
+	chunkErr := func(t *testing.T, err error, ci int, want error) {
+		t.Helper()
+		var re *RecordError
+		if !errors.As(err, &re) || !errors.Is(err, want) {
+			t.Fatalf("got %v, want a *RecordError wrapping %v", err, want)
+		}
+		c := chunks[ci]
+		if ordinal := slices.Index(cfAll.locChunks[c.Loc], ci) + 1; re.Loc != c.Loc || re.Chunk != ordinal || re.Offset != c.Offset {
+			t.Fatalf("error names location %d chunk %d offset %d, want location %d chunk %d offset %d",
+				re.Loc, re.Chunk, re.Offset, c.Loc, ordinal, c.Offset)
+		}
+	}
 	// Target the payload of the last chunk of location 0.
 	lastLoc0 := cfAll.locChunks[0][len(cfAll.locChunks[0])-1]
 	target := chunks[lastLoc0]
@@ -222,167 +232,73 @@ func TestChunkCorruptionMatrix(t *testing.T) {
 
 	t.Run("payload flip via strict Read", func(t *testing.T) {
 		_, err := Read(bytes.NewReader(flip(valid, payloadMid)))
-		if err == nil {
-			t.Fatal("corrupt chunk read cleanly")
-		}
-		var re *RecordError
-		if !errors.As(err, &re) {
-			t.Fatalf("error is not a *RecordError: %v", err)
-		}
-		if re.Chunk == 0 {
-			t.Fatalf("RecordError lost its chunk context: %+v", re)
-		}
+		chunkErr(t, err, lastLoc0, ErrBadChunk)
 	})
 
-	t.Run("payload flip keeps other chunks readable", func(t *testing.T) {
-		cf, err := NewChunkFile(bytes.NewReader(flip(valid, target.Offset+12)), int64(len(valid)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Decoding every chunk fails on the damaged one, naming it.
-		_, err = cf.Trace()
-		var re *RecordError
-		if !errors.As(err, &re) {
-			t.Fatalf("decode error is not a *RecordError: %v", err)
-		}
-		if re.Loc != 0 || re.Offset != target.Offset {
-			t.Fatalf("error names location %d offset %d, want location 0 offset %d", re.Loc, re.Offset, target.Offset)
-		}
-		if !errors.Is(err, ErrBadChunk) && !errors.Is(err, ErrTruncated) {
-			t.Fatalf("decode error lost its cause: %v", err)
-		}
-		// A window the damaged chunk does not overlap is pruned before
-		// it, so every chunk it does overlap still decodes.
-		maxT := target.FirstTime - 1
-		got, err := cf.Range(0, maxT)
-		if err != nil {
-			t.Fatalf("window before the damaged chunk: %v", err)
-		}
-		for li := range tr.Locs {
-			var want []Event
-			for _, e := range tr.Locs[li].Events {
-				if e.Time <= maxT {
-					want = append(want, e)
-				}
-			}
-			if !slices.Equal(got.Locs[li].Events, want) {
-				t.Fatalf("location %d: window yielded %d events, want %d", li, len(got.Locs[li].Events), len(want))
-			}
-		}
+	t.Run("CRC flip fails the read and every window", func(t *testing.T) {
+		// Every chunk's CRC is checked when the file is parsed, so no
+		// window read, even one the damaged chunk does not overlap, gets
+		// past it.
+		_, err := NewChunkFile(flip(valid, target.Offset+12))
+		chunkErr(t, err, lastLoc0, ErrBadChunk)
 	})
 
-	t.Run("truncated tail falls back to scan", func(t *testing.T) {
-		// Cut inside the last chunk's payload: index and trailer gone.
-		cut := chunks[len(chunks)-1].Offset + 20
-		cf, err := NewChunkFile(bytes.NewReader(valid[:cut]), cut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cf.IndexOK {
-			t.Fatal("truncated file claims an intact index")
-		}
-		if cf.Damage == nil {
-			t.Fatal("truncated file reports no damage")
-		}
-		if len(cf.Chunks()) != len(chunks)-1 {
-			t.Fatalf("scan kept %d chunks, want %d", len(cf.Chunks()), len(chunks)-1)
-		}
-		// Every surviving chunk decodes.
-		if _, err := cf.Trace(); err != nil {
-			t.Fatalf("surviving chunk failed: %v", err)
-		}
+	t.Run("cut inside the last chunk", func(t *testing.T) {
+		last := len(chunks) - 1
+		_, err := Read(bytes.NewReader(valid[:chunks[last].Offset+20]))
+		chunkErr(t, err, last, ErrTruncated)
 	})
 
 	t.Run("unknown tag is damage, not a torn record", func(t *testing.T) {
-		// Without a trailer the fallback scan reads the records.  An
-		// unknown tag byte where the third chunk starts is damage; the
+		// An unknown tag byte where the third chunk starts is damage; the
 		// same file cut inside that chunk's header is a torn record.
 		third := chunks[2].Offset
 		trailerless := valid[:len(valid)-12]
 		bad := append([]byte(nil), trailerless...)
 		bad[third] = 0x7f
-		cf, err := NewChunkFile(bytes.NewReader(bad), int64(len(bad)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cf.IndexOK {
-			t.Fatal("trailerless file claims an intact index")
-		}
+		_, err := Read(bytes.NewReader(bad))
 		want := fmt.Sprintf("unknown record tag 0x7f at offset %d", third)
-		if cf.Damage == nil || !strings.Contains(cf.Damage.Error(), want) {
-			t.Fatalf("damage = %v, want %q", cf.Damage, want)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want %q", err, want)
 		}
-		if errors.Is(cf.Damage, ErrTruncated) {
-			t.Fatalf("an unknown tag was classified as a torn record: %v", cf.Damage)
+		if errors.Is(err, ErrTruncated) {
+			t.Fatalf("an unknown tag was classified as a torn record: %v", err)
 		}
-		if len(cf.Chunks()) != 2 {
-			t.Fatalf("scan kept %d chunks, want the 2 before the damage", len(cf.Chunks()))
-		}
-		if _, err := cf.Trace(); err != nil {
-			t.Fatalf("chunks before the damage failed: %v", err)
-		}
-
-		cut, err := NewChunkFile(bytes.NewReader(trailerless[:third+3]), third+3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var re *RecordError
-		if !errors.As(cut.Damage, &re) || !errors.Is(cut.Damage, ErrTruncated) || re.Offset != third {
-			t.Fatalf("cut inside a chunk header: damage = %v, want a torn RecordError at offset %d", cut.Damage, third)
-		}
+		_, err = Read(bytes.NewReader(trailerless[:third+3]))
+		chunkErr(t, err, 2, ErrTruncated)
 	})
 
-	t.Run("missing trailer only", func(t *testing.T) {
-		cf, err := NewChunkFile(bytes.NewReader(valid[:len(valid)-12]), int64(len(valid)-12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cf.IndexOK {
-			t.Fatal("trailerless file claims an intact index")
-		}
-		if cf.Damage != nil {
-			t.Fatalf("scan of complete records reported damage: %v", cf.Damage)
-		}
-		got, err := cf.Trace()
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalTraces(t, got, tr)
-	})
-
-	t.Run("corrupt trailer offset falls back to scan", func(t *testing.T) {
-		bad := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint64(bad[len(bad)-12:], uint64(len(bad)*2))
-		cf, err := NewChunkFile(bytes.NewReader(bad), int64(len(bad)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cf.IndexOK {
-			t.Fatal("bad trailer offset accepted")
-		}
-		got, err := cf.Trace()
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalTraces(t, got, tr)
-	})
-
-	t.Run("index CRC flip falls back to scan", func(t *testing.T) {
-		idxOff := binary.LittleEndian.Uint64(valid[len(valid)-12:])
-		bad := flip(valid, int64(idxOff)+5)
-		cf, err := NewChunkFile(bytes.NewReader(bad), int64(len(bad)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cf.IndexOK {
-			t.Fatal("corrupt index accepted")
-		}
-		got, err := cf.Trace()
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalTraces(t, got, tr)
-	})
+	// The index record and trailer must be exactly the ones the records
+	// imply: a tail cut short is a truncation, any other difference is
+	// damage.  Each error names the index record's offset.
+	idxOff := int64(binary.LittleEndian.Uint64(valid[len(valid)-12:]))
+	repointed := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(repointed[len(repointed)-12:], uint64(len(repointed)*2))
+	disagrees := "trace: index record or trailer disagrees with the records before it"
+	for _, tc := range []struct {
+		name  string
+		input []byte
+		want  string // the error after "offset <idxOff>: "
+	}{
+		{"missing trailer only", valid[:len(valid)-12], "trace: truncated event stream while reading index record"},
+		{"cut inside the index record", valid[:idxOff+5], "trace: truncated event stream while reading index record"},
+		{"index body flip", flip(valid, idxOff+5), disagrees},
+		{"corrupt trailer offset", repointed, disagrees},
+		{"trailing bytes", append(append([]byte(nil), valid...), "trailing junk"...), "trace: 13 bytes after the trailer"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(tc.input))
+			if err == nil {
+				t.Fatal("malformed tail accepted")
+			}
+			if want := fmt.Sprintf("offset %d: %s", idxOff, tc.want); err.Error() != want {
+				t.Fatalf("got %q, want %q", err, want)
+			}
+			if errors.Is(err, ErrTruncated) != strings.Contains(tc.want, "truncated") {
+				t.Fatalf("errors.Is(%v, ErrTruncated) = %v", err, errors.Is(err, ErrTruncated))
+			}
+		})
+	}
 }
 
 func TestChunkedPropertyRoundTrip(t *testing.T) {
@@ -425,7 +341,7 @@ func TestChunkedPropertyRoundTrip(t *testing.T) {
 // golden (flate output is not promised stable across Go releases): one
 // defs record right after the header, each location's full chunks in
 // location order, then each location's partial tail in location order,
-// and an index whose every entry equals its chunk's header.
+// and the index and trailer the reader re-derives from those records.
 func TestWriteChunkedLayout(t *testing.T) {
 	const n = 4
 	tr := New("lt_stmt")
@@ -466,12 +382,12 @@ func TestWriteChunkedLayout(t *testing.T) {
 				i, h.Loc, h.Events, want[i][0], want[i][1])
 		}
 	}
-	cf, err := NewChunkFile(bytes.NewReader(whole), int64(len(whole)))
+	cf, err := NewChunkFile(whole)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cf.IndexOK || !slices.Equal(cf.Chunks(), headers) {
-		t.Fatalf("index (loaded %v) lists %+v, want the chunk headers %+v", cf.IndexOK, cf.Chunks(), headers)
+	if !slices.Equal(cf.Chunks(), headers) {
+		t.Fatalf("reader lists chunks %+v, want the chunk headers %+v", cf.Chunks(), headers)
 	}
 	got, err := Read(bytes.NewReader(whole))
 	if err != nil {
@@ -519,18 +435,6 @@ func TestReadIncrementalDefs(t *testing.T) {
 	}
 	got, err := Read(bytes.NewReader(whole))
 	if err != nil {
-		t.Fatal(err)
-	}
-	equalTraces(t, got, want)
-	// Without its trailer the file is read by the record scan alone.
-	cf, err := NewChunkFile(bytes.NewReader(whole[:len(whole)-12]), int64(len(whole)-12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cf.IndexOK || cf.Damage != nil {
-		t.Fatalf("trailerless read: IndexOK %v, damage %v; want a clean scan", cf.IndexOK, cf.Damage)
-	}
-	if got, err = cf.Trace(); err != nil {
 		t.Fatal(err)
 	}
 	equalTraces(t, got, want)

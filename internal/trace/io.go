@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 )
 
@@ -21,16 +20,6 @@ const (
 	maxRegions   = 1 << 20
 	maxLocations = 1 << 24
 )
-
-// fail attaches the section being decoded to a low-level read error and
-// maps end-of-input onto ErrTruncated, so every failure names where in
-// the stream the file gave out.
-func fail(section string, err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w while reading %s", ErrTruncated, section)
-	}
-	return fmt.Errorf("trace: reading %s: %w", section, err)
-}
 
 // internRegion is (*Trace).Region for decode paths: a region table with
 // a duplicate name is corrupt input and must surface as an error, not as
@@ -56,8 +45,8 @@ type RecordError struct {
 	// it in, so batch tools reading many traces report which file held
 	// the bad record.
 	Path string
-	// Loc indexes the location table; -1 when unknown (a defs record,
-	// or a chunk header cut before its location field).
+	// Loc indexes the location table; -1 when unknown (a defs or index
+	// record, or a chunk header cut before its location field).
 	Loc int
 	// Rank and Thread are the location's when it is in the table,
 	// which Chunk > 0 marks.
@@ -66,8 +55,8 @@ type RecordError struct {
 	Event  int // zero-based index, within the location, of the chunk's first event
 	Events int // Event plus the chunk's declared event count
 	// Chunk is the one-based chunk ordinal within the location, or 0
-	// when the failing record is not a chunk (a defs record) or its
-	// location is unknown or not in the table.
+	// when the failing record is not a chunk (a defs or index record)
+	// or its location is unknown or not in the table.
 	Chunk int
 	// Offset is the file offset of the offending record's tag byte; 0
 	// means unknown.
@@ -117,70 +106,28 @@ func ReadFile(path string) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer cf.Close()
-	t, err := cf.complete()
+	t, err := cf.Trace()
 	if err != nil {
 		return nil, withPath(path, err)
 	}
 	return t, nil
 }
 
-// Read decodes a trace written by WriteChunked.  It is strict: it
-// succeeds only on a complete file — its trailer and index
-// validate, or a sequential scan reaches the index record — whose every
-// chunk decodes.  It fails with a precise diagnostic — bad magic,
-// unsupported version, implausible count, an ErrTruncated-wrapped error
-// for a cut-off file, a *RecordError naming the location, chunk and
-// offset of a cut or corrupt chunk — and never panics or over-allocates
-// on corrupt input.  OpenChunkFile and NewChunkFile are the lenient
-// readers: they keep whatever survives and report the rest as Damage.
+// Read decodes a trace written by WriteChunked: NewChunkFile over the
+// reader's bytes, then ChunkFile.Trace.  It succeeds only on a complete
+// file whose every chunk decodes, and fails with a precise diagnostic —
+// bad magic, unsupported version, implausible count, an
+// ErrTruncated-wrapped error for any proper prefix of a file, a
+// *RecordError naming the location, chunk and offset of a cut or corrupt
+// chunk — without panicking or over-allocating on corrupt input.
 func Read(r io.Reader) (*Trace, error) {
 	var buf bytes.Buffer
 	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, err
 	}
-	cf, err := NewChunkFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	cf, err := NewChunkFile(buf.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	return cf.complete()
-}
-
-// complete applies the strict rule: the file must have been proven
-// complete (no Damage), its records must tile it, and every chunk must
-// decode.
-func (cf *ChunkFile) complete() (*Trace, error) {
-	if cf.Damage != nil {
-		return nil, cf.Damage
-	}
-	if cf.IndexOK {
-		if err := cf.checkRecords(); err != nil {
-			return nil, err
-		}
-	}
 	return cf.Trace()
-}
-
-// checkRecords proves that an indexed file's records tile it: the
-// sequential record scan must reach the index record cleanly and find
-// exactly the definitions and chunks the index lists.  Without it,
-// strict Read would accept bytes between records that the index-less
-// fallback scan rejects, or records the index contradicts.
-func (cf *ChunkFile) checkRecords() error {
-	seq := &ChunkFile{ra: cf.ra, size: cf.size, path: cf.path}
-	hdr := seq.section(0)
-	if err := seq.readHeader(hdr); err != nil {
-		return err
-	}
-	s := recordScan{resume: hdr.off}
-	seq.scanSealed(&s)
-	switch {
-	case s.damage != nil:
-		return s.damage
-	case s.torn != nil:
-		return s.torn
-	case !s.done || !slices.Equal(seq.Regions, cf.Regions) || !slices.Equal(seq.locs, cf.locs) || !slices.Equal(seq.chunks, cf.chunks):
-		return fmt.Errorf("trace: the index disagrees with the records before offset %d", s.resume)
-	}
-	return nil
 }

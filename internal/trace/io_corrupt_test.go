@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,51 +26,53 @@ type rawRecord struct {
 
 func parseRecords(t *testing.T, full []byte) (hdrEnd int64, recs []rawRecord) {
 	t.Helper()
-	cf := &ChunkFile{ra: bytes.NewReader(full), size: int64(len(full))}
-	p := cf.section(0)
-	if err := cf.readHeader(p); err != nil {
+	cf := &ChunkFile{}
+	c := &cursor{b: full}
+	if err := cf.header(c); err != nil {
 		t.Fatal(err)
 	}
-	hdrEnd = p.off
-	nRegions, nLocs := 0, 0
-	for {
-		off := p.off
-		tag, err := p.ReadByte()
-		if err == io.EOF {
-			return hdrEnd, recs
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	hdrEnd = int64(c.off)
+	for c.off < len(full) {
+		off := int64(c.off)
+		tag := full[c.off]
+		c.off++
 		switch tag {
 		case tagDefs:
-			err := readDefs(p,
-				func(string, Role) { nRegions++ },
-				func(int, int) { nLocs++ },
-				nRegions, nLocs)
-			if err != nil {
+			if err := cf.defs(c); err != nil {
 				t.Fatal(err)
 			}
-			recs = append(recs, rawRecord{tag: tag, off: off, end: p.off})
+			recs = append(recs, rawRecord{tag: tag, off: off, end: int64(c.off)})
 		case tagChunk:
-			h, err := p.chunkHeader(off)
+			h, n, err := parseChunkHeader(full[c.off:], off)
 			if err != nil {
 				t.Fatal(err)
 			}
-			payloadOff := p.off
-			if err := p.skip(h.info.CompLen); err != nil {
-				t.Fatal(err)
-			}
+			payloadOff := int64(c.off + n)
+			c.off += n + h.info.CompLen
 			recs = append(recs, rawRecord{
-				tag: tag, off: off, end: p.off, payloadOff: payloadOff, loc: h.info.Loc,
+				tag: tag, off: off, end: int64(c.off), payloadOff: payloadOff, loc: h.info.Loc,
 			})
 		case tagIndex:
-			recs = append(recs, rawRecord{tag: tag, off: off, end: int64(len(full))})
-			return hdrEnd, recs
+			return hdrEnd, append(recs, rawRecord{tag: tag, off: off, end: int64(len(full))})
 		default:
 			t.Fatalf("unknown tag 0x%02x at %d", tag, off)
 		}
 	}
+	return hdrEnd, recs
+}
+
+// reseal returns b up to its first index tag, followed by the index
+// record and trailer that WriteChunked derives from the records before
+// it, or nil when b does not parse that far.  An input with a damaged
+// chunk header thus reaches the decoder's checks instead of failing the
+// reader's tail comparison.
+func reseal(b []byte) []byte {
+	cf := &ChunkFile{}
+	idx, err := cf.records(b)
+	if err != nil {
+		return nil
+	}
+	return appendIndex(slices.Clip(b[:idx]), cf.Regions, cf.locs, cf.chunks, int64(idx))
 }
 
 func firstChunkRecord(t *testing.T, recs []rawRecord) rawRecord {
@@ -103,29 +105,20 @@ func indexOffset(t *testing.T, whole []byte) int64 {
 	return last.off
 }
 
-// Every proper prefix of a valid trace must either fail with
-// ErrTruncated — never a panic, never a silently short trace — or, once
-// the index record has begun, return the complete trace: all chunks
-// precede the index, so nothing is missing.
+// Every proper prefix of a valid trace must fail with ErrTruncated —
+// never a panic, never a silently short trace — including a cut inside
+// the index record or the trailer, which prove the file complete.
 func TestReadTruncationAtEveryOffset(t *testing.T) {
 	whole := recordSample(t)
-	idx := indexOffset(t, whole)
 	for n := 0; n < len(whole); n++ {
 		got, err := Read(bytes.NewReader(whole[:n]))
-		if int64(n) <= idx {
-			if err == nil {
-				t.Fatalf("prefix of %d/%d bytes (index at %d) parsed as a complete trace of %d events",
-					n, len(whole), idx, got.NumEvents())
-			}
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("prefix of %d bytes: got %v, want ErrTruncated", n, err)
-			}
-			continue
+		if err == nil {
+			t.Fatalf("prefix of %d/%d bytes parsed as a complete trace of %d events",
+				n, len(whole), got.NumEvents())
 		}
-		if err != nil {
-			t.Fatalf("prefix of %d bytes past the index tag: %v", n, err)
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("prefix of %d bytes: got %v, want ErrTruncated", n, err)
 		}
-		equalTraces(t, got, sample())
 	}
 }
 
@@ -145,23 +138,24 @@ func TestReadCorruptionDiagnostics(t *testing.T) {
 		return b
 	}
 	// junk inserts five bytes that start no record before the index
-	// record and re-points the trailer past them: the index still loads,
-	// so only the record scan can see the junk.
+	// record and re-points the trailer past them: the reader meets the
+	// junk where it expects a record tag.
 	idx := indexOffset(t, valid)
 	junk := append(append(append([]byte(nil), valid[:idx]...), 7, 7, 7, 7, 7), valid[idx:]...)
 	binary.LittleEndian.PutUint64(junk[len(junk)-12:], uint64(idx+5))
 	// respanned makes location 0's first chunk (stamps 1 and 5) claim
-	// FirstTime 127 and drops the trailer, so the read takes the span
-	// from the header rather than the index.  The span sits outside the
-	// payload CRC.
+	// FirstTime 127 and re-seals the file, so its index agrees with the
+	// header.  The span sits outside the payload CRC, so only the decode
+	// can catch it.
 	_, recs := parseRecords(t, valid)
 	first := firstChunkRecord(t, recs)
 	at := first.off + 1 + int64(len(uvarint(0))+len(uvarint(2)))
 	if first.loc != 0 || valid[at] != 1 {
 		t.Fatalf("first chunk: location %d, FirstTime byte %d; want location 0 and 1", first.loc, valid[at])
 	}
-	respanned := append([]byte(nil), valid[:len(valid)-12]...)
+	respanned := append([]byte(nil), valid...)
 	respanned[at] = 127
+	respanned = reseal(respanned)
 	for _, tc := range []struct {
 		name  string
 		input []byte
@@ -193,12 +187,13 @@ func TestReadCorruptionDiagnostics(t *testing.T) {
 	t.Run("huge event count with no events", func(t *testing.T) {
 		// One location whose only chunk claims 2^26 events — the most
 		// its declared 2^26-byte raw payload could hold — but carries no
-		// payload (CRC 0 is the empty payload's), followed by the index
-		// tag, so the scan calls the file complete.  Decoding must fail
-		// fast instead of allocating for the claimed count or length.
-		input := header([]byte{tagDefs}, uvarint(0), uvarint(1), uvarint(0), uvarint(0),
+		// payload (CRC 0 is the empty payload's), sealed by the index
+		// and trailer those records imply, so the file parses complete.
+		// Decoding must fail fast instead of allocating for the claimed
+		// count or length.
+		input := reseal(header([]byte{tagDefs}, uvarint(0), uvarint(1), uvarint(0), uvarint(0),
 			[]byte{tagChunk}, uvarint(0), uvarint(1<<26), uvarint(0), uvarint(0), uvarint(1<<26), uvarint(0),
-			[]byte{0, 0, 0, 0}, []byte{tagIndex})
+			[]byte{0, 0, 0, 0}, []byte{tagIndex}))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Read(bytes.NewReader(input))
@@ -212,15 +207,14 @@ func TestReadCorruptionDiagnostics(t *testing.T) {
 	})
 }
 
-// Trailing bytes after a complete trace break the trailer, but the
-// fallback scan still reaches the index record: the read succeeds.
+// A trace file ends at its trailer: bytes after it are damage, not a
+// cut, and the read fails naming how many there are.
 func TestReadSelfDelimiting(t *testing.T) {
 	whole := recordSample(t)
-	got, err := Read(bytes.NewReader(append(whole, "trailing junk"...)))
-	if err != nil {
-		t.Fatalf("trailing bytes broke the read: %v", err)
+	_, err := Read(bytes.NewReader(append(whole, "trailing junk"...)))
+	if err == nil || errors.Is(err, ErrTruncated) || !strings.Contains(err.Error(), "13 bytes after the trailer") {
+		t.Fatalf("trailing bytes: got %v, want an error naming 13 bytes after the trailer", err)
 	}
-	equalTraces(t, got, sample())
 }
 
 // A cut inside a chunk record must surface the offending record's
