@@ -173,6 +173,12 @@ func BenchmarkAnalyzer(b *testing.B) {
 	benchWorkload(b, "Analyzer")
 }
 
+// BenchmarkCriticalPath measures the critical-path walk on a LULESH-1
+// quick tsc trace.
+func BenchmarkCriticalPath(b *testing.B) {
+	benchWorkload(b, "CriticalPath")
+}
+
 // BenchmarkTraceRoundTrip measures binary trace serialisation.
 func BenchmarkTraceRoundTrip(b *testing.B) {
 	benchWorkload(b, "TraceRoundTrip")

@@ -131,46 +131,49 @@ func main() {
 		return
 	}
 
-	study := func(name string) *experiment.Study {
-		spec, err := experiment.SpecByName(name, specOpts)
+	// studies prints a "running" line per name, then runs the named
+	// studies as one grid.
+	studies := func(names ...string) []*experiment.Study {
+		specs := make([]experiment.Spec, len(names))
+		for i, name := range names {
+			spec, err := experiment.SpecByName(name, specOpts)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Fprintf(w, "running %s...\n", name)
+			specs[i] = spec
+		}
+		sts, err := experiment.RunStudies(specs, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(w, "running %s...\n", name)
-		st, err := experiment.RunStudy(spec, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return st
+		return sts
 	}
 
 	switch {
 	case *table == 1:
-		experiment.TableI(w, study("MiniFE-2"), study("LULESH-1"), study("TeaLeaf-2"))
+		s := studies("MiniFE-2", "LULESH-1", "TeaLeaf-2")
+		experiment.TableI(w, s[0], s[1], s[2])
 	case *table == 2:
-		experiment.TableII(w, []*experiment.Study{
-			study("TeaLeaf-1"), study("TeaLeaf-2"), study("TeaLeaf-3"), study("TeaLeaf-4"),
-		})
+		experiment.TableII(w, studies("TeaLeaf-1", "TeaLeaf-2", "TeaLeaf-3", "TeaLeaf-4"))
 	case *fig == 2:
-		experiment.Fig2(w, study("MiniFE-2"))
+		experiment.Fig2(w, studies("MiniFE-2")[0])
 	case *fig == 3:
-		experiment.FigJaccard(w, "FIG 3 (MiniFE, LULESH)", []*experiment.Study{
-			study("MiniFE-1"), study("MiniFE-2"), study("LULESH-1"), study("LULESH-2"),
-		})
+		experiment.FigJaccard(w, "FIG 3 (MiniFE, LULESH)", studies("MiniFE-1", "MiniFE-2", "LULESH-1", "LULESH-2"))
 	case *fig == 4:
-		experiment.FigJaccard(w, "FIG 4 (TeaLeaf)", []*experiment.Study{
-			study("TeaLeaf-1"), study("TeaLeaf-2"), study("TeaLeaf-3"), study("TeaLeaf-4"),
-		})
+		experiment.FigJaccard(w, "FIG 4 (TeaLeaf)", studies("TeaLeaf-1", "TeaLeaf-2", "TeaLeaf-3", "TeaLeaf-4"))
 	case *fig == 5:
-		experiment.Fig5(w, study("MiniFE-1"), study("MiniFE-2"))
+		s := studies("MiniFE-1", "MiniFE-2")
+		experiment.Fig5(w, s[0], s[1])
 	case *fig == 6:
-		experiment.Fig6(w, study("MiniFE-1"), study("MiniFE-2"))
+		s := studies("MiniFE-1", "MiniFE-2")
+		experiment.Fig6(w, s[0], s[1])
 	case *fig == 7:
-		experiment.Fig7(w, study("MiniFE-2"))
+		experiment.Fig7(w, studies("MiniFE-2")[0])
 	case *fig == 8:
-		experiment.Fig8(w, study("LULESH-1"))
+		experiment.Fig8(w, studies("LULESH-1")[0])
 	case *fig == 9:
-		experiment.Fig9(w, study("LULESH-1"))
+		experiment.Fig9(w, studies("LULESH-1")[0])
 	default:
 		log.Fatalf("nothing to do: table=%d fig=%d", *table, *fig)
 	}

@@ -67,18 +67,24 @@ func main() {
 	}
 
 	needed := []string{"MiniFE-1", "MiniFE-2", "LULESH-1", "LULESH-2", "TeaLeaf-2", "TeaLeaf-4"}
-	studies := make(map[string]*experiment.Study)
-	for _, name := range needed {
+	specs := make([]experiment.Spec, len(needed))
+	for i, name := range needed {
 		spec, err := experiment.SpecByName(name, experiment.Options{Quick: true})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("running %s...\n", name)
-		st, err := experiment.RunStudy(spec, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		studies[name] = st
+		specs[i] = spec
+	}
+	// One grid for all six studies; each trace is verified on the pool
+	// worker that produced or served it, then dropped.
+	sts, err := experiment.RunStudies(specs, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	studies := make(map[string]*experiment.Study)
+	for _, st := range sts {
+		studies[st.Spec.Name] = st
 	}
 	if opts.Cache != nil {
 		hits, misses := opts.Cache.Stats()

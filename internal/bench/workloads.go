@@ -30,13 +30,15 @@ type Workload struct {
 var contentionCost = work.Cost{Instr: 1e6, Flops: 1e6, Bytes: 1e6}
 
 // Workloads returns the substrate and study benchmarks in reporting
-// order.  The first five are the kernel-level micro-benchmarks whose
+// order.  The first two are the kernel-level micro-benchmarks whose
 // ns/op and allocs/op are the scoreboard for scheduler optimisations
 // (KernelMixedNeeds shares one resource among members of four distinct
-// needs, MachineContention among members of one equal need); TraceWrite,
-// TraceDecode and TraceRange measure the chunked trace format; the
-// study pair measures the end-to-end pipeline they multiply into;
-// ReportWarmQuick measures a report served from the run cache.
+// needs, MachineContention among members of one equal need); TraceRecord
+// times the recorder; Analyzer and CriticalPath time the two trace
+// analyses a report runs; TraceRoundTrip, TraceWrite, TraceDecode and
+// TraceRange measure the chunked trace format; the study pair measures
+// the end-to-end pipeline they multiply into; ReportWarmQuick measures
+// a report served from the run cache.
 func Workloads() []Workload {
 	return []Workload{
 		{
@@ -58,6 +60,11 @@ func Workloads() []Workload {
 			Name: "Analyzer",
 			Desc: "scalasca replay of a LULESH-1 quick trace",
 			Make: analyzer,
+		},
+		{
+			Name: "CriticalPath",
+			Desc: "critical-path walk of a LULESH-1 quick tsc trace",
+			Make: criticalPath,
 		},
 		{
 			Name: "TraceRoundTrip",
@@ -187,6 +194,24 @@ func analyzer() (*Instance, error) {
 		Events: int64(res.Trace.NumEvents()),
 		Op: func() error {
 			_, err := scalasca.Analyze(res.Trace)
+			return err
+		},
+	}, nil
+}
+
+func criticalPath() (*Instance, error) {
+	spec, err := experiment.SpecByName("LULESH-1", experiment.Options{Quick: true})
+	if err != nil {
+		return nil, err
+	}
+	res, err := experiment.Run(spec, core.ModeTSC, 1, noise.Cluster(), false)
+	if err != nil {
+		return nil, err
+	}
+	return &Instance{
+		Events: int64(res.Trace.NumEvents()),
+		Op: func() error {
+			_, err := scalasca.CriticalPathAnalysis(res.Trace)
 			return err
 		},
 	}, nil

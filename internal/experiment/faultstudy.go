@@ -29,26 +29,27 @@ type FaultStudy struct {
 	Faulted *Study
 }
 
-// RunFaultStudy runs the paired protocol.  Every repetition of both
-// studies is analyzed (AnalyzeAll), because rep-to-rep stability under
-// injection is exactly what is being measured.
+// RunFaultStudy runs the paired protocol as one grid that keeps no
+// trace.  Every repetition of both studies is analyzed (AnalyzeAll),
+// because rep-to-rep stability under injection is exactly what is being
+// measured.
 func RunFaultStudy(spec Spec, opts StudyOptions, plan faults.Plan) (*FaultStudy, error) {
 	if plan.Empty() {
 		return nil, fmt.Errorf("experiment %s: fault study needs a non-empty plan", spec.Name)
 	}
 	opts = opts.fill()
 	opts.AnalyzeAll = true
+	faulted := opts
 	opts.Faults = nil
-	clean, err := RunStudy(spec, opts)
-	if err != nil {
-		return nil, fmt.Errorf("clean baseline: %w", err)
+	faulted.Faults = &plan
+	sts, errs := runGrid([]gridStudy{{spec: spec, opts: opts}, {spec: spec, opts: faulted}})
+	if errs[0] != nil {
+		return nil, fmt.Errorf("clean baseline: %w", errs[0])
 	}
-	opts.Faults = &plan
-	faulted, err := RunStudy(spec, opts)
-	if err != nil {
-		return nil, fmt.Errorf("faulted study: %w", err)
+	if errs[1] != nil {
+		return nil, fmt.Errorf("faulted study: %w", errs[1])
 	}
-	return &FaultStudy{Spec: spec, Plan: plan, Clean: clean, Faulted: faulted}, nil
+	return &FaultStudy{Spec: spec, Plan: plan, Clean: sts[0], Faulted: sts[1]}, nil
 }
 
 // DefaultPlanFor sizes the canonical Afzal one-off-delay experiment for a

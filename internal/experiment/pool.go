@@ -1,9 +1,9 @@
 package experiment
 
-// The worker-pool executor behind RunStudy, RunFaultStudy and
-// RunScaling.  Every job in a study's grid is fully isolated — it builds
-// its own vtime.Kernel, its own machine and its own seeded noise model —
-// so jobs can run on any number of goroutines.  Determinism across
+// The worker-pool executor behind RunStudies, RunStudy, RunFaultStudy,
+// RunScaling and RunPropagationStudy.  Every job in a grid is fully
+// isolated — it builds its own vtime.Kernel, its own machine and its own
+// seeded noise model — so jobs can run on any number of goroutines.  Determinism across
 // worker counts comes from three rules, all enforced here:
 //
 //  1. A job's inputs (seed, noise, faults, config) are computed during
@@ -16,7 +16,7 @@ package experiment
 //     so a retried or dropped repetition behaves identically whether it
 //     ran on worker 1 of 1 or worker 7 of 16.
 //
-// With those rules, RunStudy/RunFaultStudy/RunScaling outputs are
+// With those rules, the study, scaling and propagation outputs are
 // byte-identical for any worker count (asserted by pool_test.go).
 
 import (
@@ -31,6 +31,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/runcache"
+	"repro/internal/scalasca"
 	"repro/internal/tracecheck"
 )
 
@@ -66,6 +67,13 @@ type Job struct {
 	Rep int
 	// Opts are the fully-resolved run options, seed included.
 	Opts RunOptions
+
+	// The products the job's worker derives from an instrumented run's
+	// trace, besides the profile Opts.Analyze asks for.  Verify asks for
+	// a tracecheck report, CritPath for the critical path (on the
+	// RunResult).  The worker drops the trace once they are derived
+	// unless KeepTrace is set.  None of them enters the cache key.
+	Verify, CritPath, KeepTrace bool
 }
 
 // poolHooks bundles the pool's observe-only reporting: grid counters in
@@ -104,12 +112,13 @@ func (h poolHooks) jobDone(wall float64) {
 	h.progress.JobDone(wall)
 }
 
-// studyJobs enumerates RunStudy's full grid — reference repetitions
+// studyJobs enumerates one study's full grid — reference repetitions
 // first, then every mode's repetitions in opts.Modes order — with the
 // exact per-job seeds and analyze flags of the original sequential
-// protocol.  The enumeration is the contract that keeps cached results
-// from sequential runs valid under any worker count (pinned by
-// TestStudyJobSeedsMatchSequentialProtocol).
+// protocol, and a trace check on every instrumented job when
+// opts.VerifyTraces is set.  The enumeration is the contract that keeps
+// cached results from sequential runs valid under any worker count
+// (pinned by TestStudyJobSeedsMatchSequentialProtocol).
 func studyJobs(spec Spec, opts StudyOptions) []Job {
 	jobs := make([]Job, 0, opts.Reps*(1+len(opts.Modes)))
 	for rep := 0; rep < opts.Reps; rep++ {
@@ -131,6 +140,7 @@ func studyJobs(spec Spec, opts StudyOptions) []Job {
 					Cfg: &cfg, Seed: opts.BaseSeed + int64(rep), Noise: *opts.Noise,
 					Faults: opts.Faults, Analyze: analyze, Metrics: opts.Metrics,
 				},
+				Verify: opts.VerifyTraces,
 			})
 		}
 	}
@@ -155,30 +165,33 @@ func poolWorkers(requested, jobs int) int {
 }
 
 // runPool executes the jobs across min(workers, len(jobs)) goroutines
-// and returns, both placed by slot, the results (nil where the job was
-// dropped) and the dropped-repetition records (nil where it succeeded).
-// Each worker writes only its own jobs' slots, so placement needs no
-// lock, and slot indexing keeps the output independent of scheduling;
-// flattenDrops turns the drop slots into the report form.
+// and returns, each placed by slot, the results (nil where the job was
+// dropped), the dropped-repetition records (nil where it succeeded) and
+// the trace checks (nil unless the job asked for one).  Each worker
+// writes only its own jobs' slots, so placement needs no lock, and slot
+// indexing keeps the output independent of scheduling; flattenDrops
+// turns the drop slots into the report form.
 //
-// A worker derives its job's products before it drops the trace.  The
-// profile comes with the result.  When checks is non-nil (one slot per
-// job), the worker verifies the trace of every instrumented job, fresh
-// or served from the cache, right after its result is decided, and
-// stores the report in the job's slot.  Then it drops the trace unless
-// keep selects the job (nil keeps every trace).  A cache hit whose trace
-// is neither verified nor kept is served without decoding it.
-func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks, checks []*tracecheck.Report, keep func(Job) bool) ([]*RunResult, []*DroppedRep) {
+// A worker derives its job's products before it drops the trace: the
+// profile comes with the result, and the trace check and critical path
+// follow right after the result is decided, fresh or served from the
+// cache.  Then it drops the trace unless the job keeps it.  A cache hit
+// whose trace no product reads is served without decoding it.
+func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks) ([]*RunResult, []*DroppedRep, []*tracecheck.Report) {
 	results := make([]*RunResult, len(jobs))
 	drops := make([]*DroppedRep, len(jobs))
+	checks := make([]*tracecheck.Report, len(jobs))
 	run := func(i int) {
-		kept := keep == nil || keep(jobs[i])
-		res, drop := runJob(jobs[i], cache, hooks, kept || checks != nil)
+		job := jobs[i]
+		res, drop := runJob(job, cache, hooks, job.Verify || job.CritPath || job.KeepTrace)
 		if res != nil && res.Trace != nil {
-			if checks != nil {
+			if job.Verify {
 				checks[i] = tracecheck.Verify(res.Trace, tracecheck.Options{})
 			}
-			if !kept {
+			if job.CritPath {
+				res.critPath, res.critPathErr = scalasca.CriticalPathAnalysis(res.Trace)
+			}
+			if !job.KeepTrace {
 				res.Trace = nil
 			}
 		}
@@ -207,7 +220,7 @@ func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks, ch
 		close(idx)
 		wg.Wait()
 	}
-	return results, drops
+	return results, drops, checks
 }
 
 // flattenDrops collects the pool's per-slot drop records in

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/measure"
+	"repro/internal/obs"
 	"repro/internal/runcache"
 	"repro/internal/work"
 )
@@ -77,19 +78,34 @@ func assertStudiesEqual(t *testing.T, want, got *Study) {
 	}
 }
 
-// dropTraces returns a copy of st whose runs carry no trace: what the
-// same study must equal when its pool keeps no trace.
+// dropTraces returns a copy of st whose runs carry no trace and no
+// critical path: what the same study must equal when its pool keeps no
+// trace.
 func dropTraces(st *Study) *Study {
-	c := *st
-	c.Runs = make(map[core.Mode][]*RunResult, len(st.Runs))
+	c := &Study{
+		Spec: st.Spec, Opts: st.Opts, Refs: st.Refs, Dropped: st.Dropped, TraceChecks: st.TraceChecks,
+		Runs: make(map[core.Mode][]*RunResult, len(st.Runs)),
+	}
 	for mode, rs := range st.Runs {
 		for _, r := range rs {
 			r2 := *r
-			r2.Trace = nil
+			r2.Trace, r2.critPath, r2.critPathErr = nil, nil, nil
 			c.Runs[mode] = append(c.Runs[mode], &r2)
 		}
 	}
-	return &c
+	return c
+}
+
+// assertNoTraces requires that no run of the study kept its trace.
+func assertNoTraces(t *testing.T, st *Study) {
+	t.Helper()
+	for mode, rs := range st.Runs {
+		for i, r := range rs {
+			if r.Trace != nil {
+				t.Errorf("%s %s run %d kept its trace", st.Spec.Name, mode, i)
+			}
+		}
+	}
 }
 
 // assertVerified requires one clean trace check per instrumented
@@ -288,7 +304,7 @@ func TestDroppedOrderIsEnumerationOrder(t *testing.T) {
 	spec := tinySpec()
 	spec.App = func(r *measure.Rank) AppResult { panic("always fails") }
 	jobs := studyJobs(spec, (StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeLt1, core.ModeTSC}}).fill())
-	_, drops := runPool(jobs, 4, nil, poolHooks{}, nil, nil)
+	_, drops, _ := runPool(jobs, 4, nil, poolHooks{})
 	dropped := flattenDrops(drops)
 	if len(dropped) != len(jobs) {
 		t.Fatalf("%d drops for %d jobs", len(dropped), len(jobs))
@@ -341,99 +357,196 @@ func TestCacheHitMatchesFreshRun(t *testing.T) {
 	assertStudiesEqual(t, fresh, warm)
 }
 
-// Derive, then drop: a pool whose keep selects no job still derives
-// every product before it drops each trace.  Trace checks, profiles,
-// walls and drops equal RunStudy's at 1 and 2 workers, both cold and
-// served from a cache RunStudy filled, and no run keeps its trace.
+// Derive, then drop: RunFaultStudy's grid keeps no trace, yet derives
+// every product before it drops each one.  Its clean and faulted studies
+// equal RunStudy's under the same options without their traces (trace
+// checks, profiles, walls and drops) at 1 and 2 workers, both cold and
+// served from a cache RunStudy filled.
 func TestDroppedTracesKeepDerivedProducts(t *testing.T) {
 	spec := tinySpec()
+	plan := oneOffPlan(spec)
 	opts := StudyOptions{
 		Reps: 2, BaseSeed: 5,
 		Modes:        []core.Mode{core.ModeTSC, core.ModeLt1, core.ModeStmt},
-		VerifyTraces: true,
+		VerifyTraces: true, AnalyzeAll: true,
 	}
-	full, err := RunStudy(spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertVerified(t, full)
-	want := dropTraces(full)
+	faulted := opts
+	faulted.Faults = &plan
 	cache, err := runcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var want []*Study
+	for _, o := range []StudyOptions{opts, faulted} {
+		o.Cache = cache
+		full, err := RunStudy(spec, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertVerified(t, full)
+		want = append(want, dropTraces(full))
+	}
 	filled := opts
 	filled.Cache = cache
-	if _, err := RunStudy(spec, filled); err != nil {
-		t.Fatal(err)
-	}
-	keepNone := func(Job) bool { return false }
 	for _, o := range []StudyOptions{opts, filled} {
 		for _, workers := range []int{1, 2} {
 			o.Workers = workers
-			got, err := runStudy(spec, o, keepNone)
+			got, err := RunFaultStudy(spec, o, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("cached=%t/workers=%d", o.Cache != nil, workers), func(t *testing.T) {
-				assertStudiesEqual(t, want, got)
+				for i, st := range []*Study{got.Clean, got.Faulted} {
+					assertNoTraces(t, st)
+					assertStudiesEqual(t, want[i], st)
+				}
 			})
 		}
 	}
-	jobs := int64(opts.Reps * (1 + len(opts.Modes)))
+	jobs := int64(2 * opts.Reps * (1 + len(opts.Modes)))
 	if hits, misses := cache.Stats(); hits != 2*jobs || misses != jobs {
 		t.Fatalf("stats = %d hits, %d misses; want %d, %d", hits, misses, 2*jobs, jobs)
 	}
 }
 
-// FullReport's predicate keeps one trace, LULESH-1's tsc repetition 0,
-// and each study otherwise equals RunStudy's without its traces: fresh,
-// and served from a cache that never decodes a dropped trace.
-func TestFullReportKeepsOnlyTheCritPathTrace(t *testing.T) {
+// tinyVariant is tinySpec under another name and geometry, so that it
+// has cache keys of its own.
+func tinyVariant(name string, ranks, threads int) Spec {
+	spec := tinySpec()
+	spec.Name, spec.Ranks, spec.Threads = name, ranks, threads
+	return spec
+}
+
+// One grid: RunStudies over three specs equals RunStudy per spec without
+// its traces (refs, runs, profiles, trace checks and drops) at 1 and 2
+// workers, cold and served from a cache RunStudy filled.  A cache that
+// RunStudies fills serves RunStudy every job, traces included.
+func TestRunStudiesMatchesRunStudy(t *testing.T) {
+	specs := []Spec{tinySpec(), tinyVariant("tiny-2x2", 2, 2), tinyVariant("tiny-8x1", 8, 1)}
+	opts := StudyOptions{
+		Reps: 2, BaseSeed: 5,
+		Modes:        []core.Mode{core.ModeTSC, core.ModeLt1, core.ModeStmt},
+		VerifyTraces: true,
+	}
 	cache, err := runcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeTSC, core.ModeLt1}, Workers: 2}
 	filled := opts
 	filled.Cache = cache
-	// The predicate reads only a job's spec name, mode and repetition,
-	// so a tiny spec under the paper spec's name stands in for it.
-	lulesh := tinySpec()
-	lulesh.Name = "LULESH-1"
-	if _, err := SpecByName(lulesh.Name, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []Spec{lulesh, tinySpec()} {
-		name := spec.Name
-		full, err := RunStudy(spec, filled)
+	var full, want []*Study
+	for _, spec := range specs {
+		st, err := RunStudy(spec, filled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := dropTraces(full)
-		if name == "LULESH-1" {
-			want.Runs[core.ModeTSC][0] = full.Runs[core.ModeTSC][0]
-		}
-		for _, o := range []StudyOptions{opts, filled} {
-			got, err := runStudy(spec, o, critPathJob)
+		assertVerified(t, st)
+		full = append(full, st)
+		want = append(want, dropTraces(st))
+	}
+	for _, o := range []StudyOptions{opts, filled} {
+		for _, workers := range []int{1, 2} {
+			o.Workers = workers
+			got, err := RunStudies(specs, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Run(fmt.Sprintf("%s/cached=%t", name, o.Cache != nil), func(t *testing.T) {
-				for mode, rs := range got.Runs {
-					for rep, r := range rs {
-						kept := name == "LULESH-1" && mode == core.ModeTSC && rep == 0
-						if (r.Trace != nil) != kept {
-							t.Errorf("%s rep %d: trace kept %t, want %t", mode, rep, r.Trace != nil, kept)
-						}
-					}
+			t.Run(fmt.Sprintf("cached=%t/workers=%d", o.Cache != nil, workers), func(t *testing.T) {
+				if len(got) != len(specs) {
+					t.Fatalf("%d studies for %d specs", len(got), len(specs))
 				}
-				assertStudiesEqual(t, want, got)
+				for i, st := range got {
+					if st.Spec.Name != specs[i].Name {
+						t.Fatalf("study %d is %s, want %s", i, st.Spec.Name, specs[i].Name)
+					}
+					assertNoTraces(t, st)
+					assertStudiesEqual(t, want[i], st)
+				}
 			})
 		}
 	}
-	if _, misses := cache.Stats(); misses != int64(2*opts.Reps*(1+len(opts.Modes))) {
-		t.Fatalf("%d misses, want only the filling studies' jobs", misses)
+	jobs := int64(len(specs) * opts.Reps * (1 + len(opts.Modes)))
+	if hits, misses := cache.Stats(); hits != 2*jobs || misses != jobs {
+		t.Fatalf("stats = %d hits, %d misses; want %d, %d", hits, misses, 2*jobs, jobs)
+	}
+
+	grid, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := opts
+	o.Cache = grid
+	if _, err := RunStudies(specs, o); err != nil {
+		t.Fatal(err)
+	}
+	_, before := grid.Stats()
+	for i, spec := range specs {
+		st, err := RunStudy(spec, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertStudiesEqual(t, full[i], st)
+	}
+	if _, after := grid.Stats(); after != before {
+		t.Fatalf("RunStudy missed %d times in a cache RunStudies filled", after-before)
+	}
+}
+
+// The option checks of every study in a grid run before any job: a
+// negative count or an unknown mode fails with no job run and no cache
+// lookup, also when only the second study's options are at fault.
+func TestRunStudiesCheckOptionsFirst(t *testing.T) {
+	specs := []Spec{tinySpec(), tinyVariant("tiny-2x2", 2, 2)}
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	good := StudyOptions{Reps: 1, Modes: []core.Mode{core.ModeLt1}, Cache: cache, Metrics: reg}
+	negative, bogus := good, good
+	negative.Reps = -1
+	bogus.Modes = []core.Mode{core.ModeLt1, "bogus"}
+	_, repsErr := RunStudies(specs, negative)
+	_, modeErr := RunStudies(specs, bogus)
+	_, secondErrs := runGrid([]gridStudy{{spec: specs[0], opts: good}, {spec: specs[1], opts: bogus}})
+	for _, c := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"negative reps", repsErr, "experiment tiny: repetition count -1 is negative"},
+		{"unknown mode", modeErr, `experiment tiny: core: unknown clock mode "bogus"`},
+		{"second study's mode", secondErrs[1], `experiment tiny-2x2: core: unknown clock mode "bogus"`},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, c.err, c.want)
+		}
+	}
+	if secondErrs[0] != nil {
+		t.Errorf("the first study's options were rejected: %v", secondErrs[0])
+	}
+	if n := reg.Counter("experiment_jobs").Value(); n != 0 {
+		t.Errorf("%d jobs ran before the options were rejected", n)
+	}
+	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("the cache saw %d hits, %d misses before the options were rejected", hits, misses)
+	}
+}
+
+// A grid whose second study fails every repetition returns the error
+// RunStudy returns for that study.
+func TestRunStudiesReportsTheFailedStudy(t *testing.T) {
+	// 200 ranks of two threads need more cores than one node has, so
+	// every repetition and its retry fail to place.
+	broken := tinyVariant("unplaceable", 200, 2)
+	opts := StudyOptions{Reps: 1, Modes: []core.Mode{core.ModeLt1}, Workers: 2}
+	want, err := RunStudy(broken, opts)
+	if err == nil {
+		t.Fatalf("RunStudy succeeded on %s: %+v", broken.Name, want)
+	}
+	sts, gridErr := RunStudies([]Spec{tinySpec(), broken}, opts)
+	if gridErr == nil || gridErr.Error() != err.Error() {
+		t.Fatalf("RunStudies err = %v (studies %v), want %v", gridErr, sts, err)
 	}
 }
 

@@ -111,7 +111,7 @@ func RunPropagationStudy(spec Spec, opts PropagationOptions, plan faults.Plan) (
 	}
 	jobs := propagationJobs(spec, opts, plan)
 	opts.Progress.Start(len(jobs), spec.Name)
-	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress), nil, nil)
+	results, drops, _ := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress))
 	opts.Progress.Finish()
 	st.Dropped = flattenDrops(drops)
 
@@ -185,7 +185,8 @@ func DefaultPropagationPlanFor(spec Spec, opts PropagationOptions) (faults.Plan,
 // difference between the pair is the fault plan — the contract the
 // analyzer's event alignment rests on.  Unlike the other studies, the
 // runs are noise-free: the faulted-minus-baseline delta is then the
-// injected fault's signal alone.
+// injected fault's signal alone.  Every job keeps its trace, which the
+// study aligns after the pool drains.
 func propagationJobs(spec Spec, opts PropagationOptions, plan faults.Plan) []Job {
 	jobs := make([]Job, 0, 2*len(opts.Modes))
 	for _, mode := range opts.Modes {
@@ -196,7 +197,7 @@ func propagationJobs(spec Spec, opts PropagationOptions, plan faults.Plan) []Job
 				p := plan
 				o.Faults = &p
 			}
-			jobs = append(jobs, Job{Slot: len(jobs), Spec: spec, Mode: mode, Opts: o})
+			jobs = append(jobs, Job{Slot: len(jobs), Spec: spec, Mode: mode, Opts: o, KeepTrace: true})
 		}
 	}
 	return jobs

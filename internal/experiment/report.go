@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -229,26 +228,16 @@ func Fig9(w io.Writer, lulesh1 *Study) {
 }
 
 // FullReport runs every study and regenerates each table and figure of
-// the paper's evaluation section in order.  The tables and figures read
-// profiles, walls and phases.  The one trace the report reads, LULESH-1's
-// tsc repetition 0 (critPathJob), is kept for CritPathSection, which
-// renders as soon as that study returns; each pool worker drops every
-// other trace once it has derived the run's products, and a cache hit
-// for such a job never decodes its trace.  If that repetition is
-// dropped, the critical-path section is left out.
+// the paper's evaluation section in order.  It prints a "running" line
+// per study, then runs all of them as one grid that keeps no trace: the
+// tables and figures read profiles, walls and phases, and the critical
+// path of LULESH-1's tsc repetition 0 is derived on the worker that
+// holds that run.  If that repetition is dropped, the critical-path
+// section is left out.
 func FullReport(w io.Writer, opts StudyOptions, specOpts Options) error {
-	studies := make(map[string]*Study)
-	var critPath bytes.Buffer
-	for _, spec := range Specs(specOpts) {
-		fmt.Fprintf(w, "running %s (%s)...\n", spec.Name, spec.Description)
-		st, err := runStudy(spec, opts, critPathJob)
-		if err != nil {
-			return err
-		}
-		if critPathJob(Job{Spec: spec, Mode: core.ModeTSC, Rep: 0}) {
-			CritPathSection(&critPath, st)
-		}
-		studies[spec.Name] = st
+	studies, err := reportStudies(w, Specs(specOpts), opts)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintln(w)
 	TableI(w, studies["MiniFE-2"], studies["LULESH-1"], studies["TeaLeaf-2"])
@@ -277,24 +266,51 @@ func FullReport(w io.Writer, opts StudyOptions, specOpts Options) error {
 	fmt.Fprintln(w)
 	HybridSection(w, studies["MiniFE-1"], studies["LULESH-2"])
 	fmt.Fprintln(w)
-	_, err := critPath.WriteTo(w)
-	return err
+	CritPathSection(w, studies[critPathSpec])
+	return nil
 }
 
-// critPathJob selects the job whose trace FullReport keeps: LULESH-1's
-// tsc repetition 0, the trace of its critical-path section.
-func critPathJob(j Job) bool {
-	return j.Spec.Name == "LULESH-1" && j.Mode == core.ModeTSC && j.Rep == 0
+// critPathSpec names the study whose tsc repetition 0 gives the report's
+// critical-path section.
+const critPathSpec = "LULESH-1"
+
+// reportStudies prints FullReport's "running" line per spec, then runs
+// the specs' studies as one grid, keyed by spec name.
+func reportStudies(w io.Writer, specs []Spec, opts StudyOptions) (map[string]*Study, error) {
+	grid := make([]gridStudy, len(specs))
+	for i, spec := range specs {
+		fmt.Fprintf(w, "running %s (%s)...\n", spec.Name, spec.Description)
+		grid[i] = gridStudy{spec: spec, opts: opts, critPath: spec.Name == critPathSpec}
+	}
+	sts, err := firstErr(runGrid(grid))
+	if err != nil {
+		return nil, err
+	}
+	studies := make(map[string]*Study, len(sts))
+	for _, st := range sts {
+		studies[st.Spec.Name] = st
+	}
+	return studies, nil
 }
 
 // CritPathSection prints the critical-path profile of a study's first
-// tsc trace — the Scalasca-style view of what actually bounds the run.
+// tsc run — the Scalasca-style view of what actually bounds the run.  It
+// prints the path the run's pool worker derived; a run that carries none
+// has it derived from its trace here, and a run with neither prints
+// nothing.
 func CritPathSection(w io.Writer, st *Study) {
 	runs := st.Runs[core.ModeTSC]
-	if len(runs) == 0 || runs[0].Trace == nil {
+	if len(runs) == 0 {
 		return
 	}
-	cp, err := scalasca.CriticalPathAnalysis(runs[0].Trace)
+	r := runs[0]
+	cp, err := r.critPath, r.critPathErr
+	if cp == nil && err == nil {
+		if r.Trace == nil {
+			return
+		}
+		cp, err = scalasca.CriticalPathAnalysis(r.Trace)
+	}
 	if err != nil {
 		fmt.Fprintf(w, "critical path: %v\n", err)
 		return

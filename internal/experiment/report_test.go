@@ -3,10 +3,17 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cube"
+	"repro/internal/measure"
+	"repro/internal/runcache"
+	"repro/internal/trace"
 )
 
 // TestPathBreakdownIgnoresMapOrder: a call-path group's share sums the
@@ -32,5 +39,193 @@ func TestPathBreakdownIgnoresMapOrder(t *testing.T) {
 		if got := render(); got != want {
 			t.Fatalf("rendering %d differs:\n%s\nfirst rendering:\n%s", i, got, want)
 		}
+	}
+}
+
+// critPathOf renders CritPathSection for a study.
+func critPathOf(st *Study) string {
+	var b bytes.Buffer
+	CritPathSection(&b, st)
+	return b.String()
+}
+
+// FullReport's grid keeps no trace.  Each study equals RunStudy's without
+// its traces, and the critical-path section, derived on the worker that
+// held LULESH-1's tsc repetition 0, equals CritPathSection over the trace
+// RunStudy keeps: fresh, and served from a cache RunStudy filled.
+func TestFullReportKeepsNoTrace(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeTSC, core.ModeLt1}, Workers: 2}
+	filled := opts
+	filled.Cache = cache
+	// reportStudies reads only a spec's name, so a tiny spec under the
+	// paper spec's name stands in for it.
+	lulesh := tinySpec()
+	lulesh.Name = critPathSpec
+	if _, err := SpecByName(lulesh.Name, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	specs := []Spec{lulesh, tinySpec()}
+	full := make(map[string]*Study)
+	for _, spec := range specs {
+		st, err := RunStudy(spec, filled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full[spec.Name] = st
+	}
+	if !strings.HasPrefix(critPathOf(full[critPathSpec]), "CRITICAL PATH (LULESH-1, tsc): ") {
+		t.Fatalf("RunStudy's critical-path section:\n%s", critPathOf(full[critPathSpec]))
+	}
+	for _, o := range []StudyOptions{opts, filled} {
+		var out bytes.Buffer
+		got, err := reportStudies(&out, specs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "running LULESH-1 ()...\nrunning tiny ()...\n"; out.String() != want {
+			t.Errorf("printed %q, want %q", out.String(), want)
+		}
+		for _, spec := range specs {
+			name := spec.Name
+			t.Run(fmt.Sprintf("%s/cached=%t", name, o.Cache != nil), func(t *testing.T) {
+				st := got[name]
+				assertNoTraces(t, st)
+				assertStudiesEqual(t, dropTraces(full[name]), dropTraces(st))
+				want := ""
+				if name == critPathSpec {
+					want = critPathOf(full[name])
+				}
+				if section := critPathOf(st); section != want {
+					t.Errorf("critical-path section:\n%s\nwant:\n%s", section, want)
+				}
+			})
+		}
+	}
+	if _, misses := cache.Stats(); misses != int64(2*opts.Reps*(1+len(opts.Modes))) {
+		t.Fatalf("%d misses, want only the filling studies' jobs", misses)
+	}
+}
+
+// A critical path that fails on the worker prints its error line, the
+// same line CritPathSection prints over the trace RunStudy keeps.  The
+// cache serves tsc repetition 0 a trace whose receive has no send.
+func TestFullReportCritPathErrorLine(t *testing.T) {
+	cache, err := runcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	spec.Name = critPathSpec
+	opts := StudyOptions{Reps: 1, BaseSeed: 1, Modes: []core.Mode{core.ModeTSC}, Workers: 2, Cache: cache}
+	tr := trace.New(string(core.ModeTSC))
+	main := tr.Region("main", trace.RoleUser)
+	for _, l := range []int{tr.AddLocation(0, 0), tr.AddLocation(1, 0)} {
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 2, Region: main})
+	}
+	tr.Record(1, trace.Event{Kind: trace.EvRecv, Time: 3, A: 0, B: 9, C: 8})
+	for _, job := range studyJobs(spec, opts.fill()) {
+		if job.Mode == core.ModeTSC && job.Rep == 0 {
+			if err := cache.Put(cacheKey(spec, job.Opts), &runcache.Entry{Mode: string(job.Mode), Wall: 1, Trace: tr}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, err := reportStudies(io.Discard, []Spec{spec}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := RunStudy(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "critical path: scalasca: loc 1 event 2: receive without matching send\n"
+	if section := critPathOf(got[spec.Name]); section != want {
+		t.Errorf("grid's section %q, want %q", section, want)
+	}
+	if section := critPathOf(full); section != want {
+		t.Errorf("RunStudy's section %q, want %q", section, want)
+	}
+	assertNoTraces(t, got[spec.Name])
+}
+
+// When LULESH-1's tsc repetition 0 is dropped, no worker derives a
+// critical path and the report leaves the section out: the first tsc
+// run left is repetition 1, which carries neither a path nor a trace.
+func TestFullReportLeavesOutADroppedCritPath(t *testing.T) {
+	spec := tinySpec()
+	spec.Name = critPathSpec
+	app := spec.App
+	var measured atomic.Int32
+	spec.App = func(r *measure.Rank) AppResult {
+		// With one worker the jobs run in enumeration order: the first
+		// two instrumented jobs are tsc rep 0 and its retry.
+		if r.Measured() && r.Rank() == 0 && measured.Add(1) <= 2 {
+			panic("tsc rep 0 fails twice")
+		}
+		return app(r)
+	}
+	opts := StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeTSC}, Workers: 1}
+	got, err := reportStudies(io.Discard, []Spec{spec}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := got[spec.Name]
+	if len(st.Dropped) != 1 || st.Dropped[0].Mode != core.ModeTSC || st.Dropped[0].Rep != 0 {
+		t.Fatalf("dropped = %+v, want tsc rep 0", st.Dropped)
+	}
+	if r := st.Runs[core.ModeTSC]; len(r) != 1 || r[0].Trace != nil || r[0].critPath != nil || r[0].critPathErr != nil {
+		t.Fatalf("tsc runs %+v, want repetition 1 alone, without trace or path", r)
+	}
+	if section := critPathOf(st); section != "" {
+		t.Fatalf("section %q, want none", section)
+	}
+}
+
+// MeanProfile computes each mode's mean once: it returns the same
+// profile on every call, also to concurrent callers, and that profile's
+// bytes equal cube.Mean's over the analysed repetitions.
+func TestMeanProfileComputedOnce(t *testing.T) {
+	st, err := RunStudy(tinySpec(), StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeTSC, core.ModeLt1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.MeanProfile(core.ModeTSC)
+		}()
+	}
+	wg.Wait()
+	for _, mode := range st.Opts.Modes {
+		p := st.MeanProfile(mode)
+		if p == nil || st.MeanProfile(mode) != p {
+			t.Fatalf("%s: MeanProfile returned %p, then %p", mode, p, st.MeanProfile(mode))
+		}
+		var ps []*cube.Profile
+		for _, r := range st.Runs[mode] {
+			if r.Profile != nil {
+				ps = append(ps, r.Profile)
+			}
+		}
+		var want, got bytes.Buffer
+		if err := cube.Mean(ps).Write(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Errorf("%s: memoised mean differs from cube.Mean over %d profiles", mode, len(ps))
+		}
+	}
+	if p := st.MeanProfile(core.ModeStmt); p != nil {
+		t.Errorf("a mode without runs has mean %p", p)
 	}
 }

@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cube"
@@ -32,6 +35,11 @@ type RunResult struct {
 	// Applied is the injector's applied-fault log (nil without a plan):
 	// what actually fired, at which virtual instant, against which target.
 	Applied []faults.AppliedFault
+
+	// critPath, or critPathErr when the analysis failed, is the run's
+	// critical path as its pool worker derived it (Job.CritPath).
+	critPath    *scalasca.CritPath
+	critPathErr error
 }
 
 // RunOptions bundles everything that can vary about one simulated job
@@ -236,6 +244,9 @@ func (o StudyOptions) fill() StudyOptions {
 // degrades gracefully: repetitions that fail (panic, deadlock) are
 // retried once with a fresh seed and, if they fail again, recorded in
 // Dropped instead of killing the whole study.
+//
+// A study is read-only once it is returned: MeanProfile computes each
+// mode's mean once, so Runs must not change afterwards.
 type Study struct {
 	Spec    Spec
 	Opts    StudyOptions
@@ -245,6 +256,9 @@ type Study struct {
 	// TraceChecks holds one invariant report per completed (mode, rep)
 	// when Opts.VerifyTraces is set, in mode-list then repetition order.
 	TraceChecks []TraceCheckResult
+
+	meanMu sync.Mutex
+	means  map[core.Mode]*cube.Profile // MeanProfile's results
 }
 
 // TraceCheckResult is one repetition's trace-invariant verification.
@@ -316,55 +330,132 @@ func runIsolated(spec Spec, o RunOptions) (res *RunResult, err error) {
 // repetitions are isolated: each is retried once with a fresh seed, then
 // dropped and reported in Study.Dropped.  RunStudy returns an error only
 // when the repetition count is negative, a mode is unknown or every
-// single repetition failed.  Every instrumented run keeps its trace.
+// single repetition failed.  It is RunStudies over one spec, except that
+// every instrumented run keeps its trace.
 func RunStudy(spec Spec, opts StudyOptions) (*Study, error) {
-	return runStudy(spec, opts, nil)
+	sts, errs := runGrid([]gridStudy{{spec: spec, opts: opts, keepTraces: true}})
+	return sts[0], errs[0]
 }
 
-// runStudy is RunStudy, except that each pool worker drops a run's trace
-// once it has derived the run's products, unless keep selects the job
-// (nil keeps every trace; see runPool).
-func runStudy(spec Spec, opts StudyOptions, keep func(Job) bool) (*Study, error) {
-	opts = opts.fill()
-	if err := checkReps(spec, opts.Reps); err != nil {
-		return nil, err
+// RunStudies runs one study per spec, all with the same options, as one
+// grid: every study's jobs go into one pool, so no worker idles at a
+// study boundary.  Each study equals RunStudy's for its spec, except
+// that no run keeps its trace: each worker derives a run's products (the
+// profile, and the trace check with Opts.VerifyTraces), then drops it.
+// The options are checked for every spec before any job runs.  When a
+// check fails, or every repetition of a study failed, RunStudies returns
+// that error, the first in spec order.
+func RunStudies(specs []Spec, opts StudyOptions) ([]*Study, error) {
+	grid := make([]gridStudy, len(specs))
+	for i, spec := range specs {
+		grid[i] = gridStudy{spec: spec, opts: opts}
 	}
-	if err := checkModes(spec, opts.Modes...); err != nil {
-		return nil, err
+	return firstErr(runGrid(grid))
+}
+
+// gridStudy is one study of a grid: its spec and options, and what its
+// jobs hand back beyond the study's own products.
+type gridStudy struct {
+	spec Spec
+	opts StudyOptions
+	// critPath derives the critical path of the tsc repetition 0 on its
+	// worker (CritPathSection prints it).
+	critPath bool
+	// keepTraces keeps every instrumented run's trace.
+	keepTraces bool
+}
+
+// runGrid runs every study of the grid in one pool and splits the
+// results back per study.  Each study's jobs are enumerated by studyJobs,
+// unchanged, so the cache keys do not depend on the grid.  The pool's
+// settings (Workers, Cache, Metrics, Progress) are the first study's.
+// It returns one study and one error per grid entry: when an option
+// check fails, nothing runs and that entry's error is set; otherwise an
+// entry's error is set, and its study nil, when every repetition of the
+// study failed.
+func runGrid(grid []gridStudy) ([]*Study, []error) {
+	sts := make([]*Study, len(grid))
+	errs := make([]error, len(grid))
+	if len(grid) == 0 {
+		return sts, errs
 	}
-	st := &Study{Spec: spec, Opts: opts, Runs: make(map[core.Mode][]*RunResult)}
-	jobs := studyJobs(spec, opts)
-	var checks []*tracecheck.Report
-	if opts.VerifyTraces {
-		checks = make([]*tracecheck.Report, len(jobs))
+	for i := range grid {
+		g := &grid[i]
+		g.opts = g.opts.fill()
+		if err := checkReps(g.spec, g.opts.Reps); err != nil {
+			errs[i] = err
+			return sts, errs
+		}
+		if err := checkModes(g.spec, g.opts.Modes...); err != nil {
+			errs[i] = err
+			return sts, errs
+		}
 	}
-	opts.Progress.Start(len(jobs), spec.Name)
-	results, drops := runPool(jobs, opts.Workers, opts.Cache, newPoolHooks(opts.Metrics, opts.Progress), checks, keep)
-	opts.Progress.Finish()
-	st.Dropped = flattenDrops(drops)
-	for i, job := range jobs {
-		res := results[i]
-		if res == nil {
+	var jobs []Job
+	first := make([]int, len(grid)+1) // study i's jobs are jobs[first[i]:first[i+1]]
+	for i, g := range grid {
+		first[i] = len(jobs)
+		for _, job := range studyJobs(g.spec, g.opts) {
+			job.Slot = len(jobs)
+			job.KeepTrace = g.keepTraces
+			job.CritPath = g.critPath && job.Mode == core.ModeTSC && job.Rep == 0
+			jobs = append(jobs, job)
+		}
+	}
+	first[len(grid)] = len(jobs)
+	pool := grid[0].opts
+	pool.Progress.Start(len(jobs), gridLabel(grid))
+	results, drops, checks := runPool(jobs, pool.Workers, pool.Cache, newPoolHooks(pool.Metrics, pool.Progress))
+	pool.Progress.Finish()
+	for i, g := range grid {
+		lo, hi := first[i], first[i+1]
+		st := &Study{Spec: g.spec, Opts: g.opts, Runs: make(map[core.Mode][]*RunResult)}
+		st.Dropped = flattenDrops(drops[lo:hi])
+		for j, job := range jobs[lo:hi] {
+			res := results[lo+j]
+			if res == nil {
+				continue
+			}
+			if job.Mode == "" {
+				st.Refs = append(st.Refs, res)
+			} else {
+				st.Runs[job.Mode] = append(st.Runs[job.Mode], res)
+			}
+			// Slots follow the mode list, then repetition order, so
+			// the reports never depend on pool scheduling.
+			if rpt := checks[lo+j]; rpt != nil {
+				st.TraceChecks = append(st.TraceChecks, TraceCheckResult{Mode: job.Mode, Rep: job.Rep, Report: rpt})
+			}
+		}
+		if st.completedReps() == 0 {
+			errs[i] = fmt.Errorf("experiment %s: every repetition failed; first: %s",
+				g.spec.Name, st.Dropped[0].Err)
 			continue
 		}
-		if job.Mode == "" {
-			st.Refs = append(st.Refs, res)
-		} else {
-			st.Runs[job.Mode] = append(st.Runs[job.Mode], res)
+		sts[i] = st
+	}
+	return sts, errs
+}
+
+// gridLabel names a grid in progress reports: its distinct spec names.
+func gridLabel(grid []gridStudy) string {
+	var names []string
+	for _, g := range grid {
+		if !slices.Contains(names, g.spec.Name) {
+			names = append(names, g.spec.Name)
 		}
 	}
-	if st.completedReps() == 0 {
-		return nil, fmt.Errorf("experiment %s: every repetition failed; first: %s",
-			spec.Name, st.Dropped[0].Err)
-	}
-	// Slots follow the mode list, then repetition order, so the
-	// reports never depend on pool scheduling.
-	for i, rpt := range checks {
-		if rpt != nil {
-			st.TraceChecks = append(st.TraceChecks, TraceCheckResult{Mode: jobs[i].Mode, Rep: jobs[i].Rep, Report: rpt})
+	return strings.Join(names, " ")
+}
+
+// firstErr returns the studies, or the first error in grid order.
+func firstErr(sts []*Study, errs []error) ([]*Study, error) {
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return st, nil
+	return sts, nil
 }
 
 func (st *Study) completedReps() int {
@@ -401,15 +492,26 @@ func (s *Study) PhaseOverhead(mode core.Mode, phase string) float64 {
 }
 
 // MeanProfile returns the mode's analysis profile averaged over the
-// analyzed repetitions.
+// analyzed repetitions.  It computes each mode's mean once and returns
+// that same profile afterwards, so callers must not mutate it.
 func (s *Study) MeanProfile(mode core.Mode) *cube.Profile {
+	s.meanMu.Lock()
+	defer s.meanMu.Unlock()
+	if p, ok := s.means[mode]; ok {
+		return p
+	}
 	var ps []*cube.Profile
 	for _, r := range s.Runs[mode] {
 		if r.Profile != nil {
 			ps = append(ps, r.Profile)
 		}
 	}
-	return cube.Mean(ps)
+	p := cube.Mean(ps)
+	if s.means == nil {
+		s.means = make(map[core.Mode]*cube.Profile)
+	}
+	s.means[mode] = p
+	return p
 }
 
 // JaccardVsTsc returns J_(M,C) between a logical mode's mean profile and

@@ -97,7 +97,7 @@ func RunScaling(base Spec, points [][2]int, o ScalingOptions) (*ScalingResult, e
 		}
 	}
 	o.Progress.Start(len(jobs), base.Name+" scaling grid")
-	results, drops := runPool(jobs, o.Workers, o.Cache, newPoolHooks(o.Metrics, o.Progress), nil, nil)
+	results, drops, _ := runPool(jobs, o.Workers, o.Cache, newPoolHooks(o.Metrics, o.Progress))
 	o.Progress.Finish()
 	out := &ScalingResult{Dropped: flattenDrops(drops)}
 	for pi, spec := range specs {

@@ -102,7 +102,7 @@ func CriticalPathAnalysis(tr *trace.Trace) (*CritPath, error) {
 			return nil, fmt.Errorf("scalasca: loc %d event %d: receive without matching send", r.Loc, r.Index)
 		}
 	}
-	cause := causes(sk)
+	cause := causes(tr, sk)
 	// Start at the globally last event.
 	start := vclock.EventRef{Loc: -1}
 	var latest float64
@@ -128,7 +128,7 @@ func CriticalPathAnalysis(tr *trace.Trace) (*CritPath, error) {
 		if steps++; steps > limit {
 			return nil, fmt.Errorf("scalasca: critical-path walk did not terminate")
 		}
-		if from, ok := cause[cur]; ok {
+		if from, ok := cause.of(cur); ok {
 			// Jump only if the remote cause arrived after this location
 			// entered the blocking call — otherwise no waiting happened
 			// here and the local timeline continues the path.
@@ -156,15 +156,49 @@ func CriticalPathAnalysis(tr *trace.Trace) (*CritPath, error) {
 	return cp, nil
 }
 
-// causes returns each synchronisation target's cause: of all the events
-// it directly follows, the latest, the first one offered on a tie.
-func causes(sk *vclock.Skeleton) map[vclock.EventRef]vclock.Event {
-	cause := make(map[vclock.EventRef]vclock.Event, sk.Recvs.Len()+sk.Colls.Len()+sk.Bars.Len())
-	offer := func(from, to vclock.Event) {
-		if cur, ok := cause[to.EventRef]; !ok || float64(from.Time) > float64(cur.Time) {
-			cause[to.EventRef] = from
-		}
+// causeTable holds each synchronisation target's cause: of all the
+// events it directly follows, the latest, the first one offered on a
+// tie.  It is indexed densely by event: slot[base[loc]+index] is one
+// more than the index of the event's cause in events, 0 when it has
+// none.
+type causeTable struct {
+	base   []int
+	slot   []int32
+	events []vclock.Event
+}
+
+// offer records from as a cause of to.
+func (c *causeTable) offer(from, to vclock.Event) {
+	s := &c.slot[c.base[to.Loc]+to.Index]
+	if *s == 0 {
+		c.events = append(c.events, from)
+		*s = int32(len(c.events))
+	} else if cur := &c.events[*s-1]; float64(from.Time) > float64(cur.Time) {
+		*cur = from
 	}
+}
+
+// of returns the event's cause, if it has one.
+func (c *causeTable) of(e vclock.EventRef) (vclock.Event, bool) {
+	if s := c.slot[c.base[e.Loc]+e.Index]; s > 0 {
+		return c.events[s-1], true
+	}
+	return vclock.Event{}, false
+}
+
+// causes returns the cause table of the trace's skeleton.
+func causes(tr *trace.Trace, sk *vclock.Skeleton) *causeTable {
+	c := &causeTable{
+		base:   make([]int, len(tr.Locs)),
+		events: make([]vclock.Event, 0, sk.Recvs.Len()+sk.Colls.Len()+sk.Bars.Len()),
+	}
+	n := 0
+	for li, l := range tr.Locs {
+		c.base[li] = n
+		n += len(l.Events)
+	}
+	c.slot = make([]int32, n)
+	offer := c.offer
 	for i := 0; i < sk.Recvs.Len(); i++ {
 		r := sk.Recvs.At(i)
 		offer(sk.Sends.At(int(r.Peer)).Record(), r.Record())
@@ -199,7 +233,7 @@ func causes(sk *vclock.Skeleton) map[vclock.EventRef]vclock.Event {
 	release(&sk.Colls, sk.CollIns)
 	release(&sk.Bars, sk.BarIns)
 	sk.ForkJoin(offer)
-	return cause
+	return c
 }
 
 // pathTable interns call paths: each distinct path string gets one id,

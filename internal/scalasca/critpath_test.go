@@ -11,6 +11,7 @@ import (
 	"repro/internal/simmpi"
 	"repro/internal/simomp"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 	"repro/internal/vtime"
 )
 
@@ -164,5 +165,44 @@ func TestCriticalPathRejectsBrokenSkeletons(t *testing.T) {
 				t.Fatalf("err %v, want one containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCauseTableKeepsTheFirstOfEqualCauses: of the causes offered to one
+// target, the table keeps the latest, and of equally late ones the first
+// one offered; a later cause replaces it, an earlier one does not.
+func TestCauseTableKeepsTheFirstOfEqualCauses(t *testing.T) {
+	tr, locs := newTrace(3)
+	main := tr.Region("main", trace.RoleUser)
+	for _, l := range locs {
+		tr.Record(l, trace.Event{Kind: trace.EvEnter, Time: 1, Region: main})
+		tr.Record(l, trace.Event{Kind: trace.EvExit, Time: 9, Region: main})
+	}
+	c := causes(tr, vclock.Extract(tr))
+	target := vclock.Event{EventRef: vclock.EventRef{Loc: 2, Index: 1}, Time: 9}
+	first := vclock.Event{EventRef: vclock.EventRef{Loc: 0, Index: 1}, Time: 5}
+	tied := vclock.Event{EventRef: vclock.EventRef{Loc: 1, Index: 1}, Time: 5}
+	earlier := vclock.Event{EventRef: vclock.EventRef{Loc: 1, Index: 0}, Time: 4}
+	later := vclock.Event{EventRef: vclock.EventRef{Loc: 1, Index: 0}, Time: 6}
+	want := func(step string, e vclock.Event) {
+		t.Helper()
+		if got, ok := c.of(target.EventRef); !ok || got != e {
+			t.Fatalf("after %s: cause %+v (found %t), want %+v", step, got, ok, e)
+		}
+	}
+	if _, ok := c.of(target.EventRef); ok {
+		t.Fatal("a target nothing was offered to has a cause")
+	}
+	c.offer(first, target)
+	c.offer(tied, target)
+	want("an equally late cause", first)
+	c.offer(earlier, target)
+	want("an earlier cause", first)
+	c.offer(later, target)
+	want("a later cause", later)
+	for _, ref := range []vclock.EventRef{{Loc: 0, Index: 1}, {Loc: 2, Index: 0}, {Loc: 1, Index: 1}} {
+		if e, ok := c.of(ref); ok {
+			t.Fatalf("event %+v has cause %+v; nothing was offered to it", ref, e)
+		}
 	}
 }
