@@ -274,12 +274,14 @@ func (p *Profile) PathPercents(name string) map[string]float64 {
 
 // MCMap flattens the profile into the mapping the paper scores with the
 // generalized Jaccard index: (metric, call path) → contribution in %T.
+// Each call path's string is built once per call, on its first use.
 func (p *Profile) MCMap() map[string]float64 {
 	t := p.TotalByName("time")
 	out := make(map[string]float64)
 	if t == 0 {
 		return out
 	}
+	names := make([]string, len(p.Paths))
 	for m, rows := range p.sev {
 		mname := p.Metrics[m].Name
 		for path, vals := range rows {
@@ -288,7 +290,10 @@ func (p *Profile) MCMap() map[string]float64 {
 				s += v
 			}
 			if s != 0 {
-				out[mname+"|"+p.PathString(PathID(path))] += 100 * s / t
+				if names[path] == "" {
+					names[path] = p.PathString(PathID(path))
+				}
+				out[mname+"|"+names[path]] += 100 * s / t
 			}
 		}
 	}

@@ -68,7 +68,7 @@ func DefaultPlanFor(spec Spec, opts StudyOptions) (faults.Plan, error) {
 		return faults.Plan{}, err
 	}
 	o := RunOptions{Seed: opts.BaseSeed, Noise: *opts.Noise, Metrics: opts.Metrics}
-	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil), false)
+	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil))
 	if drop != nil {
 		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %s", spec.Name, drop.Err)
 	}

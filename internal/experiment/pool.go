@@ -71,8 +71,9 @@ type Job struct {
 	// The products the job's worker derives from an instrumented run's
 	// trace, besides the profile Opts.Analyze asks for.  Verify asks for
 	// a tracecheck report, CritPath for the critical path (on the
-	// RunResult).  The worker drops the trace once they are derived
-	// unless KeepTrace is set.  None of them enters the cache key.
+	// RunResult, and stored in the run's cache entry).  The worker drops
+	// the trace once they are derived unless KeepTrace is set.  None of
+	// them enters the cache key.
 	Verify, CritPath, KeepTrace bool
 }
 
@@ -173,23 +174,21 @@ func poolWorkers(requested, jobs int) int {
 // turns the drop slots into the report form.
 //
 // A worker derives its job's products before it drops the trace: the
-// profile comes with the result, and the trace check and critical path
-// follow right after the result is decided, fresh or served from the
-// cache.  Then it drops the trace unless the job keeps it.  A cache hit
-// whose trace no product reads is served without decoding it.
+// profile comes with the result, the critical path with it too (runJob),
+// and the trace check follows right after the result is decided, fresh
+// or served from the cache.  Then it drops the trace unless the job
+// keeps it.  A cache hit whose trace no product reads is served without
+// decoding it.
 func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks) ([]*RunResult, []*DroppedRep, []*tracecheck.Report) {
 	results := make([]*RunResult, len(jobs))
 	drops := make([]*DroppedRep, len(jobs))
 	checks := make([]*tracecheck.Report, len(jobs))
 	run := func(i int) {
 		job := jobs[i]
-		res, drop := runJob(job, cache, hooks, job.Verify || job.CritPath || job.KeepTrace)
+		res, drop := runJob(job, cache, hooks)
 		if res != nil && res.Trace != nil {
 			if job.Verify {
 				checks[i] = tracecheck.Verify(res.Trace, tracecheck.Options{})
-			}
-			if job.CritPath {
-				res.critPath, res.critPathErr = scalasca.CriticalPathAnalysis(res.Trace)
 			}
 			if !job.KeepTrace {
 				res.Trace = nil
@@ -240,14 +239,26 @@ func flattenDrops(drops []*DroppedRep) []DroppedRep {
 // convert a double failure into a DroppedRep.  Only a first-attempt
 // success is cached — a retry's result belongs to the shifted seed, and
 // caching it under the primary key would hand later runs a result the
-// primary seed never produced.  A cache hit decodes its trace only with
-// withTrace; a fresh run always carries its trace.
-func runJob(job Job, cache *runcache.Cache, hooks poolHooks, withTrace bool) (*RunResult, *DroppedRep) {
+// primary seed never produced.  A fresh run always carries its trace; a
+// cache hit decodes it only for a product the entry does not hold.  A
+// CritPath job's path is derived before the fresh run's Put, so the
+// entry stores it; a hit whose entry lacks it derives it from the trace
+// and stores the entry again with the path added.
+func runJob(job Job, cache *runcache.Cache, hooks poolHooks) (*RunResult, *DroppedRep) {
 	hooks.jobs.Inc()
 	key := cacheKey(job.Spec, job.Opts)
 	if cache != nil {
-		if e, ok := cache.Lookup(key, withTrace); ok {
+		if e, ok := cache.Lookup(key, job.needsTrace); ok {
 			res := resultOf(e)
+			if job.CritPath {
+				res.critPath = e.CritPath
+				if res.critPath == nil && res.Trace != nil && res.deriveCritPath() {
+					// The decoded trace encodes to the same blob, so the
+					// entry only gains the path.  A failed Put costs the
+					// next run this derivation again.
+					_ = cache.Put(key, entryOf(res))
+				}
+			}
 			hooks.cacheHits.Inc()
 			hooks.progress.CacheHit()
 			hooks.jobDone(res.Wall)
@@ -255,7 +266,14 @@ func runJob(job Job, cache *runcache.Cache, hooks poolHooks, withTrace bool) (*R
 		}
 		hooks.cacheMisses.Inc()
 	}
-	res, err := runIsolated(job.Spec, job.Opts)
+	run := func(o RunOptions) (*RunResult, error) {
+		res, err := runIsolated(job.Spec, o)
+		if err == nil && job.CritPath {
+			res.deriveCritPath()
+		}
+		return res, err
+	}
+	res, err := run(job.Opts)
 	if err == nil {
 		if cache != nil {
 			// A failed Put only costs the next run a re-simulation.
@@ -268,7 +286,7 @@ func runJob(job Job, cache *runcache.Cache, hooks poolHooks, withTrace bool) (*R
 	hooks.progress.JobRetried()
 	retry := job.Opts
 	retry.Seed += retrySeedOffset
-	res, err2 := runIsolated(job.Spec, retry)
+	res, err2 := run(retry)
 	if err2 == nil {
 		hooks.jobDone(res.Wall)
 		return res, nil
@@ -279,6 +297,20 @@ func runJob(job Job, cache *runcache.Cache, hooks poolHooks, withTrace bool) (*R
 		Mode: job.Mode, Rep: job.Rep, Seed: job.Opts.Seed,
 		Err: fmt.Sprintf("%v (retry with seed %d: %v)", err, retry.Seed, err2),
 	}
+}
+
+// needsTrace is the job's cache-lookup predicate: whether a hit on e
+// must decode the trace, because the job keeps or verifies it, or
+// derives a critical path e does not hold.
+func (job Job) needsTrace(e *runcache.Entry) bool {
+	return job.KeepTrace || job.Verify || (job.CritPath && e.CritPath == nil)
+}
+
+// deriveCritPath derives the run's critical path from its trace and
+// reports whether it succeeded; on failure the run carries the error.
+func (r *RunResult) deriveCritPath() bool {
+	r.critPath, r.critPathErr = scalasca.CriticalPathAnalysis(r.Trace)
+	return r.critPathErr == nil
 }
 
 // cacheKey builds the content address of one job.  The spec's App
@@ -315,6 +347,7 @@ func entryOf(r *RunResult) *runcache.Entry {
 	e := &runcache.Entry{
 		Mode: string(r.Mode), Wall: r.Wall, Phases: r.Phases,
 		Checks: r.Checks, FoM: r.FoM, Trace: r.Trace, Profile: r.Profile,
+		CritPath: r.critPath,
 	}
 	for _, a := range r.Applied {
 		e.Applied = append(e.Applied, runcache.AppliedFault{
@@ -325,7 +358,8 @@ func entryOf(r *RunResult) *runcache.Entry {
 	return e
 }
 
-// resultOf converts a cached entry back to a run result.
+// resultOf converts a cached entry back to a run result.  The entry's
+// critical path is left to the job that asks for it (runJob).
 func resultOf(e *runcache.Entry) *RunResult {
 	r := &RunResult{
 		Mode: core.Mode(e.Mode), Wall: e.Wall, Phases: e.Phases,

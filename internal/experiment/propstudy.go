@@ -173,7 +173,7 @@ func DefaultPropagationPlanFor(spec Spec, opts PropagationOptions) (faults.Plan,
 		return faults.Plan{}, err
 	}
 	o := RunOptions{Seed: opts.Seed, Metrics: opts.Metrics}
-	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil), false)
+	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil))
 	if drop != nil {
 		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %s", spec.Name, drop.Err)
 	}

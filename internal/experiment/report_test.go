@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -110,6 +113,119 @@ func TestFullReportKeepsNoTrace(t *testing.T) {
 	}
 }
 
+// critPathKey returns the cache key of the spec's tsc repetition 0, the
+// job whose critical path the report prints, and the path of its entry
+// file in dir.
+func critPathKey(t *testing.T, spec Spec, opts StudyOptions, dir string) (runcache.Key, string) {
+	t.Helper()
+	for _, job := range studyJobs(spec, opts.fill()) {
+		if job.Mode == core.ModeTSC && job.Rep == 0 {
+			key := cacheKey(spec, job.Opts)
+			h := key.Hash()
+			return key, filepath.Join(dir, h[:2], h+".ltr")
+		}
+	}
+	t.Fatal("no tsc repetition 0 in the grid")
+	return runcache.Key{}, ""
+}
+
+// reportHits runs reportStudies over the cache and requires one hit per
+// job and no miss; it returns the critical-path section.
+func reportHits(t *testing.T, spec Spec, opts StudyOptions) string {
+	t.Helper()
+	hits, misses := opts.Cache.Stats()
+	got, err := reportStudies(io.Discard, []Spec{spec}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, m := opts.Cache.Stats()
+	if jobs := int64(len(studyJobs(spec, opts.fill()))); h-hits != jobs || m != misses {
+		t.Fatalf("%d hits and %d misses for %d jobs", h-hits, m-misses, jobs)
+	}
+	assertNoTraces(t, got[spec.Name])
+	return critPathOf(got[spec.Name])
+}
+
+// A cold report stores the critical path in its run's cache entry.  Over
+// a cache RunStudy filled, whose entries hold no path, the report prints
+// the section RunStudy's trace gives with no miss and stores the entry
+// again with the path: afterwards its bytes equal the cold report's.  An
+// entry that holds the path serves the section whether its trace blob is
+// corrupt or absent, so a warm report decodes no trace.
+func TestFullReportStoresTheCritPath(t *testing.T) {
+	spec := tinySpec()
+	spec.Name = critPathSpec
+	opts := StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeTSC, core.ModeLt1}, Workers: 2}
+
+	coldDir := t.TempDir()
+	cold := opts
+	cold.Cache = openCache(t, coldDir)
+	if _, err := reportStudies(io.Discard, []Spec{spec}, cold); err != nil {
+		t.Fatal(err)
+	}
+	key, coldFile := critPathKey(t, spec, opts, coldDir)
+	coldBytes, err := os.ReadFile(coldFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := cold.Cache.Get(key); !ok || e.CritPath == nil || e.Trace == nil {
+		t.Fatalf("the cold report's entry: hit %t, %+v", ok, e)
+	}
+
+	filledDir := t.TempDir()
+	filled := opts
+	filled.Cache = openCache(t, filledDir)
+	full, err := RunStudy(spec, filled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := critPathOf(full)
+	if !strings.HasPrefix(want, "CRITICAL PATH (LULESH-1, tsc): ") {
+		t.Fatalf("RunStudy's critical-path section:\n%s", want)
+	}
+	_, filledFile := critPathKey(t, spec, opts, filledDir)
+	if e, ok := filled.Cache.Get(key); !ok || e.CritPath != nil {
+		t.Fatalf("RunStudy's entry: hit %t, path %+v", ok, e.CritPath)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if section := reportHits(t, spec, filled); section != want {
+			t.Fatalf("pass %d over RunStudy's cache printed\n%s\nwant\n%s", pass, section, want)
+		}
+		if b, err := os.ReadFile(filledFile); err != nil || !bytes.Equal(b, coldBytes) {
+			t.Fatalf("pass %d: the stored entry differs from the cold report's (%d vs %d bytes, %v)",
+				pass, len(b), len(coldBytes), err)
+		}
+	}
+
+	// A trace blob that would not decode: the hit never inflates it.
+	bad := append([]byte(nil), coldBytes...)
+	bad[bytes.Index(bad, []byte("LTRC"))] ^= 0xff
+	if err := os.WriteFile(coldFile, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if section := reportHits(t, spec, cold); section != want {
+		t.Fatalf("an entry with the path and a corrupt trace printed\n%s\nwant\n%s", section, want)
+	}
+	e, _ := filled.Cache.Get(key)
+	e.Trace = nil
+	if err := cold.Cache.Put(key, e); err != nil {
+		t.Fatal(err)
+	}
+	if section := reportHits(t, spec, cold); section != want {
+		t.Fatalf("an entry with the path and no trace printed\n%s\nwant\n%s", section, want)
+	}
+}
+
+// openCache opens a run cache in dir.
+func openCache(t *testing.T, dir string) *runcache.Cache {
+	t.Helper()
+	c, err := runcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // A critical path that fails on the worker prints its error line, the
 // same line CritPathSection prints over the trace RunStudy keeps.  The
 // cache serves tsc repetition 0 a trace whose receive has no send.
@@ -188,7 +304,9 @@ func TestFullReportLeavesOutADroppedCritPath(t *testing.T) {
 
 // MeanProfile computes each mode's mean once: it returns the same
 // profile on every call, also to concurrent callers, and that profile's
-// bytes equal cube.Mean's over the analysed repetitions.
+// bytes equal cube.Mean's over the analysed repetitions.  The mean's
+// (metric, call path) map JaccardVsTsc scores is likewise built once and
+// equals the mean's MCMap.
 func TestMeanProfileComputedOnce(t *testing.T) {
 	st, err := RunStudy(tinySpec(), StudyOptions{Reps: 2, BaseSeed: 1, Modes: []core.Mode{core.ModeTSC, core.ModeLt1}})
 	if err != nil {
@@ -200,6 +318,7 @@ func TestMeanProfileComputedOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			st.MeanProfile(core.ModeTSC)
+			st.JaccardVsTsc(core.ModeLt1)
 		}()
 	}
 	wg.Wait()
@@ -224,8 +343,18 @@ func TestMeanProfileComputedOnce(t *testing.T) {
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
 			t.Errorf("%s: memoised mean differs from cube.Mean over %d profiles", mode, len(ps))
 		}
+		m := st.meanMCMap(mode)
+		if reflect.ValueOf(st.meanMCMap(mode)).Pointer() != reflect.ValueOf(m).Pointer() {
+			t.Errorf("%s: meanMCMap built its map twice", mode)
+		}
+		if !reflect.DeepEqual(m, p.MCMap()) {
+			t.Errorf("%s: memoised map differs from the mean's MCMap", mode)
+		}
 	}
 	if p := st.MeanProfile(core.ModeStmt); p != nil {
 		t.Errorf("a mode without runs has mean %p", p)
+	}
+	if m := st.meanMCMap(core.ModeStmt); m != nil {
+		t.Errorf("a mode without runs has map %v", m)
 	}
 }

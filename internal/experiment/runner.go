@@ -246,7 +246,8 @@ func (o StudyOptions) fill() StudyOptions {
 // Dropped instead of killing the whole study.
 //
 // A study is read-only once it is returned: MeanProfile computes each
-// mode's mean once, so Runs must not change afterwards.
+// mode's mean once, and JaccardVsTsc each mean's (metric, call path)
+// map once, so Runs must not change afterwards.
 type Study struct {
 	Spec    Spec
 	Opts    StudyOptions
@@ -258,7 +259,8 @@ type Study struct {
 	TraceChecks []TraceCheckResult
 
 	meanMu sync.Mutex
-	means  map[core.Mode]*cube.Profile // MeanProfile's results
+	means  map[core.Mode]*cube.Profile      // MeanProfile's results
+	mcMaps map[core.Mode]map[string]float64 // meanMCMap's results
 }
 
 // TraceCheckResult is one repetition's trace-invariant verification.
@@ -514,15 +516,36 @@ func (s *Study) MeanProfile(mode core.Mode) *cube.Profile {
 	return p
 }
 
+// meanMCMap returns the (metric, call path) map of the mode's mean
+// profile, nil when the mode has none.  Like MeanProfile it computes
+// each mode's map once, so callers must not mutate it.
+func (s *Study) meanMCMap(mode core.Mode) map[string]float64 {
+	p := s.MeanProfile(mode)
+	if p == nil {
+		return nil
+	}
+	s.meanMu.Lock()
+	defer s.meanMu.Unlock()
+	if m, ok := s.mcMaps[mode]; ok {
+		return m
+	}
+	m := p.MCMap()
+	if s.mcMaps == nil {
+		s.mcMaps = make(map[core.Mode]map[string]float64)
+	}
+	s.mcMaps[mode] = m
+	return m
+}
+
 // JaccardVsTsc returns J_(M,C) between a logical mode's mean profile and
 // the tsc mean profile (paper Figs. 3 and 4).
 func (s *Study) JaccardVsTsc(mode core.Mode) float64 {
-	tsc := s.MeanProfile(core.ModeTSC)
-	other := s.MeanProfile(mode)
+	tsc := s.meanMCMap(core.ModeTSC)
+	other := s.meanMCMap(mode)
 	if tsc == nil || other == nil {
 		return 0
 	}
-	return jaccard.Score(other.MCMap(), tsc.MCMap())
+	return jaccard.Score(other, tsc)
 }
 
 // JaccardCallMap returns J_C^metric: the similarity of call-path

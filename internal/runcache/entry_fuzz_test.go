@@ -9,15 +9,22 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/scalasca"
 )
 
-// fullEntry is sampleEntry plus an applied-fault log: every section of
-// the entry format is populated.
+// fullEntry is sampleEntry plus an applied-fault log and a critical
+// path: every section of the entry format is populated.
 func fullEntry() *Entry {
 	e := sampleEntry()
 	e.Applied = []AppliedFault{
 		{Kind: "oneoff", Rank: 2, Core: -1, At: 0.5, Magnitude: 0.2},
 		{Kind: "membw", Rank: -1, Core: 3, Resource: "membw0", At: 1e-3, Magnitude: 0.25},
+	}
+	e.CritPath = &scalasca.CritPath{
+		Total:    20,
+		Segments: 3,
+		ByPath:   map[string]float64{"solve": 12.5, "main/solve/MPI_Allreduce": 7.5},
 	}
 	return e
 }
@@ -44,6 +51,12 @@ func hasNaN(e *Entry) bool {
 	for _, a := range e.Applied {
 		nan = nan || math.IsNaN(a.At) || math.IsNaN(a.Magnitude)
 	}
+	if cp := e.CritPath; cp != nil {
+		nan = nan || math.IsNaN(cp.Total)
+		for _, v := range cp.ByPath {
+			nan = nan || math.IsNaN(v)
+		}
+	}
 	return nan
 }
 
@@ -53,13 +66,16 @@ func hasNaN(e *Entry) bool {
 // every other field equal; and it must re-encode to bytes that decode
 // to a deep-equal entry (and re-encode to the same bytes).  The
 // committed corpus under testdata/fuzz/FuzzDecodeEntry holds the
-// encoding of fullEntry, truncations of it (two inside its profile
-// section), the same entry with a bitmap bit past its profile record's
-// values, hugeModeEntry, and fullEntry as version 3 wrote it.
+// encoding of fullEntry, the same entry as it was encoded before the
+// critical-path section existed, truncations of both (two inside the
+// profile section, one inside the path section), the older encoding
+// with a bitmap bit past its profile record's values, fullEntry with
+// the unknown flag bit 3 set, hugeModeEntry, and fullEntry as version 3
+// wrote it.
 func FuzzDecodeEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		free, freeErr := decodeEntry(data, false)
-		e, err := decodeEntry(data, true)
+		free, freeErr := decodeEntry(data, nil)
+		e, err := decodeEntry(data, always)
 		if err != nil {
 			return
 		}
@@ -72,7 +88,7 @@ func FuzzDecodeEntry(f *testing.F) {
 			t.Fatalf("the trace-free decode differs beyond the trace:\n%+v\n%+v", free, e)
 		}
 		again := mustEncode(t, e)
-		e2, err := decodeEntry(again, true)
+		e2, err := decodeEntry(again, always)
 		if err != nil {
 			t.Fatalf("re-encoded entry does not decode: %v", err)
 		}
@@ -86,9 +102,12 @@ func FuzzDecodeEntry(f *testing.F) {
 }
 
 // TestCommittedEntrySeeds pins what the committed corpus seeds are for:
-// the current full entry decodes to fullEntry (without its trace in the
-// trace-free decode), and every other seed, the version-3 entry among
-// them, is rejected both ways.
+// the current full entry is fullEntry's encoding and decodes to
+// fullEntry (without its trace in the
+// trace-free decode), the entry written before the critical-path section
+// existed decodes to fullEntry without its path, and every other seed,
+// the version-3 entry and the unknown flag bit among them, is rejected
+// both ways.
 func TestCommittedEntrySeeds(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzDecodeEntry/*")
 	if err != nil || len(files) == 0 {
@@ -112,11 +131,23 @@ func TestCommittedEntrySeeds(t *testing.T) {
 			if !withTrace {
 				want.Trace = nil
 			}
-			e, err := decodeEntry([]byte(data), withTrace)
+			e, err := decodeEntry([]byte(data), traceIf(withTrace))
 			switch name := filepath.Base(file); {
 			case name == "full-entry":
 				if err != nil || !reflect.DeepEqual(e, want) {
 					t.Errorf("%s (withTrace %t): does not decode to fullEntry (%v)", name, withTrace, err)
+				}
+				// The encoding is a function of the entry, whatever order
+				// its maps iterate in.
+				for i := 0; i < 10; i++ {
+					if !bytes.Equal(mustEncode(t, fullEntry()), []byte(data)) {
+						t.Fatalf("%s: not fullEntry's encoding", name)
+					}
+				}
+			case name == "full-entry-no-critpath":
+				want.CritPath = nil
+				if err != nil || !reflect.DeepEqual(e, want) {
+					t.Errorf("%s (withTrace %t): does not decode to fullEntry without its path (%v)", name, withTrace, err)
 				}
 			case err == nil:
 				t.Errorf("%s (withTrace %t): accepted", name, withTrace)

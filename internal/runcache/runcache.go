@@ -10,10 +10,13 @@
 // (cube.Profile.AppendBinary, read back with cube.ReadBinary, which
 // validates through the same builder as the cube JSON reader), so a
 // cached result decodes deep-equal to a fresh run (asserted by tests in
-// internal/experiment).  A caller that does not read a run's trace looks
-// its entry up without it (Lookup with withTrace false): the trace blob
-// is bounds-checked but not decoded, and decoding it is most of the cost
-// of a hit.
+// internal/experiment).  An entry may also hold the run's critical path
+// (scalasca.CritPath), a product derived from the trace that a warm
+// report prints.  Lookup decodes every other section first and inflates
+// the trace blob only if its caller's predicate, shown that entry, asks
+// for it: a caller that reads no trace, or finds the product it would
+// derive from one already stored, gets the entry without decoding the
+// blob, which is most of the cost of a hit.
 //
 // The cache is safe for concurrent use by the pool's workers: writes go
 // to a temporary file and are renamed into place, and two racing writers
@@ -37,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cube"
+	"repro/internal/scalasca"
 	"repro/internal/trace"
 )
 
@@ -92,6 +96,9 @@ type Entry struct {
 	Profile *cube.Profile // nil unless analyzed
 	// Applied is the run's applied-fault log (nil without a fault plan).
 	Applied []AppliedFault
+	// CritPath is the run's critical path, a product of its trace: nil
+	// unless the writer derived it.
+	CritPath *scalasca.CritPath
 }
 
 // AppliedFault mirrors faults.AppliedFault field for field (runcache
@@ -132,18 +139,24 @@ func (c *Cache) path(hash string) string {
 	return filepath.Join(c.dir, hash[:2], hash+".ltr")
 }
 
-// Get looks a key up with its trace: Lookup(key, true).  The study
-// benchmark's replay (perfbench) calls it.
-func (c *Cache) Get(key Key) (e *Entry, ok bool) { return c.Lookup(key, true) }
+// Get looks a key up with its trace, whatever else the entry holds.  The
+// study benchmark's replay (perfbench) calls it.
+func (c *Cache) Get(key Key) (e *Entry, ok bool) { return c.Lookup(key, always) }
+
+// always is Get's Lookup predicate.
+func always(*Entry) bool { return true }
 
 // Lookup looks a key up.  ok is false on a miss, including every flavour
 // of unreadable entry (absent, truncated, corrupt, wrong format version).
 // The entry file is read whole, so no length it claims can size an
-// allocation beyond the file itself.  Without withTrace the trace blob
-// is bounds-checked, as are the flags and the trailing bytes, but never
-// decoded: the entry comes back with a nil Trace, and a blob that would
-// not decode still serves a hit.
-func (c *Cache) Lookup(key Key, withTrace bool) (e *Entry, ok bool) {
+// allocation beyond the file itself.  Every section but the trace blob
+// is decoded first; then, if the entry holds a trace, withTrace (nil
+// means never) is shown the entry so far and decides whether the blob is
+// inflated.  Without it the blob is bounds-checked, as are the flags and
+// the trailing bytes, but never decoded: the entry comes back with a nil
+// Trace, and a blob that would not decode still serves a hit.  Either
+// way the file is read once and counts one hit or one miss.
+func (c *Cache) Lookup(key Key, withTrace func(*Entry) bool) (e *Entry, ok bool) {
 	b, err := os.ReadFile(c.path(key.Hash()))
 	if err == nil {
 		e, err = decodeEntry(b, withTrace)
@@ -199,17 +212,24 @@ func (c *Cache) Put(key Key, e *Entry) error {
 //	check count, then per check: value f64
 //	applied-fault count, then per event: kind string, rank varint,
 //	  core varint, resource string, at f64, magnitude f64   (version 2+)
-//	flags byte (bit 0: trace present, bit 1: profile present)
+//	flags byte (bit 0: trace present, bit 1: profile present,
+//	  bit 2: critical path present)
 //	if trace:   uvarint byte length + trace file (trace.WriteChunked)
 //	if profile: uvarint byte length + binary profile section
 //	            (cube/Profile.AppendBinary)
+//	if path:    total f64, segments uvarint, path count, then per path
+//	            (sorted by string): path string, ticks f64
 //
 // Version history: 2 added the applied-fault log; 3 switched the trace
 // blob to the chunked compressed format; 4 replaced the profile's cube
 // JSON with cube's binary section, which decodes without reflection.
 // Older entries decode as a miss (by design: a pre-log binary cannot
 // know what fired, and the version bump keeps cache files
-// self-describing across the format change).
+// self-describing across the format change).  The critical-path section
+// came later under the same version 4, behind its own flag bit: entries
+// written before it decode as they did, and a reader that predates it
+// rejects the unknown bit, so such an entry is a miss there and is
+// re-run.
 const (
 	entryMagic   = "LTRR"
 	entryVersion = 4
@@ -269,6 +289,9 @@ func encodeEntry(w *bytes.Buffer, e *Entry) error {
 	if e.Profile != nil {
 		flags |= 2
 	}
+	if e.CritPath != nil {
+		flags |= 4
+	}
 	w.WriteByte(flags)
 	if e.Trace != nil {
 		var b bytes.Buffer
@@ -285,6 +308,20 @@ func encodeEntry(w *bytes.Buffer, e *Entry) error {
 		}
 		putU(uint64(len(b)))
 		w.Write(b)
+	}
+	if cp := e.CritPath; cp != nil {
+		putF(cp.Total)
+		putU(uint64(cp.Segments))
+		paths := make([]string, 0, len(cp.ByPath))
+		for p := range cp.ByPath {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		putU(uint64(len(paths)))
+		for _, p := range paths {
+			putS(p)
+			putF(cp.ByPath[p])
+		}
 	}
 	return nil
 }
@@ -365,8 +402,8 @@ func (r *entryReader) count(itemBytes int) int {
 }
 
 // decodeEntry decodes an entry image, its trace blob only when
-// withTrace is set.
-func decodeEntry(b []byte, withTrace bool) (*Entry, error) {
+// withTrace, shown every other section, asks for it.
+func decodeEntry(b []byte, withTrace func(*Entry) bool) (*Entry, error) {
 	if !bytes.HasPrefix(b, []byte(entryMagic)) {
 		return nil, fmt.Errorf("runcache: bad magic")
 	}
@@ -408,24 +445,34 @@ func decodeEntry(b []byte, withTrace bool) (*Entry, error) {
 	if r.err == nil && flags[0]&2 != 0 {
 		profileBlob = r.next(r.u())
 	}
-	if r.err == nil && (flags[0]&^3 != 0 || len(r.b) != 0) {
+	if r.err == nil && flags[0]&4 != 0 {
+		cp := &scalasca.CritPath{Total: r.f(), Segments: int(r.u())}
+		n := r.count(1 + 8)
+		cp.ByPath = make(map[string]float64, n)
+		for i := 0; i < n; i++ {
+			p := r.s()
+			cp.ByPath[p] = r.f()
+		}
+		e.CritPath = cp
+	}
+	if r.err == nil && (flags[0]&^7 != 0 || len(r.b) != 0) {
 		r.fail("unknown flags %#x or %d trailing bytes", flags[0], len(r.b))
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	if withTrace && traceBlob != nil {
+	if profileBlob != nil {
+		var err error
+		if e.Profile, err = cube.ReadBinary(profileBlob); err != nil {
+			return nil, err
+		}
+	}
+	if traceBlob != nil && withTrace != nil && withTrace(e) {
 		cf, err := trace.NewChunkFile(traceBlob)
 		if err == nil {
 			e.Trace, err = cf.Trace()
 		}
 		if err != nil {
-			return nil, err
-		}
-	}
-	if profileBlob != nil {
-		var err error
-		if e.Profile, err = cube.ReadBinary(profileBlob); err != nil {
 			return nil, err
 		}
 	}

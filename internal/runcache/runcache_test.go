@@ -177,7 +177,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 		for _, withTrace := range []bool{true, false} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, ok := c.Lookup(key, withTrace)
+			_, ok := c.Lookup(key, traceIf(withTrace))
 			runtime.ReadMemStats(&after)
 			if ok && name != "bit flip" {
 				// A flipped float bit still decodes; structural damage must not.
@@ -215,7 +215,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	if _, ok := c.Get(key); ok {
 		t.Fatal("corrupt trace blob: Get returned a hit")
 	}
-	got, ok := c.Lookup(key, false)
+	got, ok := c.Lookup(key, nil)
 	if !ok {
 		t.Fatal("corrupt trace blob: Lookup without the trace missed")
 	}
@@ -229,6 +229,85 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("restored entry no longer readable")
 	}
+}
+
+// An entry that holds a critical path round-trips it deep-equal, with
+// and without the trace.
+func TestEntryRoundTripCritPath(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sampleKey()
+	for _, withTrace := range []bool{true, false} {
+		want := fullEntry()
+		if !withTrace {
+			want.Trace = nil
+		}
+		if err := c.Put(key, want); err != nil {
+			t.Fatal(err)
+		}
+		for _, decode := range []bool{true, false} {
+			got, ok := c.Lookup(key, traceIf(decode))
+			if !ok {
+				t.Fatalf("miss after Put (stored trace %t, decoded %t)", withTrace, decode)
+			}
+			w := *want
+			if !decode {
+				w.Trace = nil
+			}
+			if !reflect.DeepEqual(got, &w) {
+				t.Fatalf("round trip (stored trace %t, decoded %t) mutated the entry:\ngot  %+v\nwant %+v",
+					withTrace, decode, got, &w)
+			}
+		}
+	}
+}
+
+// Lookup shows its predicate every section but the trace, and inflates
+// the blob only when the predicate asks: a caller that finds the
+// critical path stored needs no trace.  Each lookup counts one hit.
+func TestLookupPredicateSeesTheEntry(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sampleKey()
+	want := fullEntry()
+	if err := c.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	var seen *Entry
+	noPath := func(e *Entry) bool {
+		seen = e
+		return e.CritPath == nil
+	}
+	got, ok := c.Lookup(key, noPath)
+	if !ok || got.Trace != nil || seen != got {
+		t.Fatalf("entry with a path: ok %t, trace %v, predicate saw %p of %p", ok, got.Trace, seen, got)
+	}
+	if !reflect.DeepEqual(seen.Profile, want.Profile) || !reflect.DeepEqual(seen.CritPath, want.CritPath) {
+		t.Fatal("the predicate was shown an entry without its profile or path")
+	}
+	want.CritPath = nil
+	if err := c.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Lookup(key, noPath); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("entry without a path: ok %t, got %+v", ok, got)
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 0 {
+		t.Fatalf("stats = %d hits, %d misses; want 2, 0", hits, misses)
+	}
+}
+
+// traceIf is the Lookup predicate that decodes the trace always or
+// never.
+func traceIf(decode bool) func(*Entry) bool {
+	if decode {
+		return always
+	}
+	return nil
 }
 
 // hugeModeEntry is a 10-byte entry: magic, the current version and a

@@ -190,7 +190,7 @@ func (c *causeTable) of(e vclock.EventRef) (vclock.Event, bool) {
 func causes(tr *trace.Trace, sk *vclock.Skeleton) *causeTable {
 	c := &causeTable{
 		base:   make([]int, len(tr.Locs)),
-		events: make([]vclock.Event, 0, sk.Recvs.Len()+sk.Colls.Len()+sk.Bars.Len()),
+		events: make([]vclock.Event, 0, sk.Recvs.Len()+sk.Colls.Len()+sk.Bars.Len()+sk.ForkJoinTargets()),
 	}
 	n := 0
 	for li, l := range tr.Locs {

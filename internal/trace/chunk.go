@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Trace file format (version 2, the only one).  A trace is a sequence
@@ -81,6 +82,14 @@ func WriteChunked(w io.Writer, t *Trace) error {
 	return writeChunked(w, t, chunkEvents)
 }
 
+// flateWriters holds compressors between WriteChunked calls: a new
+// flate.Writer allocates about 1.2 MB, and Reset makes a used one write
+// the bytes a new one would.  NewWriter fails only on an invalid level.
+var flateWriters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return fw
+}}
+
 // chunkEncoder is writeChunked's state: the output and its logical file
 // offset, the index so far, and buffers reused from chunk to chunk.  A
 // failed write is latched by bw and returned by its Flush.
@@ -96,7 +105,8 @@ type chunkEncoder struct {
 
 // writeChunked is WriteChunked with chunks of n events.
 func writeChunked(w io.Writer, t *Trace, n int) error {
-	enc := &chunkEncoder{bw: bufio.NewWriter(w)}
+	enc := &chunkEncoder{bw: bufio.NewWriter(w), fw: flateWriters.Get().(*flate.Writer)}
+	defer flateWriters.Put(enc.fw)
 	locs := make([]LocInfo, len(t.Locs))
 	for l, lt := range t.Locs {
 		locs[l] = LocInfo{Rank: lt.Rank, Thread: lt.Thread, Events: len(lt.Events)}
@@ -181,14 +191,9 @@ func (enc *chunkEncoder) chunk(l int, evs []Event) {
 	}
 	enc.raw = raw
 
-	// The compressor writes to a bytes.Buffer, so it cannot fail, and
-	// NewWriter fails only on an invalid level.
+	// The compressor writes to a bytes.Buffer, so it cannot fail.
 	enc.comp.Reset()
-	if enc.fw == nil {
-		enc.fw, _ = flate.NewWriter(&enc.comp, flate.BestSpeed)
-	} else {
-		enc.fw.Reset(&enc.comp)
-	}
+	enc.fw.Reset(&enc.comp)
 	enc.fw.Write(raw)
 	enc.fw.Close()
 

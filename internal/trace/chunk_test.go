@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -178,18 +180,35 @@ func TestChunkFileRange(t *testing.T) {
 
 // WriteChunked must be byte-deterministic: the run cache relies on two
 // racing writers producing identical entry bytes.
+// WriteChunked writes the same bytes for the same trace on every call,
+// also when calls run at once and each takes a pooled compressor that
+// another trace used last.
 func TestWriteChunkedDeterministic(t *testing.T) {
-	tr := bigSample(2, 300)
-	var a, b bytes.Buffer
-	if err := WriteChunked(&a, tr); err != nil {
-		t.Fatal(err)
+	tr, other := bigSample(2, 300), bigSample(3, 5000)
+	want := chunkedBytes(t, tr, chunkEvents)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				var a bytes.Buffer
+				if err := WriteChunked(io.Discard, other); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := WriteChunked(&a, tr); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(a.Bytes(), want) {
+					t.Error("two WriteChunked runs produced different bytes")
+					return
+				}
+			}
+		}()
 	}
-	if err := WriteChunked(&b, tr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two WriteChunked runs produced different bytes")
-	}
+	wg.Wait()
 }
 
 // TestChunkCorruptionMatrix damages a valid file in each way the reader

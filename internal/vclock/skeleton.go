@@ -474,6 +474,16 @@ func (k *Skeleton) ForkJoin(fn func(from, to Event)) {
 	}
 }
 
+// ForkJoinTargets bounds the distinct events ForkJoin's edges end at:
+// each worker segment's first event (a fork's target) and each join.
+func (k *Skeleton) ForkJoinTargets() int {
+	n := k.segs.Len()
+	for _, t := range k.Teams {
+		n += t.Joins.Len()
+	}
+	return n
+}
+
 // Graph returns the skeleton in Unreached's form: message edges,
 // then fork/join edges, and one group per collective, then barrier,
 // instance.

@@ -149,6 +149,17 @@ func TestLogicalTraceSatisfiesClockCondition(t *testing.T) {
 	}
 }
 
+// ForkJoinTargets bounds the distinct events ForkJoin's edges end at,
+// which the critical path sizes its cause table by.
+func TestForkJoinTargetsBoundsEdges(t *testing.T) {
+	sk := Extract(measuredTrace(t, core.ModeStmt, noise.Params{}))
+	targets := make(map[EventRef]bool)
+	sk.ForkJoin(func(_, to Event) { targets[to.EventRef] = true })
+	if len(targets) == 0 || len(targets) > sk.ForkJoinTargets() {
+		t.Fatalf("%d distinct fork/join targets, bound %d", len(targets), sk.ForkJoinTargets())
+	}
+}
+
 func TestTscWithSkewedClocksViolatesCondition(t *testing.T) {
 	// Large clock offsets between ranks make physical stamps non-causal:
 	// a message can appear to arrive before it was sent.  This is the
