@@ -27,14 +27,11 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
+	"repro/cmd/internal/studycli"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/faults"
-	"repro/internal/obs"
-	"repro/internal/obs/live"
-	"repro/internal/runcache"
 )
 
 func main() {
@@ -44,15 +41,11 @@ func main() {
 	mode := flag.String("mode", "all", `timer modes: "all" or a comma list (tsc,lt_1,lt_loop,lt_bb,lt_stmt,lt_hwctr)`)
 	seed := flag.Int64("seed", 1, "study seed")
 	quick := flag.Bool("quick", false, "shrink the problem")
-	jobs := flag.Int("j", 0, "worker goroutines (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache", "", "serve repeated runs from this run-cache directory")
 	jsonOut := flag.String("json", "", "write the study as deterministic JSON here (- = stdout)")
 	faultSpec := flag.String("faults", "",
 		`fault plan (default: sized from a reference run), e.g. "oneoff:rank=8,at=0.01,delay=0.002"`)
 	quiet := flag.Bool("quiet", false, "suppress the text report")
-	progress := flag.Bool("progress", false, "live progress on stderr")
-	liveAddr := flag.String("live", "",
-		"serve the study observatory (/healthz, /metrics, /progress) on this address")
+	pool := studycli.Flags(flag.CommandLine, studycli.LiveFlag)
 	list := flag.Bool("list", false, "list configurations and exit")
 	flag.Parse()
 
@@ -68,38 +61,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := experiment.PropagationOptions{Seed: *seed, Workers: *jobs}
+	if err := pool.Open("ltprop"); err != nil {
+		log.Fatal(err)
+	}
+	defer pool.Close()
+	opts := experiment.PropagationOptions{Seed: *seed,
+		Workers: pool.Workers, Cache: pool.Cache, Metrics: pool.Metrics, Progress: pool.Progress}
 	if *mode != "all" {
 		for _, m := range strings.Split(*mode, ",") {
 			opts.Modes = append(opts.Modes, core.Mode(strings.TrimSpace(m)))
 		}
-	}
-	if *cacheDir != "" {
-		cache, err := runcache.Open(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Cache = cache
-	}
-	if *progress {
-		opts.Progress = obs.NewProgress(os.Stderr, "ltprop", time.Now) //detlint:allow wallclock
-	}
-	if *liveAddr != "" {
-		if opts.Metrics == nil {
-			opts.Metrics = obs.NewRegistry()
-		}
-		if opts.Progress == nil {
-			opts.Progress = obs.NewProgress(os.Stderr, "ltprop", time.Now) //detlint:allow wallclock
-		}
-		srv, err := live.Start(*liveAddr, live.Options{
-			Registry: opts.Metrics,
-			Progress: opts.Progress,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		log.Printf("live observatory on http://%s", srv.Addr())
 	}
 
 	var plan faults.Plan

@@ -22,14 +22,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
+	"repro/cmd/internal/studycli"
 	"repro/internal/experiment"
 	"repro/internal/faults"
-	"repro/internal/obs"
-	"repro/internal/obs/live"
 	"repro/internal/profiling"
-	"repro/internal/runcache"
 )
 
 func main() {
@@ -40,64 +37,20 @@ func main() {
 	seed := flag.Int64("seed", 1, "base noise seed")
 	table := flag.Int("table", 0, "regenerate only this table (1 or 2)")
 	fig := flag.Int("fig", 0, "regenerate only this figure (2-9)")
-	workers := flag.Int("j", 0, "parallel simulations (0 = all CPUs); results are identical for any value")
-	cacheDir := flag.String("cache", "", "serve repetitions from a run cache in this directory")
 	faultCfg := flag.String("fault-study", "", "run the fault-resilience study on this configuration and exit")
 	faultSpec := flag.String("faults", "", "fault plan for -fault-study (default: auto-sized one-off delay)")
-	progress := flag.Bool("progress", false, "report live study progress with ETA on stderr")
-	metrics := flag.Bool("metrics", false, "dump simulator metrics to stderr after the run")
-	liveAddr := flag.String("live", "",
-		"serve the study observatory (/healthz, /metrics, /progress) on this address")
+	pool := studycli.Flags(flag.CommandLine, studycli.MetricsFlag|studycli.LiveFlag)
 	prof := profiling.AddFlags()
 	flag.Parse()
 	prof.Start()
 	defer prof.Stop()
+	if err := pool.Open("ltreport"); err != nil {
+		log.Fatal(err)
+	}
+	defer pool.Close()
 
-	opts := experiment.StudyOptions{Reps: *reps, BaseSeed: *seed, Workers: *workers}
-	if *progress {
-		// Wall-clock time feeds only the stderr progress display, never
-		// the simulation itself.
-		opts.Progress = obs.NewProgress(os.Stderr, "ltreport", time.Now) //detlint:allow wallclock
-	}
-	if *metrics {
-		reg := obs.NewRegistry()
-		opts.Metrics = reg
-		defer func() {
-			if err := reg.Snapshot().WriteText(os.Stderr); err != nil {
-				log.Print(err)
-			}
-		}()
-	}
-	if *liveAddr != "" {
-		// The observatory serves whatever is being collected; make sure
-		// something is.
-		if opts.Metrics == nil {
-			opts.Metrics = obs.NewRegistry()
-		}
-		if opts.Progress == nil {
-			opts.Progress = obs.NewProgress(os.Stderr, "ltreport", time.Now) //detlint:allow wallclock
-		}
-		srv, err := live.Start(*liveAddr, live.Options{
-			Registry: opts.Metrics,
-			Progress: opts.Progress,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		log.Printf("live observatory on http://%s", srv.Addr())
-	}
-	if *cacheDir != "" {
-		cache, err := runcache.Open(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Cache = cache
-		defer func() {
-			hits, misses := cache.Stats()
-			log.Printf("run cache %s: %d hits, %d misses", cache.Dir(), hits, misses)
-		}()
-	}
+	opts := experiment.StudyOptions{Reps: *reps, BaseSeed: *seed,
+		Workers: pool.Workers, Cache: pool.Cache, Metrics: pool.Metrics, Progress: pool.Progress}
 	specOpts := experiment.Options{Quick: *quick}
 	w := os.Stdout
 
@@ -130,51 +83,24 @@ func main() {
 		}
 		return
 	}
-
-	// studies prints a "running" line per name, then runs the named
-	// studies as one grid.
-	studies := func(names ...string) []*experiment.Study {
-		specs := make([]experiment.Spec, len(names))
-		for i, name := range names {
-			spec, err := experiment.SpecByName(name, specOpts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(w, "running %s...\n", name)
-			specs[i] = spec
-		}
-		sts, err := experiment.RunStudies(specs, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return sts
-	}
-
-	switch {
-	case *table == 1:
-		s := studies("MiniFE-2", "LULESH-1", "TeaLeaf-2")
-		experiment.TableI(w, s[0], s[1], s[2])
-	case *table == 2:
-		experiment.TableII(w, studies("TeaLeaf-1", "TeaLeaf-2", "TeaLeaf-3", "TeaLeaf-4"))
-	case *fig == 2:
-		experiment.Fig2(w, studies("MiniFE-2")[0])
-	case *fig == 3:
-		experiment.FigJaccard(w, "FIG 3 (MiniFE, LULESH)", studies("MiniFE-1", "MiniFE-2", "LULESH-1", "LULESH-2"))
-	case *fig == 4:
-		experiment.FigJaccard(w, "FIG 4 (TeaLeaf)", studies("TeaLeaf-1", "TeaLeaf-2", "TeaLeaf-3", "TeaLeaf-4"))
-	case *fig == 5:
-		s := studies("MiniFE-1", "MiniFE-2")
-		experiment.Fig5(w, s[0], s[1])
-	case *fig == 6:
-		s := studies("MiniFE-1", "MiniFE-2")
-		experiment.Fig6(w, s[0], s[1])
-	case *fig == 7:
-		experiment.Fig7(w, studies("MiniFE-2")[0])
-	case *fig == 8:
-		experiment.Fig8(w, studies("LULESH-1")[0])
-	case *fig == 9:
-		experiment.Fig9(w, studies("LULESH-1")[0])
-	default:
+	sec, ok := section(*table, *fig)
+	if !ok {
 		log.Fatalf("nothing to do: table=%d fig=%d", *table, *fig)
 	}
+	sts, err := studycli.Studies(w, sec.Specs, specOpts, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sec.Render(w, sts)
+}
+
+// section returns the report section -table and -fig select: the first,
+// in the report's order, named "table<table>" or "fig<fig>".
+func section(table, fig int) (experiment.Section, bool) {
+	for _, sec := range experiment.Sections() {
+		if sec.Name == fmt.Sprintf("table%d", table) || sec.Name == fmt.Sprintf("fig%d", fig) {
+			return sec, true
+		}
+	}
+	return experiment.Section{}, false
 }

@@ -19,11 +19,9 @@ import (
 	"log"
 	"os"
 	"strings"
-	"time"
 
+	"repro/cmd/internal/studycli"
 	"repro/internal/experiment"
-	"repro/internal/obs"
-	"repro/internal/runcache"
 )
 
 func main() {
@@ -33,29 +31,12 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per point")
 	seed := flag.Int64("seed", 1, "noise seed")
 	quick := flag.Bool("quick", false, "shrink the problems")
-	workers := flag.Int("j", 0, "parallel simulations (0 = all CPUs); results are identical for any value")
-	cacheDir := flag.String("cache", "", "serve repetitions from a run cache in this directory")
-	progress := flag.Bool("progress", false, "report live sweep progress with ETA on stderr")
-	metrics := flag.Bool("metrics", false, "dump simulator metrics to stderr after the run")
+	pool := studycli.Flags(flag.CommandLine, studycli.MetricsFlag)
 	flag.Parse()
-
-	var cache *runcache.Cache
-	if *cacheDir != "" {
-		var err error
-		if cache, err = runcache.Open(*cacheDir); err != nil {
-			log.Fatal(err)
-		}
+	if err := pool.Open("ltscale"); err != nil {
+		log.Fatal(err)
 	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-	}
-	var prog *obs.Progress
-	if *progress {
-		// Wall-clock time feeds only the stderr progress display, never
-		// the simulation itself.
-		prog = obs.NewProgress(os.Stderr, "ltscale", time.Now) //detlint:allow wallclock
-	}
+	defer pool.Close()
 
 	sweeps := []struct {
 		name   string
@@ -84,8 +65,8 @@ func main() {
 			log.Fatal(err)
 		}
 		res, err := experiment.RunScaling(spec, s.points, experiment.ScalingOptions{
-			Reps: *reps, Seed: *seed, Workers: *workers, Cache: cache,
-			Metrics: reg, Progress: prog,
+			Reps: *reps, Seed: *seed,
+			Workers: pool.Workers, Cache: pool.Cache, Metrics: pool.Metrics, Progress: pool.Progress,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -95,14 +76,5 @@ func main() {
 			fmt.Printf("dropped: rep %d (seed %d): %s\n", d.Rep, d.Seed, d.Err)
 		}
 		os.Stdout.WriteString("\n")
-	}
-	if cache != nil {
-		hits, misses := cache.Stats()
-		log.Printf("run cache %s: %d hits, %d misses", cache.Dir(), hits, misses)
-	}
-	if reg != nil {
-		if err := reg.Snapshot().WriteText(os.Stderr); err != nil {
-			log.Print(err)
-		}
 	}
 }

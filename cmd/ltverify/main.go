@@ -22,12 +22,10 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
+	"repro/cmd/internal/studycli"
 	"repro/internal/core"
 	"repro/internal/experiment"
-	"repro/internal/obs"
-	"repro/internal/runcache"
 	"repro/internal/scalasca"
 )
 
@@ -41,44 +39,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ltverify: ")
 	reps := flag.Int("reps", 3, "repetitions per study")
-	workers := flag.Int("j", 0, "parallel simulations (0 = all CPUs); results are identical for any value")
-	cacheDir := flag.String("cache", "", "serve repetitions from a run cache in this directory")
-	progress := flag.Bool("progress", false, "report live study progress with ETA on stderr")
-	metrics := flag.Bool("metrics", false, "dump simulator metrics to stderr after the claims")
+	pool := studycli.Flags(flag.CommandLine, studycli.MetricsFlag)
 	flag.Parse()
-
-	opts := experiment.StudyOptions{Reps: *reps, Workers: *workers, VerifyTraces: true}
-	if *cacheDir != "" {
-		cache, err := runcache.Open(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Cache = cache
-	}
-	if *progress {
-		// Wall-clock time feeds only the stderr progress display, never
-		// the simulation itself.
-		opts.Progress = obs.NewProgress(os.Stderr, "ltverify", time.Now) //detlint:allow wallclock
-	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-		opts.Metrics = reg
+	if err := pool.Open("ltverify"); err != nil {
+		log.Fatal(err)
 	}
 
-	needed := []string{"MiniFE-1", "MiniFE-2", "LULESH-1", "LULESH-2", "TeaLeaf-2", "TeaLeaf-4"}
-	specs := make([]experiment.Spec, len(needed))
-	for i, name := range needed {
-		spec, err := experiment.SpecByName(name, experiment.Options{Quick: true})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("running %s...\n", name)
-		specs[i] = spec
-	}
+	opts := experiment.StudyOptions{Reps: *reps, VerifyTraces: true,
+		Workers: pool.Workers, Cache: pool.Cache, Metrics: pool.Metrics, Progress: pool.Progress}
 	// One grid for all six studies; each trace is verified on the pool
 	// worker that produced or served it, then dropped.
-	sts, err := experiment.RunStudies(specs, opts)
+	needed := []string{"MiniFE-1", "MiniFE-2", "LULESH-1", "LULESH-2", "TeaLeaf-2", "TeaLeaf-4"}
+	sts, err := studycli.Studies(os.Stdout, needed, experiment.Options{Quick: true}, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,17 +58,10 @@ func main() {
 	for _, st := range sts {
 		studies[st.Spec.Name] = st
 	}
-	if opts.Cache != nil {
-		hits, misses := opts.Cache.Stats()
-		log.Printf("run cache %s: %d hits, %d misses", opts.Cache.Dir(), hits, misses)
-	}
-	// Dump before the claim checks so the snapshot appears even when a
-	// failing claim ends the process with a non-zero status.
-	if reg != nil {
-		if err := reg.Snapshot().WriteText(os.Stderr); err != nil {
-			log.Print(err)
-		}
-	}
+	// Close before the claim checks so the cache line and the metrics
+	// dump appear even when a failing claim ends the process with a
+	// non-zero status.
+	pool.Close()
 	fmt.Println()
 
 	failures := 0

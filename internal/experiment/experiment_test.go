@@ -161,6 +161,37 @@ func TestReportRenderers(t *testing.T) {
 	}
 }
 
+// TestSections: the report's sections have unique names, every spec
+// they name resolves at quick and full scale, and each renders from as
+// many studies as it names.
+func TestSections(t *testing.T) {
+	st, err := RunStudy(tinySpec(), StudyOptions{Reps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, sec := range Sections() {
+		if seen[sec.Name] {
+			t.Errorf("section name %q repeats", sec.Name)
+		}
+		seen[sec.Name] = true
+		sts := make([]*Study, len(sec.Specs))
+		for i, name := range sec.Specs {
+			for _, quick := range []bool{true, false} {
+				if _, err := SpecByName(name, Options{Quick: quick}); err != nil {
+					t.Errorf("section %s, quick %v: %v", sec.Name, quick, err)
+				}
+			}
+			sts[i] = st
+		}
+		var b bytes.Buffer
+		sec.Render(&b, sts)
+		if b.Len() == 0 {
+			t.Errorf("section %s rendered nothing", sec.Name)
+		}
+	}
+}
+
 // TestUnknownModeRejectedUpFront: every entry point rejects a mode
 // core.New cannot build with one error naming it, before any job runs,
 // and accepts the modes beyond the paper's six.

@@ -227,9 +227,38 @@ func Fig9(w io.Writer, lulesh1 *Study) {
 	pathBreakdown(w, lulesh1, scalasca.MDelayNxN, groups)
 }
 
-// FullReport runs every study and regenerates each table and figure of
-// the paper's evaluation section in order.  It prints a "running" line
-// per study, then runs all of them as one grid that keeps no trace: the
+// A Section is one table or figure of the report: the studies it reads,
+// named in render order, and how it renders them from those studies.
+type Section struct {
+	Name   string // table1, table2, fig2 … fig9, hybrid or critpath
+	Specs  []string
+	Render func(w io.Writer, sts []*Study)
+}
+
+// Sections lists the report's sections in FullReport's order.
+func Sections() []Section {
+	teaLeafs := []string{"TeaLeaf-1", "TeaLeaf-2", "TeaLeaf-3", "TeaLeaf-4"}
+	return []Section{
+		{"table1", []string{"MiniFE-2", "LULESH-1", "TeaLeaf-2"}, func(w io.Writer, s []*Study) { TableI(w, s[0], s[1], s[2]) }},
+		{"table2", teaLeafs, TableII},
+		{"fig2", []string{"MiniFE-2"}, func(w io.Writer, s []*Study) { Fig2(w, s[0]) }},
+		{"fig3", []string{"MiniFE-1", "MiniFE-2", "LULESH-1", "LULESH-2"}, func(w io.Writer, s []*Study) {
+			FigJaccard(w, "FIG 3 (MiniFE, LULESH)", s)
+		}},
+		{"fig4", teaLeafs, func(w io.Writer, s []*Study) { FigJaccard(w, "FIG 4 (TeaLeaf)", s) }},
+		{"fig5", []string{"MiniFE-1", "MiniFE-2"}, func(w io.Writer, s []*Study) { Fig5(w, s[0], s[1]) }},
+		{"fig6", []string{"MiniFE-1", "MiniFE-2"}, func(w io.Writer, s []*Study) { Fig6(w, s[0], s[1]) }},
+		{"fig7", []string{"MiniFE-2"}, func(w io.Writer, s []*Study) { Fig7(w, s[0]) }},
+		{"fig8", []string{"LULESH-1"}, func(w io.Writer, s []*Study) { Fig8(w, s[0]) }},
+		{"fig9", []string{"LULESH-1"}, func(w io.Writer, s []*Study) { Fig9(w, s[0]) }},
+		{"hybrid", []string{"MiniFE-1", "LULESH-2"}, func(w io.Writer, s []*Study) { HybridSection(w, s[0], s[1]) }},
+		{"critpath", []string{critPathSpec}, func(w io.Writer, s []*Study) { CritPathSection(w, s[0]) }},
+	}
+}
+
+// FullReport runs every study and renders each section of the report
+// in order, one blank line before each.  It prints a "running" line per
+// study, then runs all of them as one grid that keeps no trace: the
 // tables and figures read profiles, walls and phases, and the critical
 // path of LULESH-1's tsc repetition 0 is derived on the worker that
 // holds that run.  If that repetition is dropped, the critical-path
@@ -239,34 +268,14 @@ func FullReport(w io.Writer, opts StudyOptions, specOpts Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w)
-	TableI(w, studies["MiniFE-2"], studies["LULESH-1"], studies["TeaLeaf-2"])
-	fmt.Fprintln(w)
-	TableII(w, []*Study{studies["TeaLeaf-1"], studies["TeaLeaf-2"], studies["TeaLeaf-3"], studies["TeaLeaf-4"]})
-	fmt.Fprintln(w)
-	Fig2(w, studies["MiniFE-2"])
-	fmt.Fprintln(w)
-	FigJaccard(w, "FIG 3 (MiniFE, LULESH)", []*Study{
-		studies["MiniFE-1"], studies["MiniFE-2"], studies["LULESH-1"], studies["LULESH-2"],
-	})
-	fmt.Fprintln(w)
-	FigJaccard(w, "FIG 4 (TeaLeaf)", []*Study{
-		studies["TeaLeaf-1"], studies["TeaLeaf-2"], studies["TeaLeaf-3"], studies["TeaLeaf-4"],
-	})
-	fmt.Fprintln(w)
-	Fig5(w, studies["MiniFE-1"], studies["MiniFE-2"])
-	fmt.Fprintln(w)
-	Fig6(w, studies["MiniFE-1"], studies["MiniFE-2"])
-	fmt.Fprintln(w)
-	Fig7(w, studies["MiniFE-2"])
-	fmt.Fprintln(w)
-	Fig8(w, studies["LULESH-1"])
-	fmt.Fprintln(w)
-	Fig9(w, studies["LULESH-1"])
-	fmt.Fprintln(w)
-	HybridSection(w, studies["MiniFE-1"], studies["LULESH-2"])
-	fmt.Fprintln(w)
-	CritPathSection(w, studies[critPathSpec])
+	for _, sec := range Sections() {
+		sts := make([]*Study, len(sec.Specs))
+		for i, name := range sec.Specs {
+			sts[i] = studies[name]
+		}
+		fmt.Fprintln(w)
+		sec.Render(w, sts)
+	}
 	return nil
 }
 

@@ -119,12 +119,22 @@ func (g *Gauge) Max() int64 {
 
 // Histogram counts observations into fixed buckets.  Observe is safe
 // for concurrent use and allocation-free.
+//
+// The sum is kept in fixed point, in units of sumQuantum (2^-32, about
+// 2.3e-10): each value is rounded to the nearest unit and the units are
+// added as integers.  Integer addition is associative, so the same
+// values give the same Sum bits in any order, whichever pool worker
+// observes them first; a float sum would not.  Values and the sum must
+// stay within ±2^31 (about 2.1e9).
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; len(counts) == len(bounds)+1
 	counts []atomic.Uint64
 	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, updated by CAS
+	sum    atomic.Int64 // in units of sumQuantum
 }
+
+// sumQuantum is the resolution of a histogram's sum.
+const sumQuantum = 1.0 / (1 << 32)
 
 // Observe records one value.  No-op on a nil histogram.
 func (h *Histogram) Observe(v float64) {
@@ -134,13 +144,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	h.sum.Add(int64(math.Round(v / sumQuantum)))
 }
 
 // Count returns the total number of observations (0 on a nil histogram).
@@ -151,12 +155,13 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observed values (0 on a nil histogram).
+// Sum returns the sum of all observed values, each rounded to a
+// multiple of sumQuantum (0 on a nil histogram).
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return math.Float64frombits(h.sum.Load())
+	return float64(h.sum.Load()) * sumQuantum
 }
 
 // Registry is a named collection of metrics.  Handles are interned:

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +142,59 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if !(strings.Index(txt, "alpha") < strings.Index(txt, "mid") &&
 		strings.Index(txt, "mid") < strings.Index(txt, "zeta")) {
 		t.Fatalf("text snapshot not sorted by name:\n%s", txt)
+	}
+}
+
+// TestHistogramSumIgnoresOrder: pool workers observe in the order they
+// finish, so one set of values must give the same Sum bits in any order
+// and from any number of goroutines.  The values mix magnitudes, so a
+// float sum of them depends on the order.
+func TestHistogramSumIgnoresOrder(t *testing.T) {
+	vals := make([]float64, 1000)
+	var exact float64
+	for i := range vals {
+		vals[i] = float64(i%97)*0.731 + 1/float64(i+3)
+		exact += vals[i]
+	}
+	sum := func(observe func(h *Histogram)) float64 {
+		h := NewRegistry().Histogram("h", 1, 10)
+		observe(h)
+		return h.Sum()
+	}
+	want := sum(func(h *Histogram) {
+		for _, v := range vals {
+			h.Observe(v)
+		}
+	})
+	if d := math.Abs(want - exact); d > float64(len(vals))*sumQuantum {
+		t.Fatalf("Sum %v is %g off the float sum %v", want, d, exact)
+	}
+	backward := sum(func(h *Histogram) {
+		for i := len(vals) - 1; i >= 0; i-- {
+			h.Observe(vals[i])
+		}
+	})
+	if math.Float64bits(backward) != math.Float64bits(want) {
+		t.Fatalf("reversed order: Sum %v, want %v", backward, want)
+	}
+	const workers = 4
+	for run := 0; run < 5; run++ {
+		got := sum(func(h *Histogram) {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < len(vals); i += workers {
+						h.Observe(vals[i])
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("run %d on %d goroutines: Sum %v, want %v", run, workers, got, want)
+		}
 	}
 }
 
