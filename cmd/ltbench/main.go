@@ -51,7 +51,7 @@ func main() {
 	benchtime := flag.Duration("benchtime", time.Second, "target wall time per measurement")
 	quick := flag.Bool("quick", false, "CI smoke mode: 2 reps, 50ms benchtime")
 	filter := flag.String("bench", "", "only run workloads whose name contains this substring")
-	baseline := flag.String("baseline", "", "embed this previously-written BENCH json as the baseline")
+	baseline := flag.String("baseline", "", "embed this previously-written BENCH json as the baseline, and print its allocs/op and B/op ratios")
 	outDir := flag.String("o", ".", "directory for the BENCH_<label>.json output")
 	noJSON := flag.Bool("nojson", false, "print the table only, write no file")
 	flag.Parse()
@@ -152,15 +152,27 @@ func eps(v float64) string {
 	return fmt.Sprintf("%.3g", v)
 }
 
-// delta annotates a result with its speed-up versus the baseline file.
+// delta annotates a result with the baseline ÷ current ratios of its
+// allocs/op and B/op.  It prints no ns/op ratio: the two files are
+// captured at different times, and machine drift between them would
+// read as a speed-up.
 func delta(base *File, m bench.Measurement) string {
 	if base == nil {
 		return ""
 	}
 	for _, b := range base.Results {
-		if b.Name == m.Name && m.NsPerOp > 0 {
-			return fmt.Sprintf("   [%.2fx vs %s]", b.NsPerOp/m.NsPerOp, base.Label)
+		if b.Name == m.Name {
+			return fmt.Sprintf("   [allocs/op %s, B/op %s vs %s]",
+				ratio(b.AllocsPerOp, m.AllocsPerOp), ratio(b.BytesPerOp, m.BytesPerOp), base.Label)
 		}
 	}
 	return ""
+}
+
+// ratio renders base ÷ cur, or "-" when cur is 0.
+func ratio(base, cur float64) string {
+	if cur == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.2fx", base/cur)
 }

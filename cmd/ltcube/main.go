@@ -13,19 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"sort"
 
 	"repro/internal/cube"
 	"repro/internal/jaccard"
 )
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 func main() {
 	log.SetFlags(0)
@@ -63,7 +57,7 @@ func main() {
 				}
 			}
 			sort.Slice(ds, func(i, j int) bool {
-				return abs(ds[i].a-ds[i].b) > abs(ds[j].a-ds[j].b)
+				return math.Abs(ds[i].a-ds[i].b) > math.Abs(ds[j].a-ds[j].b)
 			})
 			fmt.Printf("largest disagreements (%%T): %-10s %-10s\n", prof.Clock, other.Clock)
 			for i := 0; i < *diff && i < len(ds); i++ {

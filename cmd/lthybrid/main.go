@@ -53,6 +53,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := hybrid.Compare(phys.Profile, logi.Profile, nil, *minPct)
+	rep := hybrid.Compare(phys.Profile, logi.Profile, *minPct)
 	rep.Render(os.Stdout, *limit)
 }

@@ -84,10 +84,10 @@ func run(mode core.Mode, inject, imbalance bool) *cube.Profile {
 
 func main() {
 	fmt.Println("case 1: balanced job + memory antagonist under rank 0")
-	rep := hybrid.Compare(run(core.ModeTSC, true, false), run(core.ModeStmt, true, false), nil, 0.2)
+	rep := hybrid.Compare(run(core.ModeTSC, true, false), run(core.ModeStmt, true, false), 0.2)
 	rep.Render(os.Stdout, 6)
 
 	fmt.Println("\ncase 2: genuine 2x work imbalance, no antagonist")
-	rep = hybrid.Compare(run(core.ModeTSC, false, true), run(core.ModeStmt, false, true), nil, 0.2)
+	rep = hybrid.Compare(run(core.ModeTSC, false, true), run(core.ModeStmt, false, true), 0.2)
 	rep.Render(os.Stdout, 6)
 }

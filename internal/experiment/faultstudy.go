@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/jaccard"
+	"repro/internal/runcache"
 )
 
 // FaultStudy measures how each clock mode's analysis responds to
@@ -30,18 +31,17 @@ type FaultStudy struct {
 }
 
 // RunFaultStudy runs the paired protocol as one grid that keeps no
-// trace.  Every repetition of both studies is analyzed (AnalyzeAll),
-// because rep-to-rep stability under injection is exactly what is being
+// trace.  Every repetition of both studies is analyzed, because
+// rep-to-rep stability under injection is exactly what is being
 // measured.
 func RunFaultStudy(spec Spec, opts StudyOptions, plan faults.Plan) (*FaultStudy, error) {
 	if plan.Empty() {
 		return nil, fmt.Errorf("experiment %s: fault study needs a non-empty plan", spec.Name)
 	}
 	opts = opts.fill()
-	opts.AnalyzeAll = true
+	opts.analyzeAll = true
 	faulted := opts
-	opts.Faults = nil
-	faulted.Faults = &plan
+	faulted.faults = &plan
 	sts, errs := runGrid([]gridStudy{{spec: spec, opts: opts}, {spec: spec, opts: faulted}})
 	if errs[0] != nil {
 		return nil, fmt.Errorf("clean baseline: %w", errs[0])
@@ -67,12 +67,18 @@ func DefaultPlanFor(spec Spec, opts StudyOptions) (faults.Plan, error) {
 	if err := checkModes(spec, opts.Modes...); err != nil {
 		return faults.Plan{}, err
 	}
-	o := RunOptions{Seed: opts.BaseSeed, Noise: *opts.Noise, Metrics: opts.Metrics}
-	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil))
+	return afzalPlanFor(spec, RunOptions{Seed: opts.BaseSeed, Noise: *opts.Noise, Metrics: opts.Metrics}, opts.Cache, 0.1)
+}
+
+// afzalPlanFor runs one uninstrumented reference job through cache and
+// places a one-off delay on the middle rank at 30% of its wall time,
+// sized at delayFrac of it.
+func afzalPlanFor(spec Spec, o RunOptions, cache *runcache.Cache, delayFrac float64) (faults.Plan, error) {
+	ref, drop := runJob(Job{Spec: spec, Opts: o}, cache, newPoolHooks(o.Metrics, nil))
 	if drop != nil {
 		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %s", spec.Name, drop.Err)
 	}
-	return faults.AfzalPlan(spec.Ranks, 0.3*ref.Wall, 0.1*ref.Wall), nil
+	return faults.AfzalPlan(spec.Ranks, 0.3*ref.Wall, delayFrac*ref.Wall), nil
 }
 
 // RepStability returns the minimal pairwise rep-to-rep Jaccard of the

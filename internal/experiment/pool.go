@@ -9,7 +9,7 @@ package experiment
 //  1. A job's inputs (seed, noise, faults, config) are computed during
 //     grid *enumeration*, never during execution, so they cannot depend
 //     on scheduling order.
-//  2. Results are placed back by slot index; the output grid is
+//  2. Results are placed back by job index; the output grid is
 //     assembled in enumeration order after every worker has finished.
 //  3. The degradation path (panic isolation, one retry with the seed
 //     shifted by retrySeedOffset, Dropped accounting) lives in runJob,
@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/runcache"
@@ -54,10 +53,9 @@ var goldenGrid []byte
 var cacheCodeVersion = fmt.Sprintf("repro-sim-3/%x", sha256.Sum256(goldenGrid))
 
 // Job is one self-describing unit of a study's grid: which configuration
-// to run, with which options, and where the result goes.
+// to run, with which options, and which products to derive.  The pool
+// places its result at its index in the grid.
 type Job struct {
-	// Slot is the job's placement index in the pool's result slice.
-	Slot int
 	// Spec is the configuration to run (scaling grids vary it per point).
 	Spec Spec
 	// Mode is the timer mode, "" for an uninstrumented reference run.
@@ -124,22 +122,22 @@ func studyJobs(spec Spec, opts StudyOptions) []Job {
 	jobs := make([]Job, 0, opts.Reps*(1+len(opts.Modes)))
 	for rep := 0; rep < opts.Reps; rep++ {
 		jobs = append(jobs, Job{
-			Slot: len(jobs), Spec: spec, Mode: "", Rep: rep,
+			Spec: spec, Mode: "", Rep: rep,
 			Opts: RunOptions{
 				Seed: opts.BaseSeed + int64(rep), Noise: *opts.Noise,
-				Faults: opts.Faults, Metrics: opts.Metrics,
+				Faults: opts.faults, Metrics: opts.Metrics,
 			},
 		})
 	}
 	for _, mode := range opts.Modes {
 		cfg := measure.DefaultConfig(mode)
 		for rep := 0; rep < opts.Reps; rep++ {
-			analyze := rep == 0 || !mode.Deterministic() || opts.AnalyzeAll
+			analyze := rep == 0 || !mode.Deterministic() || opts.analyzeAll
 			jobs = append(jobs, Job{
-				Slot: len(jobs), Spec: spec, Mode: mode, Rep: rep,
+				Spec: spec, Mode: mode, Rep: rep,
 				Opts: RunOptions{
 					Cfg: &cfg, Seed: opts.BaseSeed + int64(rep), Noise: *opts.Noise,
-					Faults: opts.Faults, Analyze: analyze, Metrics: opts.Metrics,
+					Faults: opts.faults, Analyze: analyze, Metrics: opts.Metrics,
 				},
 				Verify: opts.VerifyTraces,
 			})
@@ -166,12 +164,12 @@ func poolWorkers(requested, jobs int) int {
 }
 
 // runPool executes the jobs across min(workers, len(jobs)) goroutines
-// and returns, each placed by slot, the results (nil where the job was
-// dropped), the dropped-repetition records (nil where it succeeded) and
-// the trace checks (nil unless the job asked for one).  Each worker
-// writes only its own jobs' slots, so placement needs no lock, and slot
-// indexing keeps the output independent of scheduling; flattenDrops
-// turns the drop slots into the report form.
+// and returns, each placed at its job's index, the results (nil where
+// the job was dropped), the dropped-repetition records (nil where it
+// succeeded) and the trace checks (nil unless the job asked for one).
+// Each worker writes only its own jobs' slots, so placement needs no
+// lock, and indexing keeps the output independent of scheduling;
+// flattenDrops turns the drop slots into the report form.
 //
 // A worker derives its job's products before it drops the trace: the
 // profile comes with the result, the critical path with it too (runJob),
@@ -196,29 +194,22 @@ func runPool(jobs []Job, workers int, cache *runcache.Cache, hooks poolHooks) ([
 		}
 		results[i], drops[i] = res, drop
 	}
-	workers = poolWorkers(workers, len(jobs))
-	if workers == 1 {
-		for i := range jobs {
-			run(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					run(i)
-				}
-			}()
-		}
-		for i := range jobs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := poolWorkers(workers, len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				run(i)
+			}
+		}()
 	}
+	for i := range jobs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	return results, drops, checks
 }
 
@@ -331,45 +322,29 @@ func cacheKey(spec Spec, o RunOptions) runcache.Key {
 		k.Config = fmt.Sprintf("%+v", *o.Cfg)
 	}
 	if o.Faults != nil {
-		// Key the *effective* plan: RunWithOptions defaults a zero plan
-		// seed to the job seed before arming.
-		plan := *o.Faults
-		if plan.Seed == 0 {
-			plan.Seed = o.Seed
-		}
-		k.Faults = fmt.Sprintf("seed=%d|jitter=%g|%s", plan.Seed, plan.Jitter, plan.String())
+		// The "seed=…|jitter=0|" prefix is the form keys took when a plan
+		// could jitter its start times; keeping it keeps the entries
+		// cached under it addressable.
+		k.Faults = fmt.Sprintf("seed=%d|jitter=0|%s", o.Seed, o.Faults.String())
 	}
 	return k
 }
 
 // entryOf converts a run result to its cached form.
 func entryOf(r *RunResult) *runcache.Entry {
-	e := &runcache.Entry{
+	return &runcache.Entry{
 		Mode: string(r.Mode), Wall: r.Wall, Phases: r.Phases,
 		Checks: r.Checks, FoM: r.FoM, Trace: r.Trace, Profile: r.Profile,
-		CritPath: r.critPath,
+		Applied: r.Applied, CritPath: r.critPath,
 	}
-	for _, a := range r.Applied {
-		e.Applied = append(e.Applied, runcache.AppliedFault{
-			Kind: string(a.Kind), Rank: a.Rank, Core: a.Core,
-			Resource: a.Resource, At: a.At, Magnitude: a.Magnitude,
-		})
-	}
-	return e
 }
 
 // resultOf converts a cached entry back to a run result.  The entry's
 // critical path is left to the job that asks for it (runJob).
 func resultOf(e *runcache.Entry) *RunResult {
-	r := &RunResult{
+	return &RunResult{
 		Mode: core.Mode(e.Mode), Wall: e.Wall, Phases: e.Phases,
 		Checks: e.Checks, FoM: e.FoM, Trace: e.Trace, Profile: e.Profile,
+		Applied: e.Applied,
 	}
-	for _, a := range e.Applied {
-		r.Applied = append(r.Applied, faults.AppliedFault{
-			Kind: faults.Kind(a.Kind), Rank: a.Rank, Core: a.Core,
-			Resource: a.Resource, At: a.At, Magnitude: a.Magnitude,
-		})
-	}
-	return r
 }

@@ -224,7 +224,7 @@ func TestCapacityWindowStudyIdenticalPooled(t *testing.T) {
 	opts := StudyOptions{
 		Reps: 2, BaseSeed: 9,
 		Modes:  []core.Mode{core.ModeTSC, core.ModeLt1},
-		Faults: &plan,
+		faults: &plan,
 	}
 	opts.Workers = 1
 	want, err := RunStudy(spec, opts)
@@ -254,9 +254,6 @@ func TestStudyJobSeedsMatchSequentialProtocol(t *testing.T) {
 	expect := func(mode core.Mode, rep int, analyze bool) {
 		t.Helper()
 		job := jobs[i]
-		if job.Slot != i {
-			t.Fatalf("job %d: slot %d", i, job.Slot)
-		}
 		if job.Mode != mode || job.Rep != rep {
 			t.Fatalf("job %d: got (%q, rep %d), want (%q, rep %d)", i, job.Mode, job.Rep, mode, rep)
 		}
@@ -368,10 +365,10 @@ func TestDroppedTracesKeepDerivedProducts(t *testing.T) {
 	opts := StudyOptions{
 		Reps: 2, BaseSeed: 5,
 		Modes:        []core.Mode{core.ModeTSC, core.ModeLt1, core.ModeStmt},
-		VerifyTraces: true, AnalyzeAll: true,
+		VerifyTraces: true, analyzeAll: true,
 	}
 	faulted := opts
-	faulted.Faults = &plan
+	faulted.faults = &plan
 	cache, err := runcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -602,6 +599,26 @@ func TestCacheKeysDistinctAcrossGrid(t *testing.T) {
 	faulted := cacheKey(spec, RunOptions{Seed: 1, Faults: &plan})
 	if bare.Hash() == faulted.Hash() {
 		t.Fatal("fault plan not part of the cache key")
+	}
+	// A faulted job's key keeps the bytes caches were filled under,
+	// whatever seed its plan carries.  The hash also covers
+	// cacheCodeVersion, so an -update-golden that moves the salt moves
+	// it too.
+	quick, err := SpecByName("MiniFE-1", Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantFaults = "seed=7|jitter=0|oneoff:rank=4,at=0.01,delay=0.002"
+		wantHash   = "3847f8b1ca38971a94d87f33f3f34c3483cd4ea2d1d12df23b2e9b687d89f361"
+	)
+	for _, planSeed := range []int64{0, 7} {
+		plan := faults.AfzalPlan(quick.Ranks, 0.01, 0.002)
+		plan.Seed = planSeed
+		k := cacheKey(quick, RunOptions{Seed: 7, Faults: &plan})
+		if k.Faults != wantFaults || k.Hash() != wantHash {
+			t.Errorf("plan seed %d: key faults %q hash %s, want %q %s", planSeed, k.Faults, k.Hash(), wantFaults, wantHash)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ type PropagationOptions struct {
 	// Modes restricts the timer modes (default: all six).  Include tsc to
 	// get the per-mode front comparison — tsc is the reference clock.
 	Modes []core.Mode
-	// Seed seeds fault-plan jitter.
+	// Seed is every run's seed.
 	Seed int64
 	// Workers caps the job pool's goroutines (0 = GOMAXPROCS); results
 	// are byte-identical for every worker count, like every study.
@@ -36,14 +36,11 @@ type PropagationOptions struct {
 	//
 	// Deprecated: parallelise a grid with Workers instead.
 	KernelWorkers int
-
-	modesDefaulted bool
 }
 
 func (o PropagationOptions) fill() PropagationOptions {
 	if len(o.Modes) == 0 {
 		o.Modes = core.AllModes()
-		o.modesDefaulted = true
 	}
 	return o
 }
@@ -76,8 +73,6 @@ type PropagationStudy struct {
 	Seed    int64             `json:"seed"`
 	Modes   []ModePropagation `json:"modes"`
 	Dropped []DroppedRep      `json:"dropped,omitempty"`
-	spec    Spec
-	plan    faults.Plan
 }
 
 // RunPropagationStudy runs the paired grid: for every mode one baseline
@@ -102,12 +97,8 @@ func RunPropagationStudy(spec Spec, opts PropagationOptions, plan faults.Plan) (
 	if err := checkModes(spec, opts.Modes...); err != nil {
 		return nil, err
 	}
-	if plan.Seed == 0 {
-		plan.Seed = opts.Seed
-	}
 	st := &PropagationStudy{
 		Spec: spec.Name, Ranks: spec.Ranks, Plan: plan.Describe(), Seed: opts.Seed,
-		spec: spec, plan: plan,
 	}
 	jobs := propagationJobs(spec, opts, plan)
 	opts.Progress.Start(len(jobs), spec.Name)
@@ -172,12 +163,7 @@ func DefaultPropagationPlanFor(spec Spec, opts PropagationOptions) (faults.Plan,
 	if err := checkModes(spec, opts.Modes...); err != nil {
 		return faults.Plan{}, err
 	}
-	o := RunOptions{Seed: opts.Seed, Metrics: opts.Metrics}
-	ref, drop := runJob(Job{Spec: spec, Opts: o}, opts.Cache, newPoolHooks(opts.Metrics, nil))
-	if drop != nil {
-		return faults.Plan{}, fmt.Errorf("experiment %s: sizing reference: %s", spec.Name, drop.Err)
-	}
-	return faults.AfzalPlan(spec.Ranks, 0.3*ref.Wall, 0.05*ref.Wall), nil
+	return afzalPlanFor(spec, RunOptions{Seed: opts.Seed, Metrics: opts.Metrics}, opts.Cache, 0.05)
 }
 
 // propagationJobs enumerates the paired grid: slots 2i / 2i+1 hold mode
@@ -197,7 +183,7 @@ func propagationJobs(spec Spec, opts PropagationOptions, plan faults.Plan) []Job
 				p := plan
 				o.Faults = &p
 			}
-			jobs = append(jobs, Job{Slot: len(jobs), Spec: spec, Mode: mode, Opts: o, KeepTrace: true})
+			jobs = append(jobs, Job{Spec: spec, Mode: mode, Opts: o, KeepTrace: true})
 		}
 	}
 	return jobs

@@ -343,7 +343,7 @@ func HybridSection(w io.Writer, minife1, lulesh2 *Study) {
 		if phys == nil || logi == nil {
 			continue
 		}
-		rep := hybrid.Compare(phys, logi, nil, 0.2)
+		rep := hybrid.Compare(phys, logi, 0.2)
 		fmt.Fprintf(w, "\n%s:\n", st.Spec.Name)
 		rep.Render(w, 6)
 	}

@@ -47,7 +47,7 @@ type RunResult struct {
 type RunOptions struct {
 	// Cfg is the measurement configuration; nil runs uninstrumented.
 	Cfg *measure.Config
-	// Seed seeds the noise model (and fault-plan jitter).
+	// Seed seeds the noise model.
 	Seed int64
 	// Noise selects the noise environment; the zero value is noise-free.
 	Noise noise.Params
@@ -110,11 +110,7 @@ func RunWithOptions(spec Spec, o RunOptions) (*RunResult, error) {
 	}
 	var inj *faults.Injector
 	if o.Faults != nil {
-		plan := *o.Faults
-		if plan.Seed == 0 {
-			plan.Seed = o.Seed
-		}
-		inj, err = faults.Arm(k, m, place, plan)
+		inj, err = faults.Arm(k, m, place, *o.Faults)
 		if err != nil {
 			return nil, fmt.Errorf("experiment %s: %w", spec.Name, err)
 		}
@@ -182,13 +178,6 @@ type StudyOptions struct {
 	BaseSeed int64
 	// Modes restricts the timer modes (default: all six).
 	Modes []core.Mode
-	// Faults optionally arms a deterministic fault plan on every
-	// repetition (references included, so overheads stay comparable).
-	Faults *faults.Plan
-	// AnalyzeAll analyzes every repetition even for deterministic
-	// modes — required by studies that measure rep-to-rep stability
-	// under fault injection.
-	AnalyzeAll bool
 	// Workers caps the goroutines of the study's job pool; 0 uses
 	// GOMAXPROCS.  The results are byte-identical for every worker
 	// count — every job owns its kernel, machine and noise model, and
@@ -222,6 +211,14 @@ type StudyOptions struct {
 	// modesDefaulted records that fill() installed the default mode
 	// list, so renderers may sort it for stable report ordering.
 	modesDefaulted bool
+	// faults, which RunFaultStudy sets on its faulted study, arms a
+	// fault plan on every repetition (references included, so overheads
+	// stay comparable).
+	faults *faults.Plan
+	// analyzeAll, which RunFaultStudy sets, analyzes every repetition
+	// even for deterministic modes: the fault study measures rep-to-rep
+	// stability under injection.
+	analyzeAll bool
 }
 
 func (o StudyOptions) fill() StudyOptions {
@@ -324,7 +321,7 @@ func runIsolated(spec Spec, o RunOptions) (res *RunResult, err error) {
 // clock.  The noise-sensitive modes (tsc, lt_hwctr) are measured and
 // analyzed Reps times; the deterministic logical modes are timed Reps
 // times (their wall time is still noisy) but analyzed once, since their
-// traces repeat bit-for-bit (unless Opts.AnalyzeAll asks for more).
+// traces repeat bit-for-bit.
 //
 // The grid runs on Opts.Workers goroutines (0 = GOMAXPROCS); because
 // every repetition is fully isolated and results are placed back by grid
@@ -398,7 +395,6 @@ func runGrid(grid []gridStudy) ([]*Study, []error) {
 	for i, g := range grid {
 		first[i] = len(jobs)
 		for _, job := range studyJobs(g.spec, g.opts) {
-			job.Slot = len(jobs)
 			job.KeepTrace = g.keepTraces
 			job.CritPath = g.critPath && job.Mode == core.ModeTSC && job.Rep == 0
 			jobs = append(jobs, job)

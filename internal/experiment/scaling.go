@@ -18,7 +18,6 @@ import (
 type ScalePoint struct {
 	Ranks, Threads int
 	Nodes          int
-	OnePerDomain   bool
 	Wall           float64 // mean uninstrumented run time, seconds
 	FoM            float64 // mean figure of merit (0 if not reported)
 	Speedup        float64 // vs the first point
@@ -91,7 +90,7 @@ func RunScaling(base Spec, points [][2]int, o ScalingOptions) (*ScalingResult, e
 		specs[pi] = spec
 		for rep := 0; rep < o.Reps; rep++ {
 			jobs = append(jobs, Job{
-				Slot: len(jobs), Spec: spec, Rep: rep,
+				Spec: spec, Rep: rep,
 				Opts: RunOptions{Seed: o.Seed + int64(rep), Noise: np, Metrics: o.Metrics},
 			})
 		}

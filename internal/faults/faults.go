@@ -1,4 +1,4 @@
-// Package faults is a seeded, deterministic fault-injection layer over
+// Package faults is a deterministic fault-injection layer over
 // the vtime kernel, the machine model and the simmpi runtime.  Where
 // internal/noise models the *steady-state* disturbances of a busy cluster
 // (OS detours, jitter, clock drift), faults models *discrete* events:
@@ -12,19 +12,19 @@
 //   - hardware-counter glitches that corrupt lt_hwctr read-outs without
 //     touching timing.
 //
-// A Plan is declarative and, like internal/noise, reproducible per
-// (config, seed): arming the same plan twice yields byte-identical
-// simulations.  Faults perturb only *physical* execution — durations,
-// bandwidths, counter read-outs — never the application's code path, so
-// pure logical clocks (lt_1 … lt_stmt) must record bit-identical traces
-// with and without a plan.  That invariant is the repository's first
-// result beyond the paper and is asserted by tests.
+// A Plan is declarative and reproducible per config: every fault starts
+// at its fixed virtual instant, with no seed and no jitter, so arming
+// the same plan twice yields byte-identical simulations.  Faults perturb
+// only *physical* execution — durations, bandwidths, counter read-outs —
+// never the application's code path, so pure logical clocks (lt_1 …
+// lt_stmt) must record bit-identical traces with and without a plan.
+// That invariant is the repository's first result beyond the paper and
+// is asserted by tests.
 package faults
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
@@ -78,38 +78,19 @@ type Fault struct {
 	Factor float64
 }
 
-// Plan is a declarative set of faults for one run.  Seed and Jitter
-// optionally perturb every fault's start time by a deterministic uniform
-// draw in [-Jitter, +Jitter] seconds, so a study can decorrelate fault
-// phases across repetitions the way internal/noise decorrelates noise —
-// the draw depends only on (Seed, fault index), never on simulation
-// state.
+// Plan is a declarative set of faults for one run, each starting at its
+// own At.
 type Plan struct {
-	Seed   int64
-	Jitter float64
+	// Seed is read by nothing: every fault starts at its own At.
+	//
+	// Deprecated: a plan has no random part; leave Seed zero.
+	Seed int64
+
 	Faults []Fault
 }
 
 // Empty reports whether the plan injects nothing.
 func (p Plan) Empty() bool { return len(p.Faults) == 0 }
-
-// startTime returns fault i's effective start time under the plan's
-// seeded jitter, clamped to be non-negative.
-func (p Plan) startTime(i int) float64 {
-	f := p.Faults[i]
-	at := f.At
-	if p.Jitter > 0 {
-		// splitmix-style mixing, matching internal/noise's stream
-		// decorrelation idiom.
-		s := uint64(p.Seed)*0x9e3779b97f4a7c15 + uint64(i+1)*0xbf58476d1ce4e5b9
-		rng := rand.New(rand.NewSource(int64(s)))
-		at += (2*rng.Float64() - 1) * p.Jitter
-	}
-	if at < 0 {
-		at = 0
-	}
-	return at
-}
 
 // PlanError is a structured validation failure.  It names the offending
 // plan entry by index and value, so a CLI user or study harness can point
@@ -117,18 +98,15 @@ func (p Plan) startTime(i int) float64 {
 // semicolon-separated spec misbehaved.  For overlap failures Other is the
 // index of the second entry involved; otherwise it is -1.
 type PlanError struct {
-	Index  int    // position in Plan.Faults; -1 for plan-level failures
+	Index  int    // position in Plan.Faults
 	Other  int    // second entry of a pairwise failure, else -1
-	Fault  Fault  // the offending entry (zero for plan-level failures)
+	Fault  Fault  // the offending entry
 	Reason string // human-readable cause
 }
 
 // Error renders the failure with the offending entry spelled out in the
 // ParseSpec grammar.
 func (e *PlanError) Error() string {
-	if e.Index < 0 {
-		return "faults: " + e.Reason
-	}
 	if e.Other >= 0 {
 		return fmt.Sprintf("faults: fault %d (%s): %s (conflicts with fault %d)",
 			e.Index, e.Fault.String(), e.Reason, e.Other)
@@ -150,9 +128,6 @@ func badNum(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 // overlapping windows would "recover" to the other window's collapsed
 // value).  Every failure is a *PlanError naming the offending entry.
 func (p Plan) Validate(ranks, nodes, domains int) error {
-	if badNum(p.Jitter) || p.Jitter < 0 {
-		return &PlanError{Index: -1, Other: -1, Reason: fmt.Sprintf("jitter %g must be finite and non-negative", p.Jitter)}
-	}
 	for i, f := range p.Faults {
 		if reason := f.validate(ranks, nodes, domains); reason != "" {
 			return &PlanError{Index: i, Other: -1, Fault: f, Reason: reason}
@@ -218,9 +193,7 @@ func (f Fault) validate(ranks, nodes, domains int) string {
 }
 
 // validateCapacityWindows rejects two capacity windows of the same kind on
-// the same resource whose jitter-effective [from, to) intervals overlap.
-// The comparison uses startTime, so a plan that is clean on paper but
-// overlaps once its seeded jitter is applied is still rejected.
+// the same resource whose [At, At+Duration) intervals overlap.
 func (p Plan) validateCapacityWindows() error {
 	type win struct {
 		index    int
@@ -237,8 +210,7 @@ func (p Plan) validateCapacityWindows() error {
 		default:
 			continue
 		}
-		from := p.startTime(i)
-		byResource[key] = append(byResource[key], win{index: i, from: from, to: from + f.Duration})
+		byResource[key] = append(byResource[key], win{index: i, from: f.At, to: f.At + f.Duration})
 	}
 	for _, wins := range byResource {
 		sort.Slice(wins, func(a, b int) bool {
@@ -407,24 +379,19 @@ func (p Plan) Describe() string {
 	if p.Empty() {
 		return "no faults"
 	}
-	idx := make([]int, len(p.Faults))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return p.startTime(idx[a]) < p.startTime(idx[b]) })
-	parts := make([]string, len(idx))
-	for n, i := range idx {
-		f := p.Faults[i]
-		at := p.startTime(i)
+	fs := slices.Clone(p.Faults)
+	sort.SliceStable(fs, func(a, b int) bool { return fs[a].At < fs[b].At })
+	parts := make([]string, len(fs))
+	for n, f := range fs {
 		switch f.Kind {
 		case OneOffDelay:
-			parts[n] = fmt.Sprintf("one-off +%gs on rank %d at t=%g", f.Delay, f.Rank, at)
+			parts[n] = fmt.Sprintf("one-off +%gs on rank %d at t=%g", f.Delay, f.Rank, f.At)
 		case Straggler:
 			parts[n] = fmt.Sprintf("straggler x%g on rank %d", f.Factor, f.Rank)
 		case LinkDegrade:
-			parts[n] = fmt.Sprintf("nic%d at %.0f%% capacity for %gs at t=%g", f.Node, 100*f.Factor, f.Duration, at)
+			parts[n] = fmt.Sprintf("nic%d at %.0f%% capacity for %gs at t=%g", f.Node, 100*f.Factor, f.Duration, f.At)
 		case MemDegrade:
-			parts[n] = fmt.Sprintf("numa%d at %.0f%% capacity for %gs at t=%g", f.Domain, 100*f.Factor, f.Duration, at)
+			parts[n] = fmt.Sprintf("numa%d at %.0f%% capacity for %gs at t=%g", f.Domain, 100*f.Factor, f.Duration, f.At)
 		case CtrGlitch:
 			parts[n] = fmt.Sprintf("hwctr +%.0f%% over-count on rank %d", 100*f.Factor, f.Rank)
 		}

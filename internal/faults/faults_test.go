@@ -166,57 +166,6 @@ func TestValidateAcceptsDisjointCapacityWindows(t *testing.T) {
 	}
 }
 
-// Jitter can slide two on-paper-disjoint windows into overlap; Validate
-// must judge the jitter-effective times.
-func TestValidateSeesJitterEffectiveOverlap(t *testing.T) {
-	base := Plan{Faults: []Fault{
-		{Kind: LinkDegrade, Node: 0, At: 0.010, Duration: 0.010, Factor: 0.5},
-		{Kind: LinkDegrade, Node: 0, At: 0.021, Duration: 0.010, Factor: 0.5},
-	}}
-	if err := base.Validate(4, 2, 8); err != nil {
-		t.Fatalf("disjoint plan rejected without jitter: %v", err)
-	}
-	// Find a seed whose jitter draw pushes the windows into overlap; the
-	// draw is deterministic per (seed, index), so scan a few seeds.
-	found := false
-	for seed := int64(1); seed < 200; seed++ {
-		p := base
-		p.Seed, p.Jitter = seed, 0.005
-		if p.startTime(1) < p.startTime(0)+p.Faults[0].Duration && p.startTime(0) < p.startTime(1)+p.Faults[1].Duration {
-			found = true
-			if err := p.Validate(4, 2, 8); err == nil {
-				t.Fatalf("seed %d: jitter-effective overlap accepted", seed)
-			}
-			break
-		}
-	}
-	if !found {
-		t.Skip("no scanned seed produced an overlap; jitter amplitude too small")
-	}
-}
-
-func TestJitterIsSeededAndClamped(t *testing.T) {
-	base := Plan{Faults: []Fault{{Kind: OneOffDelay, Rank: 0, At: 0.001, Delay: 0.01}}}
-	a := base
-	a.Seed, a.Jitter = 7, 0.01
-	b := base
-	b.Seed, b.Jitter = 7, 0.01
-	if a.startTime(0) != b.startTime(0) {
-		t.Fatal("same seed gave different jittered start times")
-	}
-	c := base
-	c.Seed, c.Jitter = 8, 0.01
-	if a.startTime(0) == c.startTime(0) {
-		t.Fatal("different seeds gave identical jittered start times")
-	}
-	if at := a.startTime(0); at < 0 {
-		t.Fatalf("jittered start time %g went negative", at)
-	}
-	if base.startTime(0) != 0.001 {
-		t.Fatal("zero jitter must leave the start time untouched")
-	}
-}
-
 // smallJob builds a 1-node machine with a 4-rank placement for injector
 // tests.
 func smallJob(t *testing.T) (*vtime.Kernel, *machine.Machine, machine.Placement) {

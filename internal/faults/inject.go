@@ -39,8 +39,8 @@ type Injector struct {
 // AppliedFault is one fault event the injector actually applied to the
 // simulation, as opposed to one the plan merely declared.  The log lets
 // analyses correlate injected and observed delay without re-deriving fire
-// times from the plan (which would have to reproduce jitter, clamping and
-// the first-quantum-at-or-after-At rule).
+// times from the plan (which would have to reproduce the
+// first-quantum-at-or-after-At rule).
 type AppliedFault struct {
 	Kind Kind `json:"kind"`
 	// Rank is the victim world rank; -1 for capacity faults, which target
@@ -146,11 +146,10 @@ func Arm(k *vtime.Kernel, m *machine.Machine, place machine.Placement, p Plan) (
 		}
 		return cores
 	}
-	for i, f := range p.Faults {
-		at := p.startTime(i)
+	for _, f := range p.Faults {
 		to := foreverT
 		if f.Duration > 0 {
-			to = at + f.Duration
+			to = f.At + f.Duration
 		}
 		switch f.Kind {
 		case OneOffDelay:
@@ -158,19 +157,19 @@ func Arm(k *vtime.Kernel, m *machine.Machine, place machine.Placement, p Plan) (
 			// experiment stalls one process, and worker threads then
 			// inherit the delay through fork/join.
 			c := place.Core(f.Rank, 0)
-			inj.oneoffs[c] = append(inj.oneoffs[c], &oneoffState{rank: f.Rank, at: at, delay: f.Delay})
+			inj.oneoffs[c] = append(inj.oneoffs[c], &oneoffState{rank: f.Rank, at: f.At, delay: f.Delay})
 		case Straggler:
 			for _, c := range rankCores(f.Rank) {
-				inj.slowdown[c] = append(inj.slowdown[c], window{rank: f.Rank, from: at, to: to, factor: f.Factor})
+				inj.slowdown[c] = append(inj.slowdown[c], window{rank: f.Rank, from: f.At, to: to, factor: f.Factor})
 			}
 		case CtrGlitch:
 			for _, c := range rankCores(f.Rank) {
-				inj.glitch[c] = append(inj.glitch[c], window{rank: f.Rank, from: at, to: to, factor: f.Factor})
+				inj.glitch[c] = append(inj.glitch[c], window{rank: f.Rank, from: f.At, to: to, factor: f.Factor})
 			}
 		case LinkDegrade:
-			inj.armCapacityWindow(k, m.NIC(f.Node), f.Kind, at, at+f.Duration, f.Factor)
+			inj.armCapacityWindow(k, m.NIC(f.Node), f.Kind, f.At, to, f.Factor)
 		case MemDegrade:
-			inj.armCapacityWindow(k, m.Domain(f.Domain), f.Kind, at, at+f.Duration, f.Factor)
+			inj.armCapacityWindow(k, m.Domain(f.Domain), f.Kind, f.At, to, f.Factor)
 		default:
 			return nil, fmt.Errorf("faults: unknown fault kind %q", f.Kind)
 		}

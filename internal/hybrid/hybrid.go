@@ -33,20 +33,15 @@ const (
 	Mixed     Verdict = "mixed"     // both components substantial
 )
 
-// WaitMetrics are the metrics the classifier examines by default.
-const (
-	defaultMinPct = 0.05 // ignore findings below this %T
-)
+const defaultMinPct = 0.05 // ignore findings below this %T
 
-// DefaultWaitMetrics lists the wait-state metrics worth classifying.
-func DefaultWaitMetrics() []string {
-	return []string{
-		scalasca.MLateSender,
-		scalasca.MLateReceiver,
-		scalasca.MWaitNxN,
-		scalasca.MBarrierWait,
-		scalasca.MIdleThreads,
-	}
+// waitMetrics lists the wait-state metrics the classifier examines.
+var waitMetrics = []string{
+	scalasca.MLateSender,
+	scalasca.MLateReceiver,
+	scalasca.MWaitNxN,
+	scalasca.MBarrierWait,
+	scalasca.MIdleThreads,
 }
 
 // Finding is one classified (metric, call path) wait state.
@@ -69,10 +64,7 @@ type Report struct {
 // Compare classifies the wait states of a physical profile against a
 // logical profile of the same program.  minPct (in %T) filters noise; a
 // non-positive value uses the default of 0.05 %T.
-func Compare(phys, logical *cube.Profile, metrics []string, minPct float64) *Report {
-	if metrics == nil {
-		metrics = DefaultWaitMetrics()
-	}
+func Compare(phys, logical *cube.Profile, minPct float64) *Report {
 	if minPct <= 0 {
 		minPct = defaultMinPct
 	}
@@ -82,7 +74,7 @@ func Compare(phys, logical *cube.Profile, metrics []string, minPct float64) *Rep
 	if physTime == 0 || logTime == 0 {
 		return rep
 	}
-	for _, m := range metrics {
+	for _, m := range waitMetrics {
 		physID, okP := phys.MetricByName(m)
 		if !okP {
 			continue
@@ -123,9 +115,9 @@ func Compare(phys, logical *cube.Profile, metrics []string, minPct float64) *Rep
 				// Only the logical measurement claims waiting here: a
 				// skew of the effort model, not a real wait state.
 				f.Verdict = Intrinsic
-			case l/maxf(p, 1e-12) >= 0.6:
+			case l/max(p, 1e-12) >= 0.6:
 				f.Verdict = Intrinsic
-			case l/maxf(p, 1e-12) <= 0.25:
+			case l/max(p, 1e-12) <= 0.25:
 				f.Verdict = Extrinsic
 			default:
 				f.Verdict = Mixed
@@ -173,18 +165,4 @@ func (r *Report) Render(w io.Writer, limit int) {
 	}
 	in, ex := r.Totals()
 	fmt.Fprintf(w, "totals: intrinsic %.2f%%T (fix the algorithm), extrinsic %.2f%%T (fix placement/system)\n", in, ex)
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

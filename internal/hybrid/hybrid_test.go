@@ -46,7 +46,7 @@ func TestClassifiesIntrinsicAndExtrinsic(t *testing.T) {
 		scalasca.MWaitNxN:     {"main/dot": 9},
 		scalasca.MBarrierWait: {"main/loop": 3},
 	})
-	rep := Compare(phys, logical, nil, 0)
+	rep := Compare(phys, logical, 0)
 	if len(rep.Findings) != 3 {
 		t.Fatalf("findings = %d, want 3: %+v", len(rep.Findings), rep.Findings)
 	}
@@ -77,7 +77,7 @@ func TestFindingsSortedBySeverity(t *testing.T) {
 		scalasca.MWaitNxN: {"main/a": 2, "main/b": 9, "main/c": 5},
 	})
 	logical := synthetic("lt_1", nil)
-	rep := Compare(phys, logical, nil, 0)
+	rep := Compare(phys, logical, 0)
 	if rep.Findings[0].Path != "main/b" || rep.Findings[2].Path != "main/a" {
 		t.Fatalf("not sorted by severity: %+v", rep.Findings)
 	}
@@ -87,7 +87,7 @@ func TestMinPctFilters(t *testing.T) {
 	phys := synthetic("tsc", map[string]map[string]float64{
 		scalasca.MWaitNxN: {"main/tiny": 0.01, "main/big": 5},
 	})
-	rep := Compare(phys, synthetic("lt_1", nil), nil, 0.1)
+	rep := Compare(phys, synthetic("lt_1", nil), 0.1)
 	if len(rep.Findings) != 1 || rep.Findings[0].Path != "main/big" {
 		t.Fatalf("filter failed: %+v", rep.Findings)
 	}
@@ -97,7 +97,7 @@ func TestRender(t *testing.T) {
 	phys := synthetic("tsc", map[string]map[string]float64{
 		scalasca.MWaitNxN: {"main/dot": 10},
 	})
-	rep := Compare(phys, synthetic("lt_stmt", nil), nil, 0)
+	rep := Compare(phys, synthetic("lt_stmt", nil), 0)
 	var buf bytes.Buffer
 	rep.Render(&buf, 10)
 	out := buf.String()
@@ -136,7 +136,7 @@ func endToEnd(t *testing.T, app func(r *measure.Rank)) *Report {
 		}
 		return prof
 	}
-	return Compare(run(core.ModeTSC), run(core.ModeStmt), nil, 0.2)
+	return Compare(run(core.ModeTSC), run(core.ModeStmt), 0.2)
 }
 
 func TestEndToEndImbalanceIsIntrinsic(t *testing.T) {

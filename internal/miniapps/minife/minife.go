@@ -295,10 +295,3 @@ func (c Config) Describe() string {
 	return fmt.Sprintf("MiniFE %d^3 (costs as %d^3), imbalance %.0f%%, <=%d CG iters",
 		c.Nx, c.RealNx, 100*c.Imbalance, c.CGIters)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/scalasca"
 )
 
@@ -17,7 +18,7 @@ import (
 // path: every section of the entry format is populated.
 func fullEntry() *Entry {
 	e := sampleEntry()
-	e.Applied = []AppliedFault{
+	e.Applied = []faults.AppliedFault{
 		{Kind: "oneoff", Rank: 2, Core: -1, At: 0.5, Magnitude: 0.2},
 		{Kind: "membw", Rank: -1, Core: 3, Resource: "membw0", At: 1e-3, Magnitude: 0.25},
 	}

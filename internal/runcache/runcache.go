@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cube"
+	"repro/internal/faults"
 	"repro/internal/scalasca"
 	"repro/internal/trace"
 )
@@ -53,9 +54,9 @@ import (
 type Key struct {
 	Spec    string // spec identity: name, geometry, pinning, description
 	Mode    string // timer mode; "" for an uninstrumented reference run
-	Seed    int64  // noise / fault-jitter seed
+	Seed    int64  // noise seed
 	Noise   string // noise.Params rendering
-	Faults  string // effective fault plan (seed, jitter, faults); "" if none
+	Faults  string // fault plan rendering; "" if none
 	Config  string // measurement config rendering; "" if uninstrumented
 	Analyze bool   // whether the trace was run through the analyzer
 	Version string // caller's code-version salt
@@ -85,7 +86,8 @@ func (k Key) Hash() string {
 
 // Entry is the cached form of one run result.  It mirrors
 // experiment.RunResult field for field; the experiment package converts
-// between the two (runcache cannot import it without a cycle).
+// between the two (runcache cannot import it without a cycle), and the
+// fault log is the simulator's own faults.AppliedFault.
 type Entry struct {
 	Mode    string
 	Wall    float64
@@ -95,20 +97,10 @@ type Entry struct {
 	Trace   *trace.Trace  // nil for reference runs
 	Profile *cube.Profile // nil unless analyzed
 	// Applied is the run's applied-fault log (nil without a fault plan).
-	Applied []AppliedFault
+	Applied []faults.AppliedFault
 	// CritPath is the run's critical path, a product of its trace: nil
 	// unless the writer derived it.
 	CritPath *scalasca.CritPath
-}
-
-// AppliedFault mirrors faults.AppliedFault field for field (runcache
-// cannot import internal/faults for the same cycle reason as Entry).
-type AppliedFault struct {
-	Kind       string
-	Rank, Core int
-	Resource   string
-	At         float64
-	Magnitude  float64
 }
 
 // Cache is a content-addressed store rooted at one directory.  Entries
@@ -275,7 +267,7 @@ func encodeEntry(w *bytes.Buffer, e *Entry) error {
 	}
 	putU(uint64(len(e.Applied)))
 	for _, a := range e.Applied {
-		putS(a.Kind)
+		putS(string(a.Kind))
 		putI(int64(a.Rank))
 		putI(int64(a.Core))
 		putS(a.Resource)
@@ -426,10 +418,10 @@ func decodeEntry(b []byte, withTrace func(*Entry) bool) (*Entry, error) {
 		e.Checks[i] = r.f()
 	}
 	if n := r.count(4 + 2*8); n > 0 {
-		e.Applied = make([]AppliedFault, n)
+		e.Applied = make([]faults.AppliedFault, n)
 		for i := range e.Applied {
 			a := &e.Applied[i]
-			a.Kind = r.s()
+			a.Kind = faults.Kind(r.s())
 			a.Rank = int(r.i())
 			a.Core = int(r.i())
 			a.Resource = r.s()

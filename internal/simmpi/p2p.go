@@ -4,7 +4,6 @@ import "fmt"
 
 // Request tracks one nonblocking point-to-point operation.
 type Request struct {
-	proc   *Proc
 	isRecv bool
 	src    int // matching source (recv side), may be AnySource
 	tag    int // matching tag, may be AnyTag
@@ -49,7 +48,7 @@ func (p *Proc) Isend(dst, tag int, data []float64, bytes int, pb uint64) *Reques
 	if data != nil {
 		msg.Data = append([]float64(nil), data...)
 	}
-	req := &Request{proc: p}
+	req := &Request{}
 	msg.senderReq = req
 	dstProc := p.W.procs[dst]
 	srcCore, dstCore := p.Loc.Core, dstProc.Loc.Core
@@ -58,10 +57,7 @@ func (p *Proc) Isend(dst, tag int, data []float64, bytes int, pb uint64) *Reques
 		// receiver after the transfer.
 		req.done = true
 		act := p.W.M.TransferAction(srcCore, dstCore, float64(bytes), p.Loc.Noise)
-		p.W.K.Post(act, func() {
-			msg.transferred = true
-			dstProc.deliver(msg)
-		})
+		p.W.K.Post(act, func() { dstProc.deliver(msg) })
 		return req
 	}
 	// Rendezvous: announce the message now (header-only transfer); the
@@ -88,7 +84,7 @@ func (p *Proc) Send(dst, tag int, data []float64, bytes int, pb uint64) {
 func (p *Proc) Irecv(src, tag int) *Request {
 	a := p.Loc.Actor
 	a.Compute(p.W.Cfg.RecvOverhead)
-	req := &Request{proc: p, isRecv: true, src: src, tag: tag}
+	req := &Request{isRecv: true, src: src, tag: tag}
 	// Try to match an already-announced message, in arrival order.
 	for _, m := range p.mbox {
 		if m.consumed || !req.matches(m) {
@@ -189,7 +185,6 @@ func (p *Proc) match(req *Request, m *Message) {
 	src := p.W.procs[m.Src]
 	act := p.W.M.TransferAction(src.Loc.Core, p.Loc.Core, float64(m.Bytes), src.Loc.Noise)
 	p.W.K.Post(act, func() {
-		m.transferred = true
 		req.msg = m
 		req.done = true
 		if m.senderReq != nil {

@@ -96,10 +96,9 @@ type Message struct {
 	// Piggyback carries the measurement layer's logical-clock payload.
 	Piggyback uint64
 
-	rendezvous  bool
-	transferred bool
-	consumed    bool
-	senderReq   *Request
+	rendezvous bool
+	consumed   bool
+	senderReq  *Request
 }
 
 // NewWorld builds a job over the given placement.  noiseModel may be nil

@@ -53,6 +53,3 @@ func (c *Cond) Broadcast() int {
 	c.waiters = c.waiters[:0]
 	return n
 }
-
-// Waiters returns the number of actors currently blocked on the condition.
-func (c *Cond) Waiters() int { return len(c.waiters) }

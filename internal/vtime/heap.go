@@ -56,11 +56,6 @@ func (h *finishHeap) remove(i int) {
 	}
 }
 
-func (h *finishHeap) removeAction(a *Action) {
-	h.remove(a.heapIndex)
-	a.heapIndex = -1
-}
-
 func (h *finishHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

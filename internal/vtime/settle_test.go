@@ -168,7 +168,8 @@ func TestNeedOrderedMembersMatchStableSort(t *testing.T) {
 					i := rng.Intn(len(attached))
 					a := attached[i]
 					if a.heapIndex >= 0 {
-						k.heap.removeAction(a)
+						k.heap.remove(a.heapIndex)
+						a.heapIndex = -1
 					}
 					a.settle(k.now)
 					r.detach(a)
