@@ -20,9 +20,9 @@ const ModeHwComb Mode = "lt_hwcomb"
 // DRAM traffic costs about as long as five instructions.
 const BytesPerInstrWeight = 5.0
 
-// NewCombined builds the combined instruction+memory counter clock.  Both
+// newCombined builds the combined instruction+memory counter clock.  Both
 // counter read-outs carry the same relative noise as lt_hwctr.
-func NewCombined(l *loc.Location, src *noise.Source) Clock {
+func newCombined(l *loc.Location, src *noise.Source) Clock {
 	return newLamport(ModeHwComb, l, func(d work.Counts) float64 {
 		eff := d.Instr + BytesPerInstrWeight*d.Bytes
 		if src != nil {

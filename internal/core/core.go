@@ -115,7 +115,7 @@ var clocks = map[Mode]func(l *loc.Location, src *noise.Source) Clock{
 		})
 	},
 	ModeWStmt:  newWeighted,
-	ModeHwComb: NewCombined,
+	ModeHwComb: newCombined,
 }
 
 // CheckMode returns an error naming mode, and the modes New knows, unless

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
+
+	"repro/internal/binio"
 )
 
 // profileJSON is the serialised form: flat severity records so the file is
@@ -100,7 +102,7 @@ func Read(r io.Reader) (*Profile, error) {
 
 // AppendBinary appends the profile's records to b in the binary layout
 // ReadBinary decodes (integers varint-encoded, floats as little-endian
-// IEEE-754 bits):
+// IEEE-754 bits, strings UTF-8; see internal/binio):
 //
 //	clock string (uvarint length + bytes)
 //	location count, then per location: name string
@@ -118,24 +120,19 @@ func (p *Profile) AppendBinary(b []byte) ([]byte, error) {
 }
 
 func (in profileJSON) appendBinary(b []byte) ([]byte, error) {
-	str := func(s string) {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	str(in.Clock)
+	b = binio.AppendStr(b, in.Clock)
 	b = binary.AppendUvarint(b, uint64(len(in.LocNames)))
 	for _, name := range in.LocNames {
-		str(name)
+		b = binio.AppendStr(b, name)
 	}
 	b = binary.AppendUvarint(b, uint64(len(in.Metrics)))
 	for _, m := range in.Metrics {
-		str(m.Name)
-		str(m.Desc)
+		b = binio.AppendStr(binio.AppendStr(b, m.Name), m.Desc)
 		b = binary.AppendVarint(b, int64(m.Parent))
 	}
 	b = binary.AppendUvarint(b, uint64(len(in.Paths)))
 	for _, c := range in.Paths {
-		str(c.Name)
+		b = binio.AppendStr(b, c.Name)
 		b = binary.AppendVarint(b, int64(c.Parent))
 	}
 	b = binary.AppendUvarint(b, uint64(len(in.Sev)))
@@ -164,51 +161,48 @@ func (in profileJSON) appendBinary(b []byte) ([]byte, error) {
 // same validating builder as Read's, so the two decoders accept and
 // reject the same profiles.
 func ReadBinary(b []byte) (*Profile, error) {
-	r := binReader{b: b}
-	clock := r.str()
-	locs := make([]string, r.count(1))
+	r := binio.NewReader("cube: binary profile: ", b)
+	clock := r.Str()
+	locs := make([]string, r.Count(1))
 	for i := range locs {
-		locs[i] = r.str()
+		locs[i] = r.Str()
 	}
-	nmetric := r.count(3)
+	nmetric := r.Count(3)
 	pb := newProfileBuilder(clock, locs)
-	for i := 0; i < nmetric && r.err == nil; i++ {
-		name, desc := r.str(), r.str()
-		if parent := r.varint(); r.err == nil {
-			r.check(pb.metric(name, desc, parent))
+	for i := 0; i < nmetric && r.Err() == nil; i++ {
+		name, desc := r.Str(), r.Str()
+		if parent := r.Varint(); r.Err() == nil {
+			r.Check(pb.metric(name, desc, parent))
 		}
 	}
-	npath := r.count(2)
-	for i := 0; i < npath && r.err == nil; i++ {
-		name := r.str()
-		if parent := r.varint(); r.err == nil {
-			r.check(pb.path(name, parent))
+	npath := r.Count(2)
+	for i := 0; i < npath && r.Err() == nil; i++ {
+		name := r.Str()
+		if parent := r.Varint(); r.Err() == nil {
+			r.Check(pb.path(name, parent))
 		}
 	}
-	nsev := r.count(3)
-	for i := 0; i < nsev && r.err == nil; i++ {
-		m, path, n := r.varint(), r.varint(), r.uvarint()
-		if r.err != nil || r.check(pb.severity(m, path, n)) {
+	nsev := r.Count(3)
+	for i := 0; i < nsev && r.Err() == nil; i++ {
+		m, path, n := r.Varint(), r.Varint(), r.Uvarint()
+		if r.Err() != nil || r.Check(pb.severity(m, path, n)) {
 			break
 		}
-		mask := r.next((n + 7) / 8) // n is at most the location count
-		if r.err == nil && n%8 != 0 && mask[len(mask)-1]>>(n%8) != 0 {
-			r.fail("severity bitmap of metric %d, path %d marks values past its %d", m, path, n)
+		mask := r.Next((n + 7) / 8) // n is at most the location count
+		if r.Err() == nil && n%8 != 0 && mask[len(mask)-1]>>(n%8) != 0 {
+			r.Fail("severity bitmap of metric %d, path %d marks values past its %d", m, path, n)
 		}
 		for j, byt := range mask {
-			for ; byt != 0 && r.err == nil; byt &= byt - 1 {
-				l := 8*j + bits.TrailingZeros8(byt)
-				if v := r.next(8); v != nil {
-					r.check(pb.value(l, math.Float64frombits(binary.LittleEndian.Uint64(v))))
-				}
+			for ; byt != 0 && r.Err() == nil; byt &= byt - 1 {
+				r.Check(pb.value(8*j+bits.TrailingZeros8(byt), r.Float()))
 			}
 		}
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("%d bytes after the profile", len(r.b))
+	if r.Err() == nil && r.Len() != 0 {
+		r.Fail("%d bytes after the profile", r.Len())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return pb.p, nil
 }
@@ -279,77 +273,4 @@ func (b *profileBuilder) value(l int, v float64) error {
 	}
 	b.p.Add(MetricID(b.open[0]), PathID(b.open[1]), l, v)
 	return nil
-}
-
-// binReader decodes a binary section held whole in memory.  The first
-// failure sticks; later reads return zero values.
-type binReader struct {
-	b   []byte
-	err error
-}
-
-func (r *binReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("cube: binary profile: "+format, args...)
-	}
-}
-
-// check records a builder error; it reports whether r has failed.
-func (r *binReader) check(err error) bool {
-	if r.err == nil {
-		r.err = err
-	}
-	return r.err != nil
-}
-
-func (r *binReader) next(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail("length %d exceeds the %d bytes left", n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *binReader) str() string { return string(r.next(r.uvarint())) }
-
-// count reads an item count, rejecting one the bytes left cannot hold
-// at itemBytes (the item's minimum encoded size) each.
-func (r *binReader) count(itemBytes int) int {
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.b)/itemBytes) {
-		r.fail("count %d exceeds what the %d bytes left can hold", n, len(r.b))
-		return 0
-	}
-	return int(n)
 }

@@ -82,7 +82,8 @@ func TestReadRejectsMalformedProfiles(t *testing.T) {
 // round-trip through AppendBinary and ReadBinary to the same Write
 // bytes.  The committed corpus under testdata/fuzz/FuzzCubeRead holds a
 // real profile as JSON and as a binary section, the two dangling-link
-// profiles and malformed variants.
+// profiles, malformed variants and a binary section whose clock is not
+// UTF-8, which the JSON could not carry.
 func FuzzCubeRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if p, err := Read(bytes.NewReader(data)); err == nil {

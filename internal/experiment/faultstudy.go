@@ -90,12 +90,11 @@ func (fs *FaultStudy) RepStability(mode core.Mode) float64 {
 // FaultShift returns J between the mode's mean faulted and mean clean
 // profiles: 1.0 means the clock filtered the fault entirely.
 func (fs *FaultStudy) FaultShift(mode core.Mode) float64 {
-	clean := fs.Clean.MeanProfile(mode)
-	faulted := fs.Faulted.MeanProfile(mode)
+	clean, faulted := fs.Clean.meanMCMap(mode), fs.Faulted.meanMCMap(mode)
 	if clean == nil || faulted == nil {
 		return 0
 	}
-	return jaccard.Score(faulted.MCMap(), clean.MCMap())
+	return jaccard.Score(faulted, clean)
 }
 
 // WallDilation returns the relative wall-time cost of the faults on the

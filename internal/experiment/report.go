@@ -106,11 +106,7 @@ func FigJaccard(w io.Writer, title string, studies []*Study) {
 // a metric (%M) — the stacked-bar content of Figs. 5, 6 and 9.
 func pathBreakdown(w io.Writer, st *Study, metric string, groups map[string][]string) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	names := make([]string, 0, len(groups))
-	for g := range groups {
-		names = append(names, g)
-	}
-	sort.Strings(names)
+	names := sortedKeys(groups)
 	fmt.Fprint(tw, "Mode")
 	for _, g := range names {
 		fmt.Fprintf(tw, "\t%s", g)
@@ -122,29 +118,43 @@ func pathBreakdown(w io.Writer, st *Study, metric string, groups map[string][]st
 			continue
 		}
 		pcts := p.PathPercents(metric)
-		paths := make([]string, 0, len(pcts))
-		for path := range pcts {
-			paths = append(paths, path)
-		}
-		sort.Strings(paths) // sum in a fixed order: float addition is not associative
+		paths := sortedKeys(pcts)
 		fmt.Fprintf(tw, "%s", modeLabel(m))
 		var covered float64
 		for _, g := range names {
-			var v float64
-			for _, path := range paths {
-				for _, frag := range groups[g] {
-					if strings.Contains(path, frag) {
-						v += pcts[path]
-						break
-					}
-				}
-			}
+			v := sumMatching(pcts, paths, groups[g])
 			covered += v
 			fmt.Fprintf(tw, "\t%.1f", v)
 		}
 		fmt.Fprintf(tw, "\t%.1f\t%.3f\n", 100-covered, st.JaccardCallMap(m, metric))
 	}
 	tw.Flush()
+}
+
+// sumMatching sums pcts over the paths that contain any of frags, in
+// the order of paths, which callers sort: float addition is not
+// associative, so map order would move the sum's last bits.
+func sumMatching(pcts map[string]float64, paths, frags []string) float64 {
+	var v float64
+	for _, path := range paths {
+		for _, frag := range frags {
+			if strings.Contains(path, frag) {
+				v += pcts[path]
+				break
+			}
+		}
+	}
+	return v
+}
+
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Fig5 writes the contributions of MiniFE's call paths to computation

@@ -29,8 +29,8 @@ type ScalePoint struct {
 	// weakened point cannot pass for a clean one.
 	DroppedReps int
 	// Err is non-empty when every repetition of the point failed; the
-	// point's timing fields are then zero and it is excluded from the
-	// speedup baseline.
+	// point's timing fields are then zero, and if it is the first point
+	// no point has a speedup.
 	Err string
 }
 
@@ -127,19 +127,11 @@ func RunScaling(base Spec, points [][2]int, o ScalingOptions) (*ScalingResult, e
 	return out, nil
 }
 
-// normalizeScaling fills Speedup and Efficiency against the first point
-// that completed with a positive wall time.
+// normalizeScaling fills Speedup and Efficiency against the first
+// point.  If that point failed or has no positive wall time, every
+// point keeps zero speedup and efficiency.
 func normalizeScaling(points []ScalePoint) {
-	base := -1
-	for i, p := range points {
-		if p.Err == "" && p.Wall > 0 {
-			base = i
-			break
-		}
-	}
-	if base != 0 {
-		// Match the historical contract: speedups normalise against the
-		// first point; without it the columns stay zero.
+	if len(points) == 0 || points[0].Err != "" || points[0].Wall <= 0 {
 		return
 	}
 	baseCores := float64(points[0].Ranks * points[0].Threads)

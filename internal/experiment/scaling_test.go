@@ -38,6 +38,23 @@ func TestScalingStudyBasics(t *testing.T) {
 	}
 }
 
+// TestScalingFirstPointFailed: speedups normalise against the first
+// point only, so when it failed every point keeps zero speedup and
+// efficiency.
+func TestScalingFirstPointFailed(t *testing.T) {
+	pts := []ScalePoint{
+		{Ranks: 1, Threads: 1, Err: "all repetitions failed"},
+		{Ranks: 2, Threads: 1, Wall: 0.5},
+		{Ranks: 4, Threads: 1, Wall: 0.3},
+	}
+	normalizeScaling(pts)
+	for _, p := range pts {
+		if p.Speedup != 0 || p.Efficiency != 0 {
+			t.Fatalf("point %+v normalised although the first point failed", p)
+		}
+	}
+}
+
 func TestScalingStudyAutoSizesNodes(t *testing.T) {
 	pts := runScaling(t, [][2]int{{256, 1}}, 1)
 	if pts[0].Nodes != 2 {

@@ -17,9 +17,10 @@
 //     threads an explicit rand.New(rand.NewSource(seed)).
 //   - maporder: map-range loops whose iteration order leaks into an
 //     ordered sink — appending to storage declared outside the loop
-//     without a later sort, or serialising inside the loop (Fprintf,
-//     Write…, Encode…, Add…).  Go randomises map iteration order per
-//     run; the fix is to iterate a sorted key slice.
+//     without a later sort, serialising inside the loop (Fprintf,
+//     Write…, Encode…, Add…), or adding to a float declared outside it
+//     (float addition is not associative).  Go randomises map iteration
+//     order per run; the fix is to iterate a sorted key slice.
 //   - globalmut: writes to package-level variables from simulation code,
 //     which concurrent jobs would share.
 //
@@ -50,6 +51,7 @@ package detlint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -175,6 +177,10 @@ var MapOrder = &lint.Analyzer{
 func checkMapRange(pass *lint.ModulePass, n *lint.FuncNode, rs *ast.RangeStmt, simulated bool, emits map[*lint.FuncNode]bool) {
 	sorted := sortFollows(n, rs)
 	ast.Inspect(rs.Body, func(nd ast.Node) bool {
+		if as, ok := nd.(*ast.AssignStmt); ok && floatSum(n.Pkg, as, rs) {
+			pass.Report(nd.Pos(),
+				"float %s inside map-range loop sums in random order, and float addition is not associative; iterate sorted keys", as.Tok)
+		}
 		switch what := emission(n.Pkg, n.File, nd, rs); what {
 		case "":
 		case "append":
@@ -225,6 +231,25 @@ func emission(pkg *lint.Package, f *ast.File, nd ast.Node, scope ast.Node) strin
 		}
 	}
 	return ""
+}
+
+// floatSum reports whether as adds to or subtracts from a float
+// variable or field declared outside scope.  A map element does not
+// count: a loop that touches each key once adds to each in one order.
+func floatSum(pkg *lint.Package, as *ast.AssignStmt, scope ast.Node) bool {
+	if as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN {
+		return false
+	}
+	switch lhs := ast.Unparen(as.Lhs[0]).(type) {
+	case *ast.Ident, *ast.SelectorExpr:
+		t := pkg.Info.TypeOf(lhs)
+		if t == nil {
+			return false
+		}
+		b, ok := t.Underlying().(*types.Basic)
+		return ok && b.Info()&types.IsFloat != 0 && declaredOutside(pkg, lhs, scope)
+	}
+	return false
 }
 
 // sinkPrefixes are method-name prefixes treated as order-sensitive:

@@ -51,6 +51,27 @@ func okReduce(m map[string]int) int {
 	return total
 }
 
+// Float addition is not associative: a sum in map order moves in its
+// last bits from run to run.
+func badFloatSum(m map[string]float64) float64 {
+	var total float64
+	for _, v := range m {
+		total += v // want `float \+= inside map-range loop`
+	}
+	return total
+}
+
+// Each key's sum adds that key's values in slice order.
+func okFloatPerKey(m map[string][]float64) map[string]float64 {
+	sums := make(map[string]float64, len(m))
+	for k, vs := range m {
+		for _, v := range vs {
+			sums[k] += v
+		}
+	}
+	return sums
+}
+
 // Slice ranges are ordered; nothing to flag.
 func okSliceRange(w io.Writer, xs []string) {
 	for _, x := range xs {

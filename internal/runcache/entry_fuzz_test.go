@@ -32,11 +32,11 @@ func fullEntry() *Entry {
 
 func mustEncode(t testing.TB, e *Entry) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := encodeEntry(&buf, e); err != nil {
+	b, err := encodeEntry(nil, e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // hasNaN reports whether any float field of e is NaN, which deep

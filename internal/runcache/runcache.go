@@ -32,13 +32,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"sync/atomic"
 
+	"repro/internal/binio"
 	"repro/internal/cube"
 	"repro/internal/faults"
 	"repro/internal/scalasca"
@@ -166,8 +166,8 @@ func (c *Cache) Lookup(key Key, withTrace func(*Entry) bool) (e *Entry, ok bool)
 // a reader never observes a half-written entry and concurrent writers
 // of the same key are harmless.
 func (c *Cache) Put(key Key, e *Entry) error {
-	var buf bytes.Buffer
-	if err := encodeEntry(&buf, e); err != nil {
+	b, err := encodeEntry(nil, e)
+	if err != nil {
 		return fmt.Errorf("runcache: encoding entry: %w", err)
 	}
 	path := c.path(key.Hash())
@@ -178,7 +178,7 @@ func (c *Cache) Put(key Key, e *Entry) error {
 	if err != nil {
 		return fmt.Errorf("runcache: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("runcache: %w", err)
@@ -195,7 +195,7 @@ func (c *Cache) Put(key Key, e *Entry) error {
 }
 
 // Entry file format (integers varint-encoded, floats as little-endian
-// IEEE-754 bits):
+// IEEE-754 bits, strings UTF-8; see internal/binio):
 //
 //	magic "LTRR" (4 bytes), version uvarint
 //	mode string (uvarint length + bytes)
@@ -227,52 +227,30 @@ const (
 	entryVersion = 4
 )
 
-func encodeEntry(w *bytes.Buffer, e *Entry) error {
-	w.WriteString(entryMagic)
-	var vb [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		n := binary.PutUvarint(vb[:], v)
-		w.Write(vb[:n])
-	}
-	putS := func(s string) {
-		putU(uint64(len(s)))
-		w.WriteString(s)
-	}
-	putF := func(f float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-		w.Write(b[:])
-	}
-	putU(entryVersion)
-	putS(e.Mode)
-	putF(e.Wall)
-	putF(e.FoM)
+// encodeEntry appends e's entry image to b.
+func encodeEntry(b []byte, e *Entry) ([]byte, error) {
+	b = binary.AppendUvarint(append(b, entryMagic...), entryVersion)
+	b = binio.AppendStr(b, e.Mode)
+	b = binio.AppendFloat(binio.AppendFloat(b, e.Wall), e.FoM)
 	names := make([]string, 0, len(e.Phases))
 	for name := range e.Phases {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	putU(uint64(len(names)))
+	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
-		putS(name)
-		putF(e.Phases[name])
+		b = binio.AppendFloat(binio.AppendStr(b, name), e.Phases[name])
 	}
-	putU(uint64(len(e.Checks)))
+	b = binary.AppendUvarint(b, uint64(len(e.Checks)))
 	for _, v := range e.Checks {
-		putF(v)
+		b = binio.AppendFloat(b, v)
 	}
-	putI := func(v int64) {
-		n := binary.PutVarint(vb[:], v)
-		w.Write(vb[:n])
-	}
-	putU(uint64(len(e.Applied)))
+	b = binary.AppendUvarint(b, uint64(len(e.Applied)))
 	for _, a := range e.Applied {
-		putS(string(a.Kind))
-		putI(int64(a.Rank))
-		putI(int64(a.Core))
-		putS(a.Resource)
-		putF(a.At)
-		putF(a.Magnitude)
+		b = binio.AppendStr(b, string(a.Kind))
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(a.Rank)), int64(a.Core))
+		b = binio.AppendStr(b, a.Resource)
+		b = binio.AppendFloat(binio.AppendFloat(b, a.At), a.Magnitude)
 	}
 	var flags byte
 	if e.Trace != nil {
@@ -284,113 +262,34 @@ func encodeEntry(w *bytes.Buffer, e *Entry) error {
 	if e.CritPath != nil {
 		flags |= 4
 	}
-	w.WriteByte(flags)
+	b = append(b, flags)
 	if e.Trace != nil {
-		var b bytes.Buffer
-		if err := trace.WriteChunked(&b, e.Trace); err != nil {
-			return err
+		var tb bytes.Buffer
+		if err := trace.WriteChunked(&tb, e.Trace); err != nil {
+			return b, err
 		}
-		putU(uint64(b.Len()))
-		w.Write(b.Bytes())
+		b = append(binary.AppendUvarint(b, uint64(tb.Len())), tb.Bytes()...)
 	}
 	if e.Profile != nil {
-		b, err := e.Profile.AppendBinary(nil)
+		pb, err := e.Profile.AppendBinary(nil)
 		if err != nil {
-			return err
+			return b, err
 		}
-		putU(uint64(len(b)))
-		w.Write(b)
+		b = append(binary.AppendUvarint(b, uint64(len(pb))), pb...)
 	}
 	if cp := e.CritPath; cp != nil {
-		putF(cp.Total)
-		putU(uint64(cp.Segments))
+		b = binary.AppendUvarint(binio.AppendFloat(b, cp.Total), uint64(cp.Segments))
 		paths := make([]string, 0, len(cp.ByPath))
 		for p := range cp.ByPath {
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		putU(uint64(len(paths)))
+		b = binary.AppendUvarint(b, uint64(len(paths)))
 		for _, p := range paths {
-			putS(p)
-			putF(cp.ByPath[p])
+			b = binio.AppendFloat(binio.AppendStr(b, p), cp.ByPath[p])
 		}
 	}
-	return nil
-}
-
-// entryReader decodes an entry image held whole in memory.  Every
-// length and count is checked against the bytes left before it sizes
-// anything, so rejecting a corrupt entry costs at most its own size.
-// The first failure sticks; later reads return zero values.
-type entryReader struct {
-	b   []byte
-	err error
-}
-
-func (r *entryReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("runcache: "+format, args...)
-	}
-}
-
-func (r *entryReader) next(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail("length %d exceeds the %d bytes left", n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *entryReader) u() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *entryReader) i() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *entryReader) s() string { return string(r.next(r.u())) }
-
-func (r *entryReader) f() float64 {
-	b := r.next(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-// count reads an item count, rejecting one the bytes left cannot hold
-// at itemBytes (the item's minimum encoded size) each.
-func (r *entryReader) count(itemBytes int) int {
-	n := r.u()
-	if r.err == nil && n > uint64(len(r.b)/itemBytes) {
-		r.fail("count %d exceeds what the %d bytes left can hold", n, len(r.b))
-		return 0
-	}
-	return int(n)
+	return b, nil
 }
 
 // decodeEntry decodes an entry image, its trace blob only when
@@ -399,59 +298,56 @@ func decodeEntry(b []byte, withTrace func(*Entry) bool) (*Entry, error) {
 	if !bytes.HasPrefix(b, []byte(entryMagic)) {
 		return nil, fmt.Errorf("runcache: bad magic")
 	}
-	r := &entryReader{b: b[len(entryMagic):]}
-	if ver := r.u(); r.err == nil && ver != entryVersion {
+	r := binio.NewReader("runcache: ", b[len(entryMagic):])
+	if ver := r.Uvarint(); r.Err() == nil && ver != entryVersion {
 		return nil, fmt.Errorf("runcache: unsupported entry version %d", ver)
 	}
-	e := &Entry{}
-	e.Mode = r.s()
-	e.Wall = r.f()
-	e.FoM = r.f()
-	nphase := r.count(1 + 8)
+	e := &Entry{Mode: r.Str(), Wall: r.Float(), FoM: r.Float()}
+	nphase := r.Count(1 + 8)
 	e.Phases = make(map[string]float64, nphase)
 	for i := 0; i < nphase; i++ {
-		name := r.s()
-		e.Phases[name] = r.f()
+		name := r.Str()
+		e.Phases[name] = r.Float()
 	}
-	e.Checks = make([]float64, r.count(8))
+	e.Checks = make([]float64, r.Count(8))
 	for i := range e.Checks {
-		e.Checks[i] = r.f()
+		e.Checks[i] = r.Float()
 	}
-	if n := r.count(4 + 2*8); n > 0 {
+	if n := r.Count(4 + 2*8); n > 0 {
 		e.Applied = make([]faults.AppliedFault, n)
 		for i := range e.Applied {
 			a := &e.Applied[i]
-			a.Kind = faults.Kind(r.s())
-			a.Rank = int(r.i())
-			a.Core = int(r.i())
-			a.Resource = r.s()
-			a.At = r.f()
-			a.Magnitude = r.f()
+			a.Kind = faults.Kind(r.Str())
+			a.Rank = int(r.Varint())
+			a.Core = int(r.Varint())
+			a.Resource = r.Str()
+			a.At = r.Float()
+			a.Magnitude = r.Float()
 		}
 	}
-	flags := r.next(1)
+	flags := r.Next(1)
 	var traceBlob, profileBlob []byte
-	if r.err == nil && flags[0]&1 != 0 {
-		traceBlob = r.next(r.u())
+	if r.Err() == nil && flags[0]&1 != 0 {
+		traceBlob = r.Next(r.Uvarint())
 	}
-	if r.err == nil && flags[0]&2 != 0 {
-		profileBlob = r.next(r.u())
+	if r.Err() == nil && flags[0]&2 != 0 {
+		profileBlob = r.Next(r.Uvarint())
 	}
-	if r.err == nil && flags[0]&4 != 0 {
-		cp := &scalasca.CritPath{Total: r.f(), Segments: int(r.u())}
-		n := r.count(1 + 8)
+	if r.Err() == nil && flags[0]&4 != 0 {
+		cp := &scalasca.CritPath{Total: r.Float(), Segments: int(r.Uvarint())}
+		n := r.Count(1 + 8)
 		cp.ByPath = make(map[string]float64, n)
 		for i := 0; i < n; i++ {
-			p := r.s()
-			cp.ByPath[p] = r.f()
+			p := r.Str()
+			cp.ByPath[p] = r.Float()
 		}
 		e.CritPath = cp
 	}
-	if r.err == nil && (flags[0]&^7 != 0 || len(r.b) != 0) {
-		r.fail("unknown flags %#x or %d trailing bytes", flags[0], len(r.b))
+	if r.Err() == nil && (flags[0]&^7 != 0 || r.Len() != 0) {
+		r.Fail("unknown flags %#x or %d trailing bytes", flags[0], r.Len())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if profileBlob != nil {
 		var err error

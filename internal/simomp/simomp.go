@@ -118,9 +118,6 @@ func (t *Team) Size() int { return t.size }
 // Locations returns the team's locations, master first.
 func (t *Team) Locations() []*loc.Location { return t.locs }
 
-// Costs returns the runtime overhead model.
-func (t *Team) Costs() Costs { return t.costs }
-
 func (t *Team) workerLoop(a *vtime.Actor, tid int) {
 	seen := 0
 	for {

@@ -70,9 +70,6 @@ func (r *Resource) SetCapacity(c float64) {
 	}
 }
 
-// Load returns the number of actions currently drawing on the resource.
-func (r *Resource) Load() int { return len(r.members) }
-
 // attach fixes a's need, the allocation it could consume at its rate cap
 // (unbounded without one), and inserts it after the last member whose
 // need is at most its own.  Needs never change, so members stay in order.
